@@ -11,13 +11,10 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use edbp_core::{
     FxHashMap, LeakagePredictor, OraclePredictor, OracleRecorder, PagedTable, TickOutcome,
 };
-use ehs_cache::probe::{
-    avx2_available, force_impl, probe, probe_portable, probe_scalar, ProbeImpl,
-};
+use ehs_cache::probe::probe;
 use ehs_cache::{AccessKind, BlockId, Cache, CacheConfig, ReplacementPolicy};
 use ehs_sim::{
-    build_lane, record_generation_trace, run_lane, run_lockstep_with, LockstepMode, Scheme,
-    Simulation, SystemConfig,
+    build_lane, record_generation_trace, run_lane, run_lockstep, Scheme, Simulation, SystemConfig,
 };
 use ehs_units::Voltage;
 use ehs_workloads::{build, AppId, Scale};
@@ -25,11 +22,9 @@ use std::hint::black_box;
 
 const BLOCK: u64 = 16;
 
-/// The wide tag probe against its scalar reference, per associativity.
-/// Every d-cache access pays exactly one of these; the portable path is
-/// written to autovectorize, the AVX2 path is explicit `core::arch` behind
-/// runtime detection. The mix alternates hits and misses so the comparison
-/// outcome is not branch-predictable into irrelevance.
+/// The tag probe, per associativity. Every d-cache access pays exactly one
+/// of these. The mix alternates hits and misses so the comparison outcome
+/// is not branch-predictable into irrelevance.
 fn tag_probe(c: &mut Criterion) {
     const PROBES: u64 = 1024;
     let mut group = c.benchmark_group("tag_probe");
@@ -38,37 +33,15 @@ fn tag_probe(c: &mut Criterion) {
         let tags: Vec<u64> = (0..ways as u64).map(|w| 0x1000 + w).collect();
         // Cycles through every way plus one guaranteed miss.
         let needle = |i: u64| 0x1000 + i % (ways as u64 + 1);
-        group.bench_function(&format!("scalar_w{ways}"), |b| {
+        group.bench_function(&format!("probe_w{ways}"), |b| {
             b.iter(|| {
                 let mut acc = 0u32;
                 for i in 0..PROBES {
-                    acc ^= probe_scalar(black_box(&tags), black_box(needle(i)));
+                    acc ^= probe(black_box(&tags), black_box(needle(i)));
                 }
                 acc
             })
         });
-        group.bench_function(&format!("portable_w{ways}"), |b| {
-            b.iter(|| {
-                let mut acc = 0u32;
-                for i in 0..PROBES {
-                    acc ^= probe_portable(black_box(&tags), black_box(needle(i)));
-                }
-                acc
-            })
-        });
-        if avx2_available() {
-            force_impl(Some(ProbeImpl::Avx2));
-            group.bench_function(&format!("avx2_w{ways}"), |b| {
-                b.iter(|| {
-                    let mut acc = 0u32;
-                    for i in 0..PROBES {
-                        acc ^= probe(black_box(&tags), black_box(needle(i)));
-                    }
-                    acc
-                })
-            });
-            force_impl(None);
-        }
     }
     group.finish();
 }
@@ -285,11 +258,9 @@ fn dispatch_dyn_vs_mono(c: &mut Criterion) {
 }
 
 /// Lockstep amortization: the same bounded workload replayed by 1, 4 and 9
-/// scheme lanes, in both group drives — interleaved (each lane decodes and
-/// steps the core itself) and transposed (the lead lane records its
-/// instruction stream; siblings replay it without touching the core).
-/// Throughput counts *total* committed instructions, so the wide rosters
-/// show how much per-instruction cost the shared stream amortizes away.
+/// scheme lanes through [`run_lockstep`]. Throughput counts *total*
+/// committed instructions, so the wide rosters show how much
+/// per-instruction cost the shared stream amortizes away.
 fn lockstep_scaling(c: &mut Criterion) {
     const BUDGET: u64 = 20_000;
     let mut config = SystemConfig::paper_default();
@@ -318,117 +289,13 @@ fn lockstep_scaling(c: &mut Criterion) {
         ("lanes_9", &Scheme::ALL[..]),
     ] {
         group.throughput(Throughput::Elements(BUDGET * schemes.len() as u64));
-        for (mode_label, mode) in [
-            ("interleaved", LockstepMode::Interleaved),
-            ("transposed", LockstepMode::Transposed),
-        ] {
-            group.bench_function(&format!("{mode_label}_{label}"), |b| {
-                b.iter(|| {
-                    run_lockstep_with(lanes(schemes), mode)
-                        .iter()
-                        .map(|o| o.result.committed)
-                        .sum::<u64>()
-                })
-            });
-        }
-    }
-    group.finish();
-}
-
-/// The speculative constant-regime energy kernel against the guarded
-/// per-cycle path it replaces (DESIGN.md §8): burst advance under steady
-/// discharge (long event-free chunks), steady charge (saturated buffer —
-/// speculation stays inadmissible, measuring its overhead floor),
-/// near-crossing churn (checkpoint/recharge cycling where chunks stay
-/// short), and the outage recharge loop alone.
-fn energy_speculative_advance(c: &mut Criterion) {
-    use ehs_energy::{BurstPlan, ConstantSource, EnergySystem, EnergySystemConfig, StepEvent};
-    use ehs_units::{Energy, Frequency, Power, Time};
-
-    const CYCLES: u64 = 65_536;
-    let dt = Time::from_nanos(40.0);
-    let freq = Frequency::from_mega_hertz(25.0);
-    let mk = |source_mw: f64, speculate: bool| {
-        let mut sys = EnergySystem::new(
-            EnergySystemConfig::paper_default(),
-            ConstantSource::new(Power::from_milli_watts(source_mw)),
-        )
-        .expect("valid");
-        sys.set_speculation(speculate);
-        sys
-    };
-    // Drive `CYCLES` total cycles through bursts of `burst_len`, riding out
-    // any outage, and return the final state so nothing is optimized away.
-    let drive = |mut sys: EnergySystem, load: Energy, burst_len: u64| {
-        let mut overdraw = Energy::ZERO;
-        let mut done = 0u64;
-        while done < CYCLES {
-            let plan = BurstPlan {
-                max_cycles: burst_len.min(CYCLES - done),
-                dt,
-                load,
-                frequency: freq,
-                wake_at_cycle: None,
-                wake_below_voltage: None,
-            };
-            let (taken, event) = sys.step_burst(&plan, &mut overdraw);
-            done += taken;
-            if event != StepEvent::Running {
-                let out = sys.power_off_and_recharge();
-                if !out.recovered {
-                    break;
-                }
-            }
-        }
-        (sys.stored(), overdraw)
-    };
-
-    let mut group = c.benchmark_group("energy_speculate");
-    group.throughput(Throughput::Elements(CYCLES));
-    // (scenario, source mW, load mW, burst length). Discharge at 6 mW from
-    // full spans ~19k cycles before the checkpoint threshold, so the long
-    // bursts commit as a handful of chunks; `b4` mirrors the simulator's
-    // fetch-limited ≤4-cycle bursts.
-    for (name, source_mw, load_mw, burst_len) in [
-        ("steady_discharge", 2.0, 6.0, 4096),
-        ("steady_discharge_b4", 2.0, 6.0, 4),
-        ("steady_charge_saturated", 20.0, 1.0, 4096),
-        ("near_crossing_churn", 2.0, 8.0, 64),
-    ] {
-        let load = Power::from_milli_watts(load_mw) * dt;
-        for (mode, speculate) in [("speculative", true), ("guarded", false)] {
-            group.bench_function(&format!("{name}/{mode}"), |b| {
-                b.iter_batched(
-                    || mk(source_mw, speculate),
-                    |sys| drive(sys, load, burst_len),
-                    BatchSize::SmallInput,
-                )
-            });
-        }
-    }
-    group.finish();
-
-    // The outage recharge loop alone: setup drains to the checkpoint
-    // threshold (untimed), the routine is one full recovery (~3.1 µJ at
-    // 0.5 mW − leakage ≈ 124 steps of 50 µs).
-    let mut group = c.benchmark_group("energy_recharge");
-    for (mode, speculate) in [("speculative", true), ("guarded", false)] {
-        group.bench_function(&format!("outage_recovery/{mode}"), |b| {
-            b.iter_batched(
-                || {
-                    let mut sys = mk(0.5, speculate);
-                    let step_dt = Time::from_micros(10.0);
-                    let load = Power::from_milli_watts(5.0) * step_dt;
-                    while sys.step(step_dt, load) != StepEvent::CheckpointRequested {}
-                    sys
-                },
-                |mut sys| {
-                    let out = sys.power_off_and_recharge();
-                    assert!(out.recovered);
-                    out
-                },
-                BatchSize::SmallInput,
-            )
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                run_lockstep(lanes(schemes))
+                    .iter()
+                    .map(|o| o.result.committed)
+                    .sum::<u64>()
+            })
         });
     }
     group.finish();
@@ -441,7 +308,6 @@ criterion_group!(
     shadow_table_lookup,
     oracle_generation_advance,
     dispatch_dyn_vs_mono,
-    lockstep_scaling,
-    energy_speculative_advance
+    lockstep_scaling
 );
 criterion_main!(kernels);

@@ -258,7 +258,7 @@ impl Cache {
         );
         assert!(
             g.associativity <= crate::probe::PROBE_MASK_BITS,
-            "wide tag probe returns a u32 hit mask; associativity {} exceeds \
+            "tag probe returns a u32 hit mask; associativity {} exceeds \
              the {} ways it can cover",
             g.associativity,
             crate::probe::PROBE_MASK_BITS,
@@ -448,10 +448,9 @@ impl Cache {
         let ways = self.ways();
         let base = s * usize::from(ways);
 
-        // Wide probe: empty (invalid or gated) frames hold TAG_NONE, so a
-        // tag match is a powered, valid hit — no mask check needed, and the
-        // whole set compares in one SIMD op (scalar reference under
-        // EHS_NO_SIMD=1; see the `probe` module).
+        // Empty (invalid or gated) frames hold TAG_NONE, so a tag match is
+        // a powered, valid hit — no mask check needed (see the `probe`
+        // module).
         let match_mask = crate::probe::probe(&self.tags[base..base + usize::from(ways)], tag);
         if match_mask != 0 {
             let way_idx = match_mask.trailing_zeros() as u8;

@@ -39,10 +39,7 @@
 //! assert_eq!(cache.stats().hits, 1);
 //! ```
 
-// `deny` rather than `forbid`: the wide tag probe's AVX2 dispatch needs one
-// scoped `#[allow(unsafe_code)]` for its feature-gated intrinsic call (see
-// `probe::probe_avx2_dispatch`); everything else stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;

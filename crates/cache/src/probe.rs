@@ -1,38 +1,16 @@
-//! Wide tag-probe kernels: compare every way's tag against a needle in one
-//! (or a few) SIMD ops, producing the same hit mask as the scalar loop.
+//! Tag probe: compares every way's tag against a needle, producing a hit
+//! mask (bit `w` set iff `tags[w] == needle`).
 //!
 //! The cache's SoA layout keeps each set's tags in `ways` adjacent `u64`
 //! words, and empty (invalid or gated) frames hold the [`TAG_NONE`] sentinel
 //! that no real tag can equal — so the whole probe is a pure equality
-//! compare over one small slice, which is exactly the shape SIMD wants.
-//!
-//! Three implementations share one contract (`probe(tags, needle)` returns
-//! bit `w` set iff `tags[w] == needle`):
-//!
-//! * [`probe_scalar`] — the semantic reference. All other paths are pinned
-//!   to it by unit tests and proptests; any divergence is a bug in the wide
-//!   path, never a spec change.
-//! * [`probe_portable`] — fixed-width `[u64; 4]` chunks written so stable
-//!   rustc autovectorizes them on any target; the remainder (and therefore
-//!   the 1-way degenerate case) runs the scalar loop and never reads past
-//!   the set's tag column.
-//! * `probe_avx2` (x86_64 only) — explicit `core::arch` path using
-//!   `_mm256_cmpeq_epi64`, selected at runtime via
-//!   `is_x86_feature_detected!` and the only `unsafe` in the crate.
-//!
-//! Selection happens once per process (cached in a relaxed atomic): setting
-//! `EHS_NO_SIMD=1` forces the scalar reference, otherwise the widest
-//! available path wins. Tests and benches can override the cached choice
-//! with [`force_impl`].
+//! compare over one small slice, with no valid/gated mask to consult.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Widest associativity any probe implementation can report: the hit mask
-/// is a `u32`, one bit per way, and every wide path finishes arbitrary
-/// remainders with the scalar loop. [`Cache::new`](crate::Cache::new)
-/// asserts the configured associativity fits (it already caps at the much
-/// smaller [`MAX_WAYS`](crate::MAX_WAYS), so this is defence in depth for
-/// future cap raises).
+/// Widest associativity the probe can report: the hit mask is a `u32`, one
+/// bit per way. [`Cache::new`](crate::Cache::new) asserts the configured
+/// associativity fits (it already caps at the much smaller
+/// [`MAX_WAYS`](crate::MAX_WAYS), so this is defence in depth for future
+/// cap raises).
 pub const PROBE_MASK_BITS: u32 = 32;
 
 const _: () = assert!(
@@ -40,92 +18,10 @@ const _: () = assert!(
     "packed-policy way cap must fit the probe hit mask"
 );
 
-/// Which probe implementation services [`probe`] calls.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum ProbeImpl {
-    /// The scalar reference loop (also what `EHS_NO_SIMD=1` forces).
-    Scalar = 1,
-    /// Fixed-width chunks relying on stable-rustc autovectorization.
-    Portable = 2,
-    /// Explicit AVX2 `core::arch` path (runtime-detected, x86_64 only).
-    Avx2 = 3,
-}
-
-/// Cached implementation choice; 0 = not yet decided.
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
-fn decode(v: u8) -> ProbeImpl {
-    match v {
-        1 => ProbeImpl::Scalar,
-        2 => ProbeImpl::Portable,
-        3 => ProbeImpl::Avx2,
-        _ => unreachable!("ACTIVE only holds encoded ProbeImpl values"),
-    }
-}
-
-#[cold]
-fn select() -> ProbeImpl {
-    let chosen = if std::env::var_os("EHS_NO_SIMD").is_some_and(|v| v == "1") {
-        ProbeImpl::Scalar
-    } else {
-        detect_widest()
-    };
-    ACTIVE.store(chosen as u8, Ordering::Relaxed);
-    chosen
-}
-
-#[cfg(target_arch = "x86_64")]
-fn detect_widest() -> ProbeImpl {
-    if std::arch::is_x86_feature_detected!("avx2") {
-        ProbeImpl::Avx2
-    } else {
-        ProbeImpl::Portable
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn detect_widest() -> ProbeImpl {
-    ProbeImpl::Portable
-}
-
-/// The implementation [`probe`] currently dispatches to, resolving the
-/// environment/feature detection on first call.
-pub fn active_impl() -> ProbeImpl {
-    match ACTIVE.load(Ordering::Relaxed) {
-        0 => select(),
-        v => decode(v),
-    }
-}
-
-/// Overrides the cached implementation choice (`None` re-runs detection on
-/// the next probe). Forcing [`ProbeImpl::Avx2`] on a host without AVX2 is
-/// rejected (falls back to detection) rather than trusted.
-pub fn force_impl(imp: Option<ProbeImpl>) {
-    let v = match imp {
-        Some(ProbeImpl::Avx2) if !avx2_available() => 0,
-        Some(i) => i as u8,
-        None => 0,
-    };
-    ACTIVE.store(v, Ordering::Relaxed);
-}
-
-/// True if the explicit AVX2 path can run on this host.
-pub fn avx2_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Scalar reference probe: bit `w` of the result is set iff
-/// `tags[w] == needle`. Every wide path must match this bit-for-bit.
+/// Probes `tags` for `needle`: bit `w` of the result is set iff
+/// `tags[w] == needle`. Only ever reads `tags[..tags.len()]`.
 #[inline]
-pub fn probe_scalar(tags: &[u64], needle: u64) -> u32 {
+pub fn probe(tags: &[u64], needle: u64) -> u32 {
     let mut mask = 0u32;
     for (w, &t) in tags.iter().enumerate() {
         mask |= u32::from(t == needle) << w;
@@ -133,138 +29,18 @@ pub fn probe_scalar(tags: &[u64], needle: u64) -> u32 {
     mask
 }
 
-/// Autovectorizing probe: processes `[u64; 4]` chunks with a fixed-width
-/// inner loop (stable rustc emits SSE2/AVX2 compares for it), then finishes
-/// the remainder — including the whole slice for 1- and 2-way sets — with
-/// the scalar loop. Only ever reads `tags[..tags.len()]`.
-#[inline]
-pub fn probe_portable(tags: &[u64], needle: u64) -> u32 {
-    let mut mask = 0u32;
-    let mut chunks = tags.chunks_exact(4);
-    let mut base = 0u32;
-    for c in chunks.by_ref() {
-        let lanes: [u64; 4] = c.try_into().expect("chunks_exact yields 4-long slices");
-        let mut m = 0u32;
-        for (i, &t) in lanes.iter().enumerate() {
-            m |= u32::from(t == needle) << i;
-        }
-        mask |= m << base;
-        base += 4;
-    }
-    for (i, &t) in chunks.remainder().iter().enumerate() {
-        mask |= u32::from(t == needle) << (base + i as u32);
-    }
-    mask
-}
-
-/// Explicit AVX2 probe: four 64-bit equality lanes per `_mm256_cmpeq_epi64`,
-/// collapsed to mask bits by `_mm256_movemask_pd` on the lane sign bits.
-/// Remainder frames (ways % 4) use the scalar loop, so no read ever goes
-/// past the set's tag column.
-///
-/// Lane values are built with `_mm256_set_epi64x` from bounds-checked slice
-/// elements — no raw-pointer loads — so the only safety obligation is the
-/// `avx2` target feature itself.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn probe_avx2(tags: &[u64], needle: u64) -> u32 {
-    use std::arch::x86_64::{
-        _mm256_castsi256_pd, _mm256_cmpeq_epi64, _mm256_movemask_pd, _mm256_set1_epi64x,
-        _mm256_set_epi64x,
-    };
-    let wide_needle = _mm256_set1_epi64x(needle as i64);
-    let mut mask = 0u32;
-    let mut chunks = tags.chunks_exact(4);
-    let mut base = 0u32;
-    for c in chunks.by_ref() {
-        let lanes = _mm256_set_epi64x(c[3] as i64, c[2] as i64, c[1] as i64, c[0] as i64);
-        let eq = _mm256_cmpeq_epi64(lanes, wide_needle);
-        let m = _mm256_movemask_pd(_mm256_castsi256_pd(eq)) as u32;
-        mask |= m << base;
-        base += 4;
-    }
-    for (i, &t) in chunks.remainder().iter().enumerate() {
-        mask |= u32::from(t == needle) << (base + i as u32);
-    }
-    mask
-}
-
-/// Probes `tags` for `needle` with the active implementation. Bit `w` of
-/// the result is set iff `tags[w] == needle`; semantics are pinned to
-/// [`probe_scalar`].
-#[inline]
-pub fn probe(tags: &[u64], needle: u64) -> u32 {
-    match active_impl() {
-        ProbeImpl::Scalar => probe_scalar(tags, needle),
-        ProbeImpl::Portable => probe_portable(tags, needle),
-        ProbeImpl::Avx2 => probe_avx2_dispatch(tags, needle),
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn probe_avx2_dispatch(tags: &[u64], needle: u64) -> u32 {
-    // SAFETY: `ACTIVE` only ever holds `Avx2` after `is_x86_feature_detected!`
-    // confirmed the feature (both `select` and `force_impl` gate on it), so
-    // the `avx2` target-feature precondition of `probe_avx2` holds.
-    #[allow(unsafe_code)]
-    unsafe {
-        probe_avx2(tags, needle)
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[inline]
-fn probe_avx2_dispatch(tags: &[u64], needle: u64) -> u32 {
-    probe_portable(tags, needle)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::MAX_WAYS;
 
     const SENTINEL: u64 = u64::MAX; // TAG_NONE
 
-    type ProbeFn = fn(&[u64], u64) -> u32;
-
-    fn all_impls() -> Vec<(&'static str, ProbeFn)> {
-        let mut v: Vec<(&'static str, ProbeFn)> =
-            vec![("scalar", probe_scalar), ("portable", probe_portable)];
-        if avx2_available() {
-            v.push(("avx2", |t, n| probe_avx2_dispatch(t, n)));
-        }
-        v
-    }
-
     #[test]
-    fn wide_paths_match_scalar_on_crafted_columns() {
-        let mut cases: Vec<(Vec<u64>, u64)> = Vec::new();
-        for ways in [1usize, 2, 3, 4, 5, 7, 8, 11, 15, 16] {
-            assert!(ways <= MAX_WAYS);
-            // All-sentinel (cold set), needle present at each position,
-            // duplicate needles, needle == sentinel never matches real tags.
-            cases.push((vec![SENTINEL; ways], 0x42));
-            for pos in 0..ways {
-                let mut tags = vec![SENTINEL; ways];
-                tags[pos] = 0x1234_5678_9abc;
-                cases.push((tags, 0x1234_5678_9abc));
-            }
-            let ramp: Vec<u64> = (0..ways as u64).collect();
-            cases.push((ramp.clone(), 3));
-            cases.push((ramp, ways as u64 + 10));
-            cases.push((vec![7; ways], 7)); // every way matches
-        }
-        for (tags, needle) in &cases {
-            let want = probe_scalar(tags, *needle);
-            for (name, f) in all_impls() {
-                assert_eq!(
-                    f(tags, *needle),
-                    want,
-                    "{name} probe diverged on tags={tags:?} needle={needle}"
-                );
-            }
-        }
+    fn mask_marks_exactly_the_matching_ways() {
+        assert_eq!(probe(&[SENTINEL; 4], 0x42), 0, "cold set");
+        assert_eq!(probe(&[1, 2, 1, 3], 1), 0b0101, "duplicate tags");
+        assert_eq!(probe(&[7; 16], 7), 0xffff, "every way of a 16-way set");
+        assert_eq!(probe(&[0, 1, 2, 3, 4], 9), 0, "needle absent");
     }
 
     #[test]
@@ -275,33 +51,7 @@ mod tests {
         // appear in the mask.
         let backing = [0xdead, 0xbeef, 0xdead];
         let column = &backing[1..2];
-        for (name, f) in all_impls() {
-            assert_eq!(f(column, 0xbeef), 1, "{name} missed the 1-way hit");
-            assert_eq!(f(column, 0xdead), 0, "{name} read past the 1-way column");
-        }
-    }
-
-    #[test]
-    fn env_override_forces_scalar() {
-        // force_impl models what EHS_NO_SIMD=1 does at first-probe time
-        // (the env var itself is read once per process, so tests exercise
-        // the override hook instead of mutating the environment).
-        force_impl(Some(ProbeImpl::Scalar));
-        assert_eq!(active_impl(), ProbeImpl::Scalar);
-        force_impl(None);
-        let detected = active_impl();
-        assert_ne!(detected as u8, 0);
-    }
-
-    #[test]
-    fn forcing_avx2_without_support_is_rejected_not_trusted() {
-        force_impl(Some(ProbeImpl::Avx2));
-        let got = active_impl();
-        if avx2_available() {
-            assert_eq!(got, ProbeImpl::Avx2);
-        } else {
-            assert_ne!(got, ProbeImpl::Avx2);
-        }
-        force_impl(None);
+        assert_eq!(probe(column, 0xbeef), 1, "missed the 1-way hit");
+        assert_eq!(probe(column, 0xdead), 0, "read past the 1-way column");
     }
 }

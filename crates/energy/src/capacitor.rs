@@ -205,16 +205,6 @@ impl Capacitor {
         delivered
     }
 
-    /// Overwrites the stored energy with a value the speculative chunked
-    /// advance computed through this capacitor's own arithmetic
-    /// (`EnergySystem::speculate_burst` / `speculate_recharge`); the commit
-    /// is only reached after the post-check proved the value stayed within
-    /// `[0, capacity]` on every cycle of the chunk.
-    pub(crate) fn set_stored(&mut self, e: Energy) {
-        debug_assert!(e >= Energy::ZERO && e <= self.capacity);
-        self.stored = e;
-    }
-
     /// True when the terminal voltage is at or below the brown-out floor.
     pub fn below_minimum(&self) -> bool {
         self.voltage() <= self.config.v_min

@@ -197,34 +197,6 @@ pub struct EnergySystem {
     /// derived cycle number is still below the wake cycle (see
     /// [`Self::wake_cycle_image`]).
     wake_cycle_memo: Option<(u64, u64, Time)>,
-    /// Whether the speculative chunked advance is enabled. Initialized from
-    /// the process-wide `EHS_NO_SPECULATE` default; overridable per system
-    /// via [`Self::set_speculation`]. Either setting produces bit-identical
-    /// results — speculation commits only chunks it proves clamp- and
-    /// event-free (DESIGN.md §8).
-    speculate: bool,
-}
-
-/// Process-wide speculation default: `EHS_NO_SPECULATE=1` forces the guarded
-/// per-cycle path for every [`EnergySystem`] that does not override it via
-/// [`EnergySystem::set_speculation`]. Read once per process, mirroring the
-/// `EHS_NO_SIMD` pattern in `ehs_cache::probe`; tests use the per-system
-/// override instead of mutating the environment.
-fn speculation_default() -> bool {
-    static DEFAULT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| std::env::var_os("EHS_NO_SPECULATE").is_none_or(|v| v != "1"))
-}
-
-/// Outcome of one speculative chunk attempt (see DESIGN.md §8).
-enum Chunk {
-    /// The chunk committed this many cycles; no stop condition could have
-    /// fired inside it.
-    Advanced(u64),
-    /// The chunk was inadmissible or failed its post-check: run this many
-    /// guarded per-cycle steps (the replay) before speculating again. A
-    /// failed post-check lands here with the attempted chunk length, so the
-    /// replay never exceeds the work the kernel just discarded.
-    Guarded(u64),
 }
 
 /// Greatest stored energy in `[0, hi]` whose derived voltage still satisfies
@@ -296,7 +268,6 @@ impl EnergySystem {
             e_rst_below: max_energy_where(c, capacity, |v| v < v_rst),
             wake_memo: None,
             wake_cycle_memo: None,
-            speculate: speculation_default(),
         })
     }
 
@@ -342,20 +313,6 @@ impl EnergySystem {
     /// The voltage monitor's current hysteresis state.
     pub fn monitor_state(&self) -> MonitorState {
         self.monitor.state()
-    }
-
-    /// Whether the speculative chunked advance is enabled for this system.
-    pub fn speculation_enabled(&self) -> bool {
-        self.speculate
-    }
-
-    /// Overrides the process-wide `EHS_NO_SPECULATE` default for this
-    /// system: `false` forces the guarded per-cycle kernel inside every
-    /// burst and outage recharge. Results are bit-identical either way —
-    /// speculation commits only chunks it proves clamp- and event-free —
-    /// and the differential suites run both settings.
-    pub fn set_speculation(&mut self, on: bool) {
-        self.speculate = on;
     }
 
     /// Instantaneous harvested power right now.
@@ -450,14 +407,6 @@ impl EnergySystem {
     ///
     /// Returns the number of cycles actually executed (always ≥ 1) and the
     /// event observed on the last of them.
-    ///
-    /// Internally the burst runs through the speculative chunked advance
-    /// ([`Self::speculate_burst`]) whenever it is enabled: provably
-    /// event-free chunks commit in one branch-free pass, and anything the
-    /// chunk post-check cannot certify replays through the guarded per-cycle
-    /// path below. `EHS_NO_SPECULATE=1` (or
-    /// [`Self::set_speculation`]`(false)`) forces the guarded path for every
-    /// cycle; both settings are bit-identical.
     pub fn step_burst(&mut self, plan: &BurstPlan, overdraw: &mut Energy) -> (u64, StepEvent) {
         debug_assert!(plan.max_cycles >= 1, "burst needs at least one cycle");
         debug_assert!(plan.dt.as_seconds() > 0.0, "step needs positive dt");
@@ -471,29 +420,7 @@ impl EnergySystem {
             .wake_at_cycle
             .map(|c| self.wake_cycle_image(c, plan.frequency));
         let mut cycles = 0u64;
-        let mut guarded_budget = 0u64;
         loop {
-            if guarded_budget == 0 && self.speculate {
-                match self.speculate_burst(
-                    plan,
-                    wake_energy,
-                    wake_time,
-                    plan.max_cycles - cycles,
-                    overdraw,
-                ) {
-                    Chunk::Advanced(k) => {
-                        cycles += k;
-                        if cycles >= plan.max_cycles {
-                            return (cycles, StepEvent::Running);
-                        }
-                        continue;
-                    }
-                    Chunk::Guarded(n) => guarded_budget = n.max(1),
-                }
-            }
-            guarded_budget = guarded_budget.saturating_sub(1);
-            // The guarded per-cycle path: the reference arithmetic with
-            // every check, also serving as the replay after a failed chunk.
             let consumed_before = self.stats.consumed;
             let power = self.sampled_power();
             let event = self.step_cycle(plan.dt, plan.load, power);
@@ -514,169 +441,6 @@ impl EnergySystem {
                 }
             }
         }
-    }
-
-    /// Attempts one speculative chunk of up to `remaining` burst cycles.
-    ///
-    /// The kernel runs the exact per-cycle f64 operations of the guarded
-    /// path on local copies of the five accumulator chains (`stored`,
-    /// `harvested`, `consumed`, `on_time`, `now`, plus the caller's
-    /// overdraw), under the working assumption that no clamp fires and no
-    /// stop condition triggers inside the chunk. The locals *are* the
-    /// snapshot: the post-check below either proves the assumption for the
-    /// whole chunk — in which case the locals equal the guarded path's state
-    /// bit for bit and are committed — or the locals are dropped (the
-    /// rewind) and the chunk replays through the guarded loop.
-    ///
-    /// Why one check after `k` cycles suffices: the per-cycle map on
-    /// `stored` is `fl(fl(s + h) − d)` with constant `h` and `d`, and
-    /// correctly-rounded add/sub are monotone non-decreasing in each
-    /// operand, so the `k + 1` states the kernel visits form a monotone
-    /// sequence — every intermediate lies between the first and last. Each
-    /// guarded-path clamp/stop condition is itself monotone in `stored` (or
-    /// in `now`), so checking the extremes is exact, not conservative: a
-    /// pass proves no condition fired on *any* cycle, and a fail means a
-    /// real clamp or crossing lies within the chunk for the replay to find.
-    fn speculate_burst(
-        &mut self,
-        plan: &BurstPlan,
-        wake_energy: Option<Energy>,
-        wake_time: Option<Time>,
-        remaining: u64,
-        overdraw: &mut Energy,
-    ) -> Chunk {
-        const MIN_CHUNK: u64 = 2;
-        /// Crossing-cycle estimates (plain f64 divides) only pay off above
-        /// this chunk size; below it the post-check alone is cheaper.
-        const ESTIMATE_ABOVE: u64 = 64;
-        /// Hard cap so a single chunk's kernel loop always terminates even
-        /// when nothing will ever cross (e.g. harvest exactly balances
-        /// draw under an unbounded `max_cycles`).
-        const CHUNK_MAX: u64 = 1 << 20;
-        if remaining < MIN_CHUNK {
-            return Chunk::Guarded(remaining.max(1));
-        }
-        // Constant-regime admission: a memoized source power valid now (the
-        // post-check extends this to every sampled instant of the chunk) and
-        // non-negative per-cycle flows.
-        let Some((until, power)) = self.power_memo else {
-            return Chunk::Guarded(1);
-        };
-        if self.now >= until {
-            return Chunk::Guarded(1);
-        }
-        let dt = plan.dt;
-        let h = power * dt;
-        let d = plan.load + self.capacitor.leakage() * dt;
-        if h < Energy::ZERO || d < Energy::ZERO {
-            // (A NaN flow slips past this test, but every post-check
-            // comparison below is false for NaN, so such a chunk can never
-            // commit.)
-            return Chunk::Guarded(remaining);
-        }
-        let s0 = self.capacitor.stored();
-        let capacity = self.capacitor.capacity();
-        // First-cycle admission: the endpoint post-check is only exact if
-        // cycle 1 is already clamp-free from `s0`.
-        if h > capacity.saturating_sub(s0) || d > s0 + h {
-            return Chunk::Guarded(1);
-        }
-        let mut k = remaining.min(CHUNK_MAX);
-        if k > ESTIMATE_ABOVE {
-            // Clip the chunk to the estimated next crossing so a failed
-            // post-check (and its replay) stays short. Estimates are
-            // heuristic — only the post-check is authoritative.
-            let net = h.base() - d.base();
-            let mut est = k as f64;
-            let mut clip = |cycles: f64| {
-                if cycles < est {
-                    est = cycles;
-                }
-            };
-            // Cycle j samples the source at now + (j-1)·dt.
-            clip((until.base() - self.now.base()) / dt.base() + 1.0);
-            if let Some(t) = wake_time {
-                clip((t.base() - self.now.base()) / dt.base() + 1.0);
-            }
-            if net > 0.0 {
-                clip((capacity.base() - h.base() - s0.base()) / net + 1.0);
-                if self.monitor.state() == MonitorState::Hibernating {
-                    clip((self.e_rst_below.base() - s0.base()) / net + 1.0);
-                }
-            } else if net < 0.0 {
-                let floor = match self.monitor.state() {
-                    MonitorState::Operating => self.e_ckpt,
-                    MonitorState::Hibernating => self.e_min,
-                };
-                let floor = wake_energy.map_or(floor, |w| w.max(floor));
-                clip((s0.base() - floor.base()) / -net);
-            }
-            k = k.min(est.max(1.0) as u64);
-            if k < MIN_CHUNK {
-                return Chunk::Guarded(1);
-            }
-        }
-        // The branch-free kernel: the same f64 operations in the same
-        // dependence order as `k` guarded cycles under "no clamp, no stop".
-        // Relative to the guarded body it skips only `shed += h − absorbed`
-        // — `absorbed == h` exactly when nothing saturates, and `x + 0.0`
-        // is the identity for every `x` that is not `-0.0`, which `shed`
-        // (a sum of non-negative terms starting at `+0.0`) never is — and
-        // the monitor/wake checks, re-established for the whole chunk by
-        // the post-check.
-        let mut stored = s0;
-        let mut stored_prev = s0;
-        let mut now = self.now;
-        let mut now_prev = self.now;
-        let mut harvested = self.stats.harvested;
-        let mut consumed = self.stats.consumed;
-        let mut on_time = self.stats.on_time;
-        let mut od = *overdraw;
-        for _ in 0..k {
-            stored_prev = stored;
-            now_prev = now;
-            stored = (stored + h) - d;
-            // The guarded path accumulates `overdraw` from the *accumulator*
-            // delta of `stats.consumed`, not from `d`; reproduce that.
-            let consumed_next = consumed + d;
-            od += (consumed_next - consumed).saturating_sub(plan.load);
-            consumed = consumed_next;
-            harvested += h;
-            on_time += dt;
-            now += dt;
-        }
-        // The post-check. `stored_prev` is the largest pre-charge state when
-        // the orbit rises and `s0` when it falls (monotonicity), so the
-        // clamp checks evaluate the per-cycle clamp conditions at their
-        // extreme operands; the threshold checks bound every post-cycle
-        // state by the endpoints. Checking the wake guards on cycle `k`
-        // too is at most *stricter* than the guarded loop (which skips them
-        // when the burst ends at `max_cycles`); a spurious fail only replays
-        // the chunk through the guarded path to the identical state.
-        let lo = s0.min(stored);
-        let hi = s0.max(stored);
-        let ok = now_prev < until
-            && h <= capacity.saturating_sub(s0.max(stored_prev))
-            && d <= s0.min(stored_prev) + h
-            && lo > self.e_min
-            && match self.monitor.state() {
-                MonitorState::Operating => lo > self.e_ckpt,
-                MonitorState::Hibernating => hi <= self.e_rst_below,
-            }
-            && wake_energy.is_none_or(|e| lo > e)
-            && wake_time.is_none_or(|t| now <= t);
-        if !ok {
-            return Chunk::Guarded(k);
-        }
-        // Commit: the locals are exactly the guarded path's state after `k`
-        // clamp-free, event-free cycles.
-        self.capacitor.set_stored(stored);
-        self.stats.harvested = harvested;
-        self.stats.consumed = consumed;
-        self.stats.on_time = on_time;
-        self.now = now;
-        *overdraw = od;
-        Chunk::Advanced(k)
     }
 
     /// Time image of a wake cycle: the greatest `now` whose derived cycle
@@ -776,46 +540,15 @@ impl EnergySystem {
     /// monitor's own edge conditions (see [`max_energy_where`]) — and
     /// consults the monitor only on the cycles where an edge can fire, plus
     /// one catch-up observation on an unrecovered horizon so the monitor's
-    /// internals end identical to the per-step-observe reference. Within a
-    /// constant regime, [`Self::speculate_recharge`] advances whole chunks
-    /// of steps with a single post-check, geometric chunk growth bounding
-    /// the replay overhead.
+    /// internals end identical to the per-step-observe reference.
     ///
     /// Increments the outage count and returns what happened.
     pub fn power_off_and_recharge(&mut self) -> OutageOutcome {
-        /// Initial speculative chunk length, doubled after every committed
-        /// chunk up to [`RECHARGE_CHUNK_MAX`]: total replay work stays
-        /// bounded by a constant fraction of committed work.
-        const RECHARGE_CHUNK_SEED: u64 = 32;
-        const RECHARGE_CHUNK_MAX: u64 = 1 << 20;
         let dt = self.config.recharge_step;
-        let max_off = self.config.max_off_time;
         let mut off = Time::ZERO;
         let mut harvested_total = Energy::ZERO;
         let mut recovered = false;
-        let mut chunk_cap = RECHARGE_CHUNK_SEED;
-        let mut guarded_budget = 0u64;
-        while off < max_off {
-            if guarded_budget == 0
-                && self.speculate
-                && self.monitor.state() == MonitorState::Hibernating
-            {
-                match self.speculate_recharge(
-                    dt,
-                    max_off,
-                    chunk_cap,
-                    &mut off,
-                    &mut harvested_total,
-                ) {
-                    Chunk::Advanced(..) => {
-                        chunk_cap = (chunk_cap * 2).min(RECHARGE_CHUNK_MAX);
-                        continue;
-                    }
-                    Chunk::Guarded(n) => guarded_budget = n.max(1),
-                }
-            }
-            guarded_budget = guarded_budget.saturating_sub(1);
-            // One guarded recharge step — the reference arithmetic.
+        while off < self.config.max_off_time {
             let harvested = self.sampled_power() * dt;
             let absorbed = self.capacitor.charge(harvested);
             self.stats.shed += harvested - absorbed;
@@ -863,102 +596,6 @@ impl EnergySystem {
             harvested: harvested_total,
             recovered,
         }
-    }
-
-    /// Attempts one speculative chunk of recharge steps while hibernating —
-    /// the recharge twin of [`Self::speculate_burst`], with the same
-    /// snapshot-as-locals / post-check / rewind contract. The per-step map
-    /// on `stored` is `fl(fl(s + h) − L)` with constant harvest `h` and
-    /// leakage `L`, so the monotone-orbit argument applies unchanged; the
-    /// only stop condition is the rising edge (`stored > e_rst_below`),
-    /// checked at the orbit's high endpoint.
-    fn speculate_recharge(
-        &mut self,
-        dt: Time,
-        max_off: Time,
-        chunk_cap: u64,
-        off: &mut Time,
-        harvested_total: &mut Energy,
-    ) -> Chunk {
-        const MIN_CHUNK: u64 = 2;
-        let Some((until, power)) = self.power_memo else {
-            return Chunk::Guarded(1);
-        };
-        if self.now >= until {
-            return Chunk::Guarded(1);
-        }
-        let h = power * dt;
-        let leak = self.capacitor.leakage() * dt;
-        if h < Energy::ZERO || leak < Energy::ZERO {
-            return Chunk::Guarded(u64::MAX);
-        }
-        let s0 = self.capacitor.stored();
-        let capacity = self.capacitor.capacity();
-        if h > capacity.saturating_sub(s0) || leak > s0 + h {
-            return Chunk::Guarded(1);
-        }
-        // Clip the chunk to the estimated next crossing: the safety
-        // horizon, the segment end, and (when charging) the rising edge or
-        // saturation. Estimates are heuristic; the post-check is
-        // authoritative, and a horizon overshoot replays at most the true
-        // remaining steps because the guarded loop re-checks `off < max_off`
-        // every iteration.
-        let net = h.base() - leak.base();
-        let mut est = chunk_cap as f64;
-        let mut clip = |steps: f64| {
-            if steps < est {
-                est = steps;
-            }
-        };
-        clip((max_off.base() - off.base()) / dt.base() + 1.0);
-        clip((until.base() - self.now.base()) / dt.base() + 1.0);
-        if net > 0.0 {
-            clip((self.e_rst_below.base() - s0.base()) / net + 1.0);
-            clip((capacity.base() - h.base() - s0.base()) / net + 1.0);
-        }
-        let k = chunk_cap.min(est.max(1.0) as u64);
-        if k < MIN_CHUNK {
-            return Chunk::Guarded(1);
-        }
-        // The kernel: the guarded step's f64 operations on locals, minus
-        // the saturation-shed add (`+ 0.0` identity, as in
-        // `speculate_burst`) and the monitor edge checks.
-        let mut stored = s0;
-        let mut stored_prev = s0;
-        let mut now = self.now;
-        let mut now_prev = self.now;
-        let mut off_local = *off;
-        let mut off_prev = *off;
-        let mut harvested = self.stats.harvested;
-        let mut consumed = self.stats.consumed;
-        let mut total = *harvested_total;
-        for _ in 0..k {
-            stored_prev = stored;
-            now_prev = now;
-            off_prev = off_local;
-            stored = (stored + h) - leak;
-            harvested += h;
-            total += h;
-            consumed += leak;
-            now += dt;
-            off_local += dt;
-        }
-        let hi = s0.max(stored);
-        let ok = now_prev < until
-            && off_prev < max_off
-            && h <= capacity.saturating_sub(s0.max(stored_prev))
-            && leak <= s0.min(stored_prev) + h
-            && hi <= self.e_rst_below;
-        if !ok {
-            return Chunk::Guarded(k);
-        }
-        self.capacitor.set_stored(stored);
-        self.stats.harvested = harvested;
-        self.stats.consumed = consumed;
-        self.now = now;
-        *off = off_local;
-        *harvested_total = total;
-        Chunk::Advanced(k)
     }
 }
 
@@ -1237,9 +874,9 @@ mod tests {
         assert!((sys.now().as_seconds() - s.total_time().as_seconds()).abs() < 1e-9);
     }
 
-    /// Verbatim copy of the pre-speculation `power_off_and_recharge` loop —
-    /// a `sqrt` voltage derivation and a monitor observation on *every*
-    /// recharge step. Kept as the differential oracle for the rewritten
+    /// Verbatim copy of the original `power_off_and_recharge` loop — a
+    /// `sqrt` voltage derivation and a monitor observation on *every*
+    /// recharge step. Kept as the differential oracle for the edge-only
     /// implementation: both simulator regimes share the new code, so the
     /// sim-level divergence gate alone cannot catch a recharge-only bug.
     fn reference_recharge(sys: &mut EnergySystem) -> OutageOutcome {
@@ -1312,20 +949,17 @@ mod tests {
         let dt = Time::from_micros(10.0);
         let load = Power::from_milli_watts(5.0) * dt;
         for kind in 0..4 {
-            for speculate in [true, false] {
-                let mut reference = mk_kind(&cfg, kind);
-                let mut rewritten = mk_kind(&cfg, kind);
-                rewritten.set_speculation(speculate);
-                // Drain both identically into hibernation, then diff the
-                // whole outage.
-                while reference.step(dt, load) != StepEvent::CheckpointRequested {}
-                while rewritten.step(dt, load) != StepEvent::CheckpointRequested {}
-                assert_state_and_monitor_identical(&reference, &rewritten);
-                let a = reference_recharge(&mut reference);
-                let b = rewritten.power_off_and_recharge();
-                assert_eq!(a, b);
-                assert_state_and_monitor_identical(&reference, &rewritten);
-            }
+            let mut reference = mk_kind(&cfg, kind);
+            let mut rewritten = mk_kind(&cfg, kind);
+            // Drain both identically into hibernation, then diff the whole
+            // outage.
+            while reference.step(dt, load) != StepEvent::CheckpointRequested {}
+            while rewritten.step(dt, load) != StepEvent::CheckpointRequested {}
+            assert_state_and_monitor_identical(&reference, &rewritten);
+            let a = reference_recharge(&mut reference);
+            let b = rewritten.power_off_and_recharge();
+            assert_eq!(a, b);
+            assert_state_and_monitor_identical(&reference, &rewritten);
         }
     }
 
@@ -1337,63 +971,15 @@ mod tests {
         // edge-only monitor feeding and the final catch-up observation.
         let mut cfg = EnergySystemConfig::paper_default();
         cfg.max_off_time = Time::from_seconds(0.05);
-        for speculate in [true, false] {
-            let mut reference =
-                EnergySystem::new(cfg.clone(), ConstantSource::new(Power::ZERO)).unwrap();
-            let mut rewritten =
-                EnergySystem::new(cfg.clone(), ConstantSource::new(Power::ZERO)).unwrap();
-            rewritten.set_speculation(speculate);
-            assert_eq!(reference.monitor_state(), MonitorState::Operating);
-            let a = reference_recharge(&mut reference);
-            let b = rewritten.power_off_and_recharge();
-            assert_eq!(a, b);
-            assert!(!a.recovered);
-            assert_state_and_monitor_identical(&reference, &rewritten);
-        }
-    }
-
-    #[test]
-    fn speculative_burst_matches_guarded_bit_for_bit() {
-        // Constant regimes where whole bursts commit as single chunks:
-        // draining, saturated charging, and slow charging — plus wake
-        // guards so chunk post-checks interact with every stop condition.
-        let dt = Time::from_nanos(40.0);
-        let freq = ehs_units::Frequency::from_mega_hertz(25.0);
-        for (source_mw, load_mw) in [(0.0, 6.0), (100.0, 1.0), (2.0, 1.0), (3.0, 3.0)] {
-            let mut spec = mk(source_mw);
-            let mut guarded = mk(source_mw);
-            assert!(spec.speculation_enabled() || std::env::var_os("EHS_NO_SPECULATE").is_some());
-            spec.set_speculation(true);
-            guarded.set_speculation(false);
-            let load = Power::from_milli_watts(load_mw) * dt;
-            let mut spec_od = Energy::ZERO;
-            let mut guarded_od = Energy::ZERO;
-            for round in 0..40u64 {
-                let plan = BurstPlan {
-                    max_cycles: 1 + (round * 977) % 4096,
-                    dt,
-                    load,
-                    frequency: freq,
-                    wake_at_cycle: (round % 3 == 0).then_some((round + 1) * 1500),
-                    wake_below_voltage: (round % 4 == 0)
-                        .then_some(Voltage::from_volts(3.2 + 0.0001 * round as f64)),
-                };
-                let a = spec.step_burst(&plan, &mut spec_od);
-                let b = guarded.step_burst(&plan, &mut guarded_od);
-                assert_eq!(a, b, "source {source_mw} mW round {round}");
-                assert_eq!(spec_od, guarded_od);
-                assert_state_and_monitor_identical(&spec, &guarded);
-                if a.1 != StepEvent::Running {
-                    let oa = spec.power_off_and_recharge();
-                    let ob = guarded.power_off_and_recharge();
-                    assert_eq!(oa, ob);
-                    assert_state_and_monitor_identical(&spec, &guarded);
-                    if !oa.recovered {
-                        break;
-                    }
-                }
-            }
-        }
+        let mut reference =
+            EnergySystem::new(cfg.clone(), ConstantSource::new(Power::ZERO)).unwrap();
+        let mut rewritten = EnergySystem::new(cfg, ConstantSource::new(Power::ZERO)).unwrap();
+        assert_eq!(reference.monitor_state(), MonitorState::Operating);
+        let a = reference_recharge(&mut reference);
+        let b = rewritten.power_off_and_recharge();
+        assert_eq!(a, b);
+        assert!(!a.recovered);
+        assert_state_and_monitor_identical(&reference, &rewritten);
     }
 
     #[test]
@@ -1435,14 +1021,5 @@ mod tests {
         // must never fire.
         let image = sys.wake_cycle_image(1, ehs_units::Frequency::from_base(0.0));
         assert!(Time::from_seconds(1e300) <= image);
-    }
-
-    #[test]
-    fn speculation_override_toggles() {
-        let mut sys = mk(0.0);
-        sys.set_speculation(false);
-        assert!(!sys.speculation_enabled());
-        sys.set_speculation(true);
-        assert!(sys.speculation_enabled());
     }
 }

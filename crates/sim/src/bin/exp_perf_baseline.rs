@@ -13,24 +13,21 @@
 //! `REPS` suite repetitions. Each labelled run is one line in the `runs`
 //! array; re-running with an existing label replaces that line.
 //!
-//! Before timing anything, every case is also executed in every other
-//! stepping regime — `force_cycle_accurate`, forced-scalar-probe burst,
-//! the guarded energy kernel (`force_no_speculate`, the speculative
-//! chunked advance disabled), and lockstep-burst in both group drives
-//! (transposed stream replay and interleaved per-lane stepping, the
-//! former also under the scalar probe) — and compared with the burst
-//! result; any divergence aborts with a non-zero exit so CI fails rather
-//! than record a number produced by an unsound fast path.
+//! Before timing anything, every case is also executed against the one
+//! cycle-accurate reference (`force_cycle_accurate`) and, grouped by
+//! platform and app, through [`run_lockstep`], and both are compared with
+//! the independent burst result; any divergence aborts with a non-zero
+//! exit so CI fails rather than record a number produced by an unsound
+//! fast path.
 //!
 //! Alongside the main suite row, a `<label>-lockstep9` row records the
 //! aggregate throughput of replaying all nine schemes over one shared
 //! workload per app — the multi-config throughput the suite planner's
 //! lockstep grouping delivers.
 
-use ehs_cache::probe::{force_impl, ProbeImpl};
 use ehs_sim::{
-    build_lane, config_fingerprint, record_generation_trace, run_app, run_lockstep,
-    run_lockstep_with, LockstepMode, Scheme, SystemConfig,
+    build_lane, config_fingerprint, record_generation_trace, run_app, run_lockstep, Scheme,
+    SystemConfig,
 };
 use ehs_workloads::{build, AppId, Scale};
 use std::fmt::Write as _;
@@ -71,16 +68,12 @@ fn cases() -> Vec<Case> {
     cases
 }
 
-/// Runs every case in all stepping regimes — burst (the measured default),
-/// `force_cycle_accurate`, forced-scalar burst (`ProbeImpl::Scalar`, the
-/// wide tag probe's semantic reference), the guarded energy kernel
-/// (`force_no_speculate`), and lockstep-burst in both group drives
-/// (interleaved per-lane stepping and transposed stream replay,
-/// the latter also under the forced-scalar probe) — and aborts the
-/// process if any [`ehs_sim::RunResult`] field (other than the wall-clock
-/// `sim_mips`, which is excluded from `PartialEq`) diverges. This is the
-/// CI-facing guard that the fast paths being measured below are still
-/// bit-exact.
+/// Runs every case as an independent burst run (the measured default),
+/// under `force_cycle_accurate`, and inside a [`run_lockstep`] group, and
+/// aborts the process if any [`ehs_sim::RunResult`] field (other than the
+/// wall-clock `sim_mips`, which is excluded from `PartialEq`) diverges.
+/// This is the CI-facing guard that the fast paths being measured below
+/// are still bit-exact.
 fn check_regime_exactness(cases: &[Case]) {
     let mut divergent = 0usize;
     let mut burst_results = Vec::with_capacity(cases.len());
@@ -98,38 +91,12 @@ fn check_regime_exactness(cases: &[Case]) {
             eprintln!("  burst:          {burst:?}");
             eprintln!("  cycle-accurate: {exact:?}");
         }
-        force_impl(Some(ProbeImpl::Scalar));
-        let scalar = run_app(&case.config, case.scheme, case.app, Scale::Small);
-        force_impl(None);
-        if scalar != burst {
-            divergent += 1;
-            eprintln!(
-                "DIVERGENCE in {}: the wide tag probe and its scalar reference disagree",
-                case.name
-            );
-            eprintln!("  wide probe:   {burst:?}");
-            eprintln!("  scalar probe: {scalar:?}");
-        }
-        let mut guarded_config = case.config.clone();
-        guarded_config.force_no_speculate = true;
-        let guarded = run_app(&guarded_config, case.scheme, case.app, Scale::Small);
-        if guarded != burst {
-            divergent += 1;
-            eprintln!(
-                "DIVERGENCE in {}: the speculative energy kernel and the guarded \
-                 per-cycle kernel disagree",
-                case.name
-            );
-            eprintln!("  speculative: {burst:?}");
-            eprintln!("  guarded:     {guarded:?}");
-        }
         burst_results.push(burst);
     }
 
     // Lockstep-burst replay: cases sharing (config, app) become one lane
-    // group over one shared workload, exactly as the runner groups them.
-    // Both drives must match the independent runs, and the transposed
-    // drive must survive the forced-scalar probe as well.
+    // group over one shared workload, exactly as the runner groups them,
+    // and must match the independent runs.
     let mut partitions: Vec<((u64, AppId), Vec<usize>)> = Vec::new();
     for (i, case) in cases.iter().enumerate() {
         let key = (config_fingerprint(&case.config), case.app);
@@ -140,49 +107,28 @@ fn check_regime_exactness(cases: &[Case]) {
     }
     for ((_, app), members) in &partitions {
         let workload = build(*app, Scale::Small);
-        let lanes = || {
-            members
-                .iter()
-                .map(|&i| {
-                    build_lane(
-                        &cases[i].config,
-                        cases[i].scheme,
-                        workload.clone(),
-                        None,
-                        false,
-                    )
-                    .expect("paper-default energy configuration is valid")
-                })
-                .collect()
-        };
-        for (regime, mode, scalar_probe) in [
-            ("transposed lockstep-burst", LockstepMode::Transposed, false),
-            (
-                "interleaved lockstep-burst",
-                LockstepMode::Interleaved,
-                false,
-            ),
-            (
-                "forced-scalar transposed lockstep-burst",
-                LockstepMode::Transposed,
-                true,
-            ),
-        ] {
-            if scalar_probe {
-                force_impl(Some(ProbeImpl::Scalar));
-            }
-            let outcomes = run_lockstep_with(lanes(), mode);
-            force_impl(None);
-            for (&i, outcome) in members.iter().zip(outcomes) {
-                if outcome.result != burst_results[i] {
-                    divergent += 1;
-                    eprintln!(
-                        "DIVERGENCE in {}: {regime} and the independent burst run disagree",
-                        cases[i].name
-                    );
-                    eprintln!("  independent: {:?}", burst_results[i]);
-                    eprintln!("  lockstep:    {:?}", outcome.result);
-                }
+        let lanes = members
+            .iter()
+            .map(|&i| {
+                build_lane(
+                    &cases[i].config,
+                    cases[i].scheme,
+                    workload.clone(),
+                    None,
+                    false,
+                )
+                .expect("paper-default energy configuration is valid")
+            })
+            .collect();
+        for (&i, outcome) in members.iter().zip(run_lockstep(lanes)) {
+            if outcome.result != burst_results[i] {
+                divergent += 1;
+                eprintln!(
+                    "DIVERGENCE in {}: lockstep-burst and the independent burst run disagree",
+                    cases[i].name
+                );
+                eprintln!("  independent: {:?}", burst_results[i]);
+                eprintln!("  lockstep:    {:?}", outcome.result);
             }
         }
     }
@@ -192,8 +138,7 @@ fn check_regime_exactness(cases: &[Case]) {
         std::process::exit(1);
     }
     eprintln!(
-        "burst vs cycle-accurate vs scalar-probe vs guarded-energy-kernel vs \
-         lockstep-burst (transposed, interleaved, forced-scalar): all {} cases bit-exact",
+        "burst vs cycle-accurate vs lockstep-burst: all {} cases bit-exact",
         cases.len()
     );
 }

@@ -152,16 +152,6 @@ pub struct SystemConfig {
     /// settings. Leave this `false` outside such tests; it exists so the
     /// reference semantics stay executable, not because results differ.
     pub force_cycle_accurate: bool,
-    /// Disables the energy system's speculative chunked advance, forcing the
-    /// guarded per-cycle kernel inside bursts and outage recharges
-    /// (`EnergySystem::set_speculation(false)`).
-    ///
-    /// Like [`Self::force_cycle_accurate`] this changes no result bit — the
-    /// speculative kernel commits only chunks it proves clamp- and
-    /// event-free, and the divergence gate runs both settings — it exists so
-    /// the guarded reference stays independently executable.
-    /// `EHS_NO_SPECULATE=1` is the process-wide equivalent.
-    pub force_no_speculate: bool,
 }
 
 impl SystemConfig {
@@ -189,7 +179,6 @@ impl SystemConfig {
             zombie_sample_interval: None,
             max_instructions: 200_000_000,
             force_cycle_accurate: false,
-            force_no_speculate: false,
         }
     }
 

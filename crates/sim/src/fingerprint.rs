@@ -225,7 +225,6 @@ pub fn config_fingerprint(config: &SystemConfig) -> u64 {
         zombie_sample_interval,
         max_instructions,
         force_cycle_accurate,
-        force_no_speculate,
     } = config;
     let mut h = FxBuildHasher::default().build_hasher();
     dcache.feed(&mut h);
@@ -249,7 +248,6 @@ pub fn config_fingerprint(config: &SystemConfig) -> u64 {
     zombie_sample_interval.feed(&mut h);
     max_instructions.feed(&mut h);
     force_cycle_accurate.feed(&mut h);
-    force_no_speculate.feed(&mut h);
     h.finish()
 }
 
@@ -338,7 +336,6 @@ mod tests {
         });
         push("max_instructions", &|c| c.max_instructions = 1_000_000);
         push("force_cycle_accurate", &|c| c.force_cycle_accurate = true);
-        push("force_no_speculate", &|c| c.force_no_speculate = true);
         out
     }
 

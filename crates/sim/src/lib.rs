@@ -58,8 +58,7 @@ pub use replay::StreamWindow;
 pub use scheme::Scheme;
 pub use stats::{EnergyBreakdown, RunResult};
 pub use system::{
-    build_lane, default_lockstep_mode, record_generation_trace, run_app, run_baseline_with_trace,
-    run_lane, run_lockstep, run_lockstep_with, run_workload, LaneRun, LockstepMode, RunOutcome,
-    Simulation,
+    build_lane, record_generation_trace, run_app, run_baseline_with_trace, run_lane, run_lockstep,
+    run_workload, LaneRun, RunOutcome, Simulation,
 };
 pub use zombie::{zombie_ratio_by_voltage, ZombieAnalysis, ZombieSample};

@@ -86,13 +86,6 @@ impl StreamWindow {
         self.sealed = false;
     }
 
-    /// Discards all records (used when a recorder panicked mid-round and
-    /// the window contents cannot be trusted).
-    pub fn invalidate(&mut self) {
-        self.begin(0);
-        self.sealed = true;
-    }
-
     /// Architectural position of the first record.
     pub fn start(&self) -> u64 {
         self.start

@@ -50,8 +50,7 @@
 //! never truncates a burst at its target, every lane's result is
 //! bit-identical to an independent run (the `lockstep` differential suite
 //! asserts it). The `Ideal` scheme never joins a group — its oracle pass
-//! resolves through the baseline's memoized trace as before. Setting the
-//! environment variable [`NO_LOCKSTEP_ENV`]`=1` disables grouping.
+//! resolves through the baseline's memoized trace as before.
 //!
 //! Execution is gated by a process-wide *claim table*, not by the memo
 //! slots themselves: whoever claims a key (a singleton job or one lane of
@@ -619,15 +618,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Environment variable that, when set to `1`, disables lockstep grouping:
-/// every job simulates independently through the singleton path. The
-/// differential suites use this to compare the two regimes bit-for-bit.
-pub const NO_LOCKSTEP_ENV: &str = "EHS_NO_LOCKSTEP";
-
-fn lockstep_enabled() -> bool {
-    std::env::var_os(NO_LOCKSTEP_ENV).is_none_or(|v| v != "1")
-}
-
 /// One unit of worker-pool work: a single job, or a lockstep group of
 /// same-(config, app, scale) job indices spanning several schemes.
 enum WorkItem {
@@ -652,9 +642,6 @@ impl WorkItem {
 /// trace), and duplicate-scheme members ride along — the group's one lane
 /// per scheme serves them all through the memo table.
 fn plan_work(jobs: &[Job]) -> Vec<WorkItem> {
-    if !lockstep_enabled() {
-        return (0..jobs.len()).map(WorkItem::Single).collect();
-    }
     let mut order: Vec<(u64, AppId, Scale)> = Vec::new();
     let mut parts: HashMap<(u64, AppId, Scale), Vec<usize>> = HashMap::new();
     for (i, job) in jobs.iter().enumerate() {
@@ -713,16 +700,9 @@ fn run_single(job: &Job) -> Result<JobOutput, JobError> {
     .map_err(|payload| job_error(job, panic_message(payload)))
 }
 
-/// Committed-instruction chunk in which an interleaved lockstep group's
-/// lanes advance (the transposed drive rounds by the smaller
-/// [`crate::system::TRANSPOSED_CHUNK`]). Mirrors the granularity of
-/// [`crate::run_lockstep`]; the runner drives its own round loop so it can
-/// contain each lane's panics to that lane.
-const LOCKSTEP_CHUNK: u64 = 32_768;
-
 /// Executes one lockstep group: one fully monomorphized lane per distinct
-/// member scheme, all replaying the same shared workload in
-/// [`LOCKSTEP_CHUNK`]-instruction rounds. Per lane, the claim/memo/
+/// member scheme, all driven over the same shared workload by
+/// [`crate::system::drive_lockstep`]. Per lane, the claim/memo/
 /// persistent-cache protocol matches the singleton path exactly — a lane
 /// only simulates here if its key is unclaimed, unfilled and not on disk;
 /// anything already produced (or being produced elsewhere) is recalled
@@ -746,10 +726,10 @@ fn run_group(jobs: &[Job], members: &[usize]) -> Vec<(usize, Result<JobOutput, J
         slot: Slot,
         claim: KeyClaim,
         rc_claim: Option<runcache::LeaseGuard>,
-        sim: Box<dyn LaneRun>,
     }
 
-    let mut lanes: Vec<Option<Lane>> = Vec::new();
+    let mut lanes: Vec<Lane> = Vec::new();
+    let mut sims: Vec<Box<dyn LaneRun>> = Vec::new();
     let mut failures: HashMap<Scheme, String> = HashMap::new();
     for &scheme in &schemes {
         let config_fp = effective_fingerprint(config, scheme);
@@ -802,171 +782,44 @@ fn run_group(jobs: &[Job], members: &[usize]) -> Vec<(usize, Result<JobOutput, J
             )
             .unwrap_or_else(|e| panic!("invalid energy configuration: {e}"))
         })) {
-            Ok(sim) => lanes.push(Some(Lane {
-                scheme,
-                key,
-                slot,
-                claim,
-                rc_claim,
-                sim,
-            })),
+            Ok(sim) => {
+                lanes.push(Lane {
+                    scheme,
+                    key,
+                    slot,
+                    claim,
+                    rc_claim,
+                });
+                sims.push(sim);
+            }
             Err(payload) => {
                 failures.insert(scheme, panic_message(payload));
             }
         }
     }
 
-    // Drive the lanes in lockstep rounds. `advance_until` never truncates
-    // a burst at its target, so each lane's event stream — and therefore
-    // its result — is bit-identical to an uninterrupted independent run;
-    // the transposed mode preserves that bit-for-bit through stream replay
-    // (see `Simulation::advance_replay`). Each lane's panics stay contained
-    // to that lane in both modes; a recorder panic additionally discards
-    // the round's half-recorded window, costing the siblings one replay
-    // opportunity and nothing else.
+    // Each lane's result is bit-identical to an uninterrupted independent
+    // run (see `run_lockstep`), and its panics stay contained to it.
     let wall_start = std::time::Instant::now();
-    match crate::default_lockstep_mode() {
-        crate::LockstepMode::Interleaved => {
-            let mut target = LOCKSTEP_CHUNK;
-            loop {
-                let mut all_done = true;
-                for entry in &mut lanes {
-                    let Some(lane) = entry else { continue };
-                    if lane.sim.done() {
-                        continue;
-                    }
-                    match catch_unwind(AssertUnwindSafe(|| lane.sim.advance_until(target))) {
-                        Ok(()) => all_done &= lane.sim.done(),
-                        Err(payload) => {
-                            // Dropping the lane releases its claims with
-                            // the slot still empty: the failure stays
-                            // retryable, and only this scheme's jobs
-                            // report it.
-                            failures.insert(lane.scheme, panic_message(payload));
-                            *entry = None;
-                        }
-                    }
-                }
-                if all_done {
-                    break;
-                }
-                target = target.saturating_add(LOCKSTEP_CHUNK);
-            }
-        }
-        crate::LockstepMode::Transposed => {
-            // The round protocol of `run_lockstep_with`, with per-lane
-            // panic isolation: recorder = lowest-position eligible lane,
-            // siblings inside the window replay it, ineligible lanes step
-            // live, eligible lanes ahead of the window wait.
-            let mut window = crate::StreamWindow::default();
-            loop {
-                let mut recorder: Option<usize> = None;
-                let mut eligible = 0usize;
-                for (i, entry) in lanes.iter().enumerate() {
-                    let Some(lane) = entry else { continue };
-                    if lane.sim.done() || !lane.sim.wide_eligible() {
-                        continue;
-                    }
-                    eligible += 1;
-                    let best = recorder
-                        .and_then(|r| lanes[r].as_ref())
-                        .map(|l| l.sim.arch_pos());
-                    if best.is_none_or(|b| lane.sim.arch_pos() < b) {
-                        recorder = Some(i);
-                    }
-                }
-                let mut progressed = false;
-                if let Some(r) = recorder {
-                    progressed = true;
-                    let rec_scheme = lanes[r].as_ref().expect("recorder exists").scheme;
-                    let target = lanes[r]
-                        .as_ref()
-                        .expect("recorder exists")
-                        .sim
-                        .committed()
-                        .saturating_add(crate::system::TRANSPOSED_CHUNK);
-                    window.invalidate();
-                    let lane = lanes[r].as_mut().expect("recorder exists");
-                    let recorded = if eligible >= 2 {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            lane.sim.advance_recording(target, &mut window)
-                        }))
-                    } else {
-                        // A lone eligible lane records for nobody.
-                        catch_unwind(AssertUnwindSafe(|| lane.sim.advance_until(target)))
-                    };
-                    match recorded {
-                        Ok(()) => {
-                            let (start, len) = (window.start(), window.len() as u64);
-                            if len > 0 {
-                                for (i, entry) in lanes.iter_mut().enumerate() {
-                                    if i == r {
-                                        continue;
-                                    }
-                                    let Some(lane) = entry else { continue };
-                                    if lane.sim.done() || !lane.sim.wide_eligible() {
-                                        continue;
-                                    }
-                                    let pos = lane.sim.arch_pos();
-                                    if pos < start || pos >= start + len {
-                                        continue;
-                                    }
-                                    let replayed = catch_unwind(AssertUnwindSafe(|| {
-                                        lane.sim.advance_replay(&window)
-                                    }));
-                                    if let Err(payload) = replayed {
-                                        failures.insert(lane.scheme, panic_message(payload));
-                                        *entry = None;
-                                    }
-                                }
-                            }
-                        }
-                        Err(payload) => {
-                            window.invalidate();
-                            failures.insert(rec_scheme, panic_message(payload));
-                            lanes[r] = None;
-                        }
-                    }
-                }
-                for (i, entry) in lanes.iter_mut().enumerate() {
-                    if Some(i) == recorder {
-                        continue;
-                    }
-                    let Some(lane) = entry else { continue };
-                    if lane.sim.done() || lane.sim.wide_eligible() {
-                        continue;
-                    }
-                    let target = lane
-                        .sim
-                        .committed()
-                        .saturating_add(crate::system::TRANSPOSED_CHUNK);
-                    match catch_unwind(AssertUnwindSafe(|| lane.sim.advance_until(target))) {
-                        Ok(()) => {}
-                        Err(payload) => {
-                            failures.insert(lane.scheme, panic_message(payload));
-                            *entry = None;
-                        }
-                    }
-                    progressed = true;
-                }
-                if !progressed {
-                    break;
-                }
-            }
-        }
-    }
+    let panics = crate::system::drive_lockstep(&mut sims);
     let wall = wall_start.elapsed().as_secs_f64();
 
-    // Publish each surviving lane: entry, counters, persistent store.
-    for lane in lanes.into_iter().flatten() {
+    // Publish each surviving lane: entry, counters, persistent store. A
+    // panicked lane is dropped with its slot still empty, which releases its
+    // claims: the failure stays retryable, and only this scheme's jobs
+    // report it.
+    for ((lane, sim), panic) in lanes.into_iter().zip(sims).zip(panics) {
         let Lane {
             scheme,
             key,
             slot,
             claim,
             rc_claim,
-            sim,
         } = lane;
+        if let Some(payload) = panic {
+            failures.insert(scheme, panic_message(payload));
+            continue;
+        }
         let published = catch_unwind(AssertUnwindSafe(|| {
             let mut outcome = sim.finish_collecting();
             if wall > 0.0 {

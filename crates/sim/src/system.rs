@@ -320,11 +320,7 @@ impl<P: LeakagePredictor> Simulation<P> {
                 None
             };
         let core = Core::new(&workload.program);
-        let mut energy =
-            EnergySystem::new(config.energy.clone(), SourceBox(config.source.build()))?;
-        if config.force_no_speculate {
-            energy.set_speculation(false);
-        }
+        let energy = EnergySystem::new(config.energy.clone(), SourceBox(config.source.build()))?;
         let reuse =
             (scheme == Scheme::Sdbp).then(|| ReusePredictor::new(ReusePredictorConfig::default()));
         let zombie = config
@@ -1674,18 +1670,11 @@ pub fn build_lane(
     })
 }
 
-/// Committed-instruction chunk in which [`run_lockstep`] rotates between
-/// lanes. Large enough that the per-chunk dynamic dispatch and `done()`
-/// polls are noise; small enough that all lanes of a group stay warm in
-/// cache together.
-const LOCKSTEP_CHUNK: u64 = 32_768;
-
-/// Round size for the transposed drive, deliberately smaller than
-/// [`LOCKSTEP_CHUNK`]: a replayed round touches four parallel record
-/// columns plus every lane's caches, so shorter rounds keep the window
-/// columns L1/L2-resident across the recorder pass and all replayer
-/// passes. Measured on the 9-lane bench, 4k rounds beat both 8k and 32k.
-pub(crate) const TRANSPOSED_CHUNK: u64 = 4_096;
+/// Round size of the lockstep drive: a replayed round touches four parallel
+/// record columns plus every lane's caches, so short rounds keep the window
+/// columns L1/L2-resident across the recorder pass and all replayer passes.
+/// Measured on the 9-lane bench, 4k rounds beat both 8k and 32k.
+const TRANSPOSED_CHUNK: u64 = 4_096;
 
 /// Drives one monomorphized lane to completion under its own wall clock —
 /// the [`build_lane`] counterpart of [`Simulation::run_collecting`]. This
@@ -1704,133 +1693,110 @@ pub fn run_lane(mut lane: Box<dyn LaneRun>) -> RunOutcome {
     outcome
 }
 
-/// How [`run_lockstep`] advances the lanes of a group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockstepMode {
-    /// Transposed (access-major): one lane records its instruction stream
-    /// per round and the sibling lanes replay it without decoding. Falls
-    /// back to interleaved stepping for ineligible lanes. The default.
-    Transposed,
-    /// Interleaved (lane-major): every lane decodes and executes
-    /// independently in [`LOCKSTEP_CHUNK`] rounds. Forced by
-    /// `EHS_NO_SIMD=1` and used as the semantic reference in the
-    /// divergence gates.
-    Interleaved,
+/// The payload of a panic caught inside one lockstep lane.
+pub(crate) type LanePanic = Box<dyn std::any::Any + Send>;
+
+/// Runs `f` for one lane, catching a panic as that lane's failure.
+///
+/// Unwind safety: a lane that panics is never advanced again, and the
+/// shared [`StreamWindow`] is re-begun before its next read.
+fn contain(f: impl FnOnce()) -> Result<(), LanePanic> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
 }
 
-/// The process-default lockstep mode: [`LockstepMode::Transposed`] unless
-/// `EHS_NO_SIMD=1` demands the scalar/interleaved reference regime. Read
-/// once and cached (matching the tag-probe selector's semantics).
-pub fn default_lockstep_mode() -> LockstepMode {
-    static MODE: std::sync::OnceLock<LockstepMode> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| {
-        if std::env::var("EHS_NO_SIMD").is_ok_and(|v| v == "1") {
-            LockstepMode::Interleaved
-        } else {
-            LockstepMode::Transposed
+/// Drives `lanes`, all over the same workload, until every lane is
+/// [`LaneRun::done`] or has panicked. Returns, per lane, the payload of the
+/// panic that stopped it (`None` for lanes that ran to completion); a lane
+/// that panicked is left unfinished and must not be advanced again.
+///
+/// Each round:
+///
+/// 1. The *recorder* — the eligible live lane with the lowest
+///    architectural position — advances [`TRANSPOSED_CHUNK`] instructions,
+///    recording its stream into a [`StreamWindow`] (when it has at least
+///    one eligible sibling; alone it advances unrecorded).
+/// 2. Every other eligible lane whose position falls inside the window
+///    replays it without decoding; eligible lanes ahead of the window skip
+///    the round until the rest catch up.
+/// 3. Ineligible lanes (zombie sampling, cycle-accurate, data-dependent
+///    streams) advance one chunk on the live per-lane stepper.
+///
+/// A recorder panic discards the round's half-recorded window, costing the
+/// siblings one replay opportunity and nothing else.
+pub(crate) fn drive_lockstep(lanes: &mut [Box<dyn LaneRun>]) -> Vec<Option<LanePanic>> {
+    let mut panics: Vec<Option<LanePanic>> = lanes.iter().map(|_| None).collect();
+    let mut window = StreamWindow::default();
+    loop {
+        let mut recorder: Option<usize> = None;
+        let mut eligible = 0usize;
+        for (i, lane) in lanes.iter().enumerate() {
+            if panics[i].is_some() || lane.done() || !lane.wide_eligible() {
+                continue;
+            }
+            eligible += 1;
+            if recorder.is_none_or(|r| lane.arch_pos() < lanes[r].arch_pos()) {
+                recorder = Some(i);
+            }
         }
-    })
+        let mut progressed = false;
+        if let Some(r) = recorder {
+            progressed = true;
+            let target = lanes[r].committed().saturating_add(TRANSPOSED_CHUNK);
+            if eligible < 2 {
+                // A lone eligible lane records for nobody.
+                panics[r] = contain(|| lanes[r].advance_until(target)).err();
+            } else if let Err(payload) = contain(|| lanes[r].advance_recording(target, &mut window))
+            {
+                panics[r] = Some(payload);
+            } else {
+                let (start, len) = (window.start(), window.len() as u64);
+                for (i, lane) in lanes.iter_mut().enumerate() {
+                    if i == r || panics[i].is_some() || lane.done() || !lane.wide_eligible() {
+                        continue;
+                    }
+                    let pos = lane.arch_pos();
+                    if pos >= start && pos < start + len {
+                        panics[i] = contain(|| lane.advance_replay(&window)).err();
+                    }
+                }
+            }
+        }
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            if Some(i) == recorder || panics[i].is_some() || lane.done() || lane.wide_eligible() {
+                continue;
+            }
+            let target = lane.committed().saturating_add(TRANSPOSED_CHUNK);
+            panics[i] = contain(|| lane.advance_until(target)).err();
+            progressed = true;
+        }
+        if !progressed {
+            return panics;
+        }
+    }
 }
 
 /// Drives a group of lanes over the same workload in lockstep until every
-/// lane is [`LaneRun::done`], in the process-default [`LockstepMode`]. One
-/// wall-clock measurement covers the whole group; each lane's `sim_mips`
-/// is its own committed count over that shared wall time.
+/// lane is [`LaneRun::done`]: each round, the eligible lane furthest behind
+/// records its instruction stream and its siblings replay it without
+/// decoding. One wall-clock measurement covers the whole group; each
+/// lane's `sim_mips` is its own committed count over that shared wall time.
 ///
 /// Bit-exactness: [`Simulation::advance_until`] never truncates a burst
-/// at its target, so an incrementally driven lane performs the identical
-/// f64 operation sequence as one uninterrupted run — every [`RunOutcome`]
-/// equals the outcome of an independent [`Simulation::run_collecting`]
-/// (modulo `sim_mips`, which is wall-clock-derived in both regimes). The
-/// transposed mode preserves this bit-for-bit (the `lockstep` suite
-/// asserts both modes against solo runs for every scheme).
-pub fn run_lockstep(lanes: Vec<Box<dyn LaneRun>>) -> Vec<RunOutcome> {
-    run_lockstep_with(lanes, default_lockstep_mode())
-}
-
-/// [`run_lockstep`] with an explicit [`LockstepMode`].
-pub fn run_lockstep_with(mut lanes: Vec<Box<dyn LaneRun>>, mode: LockstepMode) -> Vec<RunOutcome> {
+/// at its target, and a replaying lane performs its own fetches, accesses,
+/// predictor hooks and energy steps in the live order, so every
+/// [`RunOutcome`] equals the outcome of an independent
+/// [`Simulation::run_collecting`] (modulo `sim_mips`, which is
+/// wall-clock-derived in both regimes; the `lockstep` suite asserts this
+/// for every scheme).
+///
+/// # Panics
+///
+/// Re-raises the first lane panic once the surviving lanes have finished.
+pub fn run_lockstep(mut lanes: Vec<Box<dyn LaneRun>>) -> Vec<RunOutcome> {
     let wall_start = std::time::Instant::now();
-    match mode {
-        LockstepMode::Interleaved => {
-            let mut target = LOCKSTEP_CHUNK;
-            loop {
-                let mut all_done = true;
-                for lane in &mut lanes {
-                    if !lane.done() {
-                        lane.advance_until(target);
-                        all_done &= lane.done();
-                    }
-                }
-                if all_done {
-                    break;
-                }
-                target = target.saturating_add(LOCKSTEP_CHUNK);
-            }
-        }
-        LockstepMode::Transposed => {
-            // Round protocol (mirrored with per-lane panic isolation in the
-            // fault-tolerant runner):
-            //
-            // 1. The *recorder* — the eligible unfinished lane with the
-            //    lowest architectural position — advances one chunk live,
-            //    recording its stream (when it has at least one eligible
-            //    sibling; alone it advances unrecorded).
-            // 2. Every other eligible lane whose position falls inside the
-            //    window replays it without decoding; eligible lanes ahead
-            //    of the window skip the round until the rest catch up.
-            // 3. Ineligible lanes (zombie sampling, cycle-accurate,
-            //    data-dependent streams) advance one chunk on the live
-            //    per-lane stepper.
-            let mut window = StreamWindow::default();
-            loop {
-                let mut recorder: Option<usize> = None;
-                let mut eligible = 0usize;
-                for (i, lane) in lanes.iter().enumerate() {
-                    if lane.done() || !lane.wide_eligible() {
-                        continue;
-                    }
-                    eligible += 1;
-                    if recorder.is_none_or(|r| lane.arch_pos() < lanes[r].arch_pos()) {
-                        recorder = Some(i);
-                    }
-                }
-                let mut progressed = false;
-                if let Some(r) = recorder {
-                    progressed = true;
-                    let target = lanes[r].committed().saturating_add(TRANSPOSED_CHUNK);
-                    if eligible >= 2 {
-                        lanes[r].advance_recording(target, &mut window);
-                        let (start, len) = (window.start(), window.len() as u64);
-                        if len > 0 {
-                            for (i, lane) in lanes.iter_mut().enumerate() {
-                                if i == r || lane.done() || !lane.wide_eligible() {
-                                    continue;
-                                }
-                                let pos = lane.arch_pos();
-                                if pos >= start && pos < start + len {
-                                    lane.advance_replay(&window);
-                                }
-                            }
-                        }
-                    } else {
-                        // A lone eligible lane records for nobody.
-                        lanes[r].advance_until(target);
-                    }
-                }
-                for (i, lane) in lanes.iter_mut().enumerate() {
-                    if Some(i) == recorder || lane.done() || lane.wide_eligible() {
-                        continue;
-                    }
-                    let target = lane.committed().saturating_add(TRANSPOSED_CHUNK);
-                    lane.advance_until(target);
-                    progressed = true;
-                }
-                if !progressed {
-                    break;
-                }
-            }
-        }
+    let panics = drive_lockstep(&mut lanes);
+    if let Some(payload) = panics.into_iter().flatten().next() {
+        std::panic::resume_unwind(payload);
     }
     let wall = wall_start.elapsed().as_secs_f64();
     lanes
@@ -1910,4 +1876,130 @@ pub fn run_baseline_with_trace(
         outcome.result,
         outcome.trace.expect("recorder was attached"),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const FAULT: &str = "injected lane fault";
+
+    /// A real lane that panics on its third advance of any kind.
+    struct Faulty {
+        inner: Box<dyn LaneRun>,
+        advances_left: u32,
+    }
+
+    impl Faulty {
+        fn count_advance(&mut self) {
+            self.advances_left -= 1;
+            assert!(self.advances_left > 0, "{FAULT}");
+        }
+    }
+
+    impl LaneRun for Faulty {
+        fn advance_until(&mut self, target: u64) {
+            self.count_advance();
+            self.inner.advance_until(target);
+        }
+
+        fn committed(&self) -> u64 {
+            self.inner.committed()
+        }
+
+        fn done(&self) -> bool {
+            self.inner.done()
+        }
+
+        fn scheme(&self) -> Scheme {
+            self.inner.scheme()
+        }
+
+        fn finish_collecting(self: Box<Self>) -> RunOutcome {
+            self.inner.finish_collecting()
+        }
+
+        fn arch_pos(&self) -> u64 {
+            self.inner.arch_pos()
+        }
+
+        fn wide_eligible(&self) -> bool {
+            self.inner.wide_eligible()
+        }
+
+        fn advance_recording(&mut self, target: u64, window: &mut StreamWindow) {
+            self.count_advance();
+            self.inner.advance_recording(target, window);
+        }
+
+        fn advance_replay(&mut self, window: &StreamWindow) {
+            self.count_advance();
+            self.inner.advance_replay(window);
+        }
+    }
+
+    /// Three lanes over one bounded workload; lane `faulty` (if any) panics
+    /// a few rounds in.
+    fn group(faulty: Option<usize>) -> Vec<Box<dyn LaneRun>> {
+        let mut config = SystemConfig::paper_default();
+        config.max_instructions = 60_000;
+        let workload = build(AppId::Crc32, Scale::Tiny);
+        [Scheme::Baseline, Scheme::Decay, Scheme::Edbp]
+            .iter()
+            .enumerate()
+            .map(|(i, &scheme)| -> Box<dyn LaneRun> {
+                let lane = build_lane(&config, scheme, workload.clone(), None, false)
+                    .expect("paper-default energy configuration is valid");
+                if faulty == Some(i) {
+                    Box::new(Faulty {
+                        inner: lane,
+                        advances_left: 3,
+                    })
+                } else {
+                    lane
+                }
+            })
+            .collect()
+    }
+
+    fn message(payload: &LanePanic) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn a_panicking_lane_fails_alone() {
+        // Lane 0 records every round and its siblings replay, so this
+        // covers a recorder panic (half-recorded window) and replayer
+        // panics.
+        for faulty in 0..3 {
+            let mut lanes = group(Some(faulty));
+            let panics = drive_lockstep(&mut lanes);
+            for (i, (lane, panic)) in lanes.into_iter().zip(panics).enumerate() {
+                if i == faulty {
+                    let payload = panic.expect("the faulty lane's panic is returned");
+                    assert_eq!(message(&payload), FAULT);
+                    continue;
+                }
+                assert!(panic.is_none(), "lane {i} failed with lane {faulty}");
+                assert!(lane.done());
+                let alone = run_lane(group(None).swap_remove(i));
+                assert_eq!(
+                    lane.finish_collecting().result,
+                    alone.result,
+                    "lane {i} diverged after lane {faulty} panicked"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn run_lockstep_reraises_a_lane_panic() {
+        let payload = std::panic::catch_unwind(|| run_lockstep(group(Some(1))))
+            .expect_err("the lane's panic reaches the caller");
+        assert_eq!(message(&payload), FAULT);
+    }
 }

@@ -4,11 +4,10 @@
 //! every [`RunResult`] field except the host-wall-clock `sim_mips` must be
 //! identical whether the loop coalesces compute bursts or steps one cycle
 //! at a time. These tests run the same (scheme, app, seed) matrix under
-//! both [`SystemConfig::force_cycle_accurate`] settings — plus the
-//! speculative energy kernel forced off via
-//! [`SystemConfig::force_no_speculate`] — and compare with `==`
-//! (`sim_mips` is excluded from `RunResult`'s `PartialEq`).
+//! both [`SystemConfig::force_cycle_accurate`] settings and compare with
+//! `==` (`sim_mips` is excluded from `RunResult`'s `PartialEq`).
 
+use ehs_energy::TracePreset;
 use ehs_nvm::MemoryTechnology;
 use ehs_sim::runner::{default_threads, run_matrix};
 use ehs_sim::{run_app, Scheme, Simulation, SourceKind, SystemConfig};
@@ -63,22 +62,11 @@ fn assert_matrix_bit_exact(base: &SystemConfig, schemes: &[Scheme], apps: &[AppI
             Scale::Tiny,
             threads,
         );
-        let no_speculate = {
-            let mut c = variant(base, seed, false);
-            c.force_no_speculate = true;
-            run_matrix(&c, schemes, apps, Scale::Tiny, threads)
-        };
-        for ((b_row, e_row), n_row) in burst.iter().zip(&exact).zip(&no_speculate) {
-            for ((b, e), n) in b_row.iter().zip(e_row).zip(n_row) {
+        for (b_row, e_row) in burst.iter().zip(&exact) {
+            for (b, e) in b_row.iter().zip(e_row) {
                 assert_eq!(
                     b, e,
                     "burst vs cycle-accurate divergence: scheme {} app {:?} seed {seed}",
-                    b.scheme, b.app
-                );
-                assert_eq!(
-                    b, n,
-                    "speculative vs guarded energy kernel divergence: \
-                     scheme {} app {:?} seed {seed}",
                     b.scheme, b.app
                 );
             }
@@ -89,6 +77,25 @@ fn assert_matrix_bit_exact(base: &SystemConfig, schemes: &[Scheme], apps: &[AppI
 #[test]
 fn every_scheme_is_bit_exact_across_apps_and_seeds() {
     assert_matrix_bit_exact(&SystemConfig::paper_default(), &ALL_SCHEMES, &APPS);
+}
+
+/// The `outage_storm` platform: a weak source (0.3× RFHome) on a 1 µF
+/// capacitor, so outages come every few hundred instructions and recharges
+/// regularly cross trace segments.
+fn outage_dense_config() -> SystemConfig {
+    let mut config = SystemConfig::paper_default();
+    config.source = SourceKind::Preset {
+        preset: TracePreset::RfHome,
+        seed: 42,
+        scale: 0.3,
+    };
+    config.energy.capacitor.capacitance = Capacitance::from_micro_farads(1.0);
+    config
+}
+
+#[test]
+fn outage_dense_runs_are_bit_exact() {
+    assert_matrix_bit_exact(&outage_dense_config(), &Scheme::FIG8, &APPS);
 }
 
 #[test]
@@ -114,25 +121,19 @@ fn zombie_instrumented_runs_are_bit_exact() {
     let mut config = SystemConfig::paper_default();
     config.zombie_sample_interval = Some(500);
     for scheme in [Scheme::Baseline, Scheme::DecayEdbp] {
-        let run = |cycle_accurate: bool, no_speculate: bool| {
-            let mut c = variant(&config, 42, cycle_accurate);
-            c.force_no_speculate = no_speculate;
-            Simulation::new(&c, scheme, build(AppId::Crc32, Scale::Tiny), None)
-                .run_with_zombie_analysis()
+        let run = |cycle_accurate: bool| {
+            Simulation::new(
+                &variant(&config, 42, cycle_accurate),
+                scheme,
+                build(AppId::Crc32, Scale::Tiny),
+                None,
+            )
+            .run_with_zombie_analysis()
         };
-        let (b_result, b_samples) = run(false, false);
-        let (e_result, e_samples) = run(true, false);
-        let (n_result, n_samples) = run(false, true);
+        let (b_result, b_samples) = run(false);
+        let (e_result, e_samples) = run(true);
         assert_eq!(b_result, e_result, "zombie run diverged for {scheme}");
         assert_eq!(b_samples, e_samples, "zombie samples diverged for {scheme}");
-        assert_eq!(
-            b_result, n_result,
-            "guarded-kernel zombie run diverged for {scheme}"
-        );
-        assert_eq!(
-            b_samples, n_samples,
-            "guarded-kernel zombie samples diverged for {scheme}"
-        );
     }
 }
 
@@ -168,15 +169,6 @@ fn brownout_landing_mid_burst_is_bit_exact() {
         };
         let burst = run(false);
         let exact = run(true);
-        let guarded_kernel = {
-            let mut c = config.clone();
-            c.force_no_speculate = true;
-            run_app(&c, scheme, AppId::Bitcount, Scale::Tiny)
-        };
-        assert_eq!(
-            burst, guarded_kernel,
-            "speculative vs guarded energy kernel divergence for {scheme}"
-        );
         assert!(
             burst.brownouts > 0,
             "configuration must provoke brown-outs ({scheme} saw none)"

@@ -1,19 +1,15 @@
 //! Lockstep-vs-independent differential suite.
 //!
 //! [`run_lockstep`] drives N scheme lanes over one shared workload replay,
-//! advancing each in bounded chunks — lane-major ("interleaved") or
-//! access-major ("transposed", where one lane records its instruction
-//! stream and the siblings replay it without decoding). In both modes the
-//! group driving must be **invisible**: every lane's [`RunResult`] (minus
-//! the wall-clock `sim_mips`, which `PartialEq` excludes) must be
-//! bit-identical to running that lane alone. These tests assert it across
-//! the full scheme roster, three apps and two trace seeds, in both modes
-//! explicitly (plus whatever `run_lockstep` defaults to under the ambient
-//! `EHS_NO_SIMD`).
+//! advancing them in bounded rounds. The group driving must be
+//! **invisible**: every lane's [`RunResult`] (minus the wall-clock
+//! `sim_mips`, which `PartialEq` excludes) must be bit-identical to running
+//! that lane alone. These tests assert it across the full scheme roster,
+//! three apps and two trace seeds.
 
 use ehs_sim::{
-    build_lane, record_generation_trace, run_lane, run_lockstep, run_lockstep_with, LaneRun,
-    LockstepMode, Scheme, SourceKind, SystemConfig,
+    build_lane, record_generation_trace, run_lane, run_lockstep, LaneRun, Scheme, SourceKind,
+    SystemConfig,
 };
 use ehs_workloads::{build, AppId, Scale, Workload};
 
@@ -81,47 +77,15 @@ fn lockstep_matches_independent_for_every_scheme_app_seed() {
 }
 
 #[test]
-fn transposed_and_interleaved_modes_agree_for_every_scheme() {
-    // Mode-explicit variant of the matrix above (one seed): the transposed
-    // stream-replay path and the interleaved per-lane stepper must produce
-    // byte-identical results for every scheme, regardless of what mode the
-    // ambient `EHS_NO_SIMD` selects for `run_lockstep`.
-    let config = config_with_seed(42);
-    for &app in &APPS {
-        let workload = build(app, Scale::Tiny);
-        let transposed = run_lockstep_with(
-            lanes_for(&config, &Scheme::ALL, &workload),
-            LockstepMode::Transposed,
-        );
-        let interleaved = run_lockstep_with(
-            lanes_for(&config, &Scheme::ALL, &workload),
-            LockstepMode::Interleaved,
-        );
-        for (scheme, (t, i)) in Scheme::ALL
-            .iter()
-            .zip(transposed.iter().zip(interleaved.iter()))
-        {
-            assert_eq!(
-                t.result, i.result,
-                "transposed/interleaved divergence: scheme {scheme} app {app:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn transposed_mode_handles_zombie_sampling_lanes() {
-    // A zombie-sampling lane is ineligible for stream replay (its samples
-    // key off exact per-lane instruction positions) and must fall to the
-    // live stepper inside a transposed group without perturbing anyone.
+fn lockstep_handles_zombie_sampling_lanes() {
+    // Zombie samples key off exact per-lane instruction positions, so a
+    // zombie-sampling lane must keep them inside a group without
+    // perturbing anyone.
     let mut config = config_with_seed(7);
     config.zombie_sample_interval = Some(10_000);
     let workload = build(AppId::Crc32, Scale::Tiny);
     let schemes = [Scheme::Baseline, Scheme::DecayEdbp];
-    let grouped = run_lockstep_with(
-        lanes_for(&config, &schemes, &workload),
-        LockstepMode::Transposed,
-    );
+    let grouped = run_lockstep(lanes_for(&config, &schemes, &workload));
     for (scheme, (joint, lane)) in schemes
         .iter()
         .zip(grouped.iter().zip(lanes_for(&config, &schemes, &workload)))
@@ -129,11 +93,11 @@ fn transposed_mode_handles_zombie_sampling_lanes() {
         let alone = run_lane(lane);
         assert_eq!(
             joint.result, alone.result,
-            "zombie-lane divergence under transposed lockstep: scheme {scheme}"
+            "zombie-lane divergence under lockstep: scheme {scheme}"
         );
         assert_eq!(
             joint.zombie_samples, alone.zombie_samples,
-            "zombie samples diverged under transposed lockstep: scheme {scheme}"
+            "zombie samples diverged under lockstep: scheme {scheme}"
         );
     }
 }
