@@ -106,17 +106,9 @@ pub enum FleetMode {
     /// Plan, run and report everything in this one process (the historical
     /// behavior). Compacts the shared journal at startup.
     Coordinator,
-    /// Work-steal the deduplicated job set through the shared cache
-    /// directory; produce entries, not figures (`--worker`).
+    /// Produce the deduplicated job set into the shared cache directory,
+    /// writing no figures (`--worker`).
     Worker,
-    /// Like `Worker`, but restricted to one deterministic cost-balanced
-    /// shard of the job set (`--shard I/N`, 0-based).
-    Shard {
-        /// This process's shard (0-based).
-        index: usize,
-        /// Total number of shards.
-        count: usize,
-    },
     /// Wait for the job set to be complete in the shared directory, then
     /// render and verify every figure (`--finalize`).
     Finalize,
@@ -138,15 +130,16 @@ pub struct SuiteOptions {
     pub wait: std::time::Duration,
     /// `--verify DIR`: reference directory for per-figure byte comparison.
     pub verify: Option<std::path::PathBuf>,
-    /// `--max-retries N`: transient-fault retry bound for worker modes.
+    /// `--max-retries N`: retry bound for `--worker`'s lease and store
+    /// failures.
     pub max_retries: Option<u32>,
 }
 
 /// The usage line for `exp_all`.
 pub fn suite_usage() -> String {
     format!(
-        "{}\n       exp_all [scale] --worker | --shard I/N | --finalize [--wait SECS] \
-         [--verify DIR] [--max-retries N] [--expect-cached] [--expect-resumable]",
+        "{}\n       exp_all [scale] --worker | --finalize [--wait SECS] [--verify DIR] \
+         [--max-retries N] [--expect-cached] [--expect-resumable]",
         usage("exp_all")
     )
 }
@@ -162,7 +155,6 @@ where
     let mut rest: Vec<String> = Vec::new();
     let mut worker = false;
     let mut finalize = false;
-    let mut shard: Option<(usize, usize)> = None;
     let mut expect_cached = false;
     let mut expect_resumable = false;
     let mut wait = std::time::Duration::from_secs(60);
@@ -179,17 +171,6 @@ where
             "--finalize" => finalize = true,
             "--expect-cached" => expect_cached = true,
             "--expect-resumable" => expect_resumable = true,
-            "--shard" => {
-                let value = value_of("--shard")?;
-                let parsed = value.split_once('/').and_then(|(i, n)| {
-                    let index = i.parse::<usize>().ok()?;
-                    let count = n.parse::<usize>().ok()?;
-                    (count >= 1 && index < count).then_some((index, count))
-                });
-                shard = Some(parsed.ok_or_else(|| {
-                    CliError::Invalid(format!("--shard needs I/N with 0 <= I < N, got {value:?}"))
-                })?);
-            }
             "--wait" => {
                 let value = value_of("--wait")?;
                 wait = value
@@ -212,16 +193,15 @@ where
             _ => rest.push(arg),
         }
     }
-    if finalize && (worker || shard.is_some()) {
-        return Err(CliError::Invalid(
-            "--finalize cannot combine with --worker/--shard".into(),
-        ));
-    }
-    let mode = match (shard, worker, finalize) {
-        (Some((index, count)), _, _) => FleetMode::Shard { index, count },
-        (None, true, _) => FleetMode::Worker,
-        (None, false, true) => FleetMode::Finalize,
-        (None, false, false) => FleetMode::Coordinator,
+    let mode = match (worker, finalize) {
+        (true, true) => {
+            return Err(CliError::Invalid(
+                "--finalize cannot combine with --worker".into(),
+            ))
+        }
+        (true, false) => FleetMode::Worker,
+        (false, true) => FleetMode::Finalize,
+        (false, false) => FleetMode::Coordinator,
     };
     Ok(SuiteOptions {
         cli: parse(rest)?,
@@ -318,10 +298,6 @@ mod tests {
     #[test]
     fn suite_parses_fleet_modes() {
         assert_eq!(parse_suite(["--worker"]).unwrap().mode, FleetMode::Worker);
-        assert_eq!(
-            parse_suite(["--shard", "2/4"]).unwrap().mode,
-            FleetMode::Shard { index: 2, count: 4 }
-        );
         let fin = parse_suite(["--finalize", "--wait", "5", "--verify", "/tmp/ref"]).unwrap();
         assert_eq!(fin.mode, FleetMode::Finalize);
         assert_eq!(fin.wait, std::time::Duration::from_secs(5));
@@ -332,14 +308,6 @@ mod tests {
 
     #[test]
     fn suite_rejects_bad_fleet_flags() {
-        assert!(matches!(
-            parse_suite(["--shard", "4/4"]),
-            Err(CliError::Invalid(_))
-        ));
-        assert!(matches!(
-            parse_suite(["--shard", "x"]),
-            Err(CliError::Invalid(_))
-        ));
         assert!(matches!(
             parse_suite(["--finalize", "--worker"]),
             Err(CliError::Invalid(_))

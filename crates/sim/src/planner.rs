@@ -6,11 +6,14 @@
 //! [`Job`] list the figure needs, and `report` turns those jobs' outputs
 //! (in plan order) back into the figure's table. The thin binaries call
 //! [`experiment_main`]; [`run_suite`] instead concatenates *every*
-//! experiment's plan, runs the union once on one shared worker pool —
-//! where the memoization layer collapses all cross-experiment duplicates
-//! (see [`crate::runner::effective_fingerprint`]) and the longest-first
-//! queue kills the straggler tail — and then dispatches each experiment's
-//! slice of the outputs to its reporter in registry order.
+//! experiment's plan, runs the union once through the runner's one producer
+//! — which collapses all cross-experiment duplicates (see
+//! [`crate::runner::effective_fingerprint`]), carries each Ideal job with
+//! the baseline it replays, runs lockstep groups, and kills the straggler
+//! tail with a longest-first queue — and then dispatches each experiment's
+//! slice of the outputs to its reporter in registry order. `exp_all`'s
+//! coordinator is therefore an in-process `--worker` that renders figures
+//! at the end.
 //!
 //! Invariants (see `DESIGN.md` §8):
 //!
@@ -27,8 +30,8 @@ use crate::fault;
 use crate::report::Table;
 use crate::runcache;
 use crate::runner::{
-    count_unique, effective_fingerprint, executed_entry_stems, run_workers, shard_jobs,
-    simulations_executed, try_run_jobs_outputs, unique_jobs, Job, JobError, JobOutput, RetryPolicy,
+    effective_fingerprint, executed_entry_stems, run_workers, simulations_executed,
+    try_run_jobs_counted, try_run_jobs_outputs, unique_jobs, Job, JobError, JobOutput, RetryPolicy,
 };
 use ehs_workloads::Scale;
 use std::collections::HashSet;
@@ -255,7 +258,7 @@ impl SuiteRun {
 pub fn run_suite(opts: ExperimentOptions) -> SuiteRun {
     let plan = plan_suite(opts.scale);
     let executed_before = simulations_executed();
-    let outputs = try_run_jobs_outputs(&plan.jobs, opts.threads);
+    let (outputs, unique) = try_run_jobs_counted(&plan.jobs, opts.threads);
     let executed = simulations_executed() - executed_before;
     let tables = REGISTRY
         .iter()
@@ -287,7 +290,7 @@ pub fn run_suite(opts: ExperimentOptions) -> SuiteRun {
     SuiteRun {
         tables,
         total_requested: plan.jobs.len(),
-        unique: count_unique(&plan.jobs),
+        unique,
         executed,
     }
 }
@@ -374,11 +377,11 @@ pub fn experiment_main(name: &str) {
 /// Fleet modes (see `EXPERIMENTS.md` for the multi-machine runbook):
 ///
 /// * *(default)* — coordinator: compact the shared journal, then plan, run
-///   and report everything in this process.
-/// * `--worker` — work-steal the deduplicated job set through the shared
-///   cache directory's lease protocol; populate entries, write no figures.
-/// * `--shard I/N` — like `--worker`, restricted to deterministic
-///   cost-balanced shard `I` of `N` (see [`shard_jobs`]).
+///   and report everything in this process. It produces jobs exactly as a
+///   worker does, through the same lease protocol, and needs their results
+///   in memory rather than on disk.
+/// * `--worker` — produce the deduplicated job set into the shared cache
+///   directory through the lease protocol; write no figures.
 /// * `--finalize [--wait SECS] [--verify DIR]` — wait for the job set to
 ///   complete, render every figure from the merged cache, optionally
 ///   assert per-figure byte-identity against a reference directory.
@@ -390,7 +393,7 @@ pub fn experiment_main(name: &str) {
 /// * `--expect-resumable` exits non-zero if any job recorded in the suite
 ///   journal (i.e. completed *and persisted* by an earlier, possibly
 ///   killed, run) was re-simulated — the explicit resume contract.
-/// * `--max-retries N` bounds worker-mode transient-fault retries.
+/// * `--max-retries N` bounds `--worker`'s lease and store retries.
 ///
 /// Exit codes: `0` success, [`EXIT_JOB_FAILURE`], [`EXIT_USAGE`],
 /// [`EXIT_INCOMPLETE_JOURNAL`], [`EXIT_MERGE_MISMATCH`].
@@ -412,35 +415,23 @@ pub fn suite_main() {
         runcache::install_default();
     }
     match opts.mode {
-        FleetMode::Worker | FleetMode::Shard { .. } => worker_main(&opts),
+        FleetMode::Worker => worker_main(&opts),
         FleetMode::Finalize => finalize_main(&opts),
         FleetMode::Coordinator => coordinator_main(&opts),
     }
 }
 
-/// The `--worker` / `--shard I/N` entry: populate the shared cache
-/// directory (work-stealing through the lease protocol), print the
-/// structured per-worker summary, write no figures.
+/// The `--worker` entry: populate the shared cache directory (through the
+/// lease protocol), print the structured per-worker summary, write no
+/// figures.
 fn worker_main(opts: &SuiteOptions) -> ! {
     let plan = plan_suite(opts.cli.scale);
-    let jobs = match opts.mode {
-        FleetMode::Shard { index, count } => {
-            let shard = shard_jobs(&plan.jobs, index, count);
-            println!(
-                "shard {index}/{count}: {} of {} unique job(s)",
-                shard.len(),
-                count_unique(&plan.jobs)
-            );
-            shard
-        }
-        _ => unique_jobs(&plan.jobs),
-    };
     let mut policy = RetryPolicy::default();
     if let Some(n) = opts.max_retries {
         policy.max_retries = n;
     }
     let start = std::time::Instant::now();
-    let report = run_workers(&jobs, &policy, opts.cli.threads);
+    let report = run_workers(&plan.jobs, &policy, opts.cli.threads);
     println!("{report} wall={:.1}s", start.elapsed().as_secs_f64());
     if !report.failures.is_empty() {
         eprintln!("worker failure summary ({} job(s)):", report.failures.len());
@@ -671,6 +662,7 @@ fn coordinator_main(opts: &SuiteOptions) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::count_unique;
 
     #[test]
     fn registry_names_and_titles_are_unique() {

@@ -36,8 +36,8 @@
 //!
 //! The oracle [`GenerationTrace`](edbp_core::GenerationTrace) is *not*
 //! persisted (it is far larger than the result); if a cached Baseline entry
-//! is replayed and a later Ideal run needs the trace, the runner re-records
-//! it (see `runner::baseline_trace`).
+//! is replayed and an Ideal run still needs the trace, the runner re-records
+//! it (see the `runner` module docs).
 //!
 //! # Invalidation
 //!
@@ -58,9 +58,9 @@
 //!   trailing checksum rejects anything a weaker writer left behind.
 //! * Concurrent processes share a directory safely: renames are atomic and
 //!   idempotent (identical bytes for identical keys), and advisory
-//!   per-entry `.claim` files ([`RunCache::claim`]) let a second process
-//!   briefly wait for an in-flight entry instead of duplicating the work.
-//!   Claims from dead processes go stale and are broken on sight.
+//!   per-entry `.claim` leases ([`RunCache::claim`]) let other processes
+//!   skip an in-flight entry and revisit it instead of duplicating the
+//!   work. Leases from dead processes expire and are stolen.
 //! * `journal.log` ([`RunCache::journal_append`]) records each persisted
 //!   entry as one appended line, so a killed `exp_all` can be re-invoked
 //!   and *prove* it resumed (`--expect-resumable`) rather than re-simulate.
@@ -1000,43 +1000,6 @@ impl RunCache {
             stop,
             heartbeats,
             thread: Some(thread),
-        }
-    }
-
-    /// Polls for an entry another process has leased, up to `timeout`.
-    /// Returns the entry if it appears (and validates) in time; `None`
-    /// tells the caller to simulate it itself after all.
-    ///
-    /// Polling backs off exponentially with jitter — 1 ms doubling up to
-    /// the lease heartbeat interval — so hundreds of workers waiting on one
-    /// shared directory spread their stat storms instead of thundering in
-    /// lockstep every 25 ms.
-    pub fn wait_for_entry(
-        &self,
-        config_fp: u64,
-        scheme: Scheme,
-        app: AppId,
-        scale: Scale,
-        timeout: Duration,
-    ) -> Option<CachedRun> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut delay = Duration::from_millis(1);
-        let cap = self.lease.heartbeat.max(Duration::from_millis(1));
-        let mut jitter = fresh_token() ^ config_fp;
-        loop {
-            if let Some(hit) = self.load(config_fp, scheme, app, scale) {
-                return Some(hit);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            // Uniform in [delay/2, delay), then double toward the cap.
-            jitter = splitmix(jitter);
-            let nanos = delay.as_nanos() as u64;
-            let jittered = Duration::from_nanos(nanos / 2 + jitter % (nanos / 2).max(1));
-            std::thread::sleep(jittered.min(deadline - now));
-            delay = (delay * 2).min(cap);
         }
     }
 

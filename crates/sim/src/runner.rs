@@ -2,82 +2,103 @@
 //! memoization, cost-aware scheduling and an optional persistent result
 //! cache.
 //!
+//! Every way of running jobs goes through one producer: [`run_jobs`] and
+//! [`try_run_jobs_outputs`] (the library, the per-figure binaries, and
+//! `exp_all`'s coordinator and `--finalize` render) and [`run_workers`]
+//! (`exp_all --worker`). The two differ only in what finishes a key: the
+//! coordinator needs the result in memory, a worker needs it durable on
+//! disk. The coordinator is therefore an in-process worker that renders
+//! figures at the end.
+//!
 //! # Memoization
 //!
 //! Experiment drivers repeat identical runs constantly: every figure's
 //! matrix re-runs the baseline column, `mean_speedup_over_seeds` shares its
-//! baseline runs with the headline matrix, the sensitivity sweeps
-//! (Figs. 10–17) all contain the paper-default point, and the Ideal
-//! scheme's oracle pass *is* a baseline run. [`run_jobs`] therefore caches
-//! results in a process-wide table keyed by the **effective** configuration
-//! fingerprint (see [`effective_fingerprint`]) plus (scheme, app, scale):
+//! baseline runs with the headline matrix, and the sensitivity sweeps
+//! (Figs. 10–17) all contain the paper-default point. Finished results
+//! therefore live in a process-wide table keyed by the **effective**
+//! configuration fingerprint (see [`effective_fingerprint`]) plus (scheme,
+//! app, scale):
 //!
-//! * A `Baseline` job always runs with a passive generation recorder
-//!   attached and stores both the result and the trace — so the Ideal
-//!   scheme's oracle pass and the baseline column of the same matrix are
-//!   **one** execution ([`baseline_executions`] counts them).
-//! * Concurrent requests for the same key block on one `OnceLock`; the
-//!   duplicate is never executed.
-//! * A cache hit returns the stored result with [`RunResult::sim_mips`]
+//! * A memo hit returns the stored result with [`RunResult::sim_mips`]
 //!   zeroed (wall-clock throughput is meaningless for a lookup); `sim_mips`
 //!   is excluded from `PartialEq`, so memoized and fresh results compare
 //!   equal — the determinism tests rely on exactly that.
 //! * When a binary has installed the persistent cache
-//!   ([`crate::runcache::install`]), a first-touch key is looked up on disk
-//!   before simulating, and a fresh execution is stored back — so a second
-//!   process replays instead of re-simulating. The library default is
-//!   *no* disk cache; tests and library callers run purely in-process.
+//!   ([`crate::runcache::install`]), a key missing from memory is looked up
+//!   on disk before simulating, and a fresh execution is stored back — so a
+//!   second process replays instead of re-simulating. The library default
+//!   is *no* disk cache; tests and library callers run purely in-process.
 //!
 //! [`run_app`] remains uncached for callers that want a guaranteed fresh
 //! execution (e.g. throughput measurement).
 //!
-//! # Scheduling
+//! # Work items
 //!
-//! [`run_jobs`] executes its internal work queue longest-estimated-first
-//! (see [`Job::estimated_cost`]) so a `Full`-scale straggler cannot land
-//! last on an otherwise-drained pool, while results are still returned in
-//! input order — scheduling never changes the output.
+//! A call deduplicates its jobs to one unit per memo key ([`unique_jobs`])
+//! and groups the units into work items. Units that share a raw
+//! configuration fingerprint, app and scale — the common shape of every
+//! figure's scheme matrix — are one workload replay observed under
+//! different predictors, and run as one **lockstep group**: one fully
+//! monomorphized lane per scheme (see [`crate::build_lane`]), all driven
+//! over the shared workload by the one lockstep drive that
+//! [`crate::run_lockstep`] also uses. Every
+//! lane's result is bit-identical to an independent run (the `lockstep`
+//! differential suite asserts it).
 //!
-//! # Lockstep groups
+//! The `Ideal` scheme's oracle pass *is* a baseline run, so an `Ideal` unit
+//! joins the item that holds its baseline's memo key. The Baseline lane
+//! records the generation trace only when the item still has an `Ideal`
+//! key to produce, and the `Ideal` lane runs after the group on that trace
+//! — the oracle pass and the baseline column are **one** execution
+//! ([`baseline_executions`] counts them). If the baseline was not simulated
+//! here (it came from memory, from disk or from another process) or its
+//! lane failed, the `Ideal` re-records the trace once, and that run counts
+//! in both execution counters.
 //!
-//! Jobs that share one raw configuration fingerprint, app and scale — the
-//! common shape of every figure's scheme matrix — are one workload replay
-//! observed under different predictors. [`try_run_jobs_outputs`] detects
-//! such partitions with at least two distinct schemes and runs them as a
-//! **lockstep group**: one fully monomorphized lane per scheme (see
-//! [`crate::build_lane`]), all lanes advancing over the shared workload in
-//! committed-instruction rounds. Because [`Simulation::advance_until`]
-//! never truncates a burst at its target, every lane's result is
-//! bit-identical to an independent run (the `lockstep` differential suite
-//! asserts it). The `Ideal` scheme never joins a group — its oracle pass
-//! resolves through the baseline's memoized trace as before.
+//! # Producing an item
 //!
-//! Execution is gated by a process-wide *claim table*, not by the memo
-//! slots themselves: whoever claims a key (a singleton job or one lane of
-//! a group) is its unique producer; everyone else waits for the slot. A
-//! producer that panics releases its claim with the slot still empty, so
-//! the next request retries — the containment story is unchanged.
+//! Per key: a memo hit is done, and a disk hit is adopted into the memo.
+//! Otherwise the key's lease is taken ([`runcache::RunCache::claim`]) and
+//! the disk checked again under it. The claimed keys simulate, and each
+//! finished key is stored and journaled before its lease is released. A
+//! key whose lease another process holds is revisited on a later sweep
+//! (backing off, at most one heartbeat between sweeps) until its entry
+//! lands on disk or the lease expires and this process steals it.
 //!
-//! # Fault containment
+//! Items run longest-estimated-first (see [`Job::estimated_cost`]) from
+//! one queue shared by every thread, so a `Full`-scale straggler cannot
+//! land last on an otherwise-drained pool, while results are still
+//! returned in input order — scheduling never changes the output.
 //!
-//! A panicking job is a *result*, not a process event: workers catch the
-//! unwind and [`try_run_jobs_outputs`] returns a [`JobError`] in that job's
-//! slot while every other job completes normally (in a lockstep group, a
-//! panicking lane fails exactly its own scheme's jobs). No table in this
-//! module can stay poisoned (see `lock_unpoisoned`), and an abandoned memo
-//! slot is retried by the next request for the same key. The deterministic
-//! fault-injection harness ([`crate::fault`]) exercises these paths.
+//! # Exclusivity and fault containment
+//!
+//! Leases are the only claim between processes. Inside one process, the
+//! items of a call are disjoint, so no key has two producers, and
+//! concurrent calls take turns on one process-wide lock held for the
+//! whole call.
+//!
+//! A panicking lane is a *result*, not a process event: it fails exactly
+//! its own key's jobs ([`JobError`]) while every other key completes, and
+//! the key stays out of the memo, so the next call retries it. Whether a
+//! failure is retried within a call depends on where it happened: a
+//! simulation panic fails at once; under `--worker`, lease and store
+//! failures retry (see [`RetryPolicy`]). No table in this module can stay
+//! poisoned (see `lock_unpoisoned`). The deterministic fault-injection
+//! harness ([`crate::fault`]) exercises these paths.
 
 use crate::{
-    config_fingerprint, fault, runcache, LaneRun, RunResult, Scheme, SystemConfig, ZombieSample,
+    config_fingerprint, fault, runcache, LaneRun, RunOutcome, RunResult, Scheme, SystemConfig,
+    ZombieSample,
 };
 use edbp_core::{EdbpConfig, GenerationTrace};
 use ehs_cache::Cache;
 use ehs_workloads::{build, AppId, Scale, Workload};
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Locks `m`, recovering the data if a previous holder panicked.
 ///
@@ -222,31 +243,38 @@ struct MemoKey {
     scale: Scale,
 }
 
+impl MemoKey {
+    fn of(job: &Job) -> Self {
+        Self {
+            config_fp: effective_fingerprint(&job.config, job.scheme),
+            scheme: job.scheme,
+            app: job.app,
+            scale: job.scale,
+        }
+    }
+
+    fn stem(&self) -> String {
+        runcache::entry_stem(self.config_fp, self.scheme, self.app, self.scale)
+    }
+}
+
+/// One finished simulation.
 struct MemoEntry {
+    /// The result, `sim_mips` zeroed.
     result: RunResult,
-    /// Generation trace, recorded on every *executed* Baseline run so the
-    /// Ideal scheme can reuse the same execution. Empty when the entry was
-    /// replayed from the persistent cache (the trace is not persisted);
-    /// refilled lazily by [`baseline_trace`] if an Ideal run needs it.
-    trace: OnceLock<Arc<GenerationTrace>>,
     /// Zombie samples; `Some` exactly when the config was instrumented
     /// ([`SystemConfig::zombie_sample_interval`]).
     zombies: Option<Arc<Vec<ZombieSample>>>,
 }
 
-type Slot = Arc<OnceLock<MemoEntry>>;
-
-static MEMO: OnceLock<Mutex<HashMap<MemoKey, Slot>>> = OnceLock::new();
-/// Baseline keys whose generation trace some planned Ideal job will consume.
-/// Registered by [`run_jobs_outputs`] before any job runs, so the one
-/// baseline execution doubles as the oracle pass. Baselines outside this set
-/// skip the recorder entirely — recording is passive but not free, and
-/// retaining hundreds of unneeded traces for the whole suite run costs real
-/// memory. A late, unregistered Ideal request is still correct: it refills
-/// the trace lazily via [`baseline_trace`] at the price of one extra run.
-static TRACE_WANTED: OnceLock<Mutex<HashSet<MemoKey>>> = OnceLock::new();
+static MEMO: OnceLock<Mutex<HashMap<MemoKey, MemoEntry>>> = OnceLock::new();
 static BASELINE_EXECUTIONS: AtomicU64 = AtomicU64::new(0);
 static SIM_EXECUTIONS: AtomicU64 = AtomicU64::new(0);
+
+/// The table of finished entries.
+fn memo() -> MutexGuard<'static, HashMap<MemoKey, MemoEntry>> {
+    lock_unpoisoned(MEMO.get_or_init(Mutex::default))
+}
 
 /// Number of actual (non-memoized) baseline simulations executed by the
 /// memoization layer since process start. Test hook for the "an Ideal
@@ -261,85 +289,6 @@ pub fn baseline_executions() -> u64 {
 /// the planner's dedup accounting and the warm-cache CI check measure.
 pub fn simulations_executed() -> u64 {
     SIM_EXECUTIONS.load(Ordering::Relaxed)
-}
-
-fn memo_slot(key: MemoKey) -> Slot {
-    lock_unpoisoned(MEMO.get_or_init(Mutex::default))
-        .entry(key)
-        .or_default()
-        .clone()
-}
-
-/// Process-wide execution claims. A claimed key has exactly one producer
-/// — a singleton job or one lane of a lockstep group — and the claim, not
-/// the memo slot, is the execution gate (a lockstep group must fill
-/// several slots from one driving loop, which `OnceLock::get_or_init`
-/// cannot express). Producers fill the slot *before* releasing the claim,
-/// so a waiter that observes a free key re-checks the slot and either
-/// reads the entry or inherits the retry of a panicked producer.
-struct ClaimTable {
-    held: Mutex<HashSet<MemoKey>>,
-    freed: Condvar,
-}
-
-fn claims() -> &'static ClaimTable {
-    static CLAIMS: OnceLock<ClaimTable> = OnceLock::new();
-    CLAIMS.get_or_init(|| ClaimTable {
-        held: Mutex::default(),
-        freed: Condvar::new(),
-    })
-}
-
-/// Releases its key on drop — including a drop by unwinding, so a
-/// panicked execution leaves the key claimable and its slot empty, and
-/// the next request simply retries (the fault-containment contract).
-struct KeyClaim {
-    key: MemoKey,
-}
-
-impl Drop for KeyClaim {
-    fn drop(&mut self) {
-        let table = claims();
-        lock_unpoisoned(&table.held).remove(&self.key);
-        table.freed.notify_all();
-    }
-}
-
-/// Claims `key`, blocking while another thread holds it. Returns `None`
-/// without claiming if `slot` was (or got) filled while waiting — the
-/// caller reads the entry instead of producing one.
-fn claim_blocking(slot: &Slot, key: &MemoKey) -> Option<KeyClaim> {
-    let table = claims();
-    let mut held = lock_unpoisoned(&table.held);
-    loop {
-        if slot.get().is_some() {
-            return None;
-        }
-        if !held.contains(key) {
-            held.insert(key.clone());
-            return Some(KeyClaim { key: key.clone() });
-        }
-        held = table
-            .freed
-            .wait(held)
-            .unwrap_or_else(PoisonError::into_inner);
-    }
-}
-
-/// Non-blocking [`claim_blocking`]: `None` means the slot is already
-/// filled or someone else holds the claim. Lockstep groups use this so a
-/// group never waits while holding other lanes' claims (no lock-order
-/// cycles between groups that share keys); a lane lost this way is
-/// resolved through the ordinary blocking path when the member job's
-/// output is read.
-fn claim_now(slot: &Slot, key: &MemoKey) -> Option<KeyClaim> {
-    let table = claims();
-    let mut held = lock_unpoisoned(&table.held);
-    if slot.get().is_some() || held.contains(key) {
-        return None;
-    }
-    held.insert(key.clone());
-    Some(KeyClaim { key: key.clone() })
 }
 
 /// Built workloads, one per (app, scale). Synthesizing an instruction trace
@@ -365,24 +314,6 @@ fn baseline_key(config: &SystemConfig, app: AppId, scale: Scale) -> MemoKey {
     }
 }
 
-/// Marks the baseline runs whose traces the given jobs' Ideal runs consume.
-fn register_trace_demands(jobs: &[Job]) {
-    let wanted: Vec<MemoKey> = jobs
-        .iter()
-        .filter(|j| j.scheme.needs_oracle_trace())
-        .map(|j| baseline_key(&j.config, j.app, j.scale))
-        .collect();
-    if !wanted.is_empty() {
-        lock_unpoisoned(TRACE_WANTED.get_or_init(Mutex::default)).extend(wanted);
-    }
-}
-
-fn trace_wanted(key: &MemoKey) -> bool {
-    TRACE_WANTED
-        .get()
-        .is_some_and(|set| lock_unpoisoned(set).contains(key))
-}
-
 /// Entry stems (see [`runcache::entry_stem`]) of every simulation this
 /// process actually executed, for the planner's resume accounting.
 static EXECUTED_STEMS: OnceLock<Mutex<Vec<String>>> = OnceLock::new();
@@ -397,174 +328,6 @@ pub fn executed_entry_stems() -> Vec<String> {
         .get()
         .map(|v| lock_unpoisoned(v).clone())
         .unwrap_or_default()
-}
-
-fn record_executed(config_fp: u64, scheme: Scheme, app: AppId, scale: Scale) {
-    lock_unpoisoned(EXECUTED_STEMS.get_or_init(Mutex::default))
-        .push(runcache::entry_stem(config_fp, scheme, app, scale));
-}
-
-/// Performs one real simulation for the memo table (never consults it).
-fn execute(config: &SystemConfig, scheme: Scheme, app: AppId, scale: Scale) -> MemoEntry {
-    fault::on_execute(config.zombie_sample_interval.is_some());
-    SIM_EXECUTIONS.fetch_add(1, Ordering::Relaxed);
-    let workload = cached_workload(app, scale);
-    let (oracle_trace, with_recorder) = match scheme {
-        Scheme::Baseline => {
-            BASELINE_EXECUTIONS.fetch_add(1, Ordering::Relaxed);
-            // Record the generation trace iff some planned Ideal job consumes
-            // it (the recorder is passive — bit-identical result — so the
-            // execution doubles as the oracle pass). Unwanted traces are
-            // skipped: recording and retaining them for every baseline in
-            // the suite costs time and memory for nothing.
-            (None, trace_wanted(&baseline_key(config, app, scale)))
-        }
-        Scheme::Ideal => {
-            // The oracle pass is a baseline run — share it through the
-            // cache instead of executing a private one.
-            let trace = baseline_trace(config, app, scale);
-            (Some((*trace).clone()), false)
-        }
-        _ => (None, false),
-    };
-    let lane = crate::build_lane(config, scheme, workload, oracle_trace, with_recorder)
-        .unwrap_or_else(|e| panic!("invalid energy configuration: {e}"));
-    let outcome = crate::run_lane(lane);
-    MemoEntry {
-        result: outcome.result,
-        trace: match outcome.trace {
-            Some(t) => OnceLock::from(Arc::new(t)),
-            None => OnceLock::new(),
-        },
-        zombies: config
-            .zombie_sample_interval
-            .is_some()
-            .then(|| Arc::new(outcome.zombie_samples)),
-    }
-}
-
-/// How long to wait for another process's claimed entry to land before
-/// simulating it ourselves anyway. Sized for the short jobs that dominate
-/// shared-cache suites; a longer job simply gets (safely) duplicated.
-const CLAIM_WAIT: std::time::Duration = std::time::Duration::from_secs(5);
-
-fn entry_from_hit(hit: runcache::CachedRun) -> MemoEntry {
-    MemoEntry {
-        result: hit.result,
-        trace: OnceLock::new(),
-        zombies: hit.zombie_samples.map(Arc::new),
-    }
-}
-
-/// Resolves one key: memo table first, then the persistent cache (if one
-/// is installed), then a real execution (stored back to the persistent
-/// cache). Returns the initialized slot plus whether *this call* simulated.
-///
-/// With a persistent cache installed, an advisory per-entry claim
-/// coordinates concurrent harness *processes*: a first-touch miss claims
-/// the entry before simulating; finding someone else's fresh claim waits
-/// briefly for their store to land instead of duplicating the run.
-fn resolve(config: &SystemConfig, scheme: Scheme, app: AppId, scale: Scale) -> (Slot, bool) {
-    let config_fp = effective_fingerprint(config, scheme);
-    let key = MemoKey {
-        config_fp,
-        scheme,
-        app,
-        scale,
-    };
-    let slot = memo_slot(key.clone());
-    if slot.get().is_some() {
-        return (slot, false);
-    }
-    let Some(claim) = claim_blocking(&slot, &key) else {
-        // Filled while we waited for the producer.
-        return (slot, false);
-    };
-    // We hold the claim over an empty slot: produce the entry. (The claim
-    // releases on unwind too, so a panic here leaves the key retryable.)
-    let mut rc_claim = None;
-    if let Some(cache) = runcache::active() {
-        if let Some(hit) = cache.load(config_fp, scheme, app, scale) {
-            let _ = slot.set(entry_from_hit(hit));
-            return (slot, false);
-        }
-        match cache.claim(config_fp, scheme, app, scale) {
-            runcache::ClaimOutcome::Held(guard) => {
-                // Re-check under the lease: a rival process may have
-                // stored (and journaled) this entry between our load
-                // check and the claim.
-                if let Some(hit) = cache.load(config_fp, scheme, app, scale) {
-                    drop(guard);
-                    let _ = slot.set(entry_from_hit(hit));
-                    return (slot, false);
-                }
-                rc_claim = Some(guard);
-            }
-            runcache::ClaimOutcome::Busy => {
-                if let Some(hit) = cache.wait_for_entry(config_fp, scheme, app, scale, CLAIM_WAIT) {
-                    let _ = slot.set(entry_from_hit(hit));
-                    return (slot, false);
-                }
-            }
-            runcache::ClaimOutcome::Unavailable => {}
-        }
-    }
-    let entry = execute(config, scheme, app, scale);
-    record_executed(config_fp, scheme, app, scale);
-    if let Some(cache) = runcache::active() {
-        let stored = cache.store(
-            config_fp,
-            scheme,
-            app,
-            scale,
-            &entry.result,
-            entry.zombies.as_deref().map(Vec::as_slice),
-        );
-        // Journal only durable entries: the resume contract promises a
-        // journaled job replays from disk, so a failed store must not
-        // be journaled.
-        if stored {
-            cache.journal_append(&runcache::entry_stem(config_fp, scheme, app, scale));
-        }
-    }
-    let _ = slot.set(entry);
-    drop(rc_claim);
-    drop(claim);
-    (slot, true)
-}
-
-/// Runs (or recalls) one job through the memoization table.
-fn run_cached(config: &SystemConfig, scheme: Scheme, app: AppId, scale: Scale) -> JobOutput {
-    let (slot, ran_here) = resolve(config, scheme, app, scale);
-    let entry = slot.get().expect("slot was just resolved");
-    let mut result = entry.result.clone();
-    if !ran_here {
-        result.sim_mips = 0.0;
-    }
-    JobOutput {
-        result,
-        zombie_samples: entry.zombies.clone(),
-    }
-}
-
-/// The recorded trace of the memoized baseline run for this key (executing
-/// the baseline if it has not run yet). If the baseline entry was replayed
-/// from the persistent cache — which does not carry traces — the baseline
-/// is re-executed once with a recorder to refill it; that re-execution
-/// counts in both execution counters.
-fn baseline_trace(config: &SystemConfig, app: AppId, scale: Scale) -> Arc<GenerationTrace> {
-    let (slot, _) = resolve(config, Scheme::Baseline, app, scale);
-    let entry = slot.get().expect("slot was just resolved");
-    entry
-        .trace
-        .get_or_init(|| {
-            fault::on_execute(config.zombie_sample_interval.is_some());
-            SIM_EXECUTIONS.fetch_add(1, Ordering::Relaxed);
-            BASELINE_EXECUTIONS.fetch_add(1, Ordering::Relaxed);
-            let (_, trace) = crate::run_baseline_with_trace(config, cached_workload(app, scale));
-            Arc::new(trace)
-        })
-        .clone()
 }
 
 /// Everything one job's run produced.
@@ -618,324 +381,521 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One unit of worker-pool work: a single job, or a lockstep group of
-/// same-(config, app, scale) job indices spanning several schemes.
-enum WorkItem {
-    Single(usize),
-    Group(Vec<usize>),
+/// One distinct memo key of a call, with the job that represents it.
+struct Unit {
+    key: MemoKey,
+    job: Job,
 }
 
-impl WorkItem {
-    fn estimated_cost(&self, jobs: &[Job]) -> f64 {
-        match self {
-            WorkItem::Single(i) => jobs[*i].estimated_cost(),
-            WorkItem::Group(members) => members.iter().map(|&i| jobs[i].estimated_cost()).sum(),
-        }
-    }
-}
-
-/// Partitions `jobs` into work items. Jobs sharing a raw configuration
-/// fingerprint, app and scale are one workload replay observed under
-/// different schemes; a partition with at least two distinct schemes
-/// becomes one lockstep [`WorkItem::Group`]. `Ideal` jobs never join a
-/// group (their oracle pass resolves through the baseline's memoized
-/// trace), and duplicate-scheme members ride along — the group's one lane
-/// per scheme serves them all through the memo table.
-fn plan_work(jobs: &[Job]) -> Vec<WorkItem> {
-    let mut order: Vec<(u64, AppId, Scale)> = Vec::new();
-    let mut parts: HashMap<(u64, AppId, Scale), Vec<usize>> = HashMap::new();
-    for (i, job) in jobs.iter().enumerate() {
-        if job.scheme == Scheme::Ideal {
-            continue;
-        }
-        let part = (config_fingerprint(&job.config), job.app, job.scale);
-        parts
-            .entry(part)
-            .or_insert_with(|| {
-                order.push(part);
-                Vec::new()
-            })
-            .push(i);
-    }
-    let mut items = Vec::new();
-    let mut grouped = vec![false; jobs.len()];
-    for part in order {
-        let members = parts.remove(&part).expect("partition was just inserted");
-        let schemes: HashSet<Scheme> = members.iter().map(|&i| jobs[i].scheme).collect();
-        if schemes.len() >= 2 {
-            for &i in &members {
-                grouped[i] = true;
-            }
-            items.push(WorkItem::Group(members));
-        }
-    }
-    for (i, grouped) in grouped.into_iter().enumerate() {
-        if !grouped {
-            items.push(WorkItem::Single(i));
-        }
-    }
-    items
-}
-
-fn job_error(job: &Job, message: String) -> JobError {
-    JobError {
-        config_fp: effective_fingerprint(&job.config, job.scheme),
-        scheme: job.scheme,
-        app: job.app,
-        scale: job.scale,
-        message,
-    }
-}
-
-/// Runs one singleton job with its panic contained to a [`JobError`].
-///
-/// Unwind safety: `run_cached` only touches the process-wide tables in
-/// this module, all of which are insert-whole maps behind
-/// `lock_unpoisoned` (see its contract) or claim-gated `OnceLock` slots
-/// whose abandoned initialization is simply retried.
-fn run_single(job: &Job) -> Result<JobOutput, JobError> {
-    catch_unwind(AssertUnwindSafe(|| {
-        run_cached(&job.config, job.scheme, job.app, job.scale)
-    }))
-    .map_err(|payload| job_error(job, panic_message(payload)))
-}
-
-/// Executes one lockstep group: one fully monomorphized lane per distinct
-/// member scheme, all driven over the same shared workload by
-/// [`crate::system::drive_lockstep`]. Per lane, the claim/memo/
-/// persistent-cache protocol matches the singleton path exactly — a lane
-/// only simulates here if its key is unclaimed, unfilled and not on disk;
-/// anything already produced (or being produced elsewhere) is recalled
-/// through [`run_cached`] when the member outputs are read. A panicking
-/// lane fails exactly its own scheme's jobs; sibling lanes complete.
-fn run_group(jobs: &[Job], members: &[usize]) -> Vec<(usize, Result<JobOutput, JobError>)> {
-    let first = &jobs[members[0]];
-    let (config, app, scale) = (&first.config, first.app, first.scale);
-
-    // One lane per distinct scheme, in first-appearance order.
-    let mut schemes: Vec<Scheme> = Vec::new();
-    for &i in members {
-        if !schemes.contains(&jobs[i].scheme) {
-            schemes.push(jobs[i].scheme);
-        }
-    }
-
-    struct Lane {
-        scheme: Scheme,
-        key: MemoKey,
-        slot: Slot,
-        claim: KeyClaim,
-        rc_claim: Option<runcache::LeaseGuard>,
-    }
-
-    let mut lanes: Vec<Lane> = Vec::new();
-    let mut sims: Vec<Box<dyn LaneRun>> = Vec::new();
-    let mut failures: HashMap<Scheme, String> = HashMap::new();
-    for &scheme in &schemes {
-        let config_fp = effective_fingerprint(config, scheme);
-        let key = MemoKey {
-            config_fp,
-            scheme,
-            app,
-            scale,
-        };
-        let slot = memo_slot(key.clone());
-        let Some(claim) = claim_now(&slot, &key) else {
-            continue; // produced (or claimed) elsewhere
-        };
-        let mut rc_claim = None;
-        if let Some(cache) = runcache::active() {
-            if let Some(hit) = cache.load(config_fp, scheme, app, scale) {
-                let _ = slot.set(entry_from_hit(hit));
-                continue;
-            }
-            match cache.claim(config_fp, scheme, app, scale) {
-                runcache::ClaimOutcome::Held(guard) => {
-                    // Re-check under the lease (see `resolve`): a rival
-                    // may have completed this key since our load check.
-                    if let Some(hit) = cache.load(config_fp, scheme, app, scale) {
-                        drop(guard);
-                        let _ = slot.set(entry_from_hit(hit));
-                        continue;
-                    }
-                    rc_claim = Some(guard);
-                }
-                // Another process is simulating this key; don't stall the
-                // whole group on it — the member output read waits instead.
-                runcache::ClaimOutcome::Busy => continue,
-                runcache::ClaimOutcome::Unavailable => {}
-            }
-        }
-        let with_recorder = scheme == Scheme::Baseline && trace_wanted(&key);
-        match catch_unwind(AssertUnwindSafe(|| {
-            fault::on_execute(config.zombie_sample_interval.is_some());
-            SIM_EXECUTIONS.fetch_add(1, Ordering::Relaxed);
-            if scheme == Scheme::Baseline {
-                BASELINE_EXECUTIONS.fetch_add(1, Ordering::Relaxed);
-            }
-            crate::build_lane(
-                config,
-                scheme,
-                cached_workload(app, scale),
-                None,
-                with_recorder,
-            )
-            .unwrap_or_else(|e| panic!("invalid energy configuration: {e}"))
-        })) {
-            Ok(sim) => {
-                lanes.push(Lane {
-                    scheme,
-                    key,
-                    slot,
-                    claim,
-                    rc_claim,
-                });
-                sims.push(sim);
-            }
-            Err(payload) => {
-                failures.insert(scheme, panic_message(payload));
-            }
-        }
-    }
-
-    // Each lane's result is bit-identical to an uninterrupted independent
-    // run (see `run_lockstep`), and its panics stay contained to it.
-    let wall_start = std::time::Instant::now();
-    let panics = crate::system::drive_lockstep(&mut sims);
-    let wall = wall_start.elapsed().as_secs_f64();
-
-    // Publish each surviving lane: entry, counters, persistent store. A
-    // panicked lane is dropped with its slot still empty, which releases its
-    // claims: the failure stays retryable, and only this scheme's jobs
-    // report it.
-    for ((lane, sim), panic) in lanes.into_iter().zip(sims).zip(panics) {
-        let Lane {
-            scheme,
-            key,
-            slot,
-            claim,
-            rc_claim,
-        } = lane;
-        if let Some(payload) = panic {
-            failures.insert(scheme, panic_message(payload));
-            continue;
-        }
-        let published = catch_unwind(AssertUnwindSafe(|| {
-            let mut outcome = sim.finish_collecting();
-            if wall > 0.0 {
-                outcome.result.sim_mips = outcome.result.committed as f64 / wall / 1e6;
-            }
-            record_executed(key.config_fp, scheme, app, scale);
-            let entry = MemoEntry {
-                result: outcome.result,
-                trace: match outcome.trace {
-                    Some(t) => OnceLock::from(Arc::new(t)),
-                    None => OnceLock::new(),
+/// Deduplicates `jobs` to one unit per memo key, adding the implicit
+/// oracle-baseline unit behind any `Ideal` key whose baseline is not itself
+/// requested (each baseline comes before the `Ideal` units that consume
+/// it). Also returns each job's unit.
+fn units_of(jobs: &[Job]) -> (Vec<Unit>, Vec<usize>) {
+    let mut index: HashMap<MemoKey, usize> = HashMap::with_capacity(jobs.len());
+    let mut units: Vec<Unit> = Vec::new();
+    let mut intern = |key: MemoKey, job: &Job| match index.entry(key) {
+        Entry::Occupied(e) => *e.get(),
+        Entry::Vacant(e) => {
+            units.push(Unit {
+                key: e.key().clone(),
+                job: Job {
+                    scheme: e.key().scheme,
+                    ..job.clone()
                 },
-                zombies: config
-                    .zombie_sample_interval
-                    .is_some()
-                    .then(|| Arc::new(outcome.zombie_samples)),
-            };
-            if let Some(cache) = runcache::active() {
-                let stored = cache.store(
-                    key.config_fp,
-                    scheme,
-                    app,
-                    scale,
-                    &entry.result,
-                    entry.zombies.as_deref().map(Vec::as_slice),
-                );
-                if stored {
-                    cache.journal_append(&runcache::entry_stem(key.config_fp, scheme, app, scale));
-                }
-            }
-            let _ = slot.set(entry);
-        }));
-        if let Err(payload) = published {
-            failures.insert(scheme, panic_message(payload));
+            });
+            *e.insert(units.len() - 1)
         }
-        drop(rc_claim);
-        drop(claim);
+    };
+    let unit_of = jobs
+        .iter()
+        .map(|job| {
+            if job.scheme.needs_oracle_trace() {
+                intern(baseline_key(&job.config, job.app, job.scale), job);
+            }
+            intern(MemoKey::of(job), job)
+        })
+        .collect();
+    (units, unit_of)
+}
+
+/// Groups `units` into work items, longest-estimated-first (ties keep
+/// first-appearance order). Units that share a raw configuration
+/// fingerprint, app and scale form one item; each `Ideal` unit joins the
+/// item that holds its baseline's memo key.
+fn work_items(units: &[Unit]) -> Vec<Vec<usize>> {
+    let mut items: Vec<Vec<usize>> = Vec::new();
+    let mut parts: HashMap<(u64, AppId, Scale), usize> = HashMap::new();
+    let mut baselines: HashMap<&MemoKey, usize> = HashMap::new();
+    for (u, unit) in units.iter().enumerate() {
+        let job = &unit.job;
+        let item = if job.scheme.needs_oracle_trace() {
+            baselines[&baseline_key(&job.config, job.app, job.scale)]
+        } else {
+            let part = (config_fingerprint(&job.config), job.app, job.scale);
+            *parts.entry(part).or_insert_with(|| {
+                items.push(Vec::new());
+                items.len() - 1
+            })
+        };
+        if job.scheme == Scheme::Baseline {
+            baselines.insert(&unit.key, item);
+        }
+        items[item].push(u);
+    }
+    let mut ranked: Vec<(f64, Vec<usize>)> = items
+        .into_iter()
+        .map(|item| {
+            let cost = item.iter().map(|&u| units[u].job.estimated_cost()).sum();
+            (cost, item)
+        })
+        .collect();
+    ranked.sort_by(|a, b| b.0.total_cmp(&a.0));
+    ranked.into_iter().map(|(_, item)| item).collect()
+}
+
+/// What finishes a key in one [`produce`] call.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Finish {
+    /// The result is in memory. An unwritable cache degrades to cacheless:
+    /// one warning, no per-key retries or sleeps.
+    Memory,
+    /// The result is durable on disk (`--worker`). Lease and store failures
+    /// are retried under the [`RetryPolicy`], using the in-memory result.
+    Disk,
+}
+
+/// A unit's progress within one [`produce`] call.
+enum Status {
+    Open {
+        attempts: u32,
+    },
+    /// Simulated (and stored) by this call, at this `sim_mips`.
+    Produced {
+        sim_mips: f64,
+    },
+    /// Found already produced: in the memo or on disk.
+    Found,
+    Failed(String),
+}
+
+/// The claim this process holds on a key it is about to simulate.
+struct Claim {
+    unit: usize,
+    attempts: u32,
+    lease: Option<runcache::LeaseGuard>,
+}
+
+/// One [`produce`] call's shared state.
+struct Producer<'a> {
+    units: &'a [Unit],
+    cache: Option<&'static runcache::RunCache>,
+    /// Finish::Disk with a cache installed.
+    durable: bool,
+    policy: &'a RetryPolicy,
+    status: Vec<Mutex<Status>>,
+    stolen_leases: AtomicUsize,
+    busy_skips: AtomicUsize,
+    retries: AtomicUsize,
+}
+
+/// Serializes produce calls within the process (see the module docs).
+static TURN: Mutex<()> = Mutex::new(());
+
+/// Produces every unit, sweeping the work items on `threads` threads until
+/// none is left open. Returns each unit's final status and the call's
+/// accounting.
+fn produce(
+    units: &[Unit],
+    finish: Finish,
+    policy: &RetryPolicy,
+    threads: usize,
+) -> (Vec<Status>, WorkerReport) {
+    assert!(threads >= 1, "need at least one thread");
+    let _turn = lock_unpoisoned(&TURN);
+    let cache = runcache::active();
+    let producer = Producer {
+        units,
+        cache,
+        durable: finish == Finish::Disk && cache.is_some(),
+        policy,
+        status: units
+            .iter()
+            .map(|_| Mutex::new(Status::Open { attempts: 0 }))
+            .collect(),
+        stolen_leases: AtomicUsize::new(0),
+        busy_skips: AtomicUsize::new(0),
+        retries: AtomicUsize::new(0),
+    };
+    let items = work_items(units);
+    let mut pending: Vec<usize> = (0..items.len()).collect();
+    let mut rng = runcache::fresh_token();
+    let mut idle_sweeps = 0u32;
+    while !pending.is_empty() {
+        let next = AtomicUsize::new(0);
+        let progressed = AtomicBool::new(false);
+        let still_open = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            for _ in 0..threads.min(pending.len()) {
+                scope.spawn(|| {
+                    let mut rng = runcache::fresh_token();
+                    while let Some(&i) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let (moved, open) = producer.visit(&items[i], &mut rng);
+                        if moved {
+                            progressed.store(true, Ordering::Relaxed);
+                        }
+                        if open {
+                            lock_unpoisoned(&still_open).push(i);
+                        }
+                    }
+                });
+            }
+        });
+        pending = still_open
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        pending.sort_unstable(); // back to longest-first order
+        if progressed.into_inner() {
+            idle_sweeps = 0;
+        } else if !pending.is_empty() {
+            // Other processes hold every remaining lease: back off before
+            // the next sweep, never longer than one heartbeat.
+            idle_sweeps += 1;
+            let heartbeat = cache.map_or(policy.cap, |c| c.lease_params().heartbeat);
+            std::thread::sleep(policy.delay(idle_sweeps.min(6), &mut rng).min(heartbeat));
+        }
+    }
+    let mut report = WorkerReport {
+        stolen_leases: producer.stolen_leases.into_inner(),
+        busy_skips: producer.busy_skips.into_inner(),
+        retries: producer.retries.into_inner(),
+        ..WorkerReport::default()
+    };
+    let status: Vec<Status> = producer
+        .status
+        .into_iter()
+        .map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner))
+        .collect();
+    for (unit, status) in units.iter().zip(&status) {
+        match status {
+            Status::Produced { .. } => report.completed += 1,
+            Status::Found => report.adopted += 1,
+            Status::Failed(message) => report.failures.push(job_error(&unit.key, message)),
+            Status::Open { .. } => unreachable!("sweeps run until no unit is open"),
+        }
+    }
+    (status, report)
+}
+
+impl Producer<'_> {
+    fn settle(&self, unit: usize, status: Status) {
+        *lock_unpoisoned(&self.status[unit]) = status;
     }
 
-    // Member outputs: a failed lane fails exactly its own jobs; everything
-    // else reads through the ordinary memoized path (which also covers
-    // lanes this group ceded to another producer).
-    members
-        .iter()
-        .map(|&i| {
-            let job = &jobs[i];
-            let outcome = match failures.get(&job.scheme) {
-                Some(msg) => Err(job_error(job, msg.clone())),
-                None => run_single(job),
+    fn open_units(&self, item: &[usize]) -> usize {
+        item.iter()
+            .filter(|&&u| matches!(*lock_unpoisoned(&self.status[u]), Status::Open { .. }))
+            .count()
+    }
+
+    /// One visit to one item: opens its open keys, simulates the ones this
+    /// process claimed, and finishes them. Returns whether any key settled
+    /// and whether any is still open.
+    fn visit(&self, item: &[usize], rng: &mut u64) -> (bool, bool) {
+        let open_before = self.open_units(item);
+        let mut group = Vec::new();
+        let mut oracles = Vec::new();
+        for &unit in item {
+            let Status::Open { attempts } = *lock_unpoisoned(&self.status[unit]) else {
+                continue;
             };
-            (i, outcome)
+            if let Some(claim) = self.open(unit, attempts, rng) {
+                if self.units[unit].key.scheme.needs_oracle_trace() {
+                    oracles.push(claim);
+                } else {
+                    group.push(claim);
+                }
+            }
+        }
+
+        let record = !oracles.is_empty();
+        let mut lanes = Vec::new();
+        let mut running = Vec::new();
+        for claim in group {
+            let job = &self.units[claim.unit].job;
+            match start(
+                job,
+                job.scheme,
+                None,
+                record && job.scheme == Scheme::Baseline,
+            ) {
+                Ok(lane) => {
+                    lanes.push(lane);
+                    running.push(claim);
+                }
+                Err(message) => self.settle(claim.unit, Status::Failed(message)),
+            }
+        }
+        let mut trace = None;
+        for (claim, mut outcome) in running.into_iter().zip(simulate(lanes)) {
+            if let Ok(run) = &mut outcome {
+                trace = trace.or(run.trace.take());
+            }
+            self.finish(claim, outcome, rng);
+        }
+
+        for claim in oracles {
+            let job = &self.units[claim.unit].job;
+            let oracle = match trace.take() {
+                Some(trace) => Ok(trace),
+                None => start(job, Scheme::Baseline, None, true)
+                    .and_then(|lane| simulate(vec![lane]).pop().expect("one lane"))
+                    .map(|run| run.trace.expect("recorder was attached")),
+            };
+            let outcome = oracle
+                .and_then(|oracle| start(job, job.scheme, Some(oracle), false))
+                .and_then(|lane| simulate(vec![lane]).pop().expect("one lane"));
+            self.finish(claim, outcome, rng);
+        }
+
+        let open_after = self.open_units(item);
+        (open_after < open_before, open_after > 0)
+    }
+
+    /// Opens one key. Returns the claim to simulate it under, or `None`
+    /// when there is nothing to simulate now: the key settled, or another
+    /// process holds it.
+    fn open(&self, unit: usize, attempts: u32, rng: &mut u64) -> Option<Claim> {
+        let key = &self.units[unit].key;
+        let claim = |lease| {
+            Some(Claim {
+                unit,
+                attempts,
+                lease,
+            })
+        };
+        if !self.durable && memo().contains_key(key) {
+            self.settle(unit, Status::Found);
+            return None;
+        }
+        let Some(cache) = self.cache else {
+            return claim(None);
+        };
+        if self.adopt(cache, key) {
+            self.settle(unit, Status::Found);
+            return None;
+        }
+        match cache.claim(key.config_fp, key.scheme, key.app, key.scale) {
+            runcache::ClaimOutcome::Held(lease) => {
+                if lease.stole_stale_lease() {
+                    self.stolen_leases.fetch_add(1, Ordering::Relaxed);
+                }
+                // Re-check under the lease: a rival may have stored (and
+                // journaled) this key between the load and the claim.
+                if self.adopt(cache, key) {
+                    self.settle(unit, Status::Found);
+                    return None;
+                }
+                claim(Some(lease))
+            }
+            runcache::ClaimOutcome::Busy => {
+                self.busy_skips.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+            runcache::ClaimOutcome::Unavailable if self.durable => {
+                let status = match self.backoff(attempts, rng) {
+                    Some(attempts) => Status::Open { attempts },
+                    None => Status::Failed("lease unavailable (claim contention)".into()),
+                };
+                self.settle(unit, status);
+                None
+            }
+            // Duplicate work is safe, stalling is not.
+            runcache::ClaimOutcome::Unavailable => claim(None),
+        }
+    }
+
+    /// Loads `key` from disk into the memo; whether it was there.
+    fn adopt(&self, cache: &runcache::RunCache, key: &MemoKey) -> bool {
+        let Some(hit) = cache.load(key.config_fp, key.scheme, key.app, key.scale) else {
+            return false;
+        };
+        let entry = MemoEntry {
+            result: hit.result,
+            zombies: hit.zombie_samples.map(Arc::new),
+        };
+        memo().insert(key.clone(), entry);
+        true
+    }
+
+    /// Counts one failed lease or store attempt: backs off and returns the
+    /// new attempt count, or `None` once the retries are spent.
+    fn backoff(&self, attempts: u32, rng: &mut u64) -> Option<u32> {
+        let next = attempts + 1;
+        if next > self.policy.max_retries {
+            return None;
+        }
+        self.retries.fetch_add(1, Ordering::Relaxed);
+        std::thread::sleep(self.policy.delay(next, rng));
+        Some(next)
+    }
+
+    /// Finishes one simulated key: store and journal it, memoize it, then
+    /// release its lease.
+    fn finish(&self, claim: Claim, outcome: Result<RunOutcome, String>, rng: &mut u64) {
+        let Claim {
+            unit,
+            mut attempts,
+            lease,
+        } = claim;
+        let mut run = match outcome {
+            Ok(run) => run,
+            Err(message) => return self.settle(unit, Status::Failed(message)),
+        };
+        let key = &self.units[unit].key;
+        lock_unpoisoned(EXECUTED_STEMS.get_or_init(Mutex::default)).push(key.stem());
+        let sim_mips = std::mem::take(&mut run.result.sim_mips);
+        let entry = MemoEntry {
+            result: run.result,
+            zombies: self.units[unit]
+                .job
+                .config
+                .zombie_sample_interval
+                .is_some()
+                .then(|| Arc::new(run.zombie_samples)),
+        };
+        let mut status = Status::Produced { sim_mips };
+        if let Some(cache) = self.cache {
+            let zombies = entry.zombies.as_deref().map(Vec::as_slice);
+            loop {
+                if cache.store(
+                    key.config_fp,
+                    key.scheme,
+                    key.app,
+                    key.scale,
+                    &entry.result,
+                    zombies,
+                ) {
+                    // Journal only durable entries: journaled means
+                    // replayable.
+                    cache.journal_append(&key.stem());
+                    break;
+                }
+                if !self.durable {
+                    break;
+                }
+                match self.backoff(attempts, rng) {
+                    Some(next) => attempts = next,
+                    None => {
+                        status = Status::Failed("store failed (I/O)".into());
+                        break;
+                    }
+                }
+            }
+        }
+        memo().insert(key.clone(), entry);
+        self.settle(unit, status);
+        drop(lease);
+    }
+}
+
+/// Starts one simulation of `job`'s configuration, app and scale under
+/// `scheme` — the one place that fires [`fault::on_execute`] and counts
+/// executions.
+fn start(
+    job: &Job,
+    scheme: Scheme,
+    oracle: Option<GenerationTrace>,
+    record: bool,
+) -> Result<Box<dyn LaneRun>, String> {
+    catch_unwind(AssertUnwindSafe(|| {
+        fault::on_execute(job.config.zombie_sample_interval.is_some());
+        SIM_EXECUTIONS.fetch_add(1, Ordering::Relaxed);
+        if scheme == Scheme::Baseline {
+            BASELINE_EXECUTIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        let workload = cached_workload(job.app, job.scale);
+        crate::build_lane(&job.config, scheme, workload, oracle, record)
+            .unwrap_or_else(|e| panic!("invalid energy configuration: {e}"))
+    }))
+    .map_err(panic_message)
+}
+
+/// Drives `lanes` to completion as one lockstep group. Returns, per lane,
+/// its outcome (`sim_mips` over the group's wall time) or its panic
+/// message; a panicking lane never disturbs its siblings.
+fn simulate(mut lanes: Vec<Box<dyn LaneRun>>) -> Vec<Result<RunOutcome, String>> {
+    let wall_start = std::time::Instant::now();
+    let panics = crate::system::drive_lockstep(&mut lanes);
+    let wall = wall_start.elapsed().as_secs_f64();
+    lanes
+        .into_iter()
+        .zip(panics)
+        .map(|(lane, panic)| {
+            if let Some(payload) = panic {
+                return Err(panic_message(payload));
+            }
+            let mut run = catch_unwind(AssertUnwindSafe(|| lane.finish_collecting()))
+                .map_err(panic_message)?;
+            if wall > 0.0 {
+                run.result.sim_mips = run.result.committed as f64 / wall / 1e6;
+            }
+            Ok(run)
         })
         .collect()
+}
+
+fn job_error(key: &MemoKey, message: &str) -> JobError {
+    JobError {
+        config_fp: key.config_fp,
+        scheme: key.scheme,
+        app: key.app,
+        scale: key.scale,
+        message: message.to_string(),
+    }
 }
 
 /// [`run_jobs_outputs`], but a panicking job is contained to its own
 /// result slot instead of taking the whole pool (and every sibling
-/// experiment) down: the worker catches the unwind, records a [`JobError`]
-/// and moves on to the next job. All unaffected jobs always complete.
+/// experiment) down: its key fails with a [`JobError`] and every other
+/// job completes.
 ///
-/// A failed job leaves its memo slot uninitialized, so a later request for
-/// the same key retries the execution — a transient fault costs one retry,
-/// it does not poison the key for the rest of the process.
+/// A failed key stays out of the memo, so a later call for the same key
+/// retries the execution — a transient fault costs one retry, it does not
+/// poison the key for the rest of the process.
 pub fn try_run_jobs_outputs(jobs: &[Job], threads: usize) -> Vec<Result<JobOutput, JobError>> {
-    assert!(threads >= 1, "need at least one thread");
-    // Longest-estimated-first work queue (stable index tie-break) so a big
-    // item cannot land last on a drained pool. Results still fill their
-    // input-order slots, so the ordering is invisible to callers.
-    register_trace_demands(jobs);
-    let items = plan_work(jobs);
-    let costs: Vec<f64> = items.iter().map(|it| it.estimated_cost(jobs)).collect();
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    order.sort_by(|&a, &b| costs[b].total_cmp(&costs[a]).then(a.cmp(&b)));
-    let results: Vec<Mutex<Option<Result<JobOutput, JobError>>>> =
-        jobs.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(items.len().max(1)) {
-            scope.spawn(|| loop {
-                let rank = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&it) = order.get(rank) else {
-                    break;
-                };
-                match &items[it] {
-                    WorkItem::Single(i) => {
-                        let outcome = run_single(&jobs[*i]);
-                        *lock_unpoisoned(&results[*i]) = Some(outcome);
-                    }
-                    WorkItem::Group(members) => {
-                        for (i, outcome) in run_group(jobs, members) {
-                            *lock_unpoisoned(&results[i]) = Some(outcome);
-                        }
-                    }
-                }
-            });
-        }
-    });
-    results
+    try_run_jobs_counted(jobs, threads).0
+}
+
+/// [`try_run_jobs_outputs`], plus the number of distinct simulations the
+/// jobs need ([`count_unique`]), taken from the same dedup pass.
+pub(crate) fn try_run_jobs_counted(
+    jobs: &[Job],
+    threads: usize,
+) -> (Vec<Result<JobOutput, JobError>>, usize) {
+    let (units, unit_of) = units_of(jobs);
+    let (status, _) = produce(&units, Finish::Memory, &RetryPolicy::default(), threads);
+    let memo = memo();
+    let outputs = unit_of
         .into_iter()
-        .enumerate()
-        .map(|(i, m)| {
-            m.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .unwrap_or_else(|| {
-                    // Unreachable in practice (workers always store), kept
-                    // as a contained error rather than a fresh panic source.
-                    Err(JobError {
-                        config_fp: effective_fingerprint(&jobs[i].config, jobs[i].scheme),
-                        scheme: jobs[i].scheme,
-                        app: jobs[i].app,
-                        scale: jobs[i].scale,
-                        message: "job was never executed (worker lost)".into(),
-                    })
-                })
+        .map(|u| {
+            let key = &units[u].key;
+            let sim_mips = match &status[u] {
+                Status::Produced { sim_mips } => *sim_mips,
+                Status::Found => 0.0,
+                Status::Failed(message) => return Err(job_error(key, message)),
+                Status::Open { .. } => unreachable!("produce settles every unit"),
+            };
+            let entry = &memo[key];
+            let mut result = entry.result.clone();
+            result.sim_mips = sim_mips;
+            Ok(JobOutput {
+                result,
+                zombie_samples: entry.zombies.clone(),
+            })
         })
-        .collect()
+        .collect();
+    (outputs, units.len())
 }
 
 /// [`run_jobs`], but returning each job's full [`JobOutput`] (Fig. 4 needs
@@ -1002,24 +962,7 @@ pub fn run_matrix(
 /// planner's dedup accounting asserts `simulations_executed()` lands
 /// exactly here.
 pub fn count_unique(jobs: &[Job]) -> usize {
-    let mut keys = std::collections::HashSet::new();
-    for job in jobs {
-        if job.scheme == Scheme::Ideal {
-            keys.insert(MemoKey {
-                config_fp: effective_fingerprint(&job.config, Scheme::Baseline),
-                scheme: Scheme::Baseline,
-                app: job.app,
-                scale: job.scale,
-            });
-        }
-        keys.insert(MemoKey {
-            config_fp: effective_fingerprint(&job.config, job.scheme),
-            scheme: job.scheme,
-            app: job.app,
-            scale: job.scale,
-        });
-    }
-    keys.len()
+    unique_jobs(jobs).len()
 }
 
 /// Geometric mean of an iterator of positive factors (the paper reports
@@ -1115,11 +1058,11 @@ pub fn default_threads() -> usize {
 // Fleet execution: work-stealing workers over a shared cache directory.
 // ---------------------------------------------------------------------------
 
-/// Retry policy for transient per-job faults in [`run_worker`]: exponential
+/// Retry policy for `--worker`'s lease and store failures: exponential
 /// backoff (`base`, doubling, capped at `cap`) with jitter in
 /// `[delay/2, delay)`, bounded by `max_retries` attempts beyond the first.
-/// Deterministic failures (a simulation panic reproduces identically on
-/// every attempt) fail fast instead — see [`classify_failure`].
+/// A simulation panic is never retried: it reproduces identically on every
+/// attempt.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Retries allowed after the first attempt of a job.
@@ -1153,189 +1096,33 @@ impl RetryPolicy {
     }
 }
 
-/// How a failed job attempt should be handled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailureClass {
-    /// Environmental: I/O trouble, lease contention, a torn store. The same
-    /// attempt can succeed on retry — back off and try again.
-    Transient,
-    /// Reproducible: the simulation itself panicked. Retrying re-executes
-    /// the identical deterministic run to the identical panic — fail fast.
-    Deterministic,
-}
-
-/// Classifies a job failure message for the retry policy. Simulation panics
-/// are deterministic (seeded workloads reproduce them exactly); everything
-/// the storage/lease layer reports — including injected I/O faults, whose
-/// messages name their site — is transient.
-pub fn classify_failure(message: &str) -> FailureClass {
-    const TRANSIENT_MARKERS: [&str; 6] = [
-        "I/O",
-        "io error",
-        "lease",
-        "heartbeat",
-        "steal",
-        "store failed",
-    ];
-    if TRANSIENT_MARKERS.iter().any(|m| message.contains(m)) {
-        FailureClass::Transient
-    } else {
-        FailureClass::Deterministic
-    }
-}
-
 /// Deduplicates `jobs` to one representative per distinct memo key, adding
 /// the implicit oracle-baseline job behind any `Ideal` key whose baseline is
 /// not itself requested — the exact unit set a fleet of workers must
 /// produce, in input order (baselines before the Ideal jobs that consume
-/// them). `unique_jobs(jobs).len() == count_unique(jobs)` always.
+/// them).
 pub fn unique_jobs(jobs: &[Job]) -> Vec<Job> {
-    let mut seen = HashSet::new();
-    let mut out = Vec::new();
-    for job in jobs {
-        if job.scheme.needs_oracle_trace() {
-            let key = baseline_key(&job.config, job.app, job.scale);
-            if seen.insert(key) {
-                out.push(Job {
-                    config: Arc::clone(&job.config),
-                    scheme: Scheme::Baseline,
-                    app: job.app,
-                    scale: job.scale,
-                });
-            }
-        }
-        let key = MemoKey {
-            config_fp: effective_fingerprint(&job.config, job.scheme),
-            scheme: job.scheme,
-            app: job.app,
-            scale: job.scale,
-        };
-        if seen.insert(key) {
-            out.push(job.clone());
-        }
-    }
-    out
+    units_of(jobs).0.into_iter().map(|unit| unit.job).collect()
 }
 
-/// Partitions the deduplicated job set of `jobs` into `count` shards and
-/// returns shard `index` (0-based) — the `--shard i/n` planner.
-///
-/// Assignment is longest-processing-time greedy over *affinity groups*
-/// (an `Ideal` job travels with its oracle baseline, so the oracle pass
-/// replays a shard-local store instead of waiting on a sibling shard),
-/// each group placed on the currently lightest shard. Everything is
-/// derived from the jobs alone — cost model, entry-stem tiebreak, lowest-
-/// index-wins load ties — so every process that plans the same suite
-/// computes the identical partition with no coordination.
-///
-/// Cost bound: a shard's estimated load never exceeds
-/// `total/count + max_group`, where `max_group` is the largest single
-/// affinity group's cost (the classic greedy bound; the shard proptests
-/// assert it).
-pub fn shard_jobs(jobs: &[Job], index: usize, count: usize) -> Vec<Job> {
-    assert!(count >= 1, "need at least one shard");
-    assert!(
-        index < count,
-        "shard index {index} out of range for {count} shards"
-    );
-    let unique = unique_jobs(jobs);
-
-    // Affinity groups over unique-job indices. `unique_jobs` emits every
-    // oracle baseline before its first consumer, so the baseline's group
-    // always exists by the time an Ideal job looks it up.
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut baseline_groups: HashMap<MemoKey, usize> = HashMap::new();
-    for (i, job) in unique.iter().enumerate() {
-        if job.scheme == Scheme::Baseline {
-            baseline_groups.insert(baseline_key(&job.config, job.app, job.scale), groups.len());
-            groups.push(vec![i]);
-        } else if job.scheme.needs_oracle_trace() {
-            match baseline_groups.get(&baseline_key(&job.config, job.app, job.scale)) {
-                Some(&g) => groups[g].push(i),
-                None => groups.push(vec![i]),
-            }
-        } else {
-            groups.push(vec![i]);
-        }
-    }
-
-    let costs: Vec<f64> = groups
-        .iter()
-        .map(|g| g.iter().map(|&i| unique[i].estimated_cost()).sum())
-        .collect();
-    let stems: Vec<String> = groups
-        .iter()
-        .map(|g| {
-            let job = &unique[g[0]];
-            runcache::entry_stem(
-                effective_fingerprint(&job.config, job.scheme),
-                job.scheme,
-                job.app,
-                job.scale,
-            )
-        })
-        .collect();
-    let mut order: Vec<usize> = (0..groups.len()).collect();
-    order.sort_by(|&a, &b| {
-        costs[b]
-            .total_cmp(&costs[a])
-            .then_with(|| stems[a].cmp(&stems[b]))
-    });
-
-    let mut load = vec![0.0f64; count];
-    let mut mine: Vec<usize> = Vec::new();
-    for &g in &order {
-        let lightest = (0..count)
-            .min_by(|&a, &b| load[a].total_cmp(&load[b]).then(a.cmp(&b)))
-            .expect("count >= 1");
-        load[lightest] += costs[g];
-        if lightest == index {
-            mine.extend(&groups[g]);
-        }
-    }
-    mine.sort_unstable(); // restore unique-job (baseline-before-Ideal) order
-    mine.into_iter().map(|i| unique[i].clone()).collect()
-}
-
-/// Structured outcome of one worker's sweep over the job set — the
-/// per-worker summary line the fleet campaign asserts against.
+/// Structured outcome of one worker call — the per-worker summary line the
+/// fleet campaign asserts against.
 #[derive(Debug, Default, Clone)]
 pub struct WorkerReport {
     /// Jobs this worker simulated and durably stored.
     pub completed: usize,
-    /// Jobs found already on disk (produced by another worker).
+    /// Jobs found already produced: on disk (by another worker), or in
+    /// memory when no cache is installed.
     pub adopted: usize,
     /// Expired leases this worker reclaimed from dead holders.
     pub stolen_leases: usize,
-    /// Sweep visits skipped because another live worker held the lease.
+    /// Visits that found a job's lease held by another live process.
     pub busy_skips: usize,
-    /// Transient-failure retries performed (with backoff).
+    /// Lease and store failures retried (with backoff).
     pub retries: usize,
-    /// Jobs that exhausted retries or failed deterministically.
+    /// Jobs whose simulation panicked, or whose lease or store failures
+    /// outlasted the retries.
     pub failures: Vec<JobError>,
-}
-
-impl WorkerReport {
-    /// Folds another worker's accounting into this one (the multi-threaded
-    /// worker merge). Failures are deduplicated by key: sibling sweeps that
-    /// each exhausted retries on the same job report it once.
-    pub fn absorb(&mut self, other: WorkerReport) {
-        self.completed += other.completed;
-        self.adopted += other.adopted;
-        self.stolen_leases += other.stolen_leases;
-        self.busy_skips += other.busy_skips;
-        self.retries += other.retries;
-        let mut seen: HashSet<(u64, Scheme, AppId, Scale)> = self
-            .failures
-            .iter()
-            .map(|e| (e.config_fp, e.scheme, e.app, e.scale))
-            .collect();
-        for e in other.failures {
-            if seen.insert((e.config_fp, e.scheme, e.app, e.scale)) {
-                self.failures.push(e);
-            }
-        }
-    }
 }
 
 impl std::fmt::Display for WorkerReport {
@@ -1355,278 +1142,137 @@ impl std::fmt::Display for WorkerReport {
     }
 }
 
-/// Per-job worker state between sweeps.
-enum WorkState {
-    Pending { attempts: u32 },
-    Done,
-    Failed,
-}
-
-/// Work-steals the deduplicated job set through the shared cache directory
-/// until every job is durably on disk (or failed): the `--worker` mode of
-/// `exp_all`. Any number of workers — processes, machines — may run this
-/// concurrently over one directory; the lease protocol
-/// ([`runcache::RunCache::claim`]) gives each job exactly one live
+/// Produces the deduplicated job set into the shared cache directory on
+/// `threads` threads, until every job is durably on disk (or failed): the
+/// `--worker` mode of `exp_all`. Any number of workers — processes,
+/// machines — may run this concurrently over one directory; the lease
+/// protocol ([`runcache::RunCache::claim`]) gives each job exactly one live
 /// producer, and dead producers are reclaimed after one lease TTL.
 ///
-/// The sweep visits jobs longest-estimated-first, rotated by PID so
-/// concurrent workers start at different offsets and collide less. Per
-/// visit: a job already on disk is *adopted*; a job with a live foreign
-/// lease is skipped (someone else is on it); otherwise this worker leases
-/// it, simulates, stores, journals. Transient failures (I/O, lease
-/// contention, a store that would not land) retry under `policy` with
-/// jittered exponential backoff; deterministic simulation panics fail
-/// fast. `Ideal` jobs are gated until their oracle baseline is loadable
-/// from disk, so the oracle pass replays the stored baseline instead of
-/// racing a second execution — the gate lifts unconditionally if the
-/// baseline can no longer arrive (its producer failed), trading one
-/// duplicate execution for progress.
+/// This is the producer behind [`try_run_jobs_outputs`], with a job
+/// finished once it is durable rather than once it is in memory: a job
+/// already on disk is *adopted*, lease and store failures retry under
+/// `policy` with jittered exponential backoff, and a simulation panic fails
+/// at once. Without an installed cache it degrades to an in-process run.
 ///
 /// Unlike [`try_run_jobs_outputs`], nothing is returned in job order: the
 /// worker's product is the populated cache directory; the report carries
 /// the accounting.
-pub fn run_worker(jobs: &[Job], policy: &RetryPolicy) -> WorkerReport {
-    let mut report = WorkerReport::default();
-    let Some(cache) = runcache::active() else {
-        // No shared directory: degrade to an ordinary in-process run.
-        for outcome in try_run_jobs_outputs(jobs, 1) {
-            match outcome {
-                Ok(_) => report.completed += 1,
-                Err(e) => report.failures.push(e),
-            }
-        }
-        return report;
-    };
-    let jobs = unique_jobs(jobs);
-    register_trace_demands(&jobs);
-
-    // Longest-first, rotated by PID: workers agree on the cost order but
-    // enter it at different points, so they fan out across the job set
-    // instead of convoying on the most expensive job's lease.
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by(|&a, &b| {
-        jobs[b]
-            .estimated_cost()
-            .total_cmp(&jobs[a].estimated_cost())
-            .then(a.cmp(&b))
-    });
-    if !order.is_empty() {
-        // PID + a per-call sequence number: concurrent worker *processes*
-        // and sibling worker *threads* all enter the order at different
-        // offsets.
-        static WORKER_SEQ: AtomicUsize = AtomicUsize::new(0);
-        let salt = WORKER_SEQ
-            .fetch_add(1, Ordering::Relaxed)
-            .wrapping_mul(0x9e37_79b1);
-        let offset = (std::process::id() as usize).wrapping_add(salt) % order.len();
-        order.rotate_left(offset);
-    }
-
-    let mut states: Vec<WorkState> = jobs
-        .iter()
-        .map(|_| WorkState::Pending { attempts: 0 })
-        .collect();
-    let mut rng = runcache::fresh_token();
-    let mut idle_sweeps: u32 = 0;
-    let mut force_ungated = false;
-    loop {
-        let mut progressed = false;
-        let mut busy_now = 0usize;
-        let mut gated_now = 0usize;
-        for &i in &order {
-            let WorkState::Pending { attempts } = states[i] else {
-                continue;
-            };
-            let job = &jobs[i];
-            let config_fp = effective_fingerprint(&job.config, job.scheme);
-            if cache
-                .load(config_fp, job.scheme, job.app, job.scale)
-                .is_some()
-            {
-                states[i] = WorkState::Done;
-                report.adopted += 1;
-                progressed = true;
-                continue;
-            }
-            if !force_ungated && job.scheme.needs_oracle_trace() {
-                let bfp = effective_fingerprint(&job.config, Scheme::Baseline);
-                if cache
-                    .load(bfp, Scheme::Baseline, job.app, job.scale)
-                    .is_none()
-                {
-                    gated_now += 1;
-                    continue;
-                }
-            }
-            match cache.claim(config_fp, job.scheme, job.app, job.scale) {
-                runcache::ClaimOutcome::Busy => {
-                    report.busy_skips += 1;
-                    busy_now += 1;
-                }
-                runcache::ClaimOutcome::Unavailable => {
-                    let next = attempts + 1;
-                    if next > policy.max_retries {
-                        states[i] = WorkState::Failed;
-                        report.failures.push(job_error(
-                            job,
-                            "lease unavailable (claim contention)".into(),
-                        ));
-                    } else {
-                        states[i] = WorkState::Pending { attempts: next };
-                        report.retries += 1;
-                        std::thread::sleep(policy.delay(next, &mut rng));
-                    }
-                }
-                runcache::ClaimOutcome::Held(lease) => {
-                    if lease.stole_stale_lease() {
-                        report.stolen_leases += 1;
-                    }
-                    // The lease serializes completion: a rival may have
-                    // stored this entry between our load check and the
-                    // claim. Re-check under the lease so no job is ever
-                    // executed — or journaled — twice.
-                    if cache
-                        .load(config_fp, job.scheme, job.app, job.scale)
-                        .is_some()
-                    {
-                        states[i] = WorkState::Done;
-                        report.adopted += 1;
-                        progressed = true;
-                        drop(lease);
-                        continue;
-                    }
-                    match produce_on_disk(cache, job) {
-                        Ok(()) => {
-                            states[i] = WorkState::Done;
-                            report.completed += 1;
-                            progressed = true;
-                        }
-                        Err(e) => {
-                            let next = attempts + 1;
-                            let exhausted = next > policy.max_retries;
-                            if exhausted
-                                || classify_failure(&e.message) == FailureClass::Deterministic
-                            {
-                                states[i] = WorkState::Failed;
-                                report.failures.push(e);
-                            } else {
-                                states[i] = WorkState::Pending { attempts: next };
-                                report.retries += 1;
-                                std::thread::sleep(policy.delay(next, &mut rng));
-                            }
-                        }
-                    }
-                    drop(lease);
-                }
-            }
-        }
-        let open = states
-            .iter()
-            .filter(|s| matches!(s, WorkState::Pending { .. }))
-            .count();
-        if open == 0 {
-            break;
-        }
-        if progressed {
-            idle_sweeps = 0;
-            continue;
-        }
-        idle_sweeps += 1;
-        if busy_now == 0 && gated_now > 0 && idle_sweeps >= 2 {
-            // Every remaining job waits on a baseline that is neither on
-            // disk nor being produced: it failed elsewhere. Ungate — the
-            // oracle pass re-executes its baseline in-process instead.
-            force_ungated = true;
-            continue;
-        }
-        // Other workers hold every remaining lease (or a gated baseline is
-        // in flight): back off before re-polling the directory.
-        let wait = policy.delay(idle_sweeps.min(6), &mut rng);
-        std::thread::sleep(wait.min(cache.lease_params().heartbeat));
-    }
-    report
-}
-
-/// [`run_worker`] fanned out over `threads` sibling sweeps in one process,
-/// with their reports merged. Sibling threads coordinate exactly like
-/// sibling processes — through the shared directory's leases — plus the
-/// in-process memo table; a busy lease held by a sibling thread is an
-/// ordinary busy-skip.
 pub fn run_workers(jobs: &[Job], policy: &RetryPolicy, threads: usize) -> WorkerReport {
-    assert!(threads >= 1, "need at least one worker thread");
-    if threads == 1 {
-        return run_worker(jobs, policy);
-    }
-    let reports: Vec<WorkerReport> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| scope.spawn(|| run_worker(jobs, policy)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_default())
-            .collect()
-    });
-    let mut merged = WorkerReport::default();
-    for report in reports {
-        merged.absorb(report);
-    }
-    merged
-}
-
-/// Produces one leased job onto disk: simulate (through the in-process memo
-/// table, so a retry after a failed store re-stores without re-executing),
-/// store, journal. The caller holds the job's disk lease.
-fn produce_on_disk(cache: &runcache::RunCache, job: &Job) -> Result<(), JobError> {
-    let config_fp = effective_fingerprint(&job.config, job.scheme);
-    let key = MemoKey {
-        config_fp,
-        scheme: job.scheme,
-        app: job.app,
-        scale: job.scale,
-    };
-    let slot = memo_slot(key.clone());
-    if slot.get().is_none() {
-        if let Some(claim) = claim_blocking(&slot, &key) {
-            let produced = catch_unwind(AssertUnwindSafe(|| {
-                execute(&job.config, job.scheme, job.app, job.scale)
-            }));
-            match produced {
-                Ok(entry) => {
-                    record_executed(config_fp, job.scheme, job.app, job.scale);
-                    let _ = slot.set(entry);
-                }
-                Err(payload) => {
-                    drop(claim);
-                    return Err(job_error(job, panic_message(payload)));
-                }
-            }
-            drop(claim);
-        }
-    }
-    let entry = slot.get().expect("slot was just produced");
-    let stored = cache.store(
-        config_fp,
-        job.scheme,
-        job.app,
-        job.scale,
-        &entry.result,
-        entry.zombies.as_deref().map(Vec::as_slice),
-    );
-    if !stored {
-        // The simulation result survives in the memo slot; a retry
-        // re-enters here and only repeats the store.
-        return Err(job_error(job, "store failed (I/O)".into()));
-    }
-    cache.journal_append(&runcache::entry_stem(
-        config_fp, job.scheme, job.app, job.scale,
-    ));
-    Ok(())
+    produce(&units_of(jobs).0, Finish::Disk, policy, threads).1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::run_app;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    /// A deterministic pool of real jobs: the whole Tiny suite plan.
+    fn pool() -> &'static [Job] {
+        static POOL: OnceLock<Vec<Job>> = OnceLock::new();
+        POOL.get_or_init(|| crate::planner::plan_suite(Scale::Tiny).jobs)
+    }
+
+    /// Samples a non-empty subset of `pool` from the seeds.
+    fn subset(pool: &[Job], seeds: &[u64]) -> Vec<Job> {
+        let mut jobs: Vec<Job> = seeds
+            .iter()
+            .map(|&s| pool[(s as usize) % pool.len()].clone())
+            .collect();
+        if jobs.is_empty() {
+            jobs.push(pool[0].clone());
+        }
+        jobs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn work_items_tile_the_unique_jobs(
+            seeds in proptest::collection::vec(any::<u64>(), 1..60),
+        ) {
+            let jobs = subset(pool(), &seeds);
+            let (units, _) = units_of(&jobs);
+            let tiled: Vec<&MemoKey> = work_items(&units)
+                .iter()
+                .flatten()
+                .map(|&u| &units[u].key)
+                .collect();
+            let unique = unique_jobs(&jobs);
+            prop_assert_eq!(tiled.len(), unique.len());
+            let tiled: HashSet<&MemoKey> = tiled.into_iter().collect();
+            prop_assert_eq!(tiled.len(), unique.len(), "a memo key sits in two items");
+            for job in &unique {
+                prop_assert!(tiled.contains(&MemoKey::of(job)), "a unique job is in no item");
+            }
+        }
+
+        #[test]
+        fn every_ideal_shares_an_item_with_its_baseline(
+            seeds in proptest::collection::vec(any::<u64>(), 0..40),
+            ideal_seeds in proptest::collection::vec(any::<u64>(), 1..8),
+        ) {
+            let ideals: Vec<Job> = pool()
+                .iter()
+                .filter(|j| j.scheme.needs_oracle_trace())
+                .cloned()
+                .collect();
+            let mut jobs = subset(pool(), &seeds);
+            jobs.extend(subset(&ideals, &ideal_seeds));
+            let (units, _) = units_of(&jobs);
+            for item in work_items(&units) {
+                let keys: HashSet<&MemoKey> = item.iter().map(|&u| &units[u].key).collect();
+                for &u in &item {
+                    let job = &units[u].job;
+                    if job.scheme.needs_oracle_trace() {
+                        let baseline = baseline_key(&job.config, job.app, job.scale);
+                        prop_assert!(keys.contains(&baseline), "an Ideal left its baseline");
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn non_ideal_keys_of_an_item_share_fingerprint_app_and_scale(
+            seeds in proptest::collection::vec(any::<u64>(), 1..60),
+        ) {
+            let jobs = subset(pool(), &seeds);
+            let (units, _) = units_of(&jobs);
+            for item in work_items(&units) {
+                let parts: HashSet<(u64, AppId, Scale)> = item
+                    .iter()
+                    .map(|&u| &units[u].job)
+                    .filter(|job| !job.scheme.needs_oracle_trace())
+                    .map(|job| (config_fingerprint(&job.config), job.app, job.scale))
+                    .collect();
+                prop_assert_eq!(parts.len(), 1);
+            }
+        }
+    }
+
+    #[test]
+    fn cacheless_workers_complete_every_unique_job_once() {
+        // No cache is installed in this binary, so the worker finishes keys
+        // in memory. A private trace seed keeps sibling tests' memo entries
+        // out of the count.
+        let mut config = SystemConfig::paper_default();
+        if let crate::SourceKind::Preset { preset, scale, .. } = config.source {
+            config.source = crate::SourceKind::Preset {
+                preset,
+                seed: 0xacc0,
+                scale,
+            };
+        }
+        let schemes = [Scheme::Baseline, Scheme::Edbp, Scheme::Ideal];
+        let jobs = matrix_jobs(&config, &schemes, &[AppId::Crc32, AppId::Sha], Scale::Tiny);
+        let report = run_workers(&jobs, &RetryPolicy::default(), 2);
+        assert!(report.failures.is_empty(), "{report}");
+        assert_eq!(report.completed, count_unique(&jobs), "{report}");
+        assert_eq!(report.adopted, 0, "{report}");
+    }
 
     #[test]
     fn geomean_of_identity_is_one() {

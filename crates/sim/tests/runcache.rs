@@ -211,23 +211,6 @@ fn claims_exclude_second_claimant_until_dropped() {
     );
 }
 
-/// `wait_for_entry` returns the entry as soon as it lands (the concurrent
-/// claimant's fast path), and `None` after the timeout when it never does.
-#[test]
-fn wait_for_entry_sees_a_store_and_times_out_without_one() {
-    let cache = tmp_cache("wait");
-    let config = SystemConfig::paper_default();
-    let fp = effective_fingerprint(&config, Scheme::Baseline);
-    let timeout = std::time::Duration::from_millis(300);
-    assert!(cache
-        .wait_for_entry(fp, Scheme::Baseline, AppId::Crc32, Scale::Tiny, timeout)
-        .is_none());
-    seed_one_entry(&cache);
-    assert!(cache
-        .wait_for_entry(fp, Scheme::Baseline, AppId::Crc32, Scale::Tiny, timeout)
-        .is_some());
-}
-
 /// A holder whose heartbeat keeps renewing the lease is never preempted,
 /// no matter how many TTLs its job outlasts — the live-claim theft hazard
 /// of the old fixed-staleness scheme, pinned shut.
@@ -351,37 +334,6 @@ fn drop_after_a_steal_leaves_the_new_holders_lease_intact() {
     assert!(own_path.exists());
     drop(guard);
     assert!(!own_path.exists(), "an unstolen lease is removed on drop");
-}
-
-/// `wait_for_entry`'s jittered backoff still catches a store that lands
-/// mid-wait (the polling is sparse, not absent).
-#[test]
-fn wait_for_entry_backs_off_and_still_catches_a_late_store() {
-    let cache = tmp_cache("wait-backoff");
-    let config = SystemConfig::paper_default();
-    let fp = effective_fingerprint(&config, Scheme::Baseline);
-    let result = run_app(&config, Scheme::Baseline, AppId::Crc32, Scale::Tiny);
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            std::thread::sleep(Duration::from_millis(150));
-            cache.store(
-                fp,
-                Scheme::Baseline,
-                AppId::Crc32,
-                Scale::Tiny,
-                &result,
-                None,
-            );
-        });
-        let hit = cache.wait_for_entry(
-            fp,
-            Scheme::Baseline,
-            AppId::Crc32,
-            Scale::Tiny,
-            Duration::from_secs(10),
-        );
-        assert!(hit.is_some(), "the late store must be observed");
-    });
 }
 
 /// Compaction folds duplicate lines (first-seen order), drops the torn
