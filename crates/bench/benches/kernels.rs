@@ -13,9 +13,7 @@ use edbp_core::{
 };
 use ehs_cache::probe::probe;
 use ehs_cache::{AccessKind, BlockId, Cache, CacheConfig, ReplacementPolicy};
-use ehs_sim::{
-    build_lane, record_generation_trace, run_lane, run_lockstep, Scheme, Simulation, SystemConfig,
-};
+use ehs_sim::{build_lane, record_generation_trace, run_lockstep, Scheme, SystemConfig};
 use ehs_units::Voltage;
 use ehs_workloads::{build, AppId, Scale};
 use std::hint::black_box;
@@ -225,38 +223,6 @@ fn oracle_generation_advance(c: &mut Criterion) {
     group.finish();
 }
 
-/// The enum-to-generic dispatch payoff, measured end to end on a bounded
-/// run: the legacy `Box<dyn LeakagePredictor>` `Simulation` vs the
-/// monomorphized lane `build_lane` resolves for the same scheme. The two
-/// produce bit-identical results (`kernel_matrix` asserts it); this measures
-/// what routing every per-access predictor hook through static dispatch is
-/// worth in instructions per second.
-fn dispatch_dyn_vs_mono(c: &mut Criterion) {
-    const BUDGET: u64 = 40_000;
-    let mut config = SystemConfig::paper_default();
-    config.max_instructions = BUDGET;
-    let workload = build(AppId::Crc32, Scale::Tiny);
-
-    let mut group = c.benchmark_group("dispatch");
-    group.throughput(Throughput::Elements(BUDGET));
-    group.bench_function("dyn_simulation", |b| {
-        b.iter(|| {
-            Simulation::new(&config, Scheme::DecayEdbp, workload.clone(), None)
-                .run_collecting()
-                .result
-                .committed
-        })
-    });
-    group.bench_function("mono_lane", |b| {
-        b.iter(|| {
-            let lane = build_lane(&config, Scheme::DecayEdbp, workload.clone(), None, false)
-                .expect("paper-default energy configuration is valid");
-            run_lane(lane).result.committed
-        })
-    });
-    group.finish();
-}
-
 /// Lockstep amortization: the same bounded workload replayed by 1, 4 and 9
 /// scheme lanes through [`run_lockstep`]. Throughput counts *total*
 /// committed instructions, so the wide rosters show how much
@@ -307,7 +273,6 @@ criterion_group!(
     policy_rank_update,
     shadow_table_lookup,
     oracle_generation_advance,
-    dispatch_dyn_vs_mono,
     lockstep_scaling
 );
 criterion_main!(kernels);

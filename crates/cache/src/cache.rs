@@ -213,7 +213,7 @@ const TAG_NONE: u64 = u64::MAX;
 /// power gating. See the crate-level docs for the access protocol.
 ///
 /// Metadata is struct-of-arrays: one flat per-frame tag column (sentinel
-/// [`TAG_NONE`] for empty frames) plus per-set valid/dirty/gated bitmasks
+/// `TAG_NONE` for empty frames) plus per-set valid/dirty/gated bitmasks
 /// and one packed [`SetState`] per set, so the tag probe is a branchless
 /// compare loop over adjacent words and mask updates are single bit ops.
 /// Block data lives in one contiguous arena sized by the geometry

@@ -63,8 +63,9 @@ pub enum ReplacementPolicy {
 }
 
 impl ReplacementPolicy {
-    /// Every policy, in declaration order. Used by the kernel-matrix tests
-    /// to prove the enum-to-generic dispatch is exhaustive.
+    /// Every policy, in declaration order. Used by the scheme × policy lane
+    /// matrix (`burst_exactness`) to prove the enum-to-generic dispatch is
+    /// exhaustive.
     pub const ALL: [ReplacementPolicy; 5] = [
         ReplacementPolicy::Lru,
         ReplacementPolicy::TreePlru,
@@ -242,7 +243,7 @@ enum DuelRole {
 /// A replacement policy's transition functions as compile-time statics, so
 /// the per-access cache path monomorphizes per policy instead of matching a
 /// [`ReplacementPolicy`] on every probe. Obtain a kernel type with
-/// [`with_policy_kernel!`]; never mix kernels and sets of different
+/// [`with_policy_kernel!`](crate::with_policy_kernel!); never mix kernels and sets of different
 /// policies (the cache guards this with a debug assertion).
 pub trait PolicyKernel {
     /// The enum variant this kernel specializes.
@@ -569,7 +570,7 @@ macro_rules! with_policy_kernel {
 
 /// Scalar one-set-at-a-time view over the policy kernels: a
 /// (policy, ways, [`SetState`]) triple that dispatches each call through
-/// [`with_policy_kernel!`]. The cache's hot path uses the kernels directly
+/// [`with_policy_kernel!`](crate::with_policy_kernel!). The cache's hot path uses the kernels directly
 /// over its struct-of-arrays columns; this wrapper exists for tests (the
 /// model proptests pin it against the reference implementation, and through
 /// it every kernel) and for callers that hold a single set's state.

@@ -2,7 +2,7 @@
 //! mask (bit `w` set iff `tags[w] == needle`).
 //!
 //! The cache's SoA layout keeps each set's tags in `ways` adjacent `u64`
-//! words, and empty (invalid or gated) frames hold the [`TAG_NONE`] sentinel
+//! words, and empty (invalid or gated) frames hold the `TAG_NONE` sentinel
 //! that no real tag can equal — so the whole probe is a pure equality
 //! compare over one small slice, with no valid/gated mask to consult.
 

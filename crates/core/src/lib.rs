@@ -19,7 +19,8 @@
 //!   scheme (which blocks are worth checkpointing across an outage).
 //! * [`OracleRecorder`] / [`OraclePredictor`] — the "Ideal" scheme: perfect
 //!   knowledge of each block generation's last access.
-//! * [`CombinedPredictor`] — composition (Cache Decay + EDBP et al.).
+//! * [`Pair`] — composition of two predictors (Cache Decay + EDBP, AMC +
+//!   EDBP).
 //! * [`PredictionLedger`] — zombie-aware TP/FP/TN/FN accounting with the
 //!   paper's redefined coverage and accuracy (Section IV, Eqs. 1–2).
 //!
@@ -75,7 +76,6 @@ pub use metrics::{PredictionClass, PredictionLedger, PredictionSummary};
 pub use oracle::{GenerationTrace, OraclePredictor, OracleRecorder};
 pub use paged::PagedTable;
 pub use predictor::{
-    CombinedPredictor, GatedBlock, LeakagePredictor, NullPredictor, Pair, TickOutcome, WakeHint,
-    WritebackArena,
+    GatedBlock, LeakagePredictor, NullPredictor, Pair, TickOutcome, WakeHint, WritebackArena,
 };
 pub use reuse::{ReusePredictor, ReusePredictorConfig};

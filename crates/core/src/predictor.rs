@@ -239,63 +239,11 @@ pub trait LeakagePredictor: fmt::Debug + Send {
     }
 }
 
-/// Forwarding impl so a boxed predictor satisfies `P: LeakagePredictor`
-/// bounds: generic (monomorphized) simulation code accepts the dynamic
-/// flavour unchanged. Every method delegates, including the ones with
-/// defaults — the inner implementation's overrides must win.
-impl LeakagePredictor for Box<dyn LeakagePredictor> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn on_hit(&mut self, cache: &Cache, block: BlockId, addr: u64) {
-        (**self).on_hit(cache, block, addr);
-    }
-
-    fn on_miss(&mut self, addr: u64) {
-        (**self).on_miss(addr);
-    }
-
-    fn on_fill(&mut self, cache: &Cache, block: BlockId, addr: u64) {
-        (**self).on_fill(cache, block, addr);
-    }
-
-    fn on_restore_fill(&mut self, cache: &Cache, block: BlockId, addr: u64) {
-        (**self).on_restore_fill(cache, block, addr);
-    }
-
-    fn on_evict(&mut self, addr: u64) {
-        (**self).on_evict(addr);
-    }
-
-    fn tick_into(
-        &mut self,
-        cache: &mut Cache,
-        voltage: Voltage,
-        cycle: u64,
-        out: &mut TickOutcome,
-    ) {
-        (**self).tick_into(cache, voltage, cycle, out);
-    }
-
-    fn next_wakeup(&self) -> WakeHint {
-        (**self).next_wakeup()
-    }
-
-    fn on_checkpoint(&mut self, cache: &Cache) {
-        (**self).on_checkpoint(cache);
-    }
-
-    fn on_reboot(&mut self, cache: &Cache) {
-        (**self).on_reboot(cache);
-    }
-}
-
-/// Two predictors running side by side with *static* dispatch — the
-/// monomorphized counterpart of a two-member [`CombinedPredictor`]. Events
-/// fan out `a` then `b` (registration order), identical to
-/// `CombinedPredictor::new(vec![a, b])`, so results are bit-identical; the
-/// member calls just inline instead of going through a vtable.
+/// Two predictors running side by side — the paper's headline scheme is
+/// `Pair` of Cache Decay and EDBP (Section VI), and AMC + EDBP composes the
+/// same way (Section VII-A). Events fan out to `a` then `b`; ticks run in
+/// that order too, so a block `a` gates is simply absent when `b` looks.
+/// Both members are statically dispatched, so their hooks inline.
 #[derive(Debug)]
 pub struct Pair<A, B> {
     /// The first member (ticks first; blocks it gates are absent when `b`
@@ -398,104 +346,6 @@ impl LeakagePredictor for NullPredictor {
     }
 }
 
-/// Runs several predictors side by side — the paper's headline configuration
-/// is `CombinedPredictor` of Cache Decay and EDBP (Section VI).
-///
-/// Events fan out to every member; ticks run in registration order, so a
-/// block gated by an earlier member is simply absent when later members look.
-#[derive(Debug)]
-pub struct CombinedPredictor {
-    members: Vec<Box<dyn LeakagePredictor>>,
-}
-
-impl CombinedPredictor {
-    /// Creates a combination of predictors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `members` is empty.
-    pub fn new(members: Vec<Box<dyn LeakagePredictor>>) -> Self {
-        assert!(!members.is_empty(), "combination needs at least one member");
-        Self { members }
-    }
-
-    /// Number of member predictors.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Always false; construction rejects empty combinations.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-}
-
-impl LeakagePredictor for CombinedPredictor {
-    fn name(&self) -> &'static str {
-        "combined"
-    }
-
-    fn on_hit(&mut self, cache: &Cache, block: BlockId, addr: u64) {
-        for m in &mut self.members {
-            m.on_hit(cache, block, addr);
-        }
-    }
-
-    fn on_miss(&mut self, addr: u64) {
-        for m in &mut self.members {
-            m.on_miss(addr);
-        }
-    }
-
-    fn on_fill(&mut self, cache: &Cache, block: BlockId, addr: u64) {
-        for m in &mut self.members {
-            m.on_fill(cache, block, addr);
-        }
-    }
-
-    fn on_restore_fill(&mut self, cache: &Cache, block: BlockId, addr: u64) {
-        for m in &mut self.members {
-            m.on_restore_fill(cache, block, addr);
-        }
-    }
-
-    fn on_evict(&mut self, addr: u64) {
-        for m in &mut self.members {
-            m.on_evict(addr);
-        }
-    }
-
-    fn tick_into(
-        &mut self,
-        cache: &mut Cache,
-        voltage: Voltage,
-        cycle: u64,
-        out: &mut TickOutcome,
-    ) {
-        for m in &mut self.members {
-            m.tick_into(cache, voltage, cycle, out);
-        }
-    }
-
-    fn next_wakeup(&self) -> WakeHint {
-        self.members
-            .iter()
-            .fold(WakeHint::NEVER, |h, m| h.merge(m.next_wakeup()))
-    }
-
-    fn on_checkpoint(&mut self, cache: &Cache) {
-        for m in &mut self.members {
-            m.on_checkpoint(cache);
-        }
-    }
-
-    fn on_reboot(&mut self, cache: &Cache) {
-        for m in &mut self.members {
-            m.on_reboot(cache);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,25 +359,6 @@ mod tests {
         assert!(out.gated.is_empty());
         assert!(out.writebacks.is_empty());
         assert_eq!(cache.gated_blocks(), 0);
-    }
-
-    #[test]
-    fn combined_fans_out_ticks() {
-        let mut cache = Cache::new(CacheConfig::paper_dcache());
-        let mut c = CombinedPredictor::new(vec![
-            Box::new(NullPredictor::new()),
-            Box::new(NullPredictor::new()),
-        ]);
-        assert_eq!(c.len(), 2);
-        assert!(!c.is_empty());
-        let out = c.tick(&mut cache, Voltage::from_volts(3.5), 0);
-        assert_eq!(out, TickOutcome::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one member")]
-    fn combined_rejects_empty() {
-        let _ = CombinedPredictor::new(vec![]);
     }
 
     #[test]
@@ -590,8 +421,7 @@ mod tests {
         );
         let edbp = crate::Edbp::new(crate::EdbpConfig::for_cache(&cache));
         let edbp_first = edbp.next_wakeup().below_voltage.expect("armed");
-        let c = CombinedPredictor::new(vec![Box::new(decay), Box::new(edbp)]);
-        let hint = c.next_wakeup();
+        let hint = Pair::new(decay, edbp).next_wakeup();
         assert_eq!(hint.at_cycle, Some(1024), "decay period = interval/4");
         assert_eq!(hint.below_voltage, Some(edbp_first));
         assert!(!hint.every_cycle);

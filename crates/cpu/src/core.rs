@@ -116,17 +116,6 @@ impl Core {
         program.fetch_addr(self.pc)
     }
 
-    /// Number of consecutive [`Effect::Compute`] steps guaranteed from the
-    /// current `pc`, capped at `max` — the simulator's burst lookahead. Zero
-    /// when halted or when the next instruction touches memory. See
-    /// [`Program::compute_run_len`] for the scan rules.
-    pub fn compute_run_len(&self, program: &Program, max: u32) -> u32 {
-        if self.halted {
-            return 0;
-        }
-        program.compute_run_len(self.pc, max)
-    }
-
     /// Executes one instruction and reports its external effect.
     ///
     /// Loads leave the destination register *unchanged* until the simulator

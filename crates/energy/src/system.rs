@@ -283,7 +283,7 @@ impl EnergySystem {
 
     /// Whether the current voltage is *strictly* below `w`, evaluated in the
     /// energy domain: `stored <= image(w)` with the image bisected once per
-    /// distinct `w` (see [`max_energy_where`]). Bit-exactly equivalent to
+    /// distinct `w` (see `max_energy_where`). Bit-exactly equivalent to
     /// `self.voltage() < w` with no square root — callers polling a
     /// threshold every cycle should prefer this.
     pub fn voltage_strictly_below(&mut self, w: Voltage) -> bool {
@@ -537,7 +537,7 @@ impl EnergySystem {
     /// The original reference loop derived a `sqrt` voltage and fed the
     /// monitor on every recharge step. This loop instead compares stored
     /// energy against the bisected threshold images — bit-exactly the
-    /// monitor's own edge conditions (see [`max_energy_where`]) — and
+    /// monitor's own edge conditions (see `max_energy_where`) — and
     /// consults the monitor only on the cycles where an edge can fire, plus
     /// one catch-up observation on an unrecovered horizon so the monitor's
     /// internals end identical to the per-step-observe reference.

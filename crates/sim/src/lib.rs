@@ -58,7 +58,7 @@ pub use replay::StreamWindow;
 pub use scheme::Scheme;
 pub use stats::{EnergyBreakdown, RunResult};
 pub use system::{
-    build_lane, record_generation_trace, run_app, run_baseline_with_trace, run_lane, run_lockstep,
-    run_workload, LaneRun, RunOutcome, Simulation,
+    build_lane, record_generation_trace, run_app, run_lane, run_lockstep, run_workload, LaneRun,
+    RunOutcome,
 };
 pub use zombie::{zombie_ratio_by_voltage, ZombieAnalysis, ZombieSample};

@@ -30,7 +30,7 @@
 //!   second process replays instead of re-simulating. The library default
 //!   is *no* disk cache; tests and library callers run purely in-process.
 //!
-//! [`run_app`] remains uncached for callers that want a guaranteed fresh
+//! [`run_app`](crate::run_app) remains uncached for callers that want a guaranteed fresh
 //! execution (e.g. throughput measurement).
 //!
 //! # Work items
@@ -821,27 +821,13 @@ fn start(
     .map_err(panic_message)
 }
 
-/// Drives `lanes` to completion as one lockstep group. Returns, per lane,
-/// its outcome (`sim_mips` over the group's wall time) or its panic
-/// message; a panicking lane never disturbs its siblings.
-fn simulate(mut lanes: Vec<Box<dyn LaneRun>>) -> Vec<Result<RunOutcome, String>> {
-    let wall_start = std::time::Instant::now();
-    let panics = crate::system::drive_lockstep(&mut lanes);
-    let wall = wall_start.elapsed().as_secs_f64();
-    lanes
+/// Drives `lanes` to completion as one lockstep group
+/// ([`crate::system::run_group`]). Returns, per lane, its outcome or its
+/// panic message; a panicking lane never disturbs its siblings.
+fn simulate(lanes: Vec<Box<dyn LaneRun>>) -> Vec<Result<RunOutcome, String>> {
+    crate::system::run_group(lanes)
         .into_iter()
-        .zip(panics)
-        .map(|(lane, panic)| {
-            if let Some(payload) = panic {
-                return Err(panic_message(payload));
-            }
-            let mut run = catch_unwind(AssertUnwindSafe(|| lane.finish_collecting()))
-                .map_err(panic_message)?;
-            if wall > 0.0 {
-                run.result.sim_mips = run.result.committed as f64 / wall / 1e6;
-            }
-            Ok(run)
-        })
+        .map(|outcome| outcome.map_err(panic_message))
         .collect()
 }
 

@@ -29,9 +29,9 @@ pub enum Scheme {
 }
 
 impl Scheme {
-    /// Every scheme, in declaration order. The kernel-matrix test pins
-    /// that each entry resolves to a monomorphized lane, and the lockstep
-    /// throughput row replays all of them over one workload.
+    /// Every scheme, in declaration order. The `burst_exactness` lane
+    /// matrix pins that each entry resolves to a monomorphized lane, and the
+    /// lockstep throughput row replays all of them over one workload.
     pub const ALL: [Scheme; 9] = [
         Scheme::Baseline,
         Scheme::Sdbp,

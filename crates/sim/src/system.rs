@@ -3,14 +3,14 @@
 use crate::replay::{StreamSink, StreamWindow, REC_COMPUTE, REC_HALT, REC_LOAD, REC_STORE};
 use crate::{EnergyBreakdown, MemorySystem, RunResult, Scheme, SystemConfig};
 use edbp_core::{
-    AdaptiveModeControl, AmcConfig, CacheDecay, CombinedPredictor, Edbp, EdbpConfig,
-    GenerationTrace, LeakagePredictor, NullPredictor, OraclePredictor, OracleRecorder, PagedTable,
-    Pair, PredictionLedger, ReusePredictor, ReusePredictorConfig, TickOutcome, WakeHint,
+    AdaptiveModeControl, AmcConfig, CacheDecay, Edbp, EdbpConfig, GenerationTrace,
+    LeakagePredictor, NullPredictor, OraclePredictor, OracleRecorder, PagedTable, Pair,
+    PredictionLedger, ReusePredictor, ReusePredictorConfig, TickOutcome, WakeHint,
 };
 use ehs_cache::{with_policy_kernel, AccessKind, Cache, PolicyKernel};
-use ehs_cpu::{stream_is_data_independent, Core, CoreState, Effect, INSTRUCTION_BYTES};
+use ehs_cpu::{stream_is_data_independent, Core, CoreState, Effect, Program, INSTRUCTION_BYTES};
 use ehs_energy::{BurstPlan, EnergyConfigError, EnergySystem, StepEvent};
-use ehs_units::{Energy, Power, Time};
+use ehs_units::{Energy, Frequency, Power, Time};
 use ehs_workloads::{build, AppId, Scale, Workload};
 use std::sync::Arc;
 
@@ -61,18 +61,42 @@ impl ShadowArena {
     }
 }
 
-/// Per-cycle energy constants of the platform, hoisted out of the loop.
-struct LeakParams {
+/// Per-cycle energy constants of the platform, fixed at construction.
+struct CycleParams {
     d_leak_full: Power,
     i_leak_full: Power,
     gated_frac: f64,
     d_blocks: f64,
     i_blocks: f64,
     cycle_time: Time,
+    frequency: Frequency,
+    mcu_power: Power,
+    standby: Power,
     /// MCU dynamic energy of one unstalled cycle.
     mcu_e_cycle: Energy,
     /// Main-memory standby energy of one unstalled cycle.
     standby_e_cycle: Energy,
+}
+
+impl CycleParams {
+    fn new(config: &SystemConfig, mem: &MemorySystem) -> Self {
+        let cycle_time = config.cycle_time();
+        let mcu_power = config.mcu_power();
+        let standby = mem.memory_standby();
+        Self {
+            d_leak_full: mem.dcache_characteristics().leakage * config.dcache_leakage_scale,
+            i_leak_full: mem.icache_characteristics().leakage * config.icache_leakage_scale,
+            gated_frac: config.gated_leak_fraction,
+            d_blocks: f64::from(mem.dcache.blocks()),
+            i_blocks: f64::from(mem.icache.blocks()),
+            cycle_time,
+            frequency: config.frequency,
+            mcu_power,
+            standby,
+            mcu_e_cycle: mcu_power * cycle_time,
+            standby_e_cycle: standby * cycle_time,
+        }
+    }
 }
 
 /// Lazily recomputed leakage terms. The active/gated block counts only
@@ -108,7 +132,7 @@ impl LeakCache {
         }
     }
 
-    fn refresh(&mut self, mem: &MemorySystem, p: &LeakParams) {
+    fn refresh(&mut self, mem: &MemorySystem, p: &CycleParams) {
         if !self.dirty {
             return;
         }
@@ -140,8 +164,39 @@ fn hint_due(hint: &WakeHint, cycle: u64, energy: &mut EnergySystem) -> bool {
             .is_some_and(|w| energy.voltage_strictly_below(w))
 }
 
+/// The stall and energy load of one reference cycle, opened by its
+/// instruction fetch and grown by its data access.
+struct CycleCost {
+    stall: Time,
+    load: Energy,
+}
+
+/// What an advancing loop caches between cycles: the leakage terms and the
+/// merged wake hint, each recomputed lazily once an event may have moved
+/// it. A local of the loop rather than a field of the simulation, so the
+/// optimizer can keep it in registers across the loop's out-of-line calls
+/// (as fields, `outage_storm` measured ~3 % fewer sim-MIPS on a 2-vCPU
+/// x86-64 Xeon host).
+struct Pace {
+    leak: LeakCache,
+    /// Merged wake hint of both predictors; stale while `hint_dirty`.
+    hint: WakeHint,
+    hint_dirty: bool,
+}
+
+impl Pace {
+    /// Everything stale: the start of an advance, and after an outage.
+    fn new() -> Self {
+        Self {
+            leak: LeakCache::new(),
+            hint: WakeHint::NEVER,
+            hint_dirty: true,
+        }
+    }
+}
+
 /// Everything one simulator execution can produce, returned by
-/// [`Simulation::run_collecting`]. The memoized run layer stores the whole
+/// [`LaneRun::finish_collecting`]. The memoized run layer stores the whole
 /// outcome so a single execution can serve as a figure's result row, the
 /// Ideal scheme's oracle pass (`trace`) and the Fig. 4 zombie sample pool at
 /// the same time.
@@ -156,19 +211,13 @@ pub struct RunOutcome {
     pub zombie_samples: Vec<crate::ZombieSample>,
 }
 
-/// One in-flight simulation. Most users want [`run_app`]; construct a
-/// `Simulation` directly to customize the workload or inject an oracle
-/// trace.
+/// One in-flight simulation, driven through [`LaneRun`].
 ///
-/// The data-cache predictor type `P` defaults to a boxed trait object —
-/// the flexible, dynamically-dispatched flavor every existing caller gets.
-/// Performance-critical paths instead resolve the scheme to a concrete
-/// predictor type once via [`build_lane`], so the per-access and per-tick
-/// hot loops compile with static dispatch (a `NullPredictor` baseline's
-/// hooks inline to nothing; `Pair` composes two predictors without a
-/// vtable hop per event).
-#[derive(Debug)]
-pub struct Simulation<P: LeakagePredictor = Box<dyn LeakagePredictor>> {
+/// [`build_lane`] resolves the scheme to a concrete predictor type `P`, so
+/// the per-access and per-tick hot loops compile with static dispatch (a
+/// `NullPredictor` baseline's hooks inline to nothing; `Pair` composes two
+/// predictors without a vtable hop per event).
+pub(crate) struct Simulation<P: LeakagePredictor> {
     config: SystemConfig,
     scheme: Scheme,
     workload: Workload,
@@ -176,7 +225,9 @@ pub struct Simulation<P: LeakagePredictor = Box<dyn LeakagePredictor>> {
     core: Core,
     energy: EnergySystem,
     d_pred: P,
-    i_pred: Option<Box<dyn LeakagePredictor>>,
+    /// The scheme's predictor over the I-cache, when I-cache prediction
+    /// applies.
+    i_pred: Option<P>,
     ledger: PredictionLedger,
     /// SDBP's reuse predictor (checkpoint filter).
     reuse: Option<ReusePredictor>,
@@ -201,6 +252,7 @@ pub struct Simulation<P: LeakagePredictor = Box<dyn LeakagePredictor>> {
     /// executed tick instead of reallocated (its vectors and arenas reach
     /// their high-water capacity once and then stay).
     tick_scratch: TickOutcome,
+    params: CycleParams,
     completed: bool,
     /// The energy source never recovered from an outage; the run is over.
     aborted: bool,
@@ -220,105 +272,30 @@ pub struct Simulation<P: LeakagePredictor = Box<dyn LeakagePredictor>> {
     replay_loads: Vec<u32>,
 }
 
-/// Builds the data-cache predictor for a scheme.
-fn build_dcache_predictor(
-    scheme: Scheme,
-    config: &SystemConfig,
-    cache: &Cache,
-    oracle_trace: Option<GenerationTrace>,
-) -> Box<dyn LeakagePredictor> {
-    let edbp_config = || {
-        config
-            .edbp
-            .clone()
-            .unwrap_or_else(|| EdbpConfig::for_cache(cache))
-    };
-    match scheme {
-        Scheme::Baseline | Scheme::Sdbp | Scheme::LeakageOff80 => Box::new(NullPredictor::new()),
-        Scheme::Decay => Box::new(CacheDecay::new(config.decay, cache)),
-        Scheme::Edbp => Box::new(Edbp::new(edbp_config())),
-        Scheme::DecayEdbp => Box::new(CombinedPredictor::new(vec![
-            Box::new(CacheDecay::new(config.decay, cache)),
-            Box::new(Edbp::new(edbp_config())),
-        ])),
-        Scheme::Amc => Box::new(AdaptiveModeControl::new(AmcConfig::default(), cache)),
-        Scheme::AmcEdbp => Box::new(CombinedPredictor::new(vec![
-            Box::new(AdaptiveModeControl::new(AmcConfig::default(), cache)),
-            Box::new(Edbp::new(edbp_config())),
-        ])),
-        Scheme::Ideal => Box::new(OraclePredictor::new(
-            oracle_trace.expect("the Ideal scheme requires a recorded generation trace"),
-        )),
-    }
-}
-
-impl Simulation {
-    /// Creates a simulation of `workload` under `scheme`.
-    ///
-    /// `oracle_trace` must be provided when `scheme` is [`Scheme::Ideal`]
-    /// (see [`record_generation_trace`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the energy configuration is invalid (use [`Self::try_new`]
-    /// where an invalid user-supplied configuration must be reported
-    /// instead of aborting) or the Ideal scheme is requested without a
-    /// trace.
-    pub fn new(
-        config: &SystemConfig,
-        scheme: Scheme,
-        workload: Workload,
-        oracle_trace: Option<GenerationTrace>,
-    ) -> Self {
-        Self::try_new(config, scheme, workload, oracle_trace)
-            .unwrap_or_else(|e| panic!("invalid energy configuration: {e}"))
-    }
-
-    /// [`Self::new`], but an inconsistent energy configuration is returned
-    /// as a typed [`EnergyConfigError`] rather than a panic — the harness
-    /// turns it into an actionable per-job failure instead of aborting a
-    /// whole suite.
-    pub fn try_new(
-        config: &SystemConfig,
-        scheme: Scheme,
-        workload: Workload,
-        oracle_trace: Option<GenerationTrace>,
-    ) -> Result<Self, EnergyConfigError> {
-        Simulation::try_new_with(config, scheme, workload, |cfg, cache| {
-            build_dcache_predictor(scheme, cfg, cache, oracle_trace)
-        })
-    }
-}
-
 impl<P: LeakagePredictor> Simulation<P> {
-    /// [`Simulation::try_new`] with a caller-supplied data-cache predictor
-    /// builder, which fixes the concrete predictor type `P`. The builder
-    /// receives the effective configuration (after scheme-specific
-    /// adjustments such as [`Scheme::LeakageOff80`]'s leakage scale) and
-    /// the constructed D-cache. [`build_lane`] maps each scheme to its
-    /// concrete predictor type through this entry point.
-    pub fn try_new_with(
+    /// Creates a simulation of `workload` under `scheme`. `predictor`
+    /// builds the scheme's predictor over a cache — the D-cache, and the
+    /// I-cache too when I-cache prediction applies — from the effective
+    /// configuration (after scheme-specific adjustments such as
+    /// [`Scheme::LeakageOff80`]'s leakage scale).
+    fn with_predictor(
         config: &SystemConfig,
         scheme: Scheme,
         workload: Workload,
-        build_d_pred: impl FnOnce(&SystemConfig, &Cache) -> P,
+        with_recorder: bool,
+        mut predictor: impl FnMut(&SystemConfig, &Cache) -> P,
     ) -> Result<Self, EnergyConfigError> {
         let mut config = config.clone();
         if scheme == Scheme::LeakageOff80 {
             config.dcache_leakage_scale = 0.2;
         }
         let mem = MemorySystem::new(&config);
-        let d_pred = build_d_pred(&config, &mem.dcache);
-        let i_pred: Option<Box<dyn LeakagePredictor>> =
-            if config.predict_icache && !config.icache_tech.is_nonvolatile() {
-                // The Ideal scheme is only defined for the data cache.
-                match scheme {
-                    Scheme::Ideal => None,
-                    _ => Some(build_dcache_predictor(scheme, &config, &mem.icache, None)),
-                }
-            } else {
-                None
-            };
+        let d_pred = predictor(&config, &mem.dcache);
+        // The Ideal scheme is only defined for the data cache.
+        let i_pred = (config.predict_icache
+            && !config.icache_tech.is_nonvolatile()
+            && scheme != Scheme::Ideal)
+            .then(|| predictor(&config, &mem.icache));
         let core = Core::new(&workload.program);
         let energy = EnergySystem::new(config.energy.clone(), SourceBox(config.source.build()))?;
         let reuse =
@@ -328,6 +305,7 @@ impl<P: LeakagePredictor> Simulation<P> {
             .map(crate::ZombieAnalysis::new);
         let block_bytes = config.dcache.geometry.block_bytes as usize;
         let stream_invariant = stream_is_data_independent(&workload.program);
+        let params = CycleParams::new(&config, &mem);
         Ok(Self {
             scheme,
             mem,
@@ -338,7 +316,7 @@ impl<P: LeakagePredictor> Simulation<P> {
             ledger: PredictionLedger::for_block_bytes(config.dcache.geometry.block_bytes),
             reuse,
             reuse_flags: PagedTable::for_block_bytes(config.dcache.geometry.block_bytes),
-            recorder: None,
+            recorder: with_recorder.then(OracleRecorder::new),
             zombie,
             breakdown: EnergyBreakdown::default(),
             brownouts: 0,
@@ -346,6 +324,7 @@ impl<P: LeakagePredictor> Simulation<P> {
             shadow: ShadowArena::new(block_bytes),
             spill: ShadowArena::new(block_bytes),
             tick_scratch: TickOutcome::default(),
+            params,
             completed: false,
             aborted: false,
             stream_invariant,
@@ -355,65 +334,6 @@ impl<P: LeakagePredictor> Simulation<P> {
             workload,
             config,
         })
-    }
-
-    /// Attaches an oracle recorder (pass 1 of the Ideal scheme).
-    pub fn with_recorder(mut self) -> Self {
-        self.recorder = Some(OracleRecorder::new());
-        self
-    }
-
-    /// Runs to completion (or abort) and returns the results, plus the
-    /// recorded oracle trace if a recorder was attached.
-    pub fn run(self) -> (RunResult, Option<GenerationTrace>) {
-        let outcome = self.run_collecting();
-        (outcome.result, outcome.trace)
-    }
-
-    /// Runs to completion and returns everything a single execution can
-    /// produce: the result, the recorded oracle trace (when a recorder was
-    /// attached), and the resolved zombie samples (when
-    /// [`SystemConfig::zombie_sample_interval`] is set). The memoized run
-    /// layer uses this so one execution can serve the baseline column, the
-    /// Ideal scheme's oracle pass and the Fig. 4 sample pool at once.
-    pub fn run_collecting(mut self) -> RunOutcome {
-        let wall_start = std::time::Instant::now();
-        self.run_loop();
-        let wall = wall_start.elapsed().as_secs_f64();
-        let mut outcome = self.finish_collecting();
-        if wall > 0.0 {
-            outcome.result.sim_mips = outcome.result.committed as f64 / wall / 1e6;
-        }
-        outcome
-    }
-
-    /// Assembles the [`RunOutcome`] of a simulation that has already been
-    /// driven to completion (see [`Simulation::advance_until`] and
-    /// [`Simulation::done`]). `sim_mips` is left at zero — an external
-    /// driver that owns the wall clock (the lockstep runner times a whole
-    /// lane group at once) fills it in afterwards.
-    pub fn finish_collecting(mut self) -> RunOutcome {
-        let zombie_samples = self
-            .zombie
-            .take()
-            .map(crate::ZombieAnalysis::finish)
-            .unwrap_or_default();
-        let (result, trace) = self.finish();
-        RunOutcome {
-            result,
-            trace,
-            zombie_samples,
-        }
-    }
-
-    /// Runs to completion and additionally returns the architectural value
-    /// of each probed word (dirty cached copies win over the backing store),
-    /// for crash-consistency verification.
-    pub fn run_with_memory_probe(mut self, addrs: &[u64]) -> (RunResult, Vec<u32>) {
-        self.run_loop();
-        let words = addrs.iter().map(|&a| self.mem.word_at(a)).collect();
-        let (result, _) = self.finish();
-        (result, words)
     }
 
     /// Handles ledger/predictor/trainer bookkeeping for one data access.
@@ -516,9 +436,15 @@ impl<P: LeakagePredictor> Simulation<P> {
         }
     }
 
-    /// Takes the JIT checkpoint (if `jit` — brown-outs skip it), rides out
-    /// the outage and restores. Returns false if the source never recovered.
-    fn ride_out_outage(&mut self, jit: bool) -> bool {
+    /// Rides out the outage `event` announces: takes the JIT checkpoint (a
+    /// brown-out skips it and is counted), loses volatile state, recharges
+    /// and restores. Returns false, marking the run aborted, if the source
+    /// never recovered.
+    fn ride_out_outage(&mut self, event: StepEvent) -> bool {
+        let jit = event == StepEvent::CheckpointRequested;
+        if !jit {
+            self.brownouts += 1;
+        }
         self.d_pred.on_checkpoint(&self.mem.dcache);
         if let Some(ip) = &mut self.i_pred {
             ip.on_checkpoint(&self.mem.icache);
@@ -619,6 +545,7 @@ impl<P: LeakagePredictor> Simulation<P> {
         // --- Recharge ---
         let outcome = self.energy.power_off_and_recharge();
         if !outcome.recovered {
+            self.aborted = true;
             return false;
         }
 
@@ -685,44 +612,6 @@ impl<P: LeakagePredictor> Simulation<P> {
         true
     }
 
-    /// Assembles the final result.
-    fn finish(self) -> (RunResult, Option<GenerationTrace>) {
-        let stats = self.energy.stats();
-        let result = RunResult {
-            app: self.workload.app,
-            scheme: self.scheme,
-            completed: self.completed,
-            committed: self.core.committed(),
-            loads: self.core.loads(),
-            stores: self.core.stores(),
-            on_time: stats.on_time,
-            off_time: stats.off_time,
-            outages: stats.outages,
-            brownouts: self.brownouts,
-            energy: self.breakdown,
-            dcache: *self.mem.dcache.stats(),
-            icache: *self.mem.icache.stats(),
-            prediction: self.ledger.summary(),
-            sim_mips: 0.0,
-        };
-        (result, self.recorder.map(OracleRecorder::finish))
-    }
-
-    /// Runs to completion and returns the results together with the
-    /// resolved zombie samples (Fig. 4 analysis).
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`SystemConfig::zombie_sample_interval`] was not set.
-    pub fn run_with_zombie_analysis(self) -> (RunResult, Vec<crate::ZombieSample>) {
-        assert!(
-            self.zombie.is_some(),
-            "enable SystemConfig::zombie_sample_interval before requesting zombie analysis"
-        );
-        let outcome = self.run_collecting();
-        (outcome.result, outcome.zombie_samples)
-    }
-
     /// Merged wake hint across the data- and instruction-cache predictors.
     fn wake_hint(&self) -> WakeHint {
         let mut hint = self.d_pred.next_wakeup();
@@ -732,7 +621,193 @@ impl<P: LeakagePredictor> Simulation<P> {
         hint
     }
 
-    /// The main simulation loop.
+    // The per-cycle steps below are shared by the live loop
+    // (`advance_until_k`) and the transposed replay (`advance_replay_k`).
+    // They are `#[inline(always)]` so both loops compile to straight-line
+    // code: left to the optimizer's inlining heuristics, solo runs
+    // measured ~7 % fewer sim-MIPS (2-vCPU x86-64 Xeon host).
+
+    /// Recomputes the merged wake hint if a hook may have moved it.
+    #[inline(always)]
+    fn refresh_hint(&self, pace: &mut Pace) {
+        if pace.hint_dirty {
+            pace.hint = self.wake_hint();
+            pace.hint_dirty = false;
+        }
+    }
+
+    /// Length of the burst the loop may take at `pc`: the run of compute
+    /// instructions from `pc` whose fetches all hit the fetch buffer, capped
+    /// at `cap` and at the instruction budget left after `committed`. Zero
+    /// when bursting is off (cycle-accurate mode; zombie sampling, whose
+    /// samples are keyed to exact committed counts), when the merged hint
+    /// wants every cycle, or when the fetch misses the buffer.
+    #[inline(always)]
+    fn burst_len(
+        &self,
+        pace: &mut Pace,
+        program: &Program,
+        pc: u32,
+        committed: u64,
+        cap: u64,
+    ) -> u32 {
+        if self.config.force_cycle_accurate || self.zombie.is_some() {
+            return 0;
+        }
+        self.refresh_hint(pace);
+        let i_block = u64::from(self.mem.icache.block_bytes());
+        let fa = u64::from(program.fetch_addr(pc));
+        if pace.hint.every_cycle || self.mem.buffered_block() != Some(fa & !(i_block - 1)) {
+            return 0;
+        }
+        // Fetch slots left in the buffered block, from pc on.
+        let slots = (i_block - (fa & (i_block - 1))) / u64::from(INSTRUCTION_BYTES);
+        let cap = slots.min(self.config.max_instructions - committed).min(cap) as u32;
+        program.compute_run_len(pc, cap)
+    }
+
+    /// Steps up to `run` unstalled compute cycles as one [`BurstPlan`],
+    /// stopping at the first cycle where an energy event fires or the wake
+    /// hint comes due, then replays the per-cycle breakdown accumulation:
+    /// the same addends `taken` times in sequence, exactly as that many
+    /// reference cycles would have accumulated them. Returns the cycles
+    /// taken and the energy event that ended the burst.
+    #[inline(always)]
+    fn step_burst(&mut self, pace: &mut Pace, run: u32) -> (u64, StepEvent) {
+        let leak = &mut pace.leak;
+        leak.refresh(&self.mem, &self.params);
+        let plan = BurstPlan {
+            max_cycles: u64::from(run),
+            dt: self.params.cycle_time,
+            load: leak.cycle_load,
+            frequency: self.params.frequency,
+            wake_at_cycle: pace.hint.at_cycle,
+            wake_below_voltage: pace.hint.below_voltage,
+        };
+        let (taken, event) = self.energy.step_burst(&plan, &mut self.breakdown.capacitor);
+        for _ in 0..taken {
+            self.breakdown.dcache_static += leak.d_static_cycle;
+            self.breakdown.icache_static += leak.i_static_cycle;
+            self.breakdown.mcu += self.params.mcu_e_cycle;
+            self.breakdown.memory += self.params.standby_e_cycle;
+        }
+        (taken, event)
+    }
+
+    /// Opens a reference cycle by fetching the instruction at `fetch_addr`:
+    /// the I-cache (or fetch-buffer) access, the I-cache predictor's hooks
+    /// when the I-cache itself was accessed, and the fetch's dynamic energy.
+    #[inline(always)]
+    fn fetch(&mut self, pace: &mut Pace, fetch_addr: u32) -> CycleCost {
+        let fetch = self.mem.ifetch(fetch_addr);
+        pace.leak.dirty |= !fetch.hit;
+        if let Some(ip) = self.i_pred.as_mut().filter(|_| !fetch.buffered) {
+            if fetch.hit {
+                ip.on_hit(&self.mem.icache, fetch.frame, fetch.block_addr);
+            } else {
+                ip.on_miss(fetch.block_addr);
+                if let Some(ev) = fetch.evicted {
+                    ip.on_evict(ev);
+                }
+                ip.on_fill(&self.mem.icache, fetch.frame, fetch.block_addr);
+            }
+            pace.hint_dirty = true;
+        }
+        self.breakdown.icache_dynamic += fetch.icache_energy;
+        self.breakdown.memory += fetch.memory_energy;
+        CycleCost {
+            stall: fetch.stall,
+            load: fetch.icache_energy + fetch.memory_energy,
+        }
+    }
+
+    /// Performs the cycle's data access through replacement kernel `K` and
+    /// adds it to `cost`: dynamic energy, stall, and the ledger, predictor
+    /// and instrumentation hooks. Returns the value read.
+    #[inline(always)]
+    fn data_access<K: PolicyKernel>(
+        &mut self,
+        pace: &mut Pace,
+        addr: u32,
+        kind: AccessKind,
+        value: u32,
+        cost: &mut CycleCost,
+    ) -> u32 {
+        let access = self.mem.data_access_k::<K>(addr, kind, value);
+        cost.stall += access.stall;
+        cost.load += access.dcache_energy + access.memory_energy;
+        self.breakdown.dcache_dynamic += access.dcache_energy;
+        self.breakdown.memory += access.memory_energy;
+        pace.leak.dirty |= !access.hit;
+        self.note_data_access(&access);
+        pace.hint_dirty = true;
+        access.value
+    }
+
+    /// Closes a reference cycle: it lasts one clock plus `cost`'s stall,
+    /// over which the static, MCU and standby energy is billed, and the
+    /// energy system then supplies the cycle's whole load.
+    #[inline(always)]
+    fn end_cycle(&mut self, pace: &mut Pace, cost: CycleCost) -> StepEvent {
+        let p = &self.params;
+        let leak = &mut pace.leak;
+        let dt = p.cycle_time + cost.stall;
+        // In cycle-accurate mode the fractions are recomputed every
+        // cycle, keeping the reference loop independent of the
+        // LeakCache invalidation logic the differential suite checks.
+        leak.dirty |= self.config.force_cycle_accurate;
+        leak.refresh(&self.mem, p);
+        let d_static = p.d_leak_full * leak.d_frac * dt;
+        let i_static = p.i_leak_full * leak.i_frac * dt;
+        let mcu_e = p.mcu_power * dt;
+        let standby_e = p.standby * dt;
+        self.breakdown.dcache_static += d_static;
+        self.breakdown.icache_static += i_static;
+        self.breakdown.mcu += mcu_e;
+        self.breakdown.memory += standby_e;
+        let mut load = cost.load;
+        load += d_static + i_static + mcu_e + standby_e;
+
+        let consumed_before = self.energy.stats().consumed;
+        let event = self.energy.step(dt, load);
+        let drawn = self.energy.stats().consumed - consumed_before;
+        self.breakdown.capacitor += drawn.saturating_sub(load);
+        event
+    }
+
+    /// Ticks the predictors if the merged wake hint is due at the current
+    /// cycle (every cycle in cycle-accurate mode). An executed tick may
+    /// gate frames (including invalid ones, which never appear in the
+    /// outcome), so it always invalidates the leakage cache; executed ticks
+    /// are rare by construction, so this costs nothing. The outcome lands
+    /// in the pooled scratch (moved out so `apply_tick` can borrow `self`).
+    #[inline(always)]
+    fn tick_if_due(&mut self, pace: &mut Pace) {
+        let cycle = (self.energy.now() * self.params.frequency) as u64;
+        if !self.config.force_cycle_accurate {
+            self.refresh_hint(pace);
+            if !hint_due(&pace.hint, cycle, &mut self.energy) {
+                return;
+            }
+        }
+        let v = self.energy.voltage();
+        let mut tick = std::mem::take(&mut self.tick_scratch);
+        tick.clear();
+        self.d_pred
+            .tick_into(&mut self.mem.dcache, v, cycle, &mut tick);
+        self.apply_tick(&tick, true);
+        if let Some(ip) = &mut self.i_pred {
+            tick.clear();
+            ip.tick_into(&mut self.mem.icache, v, cycle, &mut tick);
+            self.apply_tick(&tick, false);
+        }
+        self.tick_scratch = tick;
+        pace.leak.dirty = true;
+        pace.hint_dirty = true;
+    }
+
+    /// [`LaneRun::advance_until`] monomorphized over the D-cache's
+    /// replacement-policy kernel `K` and the stream sink `S`.
     ///
     /// Two regimes produce bit-identical [`RunResult`]s (the
     /// `burst_exactness` differential suite asserts it for every scheme):
@@ -754,323 +829,72 @@ impl<P: LeakagePredictor> Simulation<P> {
     /// condition (energy event, hint voltage, hint cycle, run length)
     /// holds, so the next tick runs on exactly the cycle the reference
     /// loop would run it on.
-    fn run_loop(&mut self) {
-        self.advance_until(u64::MAX);
-    }
-
-    /// Instructions committed so far (live progress, for incremental
-    /// driving via [`Simulation::advance_until`]).
-    pub fn committed(&self) -> u64 {
-        self.core.committed()
-    }
-
-    /// True once the workload has run to completion (halt instruction).
-    pub fn halted(&self) -> bool {
-        self.core.halted()
-    }
-
-    /// True once [`Simulation::advance_until`] can make no further
-    /// progress: the workload halted, the instruction budget is exhausted,
-    /// or the energy source never recovered from an outage. Incremental
-    /// drivers (the lockstep runner) poll this between chunks.
-    pub fn done(&self) -> bool {
-        self.core.halted() || self.aborted || self.core.committed() >= self.config.max_instructions
-    }
-
-    /// Pre-sizes the zombie-analysis sample pools so a bounded measured
-    /// window performs no further growth (testing/benchmarking aid; no-op
-    /// unless [`SystemConfig::zombie_sample_interval`] is set).
-    pub fn reserve_zombie_capacity(&mut self, samples: usize) {
-        if let Some(z) = &mut self.zombie {
-            z.reserve(samples);
-        }
-    }
-
-    /// Advances the simulation until `target` instructions have committed,
-    /// the workload halts, the instruction budget is exhausted, or the
-    /// energy source never recovers from an outage.
-    ///
-    /// The burst fast path is *not* truncated at `target` — a burst may
-    /// overshoot it by at most one buffered instruction run. This keeps the
-    /// burst boundaries (and therefore every f64 accumulation) of an
-    /// incrementally driven run bit-identical to one uninterrupted
-    /// `advance_until(u64::MAX)`.
-    pub fn advance_until(&mut self, target: u64) {
-        // Resolve the D-cache's replacement-policy kernel once per call;
-        // the entire hot loop below then runs with the probe and rank
-        // update statically dispatched (and, when `P` is concrete, with
-        // every predictor hook statically dispatched too). The `()` sink
-        // compiles every recording call to nothing, so this is the same
-        // allocation-free loop the solo path always ran.
-        with_policy_kernel!(self.config.dcache.policy, K => self.advance_until_k::<K, ()>(target, &mut ()));
-    }
-
-    /// Advances like [`Simulation::advance_until`] while recording every
-    /// committed instruction into `window` for sibling lanes to replay
-    /// (the transposed lockstep recorder role). The window's start is this
-    /// lane's current architectural position; an outage seals it; a clean
-    /// exit stores the end-of-window core snapshot for replayers to adopt.
-    pub fn advance_recording(&mut self, target: u64, window: &mut StreamWindow) {
-        window.begin(self.arch_pos());
-        with_policy_kernel!(self.config.dcache.policy, K => self.advance_until_k::<K, StreamWindow>(target, window));
-        window.finish(self.core.checkpoint());
-    }
-
-    /// [`Simulation::advance_until`] monomorphized over the D-cache's
-    /// replacement-policy kernel `K` and the stream sink `S`.
     fn advance_until_k<K: PolicyKernel, S: StreamSink>(&mut self, target: u64, sink: &mut S) {
         let sim = self;
         let program = Arc::clone(&sim.workload.program);
-        let cycle_time = sim.config.cycle_time();
-        let frequency = sim.config.frequency;
-        let mcu_power = sim.config.mcu_power();
-        let standby = sim.mem.memory_standby();
-        let params = LeakParams {
-            d_leak_full: sim.mem.dcache_characteristics().leakage * sim.config.dcache_leakage_scale,
-            i_leak_full: sim.mem.icache_characteristics().leakage * sim.config.icache_leakage_scale,
-            gated_frac: sim.config.gated_leak_fraction,
-            d_blocks: f64::from(sim.mem.dcache.blocks()),
-            i_blocks: f64::from(sim.mem.icache.blocks()),
-            cycle_time,
-            mcu_e_cycle: mcu_power * cycle_time,
-            standby_e_cycle: standby * cycle_time,
-        };
-        let max_instructions = sim.config.max_instructions;
-        let i_block = u64::from(sim.mem.icache.block_bytes());
-        let cycle_accurate = sim.config.force_cycle_accurate;
-        let mut leak = LeakCache::new();
-        let mut hint = sim.wake_hint();
-        let mut hint_dirty = false;
-
+        let mut pace = Pace::new();
         loop {
             if sim.core.halted() {
                 sim.completed = true;
                 break;
             }
-            if sim.core.committed() >= max_instructions {
+            let committed = sim.core.committed();
+            if committed >= sim.config.max_instructions || committed >= target {
                 break;
             }
-            if sim.core.committed() >= target {
-                break;
-            }
-
-            // ---- Burst fast path ----
-            // Eligibility: burst stepping enabled, no per-instruction
-            // zombie sampling (its samples are keyed to exact committed
-            // counts), the merged hint idle, the next fetch inside the
-            // fetch buffer, and at least one guaranteed compute step ahead.
-            if !cycle_accurate && sim.zombie.is_none() {
-                if hint_dirty {
-                    hint = sim.wake_hint();
-                    hint_dirty = false;
-                }
-                let fa = u64::from(sim.core.fetch_addr(&program));
-                if !hint.every_cycle && sim.mem.buffered_block() == Some(fa & !(i_block - 1)) {
-                    // Fetch slots left in the buffered block, from pc on.
-                    let slots = (i_block - (fa & (i_block - 1))) / u64::from(INSTRUCTION_BYTES);
-                    let cap = slots.min(max_instructions - sim.core.committed()) as u32;
-                    let run = sim.core.compute_run_len(&program, cap);
-                    if run >= 1 {
-                        leak.refresh(&sim.mem, &params);
-                        let plan = BurstPlan {
-                            max_cycles: u64::from(run),
-                            dt: cycle_time,
-                            load: leak.cycle_load,
-                            frequency,
-                            wake_at_cycle: hint.at_cycle,
-                            wake_below_voltage: hint.below_voltage,
-                        };
-                        let pc0 = sim.core.pc();
-                        let (taken, event) =
-                            sim.energy.step_burst(&plan, &mut sim.breakdown.capacitor);
-                        for _ in 0..taken {
-                            let effect = sim.core.step(&program);
-                            debug_assert_eq!(
-                                effect,
-                                Effect::Compute,
-                                "burst lookahead admitted a non-compute step"
-                            );
-                        }
-                        if S::ACTIVE {
-                            sink.record_burst(pc0, taken);
-                            // Record boundary with the core fully stepped:
-                            // the only point a mid-window snapshot is valid.
-                            if sink.snapshot_due() {
-                                sink.snapshot(sim.core.checkpoint());
-                            }
-                        }
-                        // Replay the per-cycle breakdown accumulation: the
-                        // same addend `taken` times in sequence, exactly as
-                        // the reference loop would have accumulated it.
-                        for _ in 0..taken {
-                            sim.breakdown.dcache_static += leak.d_static_cycle;
-                            sim.breakdown.icache_static += leak.i_static_cycle;
-                            sim.breakdown.mcu += params.mcu_e_cycle;
-                            sim.breakdown.memory += params.standby_e_cycle;
-                        }
-                        let cycle = (sim.energy.now() * frequency) as u64;
-                        if hint_due(&hint, cycle, &mut sim.energy) {
-                            let v = sim.energy.voltage();
-                            // An executed tick may gate frames (including
-                            // invalid ones, which never appear in the
-                            // outcome), so it always invalidates the
-                            // leakage cache. Executed ticks are rare by
-                            // construction, so this costs nothing. The
-                            // outcome lands in the pooled scratch (moved
-                            // out so `apply_tick` can borrow `sim`).
-                            let mut tick = std::mem::take(&mut sim.tick_scratch);
-                            tick.clear();
-                            sim.d_pred
-                                .tick_into(&mut sim.mem.dcache, v, cycle, &mut tick);
-                            sim.apply_tick(&tick, true);
-                            if let Some(ip) = &mut sim.i_pred {
-                                tick.clear();
-                                ip.tick_into(&mut sim.mem.icache, v, cycle, &mut tick);
-                                sim.apply_tick(&tick, false);
-                            }
-                            sim.tick_scratch = tick;
-                            leak.dirty = true;
-                            hint_dirty = true;
-                        }
-                        match event {
-                            StepEvent::Running => {}
-                            StepEvent::CheckpointRequested => {
-                                sink.seal();
-                                if !sim.ride_out_outage(true) {
-                                    sim.aborted = true;
-                                    break;
-                                }
-                                leak.dirty = true;
-                                hint_dirty = true;
-                            }
-                            StepEvent::BrownOut => {
-                                sink.seal();
-                                sim.brownouts += 1;
-                                if !sim.ride_out_outage(false) {
-                                    sim.aborted = true;
-                                    break;
-                                }
-                                leak.dirty = true;
-                                hint_dirty = true;
-                            }
-                        }
-                        continue;
-                    }
-                }
-            }
-
-            // ---- Reference path: one cycle at a time ----
-            let fetch = sim.mem.ifetch(sim.core.fetch_addr(&program));
-            leak.dirty |= !fetch.hit;
-            if let Some(ip) = sim.i_pred.as_mut().filter(|_| !fetch.buffered) {
-                if fetch.hit {
-                    ip.on_hit(&sim.mem.icache, fetch.frame, fetch.block_addr);
-                } else {
-                    ip.on_miss(fetch.block_addr);
-                    if let Some(ev) = fetch.evicted {
-                        ip.on_evict(ev);
-                    }
-                    ip.on_fill(&sim.mem.icache, fetch.frame, fetch.block_addr);
-                }
-                hint_dirty = true;
-            }
-            let mut stall = fetch.stall;
-            sim.breakdown.icache_dynamic += fetch.icache_energy;
-            sim.breakdown.memory += fetch.memory_energy;
-            let mut load_energy = fetch.icache_energy + fetch.memory_energy;
 
             let pc = sim.core.pc();
-            let effect = sim.core.step(&program);
-            match effect {
-                Effect::Compute => {
-                    if S::ACTIVE {
-                        sink.record_compute(pc);
+            let run = sim.burst_len(&mut pace, &program, pc, committed, u64::MAX);
+            let event = if run >= 1 {
+                let (taken, event) = sim.step_burst(&mut pace, run);
+                for _ in 0..taken {
+                    let effect = sim.core.step(&program);
+                    debug_assert_eq!(
+                        effect,
+                        Effect::Compute,
+                        "burst lookahead admitted a non-compute step"
+                    );
+                }
+                if S::ACTIVE {
+                    sink.record_burst(pc, taken);
+                }
+                event
+            } else {
+                let mut cost = sim.fetch(&mut pace, program.fetch_addr(pc));
+                match sim.core.step(&program) {
+                    Effect::Compute => {
+                        if S::ACTIVE {
+                            sink.record_compute(pc);
+                        }
+                    }
+                    Effect::Halted => {
+                        if S::ACTIVE {
+                            sink.record_halt(pc);
+                        }
+                    }
+                    Effect::Load { addr, dst } => {
+                        let value =
+                            sim.data_access::<K>(&mut pace, addr, AccessKind::Read, 0, &mut cost);
+                        sim.core.finish_load(dst, value);
+                        if S::ACTIVE {
+                            sink.record_load(pc, addr);
+                        }
+                    }
+                    Effect::Store { addr, value } => {
+                        sim.data_access::<K>(&mut pace, addr, AccessKind::Write, value, &mut cost);
+                        if S::ACTIVE {
+                            sink.record_store(pc, addr, value);
+                        }
                     }
                 }
-                Effect::Halted => {
-                    if S::ACTIVE {
-                        sink.record_halt(pc);
-                    }
-                }
-                Effect::Load { addr, dst } => {
-                    let access = sim.mem.data_access_k::<K>(addr, AccessKind::Read, 0);
-                    sim.core.finish_load(dst, access.value);
-                    stall += access.stall;
-                    load_energy += access.dcache_energy + access.memory_energy;
-                    sim.breakdown.dcache_dynamic += access.dcache_energy;
-                    sim.breakdown.memory += access.memory_energy;
-                    leak.dirty |= !access.hit;
-                    sim.note_data_access(&access);
-                    hint_dirty = true;
-                    if S::ACTIVE {
-                        sink.record_load(pc, addr);
-                    }
-                }
-                Effect::Store { addr, value } => {
-                    let access = sim.mem.data_access_k::<K>(addr, AccessKind::Write, value);
-                    stall += access.stall;
-                    load_energy += access.dcache_energy + access.memory_energy;
-                    sim.breakdown.dcache_dynamic += access.dcache_energy;
-                    sim.breakdown.memory += access.memory_energy;
-                    leak.dirty |= !access.hit;
-                    sim.note_data_access(&access);
-                    hint_dirty = true;
-                    if S::ACTIVE {
-                        sink.record_store(pc, addr, value);
-                    }
-                }
-            }
+                sim.end_cycle(&mut pace, cost)
+            };
             // Record boundary with the core fully stepped (including
             // `finish_load`): the only point a mid-window snapshot is valid.
             if S::ACTIVE && sink.snapshot_due() {
                 sink.snapshot(sim.core.checkpoint());
             }
-
-            let dt = cycle_time + stall;
-            // In cycle-accurate mode the fractions are recomputed every
-            // cycle, keeping the reference loop independent of the
-            // LeakCache invalidation logic the differential suite checks.
-            leak.dirty |= cycle_accurate;
-            leak.refresh(&sim.mem, &params);
-            let d_static = params.d_leak_full * leak.d_frac * dt;
-            let i_static = params.i_leak_full * leak.i_frac * dt;
-            let mcu_e = mcu_power * dt;
-            let standby_e = standby * dt;
-            sim.breakdown.dcache_static += d_static;
-            sim.breakdown.icache_static += i_static;
-            sim.breakdown.mcu += mcu_e;
-            sim.breakdown.memory += standby_e;
-            load_energy += d_static + i_static + mcu_e + standby_e;
-
-            let consumed_before = sim.energy.stats().consumed;
-            let event = sim.energy.step(dt, load_energy);
-            let drawn = sim.energy.stats().consumed - consumed_before;
-            sim.breakdown.capacitor += drawn.saturating_sub(load_energy);
-
-            let cycle = (sim.energy.now() * frequency) as u64;
-            if !cycle_accurate && hint_dirty {
-                hint = sim.wake_hint();
-                hint_dirty = false;
-            }
-            if cycle_accurate || hint_due(&hint, cycle, &mut sim.energy) {
-                // See the burst path: executed ticks can gate invalid
-                // frames without reporting them, so they unconditionally
-                // invalidate the leakage cache.
-                let v = sim.energy.voltage();
-                let mut tick = std::mem::take(&mut sim.tick_scratch);
-                tick.clear();
-                sim.d_pred
-                    .tick_into(&mut sim.mem.dcache, v, cycle, &mut tick);
-                sim.apply_tick(&tick, true);
-                if let Some(ip) = &mut sim.i_pred {
-                    tick.clear();
-                    ip.tick_into(&mut sim.mem.icache, v, cycle, &mut tick);
-                    sim.apply_tick(&tick, false);
-                }
-                sim.tick_scratch = tick;
-                leak.dirty = true;
-                hint_dirty = true;
-            }
+            sim.tick_if_due(&mut pace);
 
             if let Some(z) = &mut sim.zombie {
                 // Cheap interval check first; only a due sample walks the
@@ -1085,86 +909,24 @@ impl<P: LeakagePredictor> Simulation<P> {
                 }
             }
 
-            match event {
-                StepEvent::Running => {}
-                StepEvent::CheckpointRequested => {
-                    sink.seal();
-                    if !sim.ride_out_outage(true) {
-                        sim.aborted = true;
-                        break;
-                    }
-                    leak.dirty = true;
-                    hint_dirty = true;
+            if event != StepEvent::Running {
+                sink.seal();
+                if !sim.ride_out_outage(event) {
+                    break;
                 }
-                StepEvent::BrownOut => {
-                    sink.seal();
-                    sim.brownouts += 1;
-                    if !sim.ride_out_outage(false) {
-                        sim.aborted = true;
-                        break;
-                    }
-                    leak.dirty = true;
-                    hint_dirty = true;
-                }
+                pace = Pace::new();
             }
         }
     }
 
-    /// This lane's position on the canonical rewind-free instruction
-    /// stream. `committed` counts instructions re-executed after a restore;
-    /// the offset maintained by [`Simulation::ride_out_outage`] subtracts
-    /// them back out, so two lanes at equal `arch_pos` are about to execute
-    /// the same instruction (for stream-invariant workloads).
-    pub fn arch_pos(&self) -> u64 {
-        (self.core.committed() as i64 + self.arch_offset) as u64
-    }
-
-    /// True when this lane may participate in transposed stream replay:
-    /// the workload's access stream is provably data-independent and
-    /// nothing demands per-instruction observation of this specific lane
-    /// (cycle-accurate mode and zombie sampling both key off exact per-lane
-    /// instruction positions, so those lanes stay on the live stepper).
-    pub fn wide_eligible(&self) -> bool {
-        self.stream_invariant && !self.config.force_cycle_accurate && self.zombie.is_none()
-    }
-
-    /// Advances this lane by replaying a sibling's recorded [`StreamWindow`]
-    /// instead of decoding instructions: the recorded `(pc, kind, addr)`
-    /// stream drives this lane's own fetches, data accesses, predictor
-    /// hooks, ticks and energy stepping — bit-identical to live execution
-    /// by stream invariance — while the core sits untouched. Architectural
-    /// state is re-synchronized at the window end by adopting the
-    /// recorder's snapshot (or, for sealed windows and mid-window exits, by
-    /// re-decoding the replayed records against this lane's own buffered
-    /// load values). Outages fall out to [`Simulation::ride_out_outage`]
-    /// and rejoin the window where the restored position lands in it.
-    pub fn advance_replay(&mut self, window: &StreamWindow) {
-        with_policy_kernel!(self.config.dcache.policy, K => self.advance_replay_k::<K>(window));
-    }
-
-    /// [`Simulation::advance_replay`] monomorphized over the D-cache's
-    /// replacement-policy kernel `K`. Mirrors [`Simulation::advance_until_k`]
-    /// exactly — same hoisting, same per-cycle f64 operation order — with
-    /// `core.step` replaced by window records and virtual counters.
+    /// [`LaneRun::advance_replay`] monomorphized over the D-cache's
+    /// replacement-policy kernel `K`: the per-cycle steps of
+    /// [`Simulation::advance_until_k`], with `core.step` replaced by window
+    /// records and virtual counters.
     fn advance_replay_k<K: PolicyKernel>(&mut self, window: &StreamWindow) {
         let sim = self;
         let program = Arc::clone(&sim.workload.program);
-        let cycle_time = sim.config.cycle_time();
-        let frequency = sim.config.frequency;
-        let mcu_power = sim.config.mcu_power();
-        let standby = sim.mem.memory_standby();
-        let params = LeakParams {
-            d_leak_full: sim.mem.dcache_characteristics().leakage * sim.config.dcache_leakage_scale,
-            i_leak_full: sim.mem.icache_characteristics().leakage * sim.config.icache_leakage_scale,
-            gated_frac: sim.config.gated_leak_fraction,
-            d_blocks: f64::from(sim.mem.dcache.blocks()),
-            i_blocks: f64::from(sim.mem.icache.blocks()),
-            cycle_time,
-            mcu_e_cycle: mcu_power * cycle_time,
-            standby_e_cycle: standby * cycle_time,
-        };
         let max_instructions = sim.config.max_instructions;
-        let i_block = u64::from(sim.mem.icache.block_bytes());
         let start = window.start();
         let len = window.len();
 
@@ -1195,9 +957,7 @@ impl<P: LeakagePredictor> Simulation<P> {
             let mut virt_stores = sim.core.stores();
             let mut virt_halted = false;
             sim.replay_loads.clear();
-            let mut leak = LeakCache::new();
-            let mut hint = sim.wake_hint();
-            let mut hint_dirty = false;
+            let mut pace = Pace::new();
 
             loop {
                 if virt_halted || virt_committed >= max_instructions || cursor >= len {
@@ -1217,16 +977,14 @@ impl<P: LeakagePredictor> Simulation<P> {
                             // core through the replayed records, feeding
                             // this lane's own load values.
                             _ => {
-                                let loads = std::mem::take(&mut sim.replay_loads);
                                 resync_core(
                                     &mut sim.core,
                                     &program,
                                     window,
                                     synced_at,
                                     cursor,
-                                    &loads,
+                                    &sim.replay_loads,
                                 );
-                                sim.replay_loads = loads;
                                 debug_assert_eq!(sim.core.committed(), virt_committed);
                             }
                         }
@@ -1234,219 +992,85 @@ impl<P: LeakagePredictor> Simulation<P> {
                     return;
                 }
 
-                // ---- Burst fast path (replayed) ----
-                if hint_dirty {
-                    hint = sim.wake_hint();
-                    hint_dirty = false;
-                }
                 let pc = window.pcs[cursor];
-                let fa = u64::from(program.fetch_addr(pc));
-                if !hint.every_cycle && sim.mem.buffered_block() == Some(fa & !(i_block - 1)) {
-                    let slots = (i_block - (fa & (i_block - 1))) / u64::from(INSTRUCTION_BYTES);
-                    // Capped additionally at the window end: a split burst
-                    // performs the identical per-cycle f64 sequence as the
-                    // unsplit one (DESIGN.md §8), and the remainder resumes
-                    // in the next advance.
-                    let cap = slots
-                        .min(max_instructions - virt_committed)
-                        .min((len - cursor) as u64) as u32;
-                    let run = program.compute_run_len(pc, cap);
-                    if run >= 1 {
-                        leak.refresh(&sim.mem, &params);
-                        let plan = BurstPlan {
-                            max_cycles: u64::from(run),
-                            dt: cycle_time,
-                            load: leak.cycle_load,
-                            frequency,
-                            wake_at_cycle: hint.at_cycle,
-                            wake_below_voltage: hint.below_voltage,
-                        };
-                        let (taken, event) =
-                            sim.energy.step_burst(&plan, &mut sim.breakdown.capacitor);
-                        debug_assert!(
-                            window.kinds[cursor..cursor + taken as usize]
-                                .iter()
-                                .all(|&k| k == REC_COMPUTE),
-                            "replayed burst covered a non-compute record"
+                // Capped additionally at the window end: a split burst
+                // performs the identical per-cycle f64 sequence as the
+                // unsplit one (DESIGN.md §8), and the remainder resumes in
+                // the next advance.
+                let window_left = (len - cursor) as u64;
+                let run = sim.burst_len(&mut pace, &program, pc, virt_committed, window_left);
+                let event = if run >= 1 {
+                    let (taken, event) = sim.step_burst(&mut pace, run);
+                    debug_assert!(
+                        window.kinds[cursor..cursor + taken as usize]
+                            .iter()
+                            .all(|&k| k == REC_COMPUTE),
+                        "replayed burst covered a non-compute record"
+                    );
+                    cursor += taken as usize;
+                    virt_committed += taken;
+                    event
+                } else {
+                    let mut cost = sim.fetch(&mut pace, program.fetch_addr(pc));
+                    match window.kinds[cursor] {
+                        REC_COMPUTE => {
+                            virt_committed += 1;
+                        }
+                        REC_LOAD => {
+                            let addr = window.addrs[cursor];
+                            let value = sim.data_access::<K>(
+                                &mut pace,
+                                addr,
+                                AccessKind::Read,
+                                0,
+                                &mut cost,
+                            );
+                            sim.replay_loads.push(value);
+                            virt_committed += 1;
+                            virt_loads += 1;
+                        }
+                        REC_STORE => {
+                            let (addr, value) = (window.addrs[cursor], window.values[cursor]);
+                            sim.data_access::<K>(
+                                &mut pace,
+                                addr,
+                                AccessKind::Write,
+                                value,
+                                &mut cost,
+                            );
+                            virt_committed += 1;
+                            virt_stores += 1;
+                        }
+                        kind => {
+                            debug_assert_eq!(kind, REC_HALT, "corrupt stream record");
+                            // Halt nets its commit back out and is always
+                            // the window's final record.
+                            virt_halted = true;
+                        }
+                    }
+                    cursor += 1;
+                    sim.end_cycle(&mut pace, cost)
+                };
+                sim.tick_if_due(&mut pace);
+
+                if event != StepEvent::Running {
+                    // The outage machinery needs the real core (checkpoint
+                    // snapshot, committed counters): re-synchronize before
+                    // riding it out.
+                    if cursor > synced_at {
+                        resync_core(
+                            &mut sim.core,
+                            &program,
+                            window,
+                            synced_at,
+                            cursor,
+                            &sim.replay_loads,
                         );
-                        cursor += taken as usize;
-                        virt_committed += taken;
-                        for _ in 0..taken {
-                            sim.breakdown.dcache_static += leak.d_static_cycle;
-                            sim.breakdown.icache_static += leak.i_static_cycle;
-                            sim.breakdown.mcu += params.mcu_e_cycle;
-                            sim.breakdown.memory += params.standby_e_cycle;
-                        }
-                        let cycle = (sim.energy.now() * frequency) as u64;
-                        if hint_due(&hint, cycle, &mut sim.energy) {
-                            let v = sim.energy.voltage();
-                            let mut tick = std::mem::take(&mut sim.tick_scratch);
-                            tick.clear();
-                            sim.d_pred
-                                .tick_into(&mut sim.mem.dcache, v, cycle, &mut tick);
-                            sim.apply_tick(&tick, true);
-                            if let Some(ip) = &mut sim.i_pred {
-                                tick.clear();
-                                ip.tick_into(&mut sim.mem.icache, v, cycle, &mut tick);
-                                sim.apply_tick(&tick, false);
-                            }
-                            sim.tick_scratch = tick;
-                            leak.dirty = true;
-                            hint_dirty = true;
-                        }
-                        match event {
-                            StepEvent::Running => {}
-                            StepEvent::CheckpointRequested | StepEvent::BrownOut => {
-                                // The outage machinery needs the real core
-                                // (checkpoint snapshot, committed counters):
-                                // re-synchronize before riding it out.
-                                if cursor > synced_at {
-                                    let loads = std::mem::take(&mut sim.replay_loads);
-                                    resync_core(
-                                        &mut sim.core,
-                                        &program,
-                                        window,
-                                        synced_at,
-                                        cursor,
-                                        &loads,
-                                    );
-                                    sim.replay_loads = loads;
-                                }
-                                let jit = event == StepEvent::CheckpointRequested;
-                                if !jit {
-                                    sim.brownouts += 1;
-                                }
-                                if !sim.ride_out_outage(jit) {
-                                    sim.aborted = true;
-                                    return;
-                                }
-                                continue 'window;
-                            }
-                        }
-                        continue;
                     }
-                }
-
-                // ---- Reference path: one recorded cycle at a time ----
-                let fetch = sim.mem.ifetch(program.fetch_addr(pc));
-                leak.dirty |= !fetch.hit;
-                if let Some(ip) = sim.i_pred.as_mut().filter(|_| !fetch.buffered) {
-                    if fetch.hit {
-                        ip.on_hit(&sim.mem.icache, fetch.frame, fetch.block_addr);
-                    } else {
-                        ip.on_miss(fetch.block_addr);
-                        if let Some(ev) = fetch.evicted {
-                            ip.on_evict(ev);
-                        }
-                        ip.on_fill(&sim.mem.icache, fetch.frame, fetch.block_addr);
+                    if !sim.ride_out_outage(event) {
+                        return;
                     }
-                    hint_dirty = true;
-                }
-                let mut stall = fetch.stall;
-                sim.breakdown.icache_dynamic += fetch.icache_energy;
-                sim.breakdown.memory += fetch.memory_energy;
-                let mut load_energy = fetch.icache_energy + fetch.memory_energy;
-
-                match window.kinds[cursor] {
-                    REC_COMPUTE => {
-                        virt_committed += 1;
-                    }
-                    REC_LOAD => {
-                        let addr = window.addrs[cursor];
-                        let access = sim.mem.data_access_k::<K>(addr, AccessKind::Read, 0);
-                        sim.replay_loads.push(access.value);
-                        stall += access.stall;
-                        load_energy += access.dcache_energy + access.memory_energy;
-                        sim.breakdown.dcache_dynamic += access.dcache_energy;
-                        sim.breakdown.memory += access.memory_energy;
-                        leak.dirty |= !access.hit;
-                        sim.note_data_access(&access);
-                        hint_dirty = true;
-                        virt_committed += 1;
-                        virt_loads += 1;
-                    }
-                    REC_STORE => {
-                        let access = sim.mem.data_access_k::<K>(
-                            window.addrs[cursor],
-                            AccessKind::Write,
-                            window.values[cursor],
-                        );
-                        stall += access.stall;
-                        load_energy += access.dcache_energy + access.memory_energy;
-                        sim.breakdown.dcache_dynamic += access.dcache_energy;
-                        sim.breakdown.memory += access.memory_energy;
-                        leak.dirty |= !access.hit;
-                        sim.note_data_access(&access);
-                        hint_dirty = true;
-                        virt_committed += 1;
-                        virt_stores += 1;
-                    }
-                    kind => {
-                        debug_assert_eq!(kind, REC_HALT, "corrupt stream record");
-                        // Halt nets its commit back out and is always the
-                        // window's final record.
-                        virt_halted = true;
-                    }
-                }
-                cursor += 1;
-
-                let dt = cycle_time + stall;
-                leak.refresh(&sim.mem, &params);
-                let d_static = params.d_leak_full * leak.d_frac * dt;
-                let i_static = params.i_leak_full * leak.i_frac * dt;
-                let mcu_e = mcu_power * dt;
-                let standby_e = standby * dt;
-                sim.breakdown.dcache_static += d_static;
-                sim.breakdown.icache_static += i_static;
-                sim.breakdown.mcu += mcu_e;
-                sim.breakdown.memory += standby_e;
-                load_energy += d_static + i_static + mcu_e + standby_e;
-
-                let consumed_before = sim.energy.stats().consumed;
-                let event = sim.energy.step(dt, load_energy);
-                let drawn = sim.energy.stats().consumed - consumed_before;
-                sim.breakdown.capacitor += drawn.saturating_sub(load_energy);
-
-                let cycle = (sim.energy.now() * frequency) as u64;
-                if hint_dirty {
-                    hint = sim.wake_hint();
-                    hint_dirty = false;
-                }
-                if hint_due(&hint, cycle, &mut sim.energy) {
-                    let v = sim.energy.voltage();
-                    let mut tick = std::mem::take(&mut sim.tick_scratch);
-                    tick.clear();
-                    sim.d_pred
-                        .tick_into(&mut sim.mem.dcache, v, cycle, &mut tick);
-                    sim.apply_tick(&tick, true);
-                    if let Some(ip) = &mut sim.i_pred {
-                        tick.clear();
-                        ip.tick_into(&mut sim.mem.icache, v, cycle, &mut tick);
-                        sim.apply_tick(&tick, false);
-                    }
-                    sim.tick_scratch = tick;
-                    leak.dirty = true;
-                    hint_dirty = true;
-                }
-
-                match event {
-                    StepEvent::Running => {}
-                    StepEvent::CheckpointRequested | StepEvent::BrownOut => {
-                        if cursor > synced_at {
-                            let loads = std::mem::take(&mut sim.replay_loads);
-                            resync_core(&mut sim.core, &program, window, synced_at, cursor, &loads);
-                            sim.replay_loads = loads;
-                        }
-                        let jit = event == StepEvent::CheckpointRequested;
-                        if !jit {
-                            sim.brownouts += 1;
-                        }
-                        if !sim.ride_out_outage(jit) {
-                            sim.aborted = true;
-                            return;
-                        }
-                        continue 'window;
-                    }
+                    continue 'window;
                 }
             }
         }
@@ -1464,7 +1088,7 @@ impl<P: LeakagePredictor> Simulation<P> {
 /// (`REC_HALT` commits nothing, exactly as live execution nets it out).
 fn resync_core(
     core: &mut Core,
-    program: &ehs_cpu::Program,
+    program: &Program,
     window: &StreamWindow,
     from: usize,
     to: usize,
@@ -1498,7 +1122,7 @@ fn resync_core(
 /// advance exactly as live execution would have advanced them.
 fn redecode_records(
     core: &mut Core,
-    program: &ehs_cpu::Program,
+    program: &Program,
     window: &StreamWindow,
     from: usize,
     to: usize,
@@ -1523,98 +1147,183 @@ fn redecode_records(
     debug_assert_eq!(next_load, loads.len(), "buffered load values left over");
 }
 
-/// An erased, incrementally drivable simulation lane.
+/// An incrementally drivable simulation lane: the one interface through
+/// which every run is driven.
 ///
-/// [`build_lane`] resolves a scheme to a fully monomorphized
-/// `Simulation<P>` behind this object-safe interface: dynamic dispatch
-/// happens once per driving chunk (tens of thousands of instructions),
-/// while everything inside [`LaneRun::advance_until`] — predictor hooks,
-/// wake hints, tag probes, rank updates — is statically dispatched.
+/// [`build_lane`] resolves a scheme to a fully monomorphized simulation
+/// behind this object-safe interface: dynamic dispatch happens once per
+/// driving chunk (tens of thousands of instructions), while everything
+/// inside [`LaneRun::advance_until`] — predictor hooks, wake hints, tag
+/// probes, rank updates — is statically dispatched.
 pub trait LaneRun {
-    /// See [`Simulation::advance_until`].
+    /// Advances the simulation until `target` instructions have committed,
+    /// the workload halts, the instruction budget is exhausted, or the
+    /// energy source never recovers from an outage.
+    ///
+    /// The burst fast path is *not* truncated at `target` — a burst may
+    /// overshoot it by at most one buffered instruction run. This keeps the
+    /// burst boundaries (and therefore every f64 accumulation) of an
+    /// incrementally driven run bit-identical to one uninterrupted
+    /// `advance_until(u64::MAX)`.
     fn advance_until(&mut self, target: u64);
-    /// See [`Simulation::committed`].
+    /// Instructions committed so far (live progress, for incremental
+    /// driving).
     fn committed(&self) -> u64;
-    /// See [`Simulation::done`].
+    /// True once [`LaneRun::advance_until`] can make no further progress:
+    /// the workload halted, the instruction budget is exhausted, or the
+    /// energy source never recovered from an outage. Incremental drivers
+    /// (the lockstep runner) poll this between chunks.
     fn done(&self) -> bool;
-    /// The scheme this lane simulates.
-    fn scheme(&self) -> Scheme;
-    /// See [`Simulation::finish_collecting`].
+    /// Assembles the [`RunOutcome`] of a lane that has been driven to
+    /// completion. `sim_mips` is left at zero — the driver that owns the
+    /// wall clock ([`run_lane`], [`run_lockstep`]) fills it in.
     fn finish_collecting(self: Box<Self>) -> RunOutcome;
-    /// See [`Simulation::arch_pos`].
+    /// This lane's position on the canonical rewind-free instruction
+    /// stream. `committed` counts instructions re-executed after a restore;
+    /// an offset kept across restores subtracts them back out, so two lanes
+    /// at equal `arch_pos` are about to execute the same instruction (for
+    /// stream-invariant workloads).
     fn arch_pos(&self) -> u64;
-    /// See [`Simulation::wide_eligible`].
+    /// True when this lane may participate in transposed stream replay:
+    /// the workload's access stream is provably data-independent and
+    /// nothing demands per-instruction observation of this specific lane
+    /// (cycle-accurate mode and zombie sampling both key off exact per-lane
+    /// instruction positions, so those lanes stay on the live stepper).
     fn wide_eligible(&self) -> bool;
-    /// See [`Simulation::advance_recording`].
+    /// Advances like [`LaneRun::advance_until`] while recording every
+    /// committed instruction into `window` for sibling lanes to replay
+    /// (the transposed lockstep recorder role). The window's start is this
+    /// lane's current architectural position; an outage seals it; a clean
+    /// exit stores the end-of-window core snapshot for replayers to adopt.
     fn advance_recording(&mut self, target: u64, window: &mut StreamWindow);
-    /// See [`Simulation::advance_replay`].
+    /// Advances this lane by replaying a sibling's recorded [`StreamWindow`]
+    /// instead of decoding instructions: the recorded `(pc, kind, addr)`
+    /// stream drives this lane's own fetches, data accesses, predictor
+    /// hooks, ticks and energy stepping — bit-identical to live execution
+    /// by stream invariance — while the core sits untouched. Architectural
+    /// state is re-synchronized at the window end by adopting the
+    /// recorder's snapshot (or, for sealed windows and mid-window exits, by
+    /// re-decoding the replayed records against this lane's own buffered
+    /// load values). An outage is ridden out on the re-synchronized core,
+    /// and the lane rejoins the window where the restored position lands
+    /// in it.
     fn advance_replay(&mut self, window: &StreamWindow);
+    /// The architectural value of the word at `addr` (a dirty cached copy
+    /// wins over the backing store), for crash-consistency verification.
+    fn word_at(&mut self, addr: u64) -> u32;
+    /// Pre-sizes the zombie-analysis sample pools so a bounded measured
+    /// window performs no further growth (testing/benchmarking aid; no-op
+    /// unless [`SystemConfig::zombie_sample_interval`] is set).
+    fn reserve_zombie_capacity(&mut self, samples: usize);
 }
 
 impl<P: LeakagePredictor> LaneRun for Simulation<P> {
     fn advance_until(&mut self, target: u64) {
-        Simulation::advance_until(self, target);
+        // Resolve the D-cache's replacement-policy kernel once per call;
+        // the entire hot loop then runs with the probe and rank update
+        // statically dispatched. The `()` sink compiles every recording
+        // call to nothing, so the solo loop stays allocation-free.
+        with_policy_kernel!(self.config.dcache.policy, K => self.advance_until_k::<K, ()>(target, &mut ()));
     }
 
     fn committed(&self) -> u64 {
-        Simulation::committed(self)
+        self.core.committed()
     }
 
     fn done(&self) -> bool {
-        Simulation::done(self)
-    }
-
-    fn scheme(&self) -> Scheme {
-        self.scheme
+        self.core.halted() || self.aborted || self.core.committed() >= self.config.max_instructions
     }
 
     fn finish_collecting(self: Box<Self>) -> RunOutcome {
-        Simulation::finish_collecting(*self)
+        let stats = self.energy.stats();
+        let result = RunResult {
+            app: self.workload.app,
+            scheme: self.scheme,
+            completed: self.completed,
+            committed: self.core.committed(),
+            loads: self.core.loads(),
+            stores: self.core.stores(),
+            on_time: stats.on_time,
+            off_time: stats.off_time,
+            outages: stats.outages,
+            brownouts: self.brownouts,
+            energy: self.breakdown,
+            dcache: *self.mem.dcache.stats(),
+            icache: *self.mem.icache.stats(),
+            prediction: self.ledger.summary(),
+            sim_mips: 0.0,
+        };
+        RunOutcome {
+            result,
+            trace: self.recorder.map(OracleRecorder::finish),
+            zombie_samples: self
+                .zombie
+                .map(crate::ZombieAnalysis::finish)
+                .unwrap_or_default(),
+        }
     }
 
     fn arch_pos(&self) -> u64 {
-        Simulation::arch_pos(self)
+        (self.core.committed() as i64 + self.arch_offset) as u64
     }
 
     fn wide_eligible(&self) -> bool {
-        Simulation::wide_eligible(self)
+        self.stream_invariant && !self.config.force_cycle_accurate && self.zombie.is_none()
     }
 
     fn advance_recording(&mut self, target: u64, window: &mut StreamWindow) {
-        Simulation::advance_recording(self, target, window);
+        window.begin(self.arch_pos());
+        with_policy_kernel!(self.config.dcache.policy, K => self.advance_until_k::<K, StreamWindow>(target, window));
+        window.finish(self.core.checkpoint());
     }
 
     fn advance_replay(&mut self, window: &StreamWindow) {
-        Simulation::advance_replay(self, window);
+        with_policy_kernel!(self.config.dcache.policy, K => self.advance_replay_k::<K>(window));
+    }
+
+    fn word_at(&mut self, addr: u64) -> u32 {
+        self.mem.word_at(addr)
+    }
+
+    fn reserve_zombie_capacity(&mut self, samples: usize) {
+        if let Some(z) = &mut self.zombie {
+            z.reserve(samples);
+        }
     }
 }
 
 /// Builds a simulation lane for `scheme` with the predictor type resolved
-/// at compile time — the enum-to-generic dispatch table. Each arm
-/// instantiates `Simulation<P>` with a concrete `P`, so the baseline's
-/// no-op hooks inline away entirely and composed schemes ([`Pair`]) lose
-/// the per-event vtable hop the boxed [`CombinedPredictor`] pays.
+/// at compile time — the enum-to-generic dispatch table and the only way
+/// to construct a simulation. Each arm instantiates the simulation with a
+/// concrete predictor type, built by one closure for the D-cache and (when
+/// I-cache prediction applies) the I-cache, so the baseline's no-op hooks
+/// inline away entirely and composed schemes ([`Pair`]) pay no per-event
+/// vtable hop. `with_recorder` attaches the Ideal scheme's oracle recorder
+/// (see [`record_generation_trace`]); `oracle_trace` must be provided when
+/// `scheme` is [`Scheme::Ideal`].
 ///
-/// The lane observes exactly the event sequence the equivalent
-/// dynamically-dispatched `Simulation::try_new` run observes, so its
-/// [`RunOutcome`] is bit-identical (the `lockstep` differential suite
-/// asserts this for every scheme).
+/// # Errors
+///
+/// An inconsistent energy configuration is returned as a typed
+/// [`EnergyConfigError`] rather than a panic — the harness turns it into
+/// an actionable per-job failure instead of aborting a whole suite.
+///
+/// # Panics
+///
+/// Panics if the Ideal scheme is requested without a trace.
 pub fn build_lane(
     config: &SystemConfig,
     scheme: Scheme,
     workload: Workload,
-    oracle_trace: Option<GenerationTrace>,
+    mut oracle_trace: Option<GenerationTrace>,
     with_recorder: bool,
 ) -> Result<Box<dyn LaneRun>, EnergyConfigError> {
-    fn erase<P: LeakagePredictor + 'static>(
-        sim: Simulation<P>,
-        with_recorder: bool,
-    ) -> Box<dyn LaneRun> {
-        if with_recorder {
-            Box::new(sim.with_recorder())
-        } else {
-            Box::new(sim)
-        }
+    fn lane<P: LeakagePredictor + 'static>(
+        (config, scheme, workload, with_recorder): (&SystemConfig, Scheme, Workload, bool),
+        predictor: impl FnMut(&SystemConfig, &Cache) -> P,
+    ) -> Result<Box<dyn LaneRun>, EnergyConfigError> {
+        let sim = Simulation::with_predictor(config, scheme, workload, with_recorder, predictor)?;
+        Ok(Box::new(sim))
     }
     let edbp = |cfg: &SystemConfig, cache: &Cache| {
         Edbp::new(
@@ -1623,51 +1332,27 @@ pub fn build_lane(
                 .unwrap_or_else(|| EdbpConfig::for_cache(cache)),
         )
     };
-    Ok(match scheme {
-        Scheme::Baseline | Scheme::Sdbp | Scheme::LeakageOff80 => erase(
-            Simulation::try_new_with(config, scheme, workload, |_, _| NullPredictor::new())?,
-            with_recorder,
-        ),
-        Scheme::Decay => erase(
-            Simulation::try_new_with(config, scheme, workload, |cfg, c| {
-                CacheDecay::new(cfg.decay, c)
-            })?,
-            with_recorder,
-        ),
-        Scheme::Edbp => erase(
-            Simulation::try_new_with(config, scheme, workload, edbp)?,
-            with_recorder,
-        ),
-        Scheme::DecayEdbp => erase(
-            Simulation::try_new_with(config, scheme, workload, |cfg, c| {
-                Pair::new(CacheDecay::new(cfg.decay, c), edbp(cfg, c))
-            })?,
-            with_recorder,
-        ),
-        Scheme::Amc => erase(
-            Simulation::try_new_with(config, scheme, workload, |_, c| {
-                AdaptiveModeControl::new(AmcConfig::default(), c)
-            })?,
-            with_recorder,
-        ),
-        Scheme::AmcEdbp => erase(
-            Simulation::try_new_with(config, scheme, workload, |cfg, c| {
-                Pair::new(
-                    AdaptiveModeControl::new(AmcConfig::default(), c),
-                    edbp(cfg, c),
-                )
-            })?,
-            with_recorder,
-        ),
-        Scheme::Ideal => erase(
-            Simulation::try_new_with(config, scheme, workload, |_, _| {
-                OraclePredictor::new(
-                    oracle_trace.expect("the Ideal scheme requires a recorded generation trace"),
-                )
-            })?,
-            with_recorder,
-        ),
-    })
+    let amc = |cache: &Cache| AdaptiveModeControl::new(AmcConfig::default(), cache);
+    let args = (config, scheme, workload, with_recorder);
+    match scheme {
+        Scheme::Baseline | Scheme::Sdbp | Scheme::LeakageOff80 => {
+            lane(args, |_, _| NullPredictor::new())
+        }
+        Scheme::Decay => lane(args, |cfg, cache| CacheDecay::new(cfg.decay, cache)),
+        Scheme::Edbp => lane(args, edbp),
+        Scheme::DecayEdbp => lane(args, |cfg, cache| {
+            Pair::new(CacheDecay::new(cfg.decay, cache), edbp(cfg, cache))
+        }),
+        Scheme::Amc => lane(args, |_, cache| amc(cache)),
+        Scheme::AmcEdbp => lane(args, |cfg, cache| Pair::new(amc(cache), edbp(cfg, cache))),
+        Scheme::Ideal => lane(args, |_, _| {
+            OraclePredictor::new(
+                oracle_trace
+                    .take()
+                    .expect("the Ideal scheme requires a recorded generation trace"),
+            )
+        }),
+    }
 }
 
 /// Round size of the lockstep drive: a replayed round touches four parallel
@@ -1676,21 +1361,25 @@ pub fn build_lane(
 /// Measured on the 9-lane bench, 4k rounds beat both 8k and 32k.
 const TRANSPOSED_CHUNK: u64 = 4_096;
 
-/// Drives one monomorphized lane to completion under its own wall clock —
-/// the [`build_lane`] counterpart of [`Simulation::run_collecting`]. This
-/// is the hot path behind [`run_workload`] and the memoized runner: the
-/// enum-to-generic dispatch happens once in [`build_lane`], and the whole
-/// run executes with statically dispatched predictor hooks.
+/// `outcome` with `sim_mips` set to its committed count over `wall`
+/// seconds of host time.
+fn timed(mut outcome: RunOutcome, wall: f64) -> RunOutcome {
+    if wall > 0.0 {
+        outcome.result.sim_mips = outcome.result.committed as f64 / wall / 1e6;
+    }
+    outcome
+}
+
+/// Drives one monomorphized lane to completion under its own wall clock.
+/// This is the hot path behind [`run_workload`]: the enum-to-generic
+/// dispatch happens once in [`build_lane`], and the whole run executes
+/// with statically dispatched predictor hooks.
 pub fn run_lane(mut lane: Box<dyn LaneRun>) -> RunOutcome {
     let wall_start = std::time::Instant::now();
     lane.advance_until(u64::MAX);
     debug_assert!(lane.done());
     let wall = wall_start.elapsed().as_secs_f64();
-    let mut outcome = lane.finish_collecting();
-    if wall > 0.0 {
-        outcome.result.sim_mips = outcome.result.committed as f64 / wall / 1e6;
-    }
-    outcome
+    timed(lane.finish_collecting(), wall)
 }
 
 /// The payload of a panic caught inside one lockstep lane.
@@ -1700,7 +1389,7 @@ pub(crate) type LanePanic = Box<dyn std::any::Any + Send>;
 ///
 /// Unwind safety: a lane that panics is never advanced again, and the
 /// shared [`StreamWindow`] is re-begun before its next read.
-fn contain(f: impl FnOnce()) -> Result<(), LanePanic> {
+fn contain<T>(f: impl FnOnce() -> T) -> Result<T, LanePanic> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
 }
 
@@ -1723,7 +1412,7 @@ fn contain(f: impl FnOnce()) -> Result<(), LanePanic> {
 ///
 /// A recorder panic discards the round's half-recorded window, costing the
 /// siblings one replay opportunity and nothing else.
-pub(crate) fn drive_lockstep(lanes: &mut [Box<dyn LaneRun>]) -> Vec<Option<LanePanic>> {
+fn drive_lockstep(lanes: &mut [Box<dyn LaneRun>]) -> Vec<Option<LanePanic>> {
     let mut panics: Vec<Option<LanePanic>> = lanes.iter().map(|_| None).collect();
     let mut window = StreamWindow::default();
     loop {
@@ -1775,39 +1464,44 @@ pub(crate) fn drive_lockstep(lanes: &mut [Box<dyn LaneRun>]) -> Vec<Option<LaneP
     }
 }
 
+/// Drives `lanes` as one lockstep group under one wall clock and finishes
+/// them: per lane, its outcome (`sim_mips` is its own committed count over
+/// the group's wall time) or the payload of the panic that stopped it while
+/// driving or finishing. A panicking lane never disturbs its siblings.
+pub(crate) fn run_group(mut lanes: Vec<Box<dyn LaneRun>>) -> Vec<Result<RunOutcome, LanePanic>> {
+    let wall_start = std::time::Instant::now();
+    let panics = drive_lockstep(&mut lanes);
+    let wall = wall_start.elapsed().as_secs_f64();
+    lanes
+        .into_iter()
+        .zip(panics)
+        .map(|(lane, panic)| match panic {
+            Some(payload) => Err(payload),
+            None => contain(|| timed(lane.finish_collecting(), wall)),
+        })
+        .collect()
+}
+
 /// Drives a group of lanes over the same workload in lockstep until every
 /// lane is [`LaneRun::done`]: each round, the eligible lane furthest behind
 /// records its instruction stream and its siblings replay it without
 /// decoding. One wall-clock measurement covers the whole group; each
 /// lane's `sim_mips` is its own committed count over that shared wall time.
 ///
-/// Bit-exactness: [`Simulation::advance_until`] never truncates a burst
-/// at its target, and a replaying lane performs its own fetches, accesses,
+/// Bit-exactness: [`LaneRun::advance_until`] never truncates a burst at its
+/// target, and a replaying lane performs its own fetches, accesses,
 /// predictor hooks and energy steps in the live order, so every
-/// [`RunOutcome`] equals the outcome of an independent
-/// [`Simulation::run_collecting`] (modulo `sim_mips`, which is
-/// wall-clock-derived in both regimes; the `lockstep` suite asserts this
-/// for every scheme).
+/// [`RunOutcome`] equals the outcome of an independent [`run_lane`]
+/// (modulo `sim_mips`, which is wall-clock-derived in both regimes; the
+/// `lockstep` suite asserts this for every scheme).
 ///
 /// # Panics
 ///
 /// Re-raises the first lane panic once the surviving lanes have finished.
-pub fn run_lockstep(mut lanes: Vec<Box<dyn LaneRun>>) -> Vec<RunOutcome> {
-    let wall_start = std::time::Instant::now();
-    let panics = drive_lockstep(&mut lanes);
-    if let Some(payload) = panics.into_iter().flatten().next() {
-        std::panic::resume_unwind(payload);
-    }
-    let wall = wall_start.elapsed().as_secs_f64();
-    lanes
+pub fn run_lockstep(lanes: Vec<Box<dyn LaneRun>>) -> Vec<RunOutcome> {
+    run_group(lanes)
         .into_iter()
-        .map(|lane| {
-            let mut outcome = lane.finish_collecting();
-            if wall > 0.0 {
-                outcome.result.sim_mips = outcome.result.committed as f64 / wall / 1e6;
-            }
-            outcome
-        })
+        .map(|outcome| outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
         .collect()
 }
 
@@ -1855,27 +1549,15 @@ pub fn run_workload(config: &SystemConfig, scheme: Scheme, workload: Workload) -
 }
 
 /// Pass 1 of the Ideal scheme: runs the baseline while recording every
-/// block generation's access count.
+/// block generation's access count. The recorder is a passive observer, so
+/// a recorded baseline's result is bit-identical to an unrecorded one —
+/// which lets one execution serve both as the Ideal scheme's oracle pass
+/// and as the baseline column of the same experiment matrix (see the
+/// memoization layer in `runner`, which builds that lane directly).
 pub fn record_generation_trace(config: &SystemConfig, workload: Workload) -> GenerationTrace {
-    run_baseline_with_trace(config, workload).1
-}
-
-/// Runs the baseline once, returning both its results and the recorded
-/// generation trace. The recorder is a passive observer, so the result is
-/// bit-identical to an unrecorded baseline run — which lets one execution
-/// serve both as the Ideal scheme's oracle pass and as the baseline column
-/// of the same experiment matrix (see the memoization layer in `runner`).
-pub fn run_baseline_with_trace(
-    config: &SystemConfig,
-    workload: Workload,
-) -> (RunResult, GenerationTrace) {
     let lane = build_lane(config, Scheme::Baseline, workload, None, true)
         .unwrap_or_else(|e| panic!("invalid energy configuration: {e}"));
-    let outcome = run_lane(lane);
-    (
-        outcome.result,
-        outcome.trace.expect("recorder was attached"),
-    )
+    run_lane(lane).trace.expect("recorder was attached")
 }
 
 #[cfg(test)]
@@ -1911,10 +1593,6 @@ mod tests {
             self.inner.done()
         }
 
-        fn scheme(&self) -> Scheme {
-            self.inner.scheme()
-        }
-
         fn finish_collecting(self: Box<Self>) -> RunOutcome {
             self.inner.finish_collecting()
         }
@@ -1935,6 +1613,14 @@ mod tests {
         fn advance_replay(&mut self, window: &StreamWindow) {
             self.count_advance();
             self.inner.advance_replay(window);
+        }
+
+        fn word_at(&mut self, addr: u64) -> u32 {
+            self.inner.word_at(addr)
+        }
+
+        fn reserve_zombie_capacity(&mut self, samples: usize) {
+            self.inner.reserve_zombie_capacity(samples);
         }
     }
 
@@ -1976,20 +1662,19 @@ mod tests {
         // covers a recorder panic (half-recorded window) and replayer
         // panics.
         for faulty in 0..3 {
-            let mut lanes = group(Some(faulty));
-            let panics = drive_lockstep(&mut lanes);
-            for (i, (lane, panic)) in lanes.into_iter().zip(panics).enumerate() {
-                if i == faulty {
-                    let payload = panic.expect("the faulty lane's panic is returned");
-                    assert_eq!(message(&payload), FAULT);
-                    continue;
-                }
-                assert!(panic.is_none(), "lane {i} failed with lane {faulty}");
-                assert!(lane.done());
+            for (i, outcome) in run_group(group(Some(faulty))).into_iter().enumerate() {
+                let outcome = match outcome {
+                    Err(payload) if i == faulty => {
+                        assert_eq!(message(&payload), FAULT);
+                        continue;
+                    }
+                    Err(_) => panic!("lane {i} failed with lane {faulty}"),
+                    Ok(_) if i == faulty => panic!("the faulty lane's panic is returned"),
+                    Ok(outcome) => outcome,
+                };
                 let alone = run_lane(group(None).swap_remove(i));
                 assert_eq!(
-                    lane.finish_collecting().result,
-                    alone.result,
+                    outcome.result, alone.result,
                     "lane {i} diverged after lane {faulty} panicked"
                 );
             }

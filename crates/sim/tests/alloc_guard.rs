@@ -10,15 +10,17 @@
 //! ZERO heap allocations while committing tens of thousands of
 //! instructions.
 //!
-//! Scenarios cover the three paper configurations with distinct hot paths:
-//! NVSRAMCache/EDBP (voltage-threshold gating + NV parking), Decay+EDBP
-//! (per-epoch sweeps + combined predictor), and a zombie-instrumented run
-//! (per-instruction sampling on the cycle-by-cycle reference path).
+//! Scenarios cover the paper configurations with distinct hot paths, each
+//! built through `build_lane` as every figure builds it: NVSRAMCache/EDBP
+//! (voltage-threshold gating + NV parking), Decay+EDBP (per-epoch sweeps
+//! through `Pair`), a zombie-instrumented run (per-instruction sampling on
+//! the cycle-by-cycle reference path), and recorder/replayer lane pairs
+//! (transposed lockstep replay of one shared `StreamWindow`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ehs_sim::{Scheme, Simulation, SystemConfig};
+use ehs_sim::{build_lane, run_lane, LaneRun, Scheme, StreamWindow, SystemConfig};
 use ehs_workloads::{build, AppId, Scale};
 
 /// Wraps the system allocator, counting every allocation (alloc, realloc
@@ -52,40 +54,93 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Runs the scenario once to learn its total committed-instruction count,
-/// then re-runs it with a warm-up prefix (55 % of the run) and asserts the
-/// measured window that follows (up to 85 %) performs zero allocations.
-fn assert_alloc_free_window(config: &SystemConfig, scheme: Scheme, app: AppId, label: &str) {
-    let probe = Simulation::new(config, scheme, build(app, Scale::Small), None);
-    let total = probe.run().0.committed;
+/// Instructions per recorded lockstep round (the lockstep driver's chunk).
+const CHUNK: u64 = 4_096;
 
-    let mut sim = Simulation::new(config, scheme, build(app, Scale::Small), None);
-    let warmup = total * 55 / 100;
-    let until = total * 85 / 100;
+fn lane(config: &SystemConfig, scheme: Scheme, app: AppId) -> Box<dyn LaneRun> {
+    build_lane(config, scheme, build(app, Scale::Small), None, false)
+        .expect("paper-default energy configuration is valid")
+}
+
+/// Runs `scheme` on `app` once to learn its total committed-instruction
+/// count and returns the 55 % and 85 % marks: the warm-up ends at the
+/// first, the measured window at the second.
+fn window_marks(config: &SystemConfig, scheme: Scheme, app: AppId) -> (u64, u64) {
+    let total = run_lane(lane(config, scheme, app)).result.committed;
+    (total * 55 / 100, total * 85 / 100)
+}
+
+/// Heap allocations performed by `f`.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    f();
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+/// Asserts a measured window from instruction `from` to `to` performed no
+/// allocations and was long enough to mean something.
+fn assert_alloc_free(label: &str, allocated: u64, from: u64, to: u64) {
+    assert_eq!(
+        allocated, 0,
+        "{label}: {allocated} heap allocations while committing instructions \
+         {from}..{to} (the hot loop must be allocation-free once warm)"
+    );
+    assert!(
+        to > from + 1000,
+        "{label}: measured window too short ({from}..{to}) to be meaningful"
+    );
+}
+
+/// Warms one lane up to its 55 % mark and asserts the window that follows
+/// (up to 85 %) performs zero allocations.
+fn assert_alloc_free_window(config: &SystemConfig, scheme: Scheme, app: AppId, label: &str) {
+    let (warmup, until) = window_marks(config, scheme, app);
+    let mut sim = lane(config, scheme, app);
     sim.advance_until(warmup);
     assert!(
-        sim.committed() >= warmup && !sim.halted(),
-        "{label}: warm-up must end mid-run (committed {} of {total})",
+        sim.committed() >= warmup && !sim.done(),
+        "{label}: warm-up must end mid-run (committed {} of {warmup}..{until})",
         sim.committed()
     );
     sim.reserve_zombie_capacity(4096);
+    let allocated = allocations(|| sim.advance_until(until));
+    assert_alloc_free(label, allocated, warmup, sim.committed());
+}
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    sim.advance_until(until);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    let committed = sim.committed();
+/// Advances both lanes to `target` in lockstep rounds, as the lockstep
+/// driver does: the lane behind records one chunk into `window`, and the
+/// other replays it when its position falls inside.
+fn drive_pair(lanes: &mut [Box<dyn LaneRun>; 2], window: &mut StreamWindow, target: u64) {
+    while lanes.iter().any(|lane| lane.committed() < target) {
+        let r = usize::from(lanes[1].arch_pos() < lanes[0].arch_pos());
+        assert!(!lanes[r].done(), "lane {r} finished before {target}");
+        let chunk_end = lanes[r].committed() + CHUNK;
+        lanes[r].advance_recording(chunk_end, window);
+        let replayer = &mut lanes[1 - r];
+        let pos = replayer.arch_pos();
+        if pos >= window.start() && pos < window.start() + window.len() as u64 {
+            replayer.advance_replay(window);
+        }
+    }
+}
 
-    assert_eq!(
-        after - before,
-        0,
-        "{label}: {} heap allocations while committing instructions \
-         {warmup}..{committed} (the hot loop must be allocation-free once warm)",
-        after - before,
-    );
+/// The lockstep flavour of [`assert_alloc_free_window`]: two lanes over one
+/// workload share one stream window, taking turns to record and replay.
+fn assert_replay_alloc_free(config: &SystemConfig, schemes: [Scheme; 2], app: AppId) {
+    let label = format!("{} + {} lockstep", schemes[0], schemes[1]);
+    let (warmup, until) = window_marks(config, schemes[0], app);
+    let mut lanes = schemes.map(|scheme| lane(config, scheme, app));
     assert!(
-        committed > warmup + 1000,
-        "{label}: measured window too short ({warmup}..{committed}) to be meaningful"
+        lanes.iter().all(|lane| lane.wide_eligible()),
+        "{label}: both lanes must be eligible for stream replay"
     );
+    let mut window = StreamWindow::default();
+    drive_pair(&mut lanes, &mut window, warmup);
+    let from = lanes.each_ref().map(|lane| lane.committed());
+    let allocated = allocations(|| drive_pair(&mut lanes, &mut window, until));
+    for (lane, from) in lanes.iter().zip(from) {
+        assert_alloc_free(&label, allocated, from, lane.committed());
+    }
 }
 
 #[test]
@@ -98,8 +153,8 @@ fn hot_loop_is_allocation_free_once_warm() {
         "edbp",
     );
 
-    // Decay+EDBP: epoch sweeps through the combined predictor, plus
-    // conventional main-memory spills of gated dirty blocks.
+    // Decay+EDBP: epoch sweeps through `Pair`, plus conventional
+    // main-memory spills of gated dirty blocks.
     assert_alloc_free_window(
         &SystemConfig::paper_default(),
         Scheme::DecayEdbp,
@@ -117,4 +172,11 @@ fn hot_loop_is_allocation_free_once_warm() {
         AppId::Sha,
         "zombie-instrumented",
     );
+
+    // Transposed lockstep: the replayer performs its own fetches, data
+    // accesses, predictor hooks and energy steps off the recorder's window
+    // (pooled record columns, snapshots and replayed load values).
+    let config = SystemConfig::paper_default();
+    assert_replay_alloc_free(&config, [Scheme::Baseline, Scheme::DecayEdbp], AppId::Crc32);
+    assert_replay_alloc_free(&config, [Scheme::Edbp, Scheme::DecayEdbp], AppId::AdpcmEnc);
 }

@@ -5,26 +5,20 @@
 //! identical whether the loop coalesces compute bursts or steps one cycle
 //! at a time. These tests run the same (scheme, app, seed) matrix under
 //! both [`SystemConfig::force_cycle_accurate`] settings and compare with
-//! `==` (`sim_mips` is excluded from `RunResult`'s `PartialEq`).
+//! `==` (`sim_mips` is excluded from `RunResult`'s `PartialEq`). The same
+//! reference referees [`build_lane`]'s dispatch table: every
+//! (`Scheme`, `ReplacementPolicy`) lane it monomorphizes must match it.
 
+use ehs_cache::ReplacementPolicy;
 use ehs_energy::TracePreset;
 use ehs_nvm::MemoryTechnology;
 use ehs_sim::runner::{default_threads, run_matrix};
-use ehs_sim::{run_app, Scheme, Simulation, SourceKind, SystemConfig};
+use ehs_sim::{
+    build_lane, record_generation_trace, run_app, run_lane, Scheme, SourceKind, SystemConfig,
+};
 use ehs_units::{Capacitance, Energy, Power, Voltage};
 use ehs_workloads::{build, AppId, Scale};
-
-const ALL_SCHEMES: [Scheme; 9] = [
-    Scheme::Baseline,
-    Scheme::Sdbp,
-    Scheme::Decay,
-    Scheme::Edbp,
-    Scheme::DecayEdbp,
-    Scheme::Amc,
-    Scheme::AmcEdbp,
-    Scheme::Ideal,
-    Scheme::LeakageOff80,
-];
+use proptest::prelude::*;
 
 const APPS: [AppId; 3] = [AppId::Crc32, AppId::Patricia, AppId::JpegEnc];
 const SEEDS: [u64; 2] = [42, 7];
@@ -76,7 +70,7 @@ fn assert_matrix_bit_exact(base: &SystemConfig, schemes: &[Scheme], apps: &[AppI
 
 #[test]
 fn every_scheme_is_bit_exact_across_apps_and_seeds() {
-    assert_matrix_bit_exact(&SystemConfig::paper_default(), &ALL_SCHEMES, &APPS);
+    assert_matrix_bit_exact(&SystemConfig::paper_default(), &Scheme::ALL, &APPS);
 }
 
 /// The `outage_storm` platform: a weak source (0.3× RFHome) on a 1 µF
@@ -122,18 +116,23 @@ fn zombie_instrumented_runs_are_bit_exact() {
     config.zombie_sample_interval = Some(500);
     for scheme in [Scheme::Baseline, Scheme::DecayEdbp] {
         let run = |cycle_accurate: bool| {
-            Simulation::new(
-                &variant(&config, 42, cycle_accurate),
-                scheme,
-                build(AppId::Crc32, Scale::Tiny),
-                None,
-            )
-            .run_with_zombie_analysis()
+            let config = variant(&config, 42, cycle_accurate);
+            let workload = build(AppId::Crc32, Scale::Tiny);
+            let lane = build_lane(&config, scheme, workload, None, false)
+                .expect("paper-default energy configuration is valid");
+            run_lane(lane)
         };
-        let (b_result, b_samples) = run(false);
-        let (e_result, e_samples) = run(true);
-        assert_eq!(b_result, e_result, "zombie run diverged for {scheme}");
-        assert_eq!(b_samples, e_samples, "zombie samples diverged for {scheme}");
+        let burst = run(false);
+        let exact = run(true);
+        assert!(!burst.zombie_samples.is_empty(), "{scheme}: no samples");
+        assert_eq!(
+            burst.result, exact.result,
+            "zombie run diverged for {scheme}"
+        );
+        assert_eq!(
+            burst.zombie_samples, exact.zombie_samples,
+            "zombie samples diverged for {scheme}"
+        );
     }
 }
 
@@ -188,6 +187,70 @@ fn brownout_landing_mid_burst_is_bit_exact() {
         assert_eq!(
             burst, exact,
             "burst vs cycle-accurate divergence for {scheme}"
+        );
+    }
+}
+
+/// Paper defaults with the D-cache policy swapped, the trace seed replaced
+/// and the run bounded so the 45-cell matrix stays fast; equality holds for
+/// truncated runs too.
+fn policy_config(policy: ReplacementPolicy, seed: u64, cycle_accurate: bool) -> SystemConfig {
+    let mut config = SystemConfig::paper_default();
+    config.dcache.policy = policy;
+    config.max_instructions = 120_000;
+    variant(&config, seed, cycle_accurate)
+}
+
+/// Runs one (scheme, policy) lane both ways and asserts bit-equality, and
+/// that the dispatch table routed the scheme to its own lane.
+fn assert_lane_matches_reference(policy: ReplacementPolicy, seed: u64, scheme: Scheme, app: AppId) {
+    let run = |cycle_accurate: bool| {
+        let config = policy_config(policy, seed, cycle_accurate);
+        let workload = build(app, Scale::Tiny);
+        let oracle = scheme
+            .needs_oracle_trace()
+            .then(|| record_generation_trace(&config, workload.clone()));
+        let lane = build_lane(&config, scheme, workload, oracle, false)
+            .expect("paper-default energy configuration is valid");
+        run_lane(lane).result
+    };
+    let burst = run(false);
+    assert_eq!(
+        burst.scheme, scheme,
+        "dispatch table routed {scheme} to the wrong lane"
+    );
+    assert_eq!(
+        burst,
+        run(true),
+        "lane diverged from the cycle-accurate reference: scheme {scheme} policy {policy:?} seed {seed}"
+    );
+}
+
+#[test]
+fn every_scheme_policy_lane_matches_the_reference() {
+    for policy in ReplacementPolicy::ALL {
+        for scheme in Scheme::ALL {
+            assert_lane_matches_reference(policy, 42, scheme, AppId::Crc32);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    // Randomized corner of the same property: arbitrary trace seeds and
+    // matrix cells, on a second app, must also agree bit for bit.
+    #[test]
+    fn lanes_match_the_reference_under_random_seeds(
+        seed in 0u64..10_000,
+        scheme_idx in 0usize..Scheme::ALL.len(),
+        policy_idx in 0usize..ReplacementPolicy::ALL.len(),
+    ) {
+        assert_lane_matches_reference(
+            ReplacementPolicy::ALL[policy_idx],
+            seed,
+            Scheme::ALL[scheme_idx],
+            AppId::Bitcount,
         );
     }
 }

@@ -5,7 +5,9 @@
 //! parking discipline.
 
 use edbp_repro::cpu::{Core, Effect, ProgramBuilder, Reg};
-use edbp_repro::sim::{Scheme, Simulation, SourceKind, SystemConfig};
+use edbp_repro::sim::{
+    build_lane, record_generation_trace, RunResult, Scheme, SourceKind, SystemConfig,
+};
 use edbp_repro::units::Power;
 use edbp_repro::workloads::{AppId, Workload};
 use std::collections::HashMap;
@@ -81,17 +83,24 @@ fn golden_out_words() -> Vec<u32> {
         .collect()
 }
 
-fn probe_addrs() -> Vec<u64> {
-    (0..512u64).map(|i| 0x0012_0000 + i * 4).collect()
+/// Runs `scheme` over the pattern program to completion and returns its
+/// result with the architectural value of every OUT word (dirty cached
+/// copies win over the backing store).
+fn run_probed(config: &SystemConfig, scheme: Scheme) -> (RunResult, Vec<u32>) {
+    let trace = scheme
+        .needs_oracle_trace()
+        .then(|| record_generation_trace(config, pattern_program()));
+    let mut lane = build_lane(config, scheme, pattern_program(), trace, false)
+        .expect("paper-default energy configuration is valid");
+    lane.advance_until(u64::MAX);
+    let words = (0..512u64)
+        .map(|i| lane.word_at(0x0012_0000 + i * 4))
+        .collect();
+    (lane.finish_collecting().result, words)
 }
 
 fn assert_consistent(scheme: Scheme) {
-    let config = SystemConfig::paper_default();
-    let trace = scheme
-        .needs_oracle_trace()
-        .then(|| edbp_repro::sim::record_generation_trace(&config, pattern_program()));
-    let sim = Simulation::new(&config, scheme, pattern_program(), trace);
-    let (result, words) = sim.run_with_memory_probe(&probe_addrs());
+    let (result, words) = run_probed(&SystemConfig::paper_default(), scheme);
     assert!(result.completed, "{scheme}: did not complete");
     assert!(
         result.outages >= 2,
@@ -99,43 +108,37 @@ fn assert_consistent(scheme: Scheme) {
         result.outages
     );
     assert_eq!(result.brownouts, 0, "{scheme}: JIT margin violated");
-    let golden = golden_out_words();
-    assert_eq!(words, golden, "{scheme}: memory image diverged");
+    assert_eq!(words, golden_out_words(), "{scheme}: memory image diverged");
 }
 
-#[test]
-fn baseline_is_crash_consistent() {
-    assert_consistent(Scheme::Baseline);
+/// One crash-consistency test per scheme. The table lists `Scheme::ALL` in
+/// order, which its own test checks, so no scheme goes unchecked.
+macro_rules! crash_consistency_tests {
+    ($($test:ident: $scheme:ident,)*) => {
+        $(
+            #[test]
+            fn $test() {
+                assert_consistent(Scheme::$scheme);
+            }
+        )*
+
+        #[test]
+        fn every_scheme_has_a_crash_consistency_test() {
+            assert_eq!([$(Scheme::$scheme),*], Scheme::ALL);
+        }
+    };
 }
 
-#[test]
-fn sdbp_is_crash_consistent() {
-    assert_consistent(Scheme::Sdbp);
-}
-
-#[test]
-fn cache_decay_is_crash_consistent() {
-    assert_consistent(Scheme::Decay);
-}
-
-#[test]
-fn edbp_is_crash_consistent() {
-    assert_consistent(Scheme::Edbp);
-}
-
-#[test]
-fn combined_is_crash_consistent() {
-    assert_consistent(Scheme::DecayEdbp);
-}
-
-#[test]
-fn amc_edbp_is_crash_consistent() {
-    assert_consistent(Scheme::AmcEdbp);
-}
-
-#[test]
-fn ideal_is_crash_consistent() {
-    assert_consistent(Scheme::Ideal);
+crash_consistency_tests! {
+    baseline_is_crash_consistent: Baseline,
+    sdbp_is_crash_consistent: Sdbp,
+    cache_decay_is_crash_consistent: Decay,
+    edbp_is_crash_consistent: Edbp,
+    combined_is_crash_consistent: DecayEdbp,
+    amc_is_crash_consistent: Amc,
+    amc_edbp_is_crash_consistent: AmcEdbp,
+    ideal_is_crash_consistent: Ideal,
+    leakage_off_is_crash_consistent: LeakageOff80,
 }
 
 #[test]
@@ -144,8 +147,7 @@ fn failure_free_run_matches_golden_too() {
     // the cached execution must still match the golden model.
     let mut config = SystemConfig::paper_default();
     config.source = SourceKind::Constant(Power::from_milli_watts(100.0));
-    let sim = Simulation::new(&config, Scheme::Baseline, pattern_program(), None);
-    let (result, words) = sim.run_with_memory_probe(&probe_addrs());
+    let (result, words) = run_probed(&config, Scheme::Baseline);
     assert!(result.completed);
     assert_eq!(result.outages, 0, "100 mW never fails");
     assert_eq!(words, golden_out_words());
