@@ -1,7 +1,7 @@
 //! The set-associative cache mechanism.
 
-use crate::policy::{rank_of, PolicyKernel, SetState, SharedPolicyState, MAX_WAYS};
-use crate::{with_policy_kernel, CacheStats, ReplacementPolicy};
+use crate::policy::{rank_of, SetState, SharedPolicyState, MAX_WAYS};
+use crate::{CacheStats, ReplacementPolicy};
 use ehs_nvm::CacheGeometry;
 
 /// Which kind of CPU access hits the cache.
@@ -214,15 +214,10 @@ const TAG_NONE: u64 = u64::MAX;
 ///
 /// Metadata is struct-of-arrays: one flat per-frame tag column (sentinel
 /// `TAG_NONE` for empty frames) plus per-set valid/dirty/gated bitmasks
-/// and one packed [`SetState`] per set, so the tag probe is a branchless
-/// compare loop over adjacent words and mask updates are single bit ops.
-/// Block data lives in one contiguous arena sized by the geometry
+/// and one packed 16-byte replacement state per set, so the tag probe is a
+/// branchless compare loop over adjacent words and mask updates are single
+/// bit ops. Block data lives in one contiguous arena sized by the geometry
 /// (`sets × ways × block_bytes`), indexed by frame.
-///
-/// The per-access entry points come in two flavours: [`Cache::lookup_with`]
-/// / [`Cache::fill`] match the policy enum once per call, while the generic
-/// [`Cache::lookup_with_k`] / [`Cache::fill_k`] take a [`PolicyKernel`]
-/// type parameter so monomorphized hot loops pay no per-access dispatch.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
@@ -265,7 +260,7 @@ impl Cache {
         );
         let ways = g.associativity as u8;
         let n_sets = g.sets() as usize;
-        let init = with_policy_kernel!(config.policy, K => K::init(ways));
+        let init = SetState::new(config.policy, ways);
         Self {
             config,
             tags: vec![TAG_NONE; n_sets * usize::from(ways)].into_boxed_slice(),
@@ -318,11 +313,6 @@ impl Cache {
     /// Access statistics.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    /// Resets statistics (e.g. after warmup) without touching cache state.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     #[inline]
@@ -409,40 +399,12 @@ impl Cache {
     /// its (address, data) is handed to `wb_sink` instead of being copied
     /// into an owned [`Writeback`]. Identical state transitions and
     /// statistics to [`Cache::lookup`] (which wraps it).
-    ///
-    /// Matches the policy enum once per call; monomorphized loops use
-    /// [`Cache::lookup_with_k`] directly.
     pub fn lookup_with(
         &mut self,
         addr: u64,
         kind: AccessKind,
         wb_sink: impl FnOnce(u64, &[u8]),
     ) -> LookupResult {
-        with_policy_kernel!(
-            self.config.policy,
-            K => self.lookup_with_k::<K>(addr, kind, wb_sink)
-        )
-    }
-
-    /// [`Cache::lookup_with`] specialised to a [`PolicyKernel`]: state
-    /// transitions and statistics are identical, but replacement updates
-    /// compile to the kernel's branchless word ops with no per-access
-    /// policy dispatch.
-    ///
-    /// # Panics
-    ///
-    /// Debug builds panic if `K` does not match the configured policy.
-    pub fn lookup_with_k<K: PolicyKernel>(
-        &mut self,
-        addr: u64,
-        kind: AccessKind,
-        wb_sink: impl FnOnce(u64, &[u8]),
-    ) -> LookupResult {
-        debug_assert_eq!(
-            K::POLICY,
-            self.config.policy,
-            "policy kernel must match the cache's configured policy"
-        );
         let (set_idx, tag) = self.split(addr);
         let s = set_idx as usize;
         let ways = self.ways();
@@ -457,7 +419,7 @@ impl Cache {
             let bit = 1u16 << way_idx;
             let was_dirty = self.dirty[s] & bit != 0;
             self.dirty[s] |= bit & (0u16.wrapping_sub(u16::from(kind == AccessKind::Write)));
-            K::on_hit(&mut self.policy[s], way_idx, ways);
+            self.policy[s].on_hit(self.config.policy, way_idx, ways);
             self.stats.hits += 1;
             return LookupResult::Hit(HitInfo {
                 block: BlockId {
@@ -470,7 +432,7 @@ impl Cache {
 
         // Miss path: update dueling stats, pick a victim, evict it.
         self.stats.misses += 1;
-        K::on_miss(&mut self.policy[s], set_idx, &mut self.shared);
+        self.shared.on_miss(set_idx);
 
         // Prefer an invalid powered frame, then a gated frame, then the
         // policy victim.
@@ -480,7 +442,7 @@ impl Cache {
         } else if self.gated[s] != 0 {
             self.gated[s].trailing_zeros() as u8
         } else {
-            K::victim(&mut self.policy[s], &mut self.shared, ways)
+            self.policy[s].victim(&mut self.shared, ways)
         };
 
         let bit = 1u16 << victim_way;
@@ -521,29 +483,10 @@ impl Cache {
     /// the chosen frame if it was gated. `dirty` is true for write-allocate
     /// fills. Returns where the block landed.
     ///
-    /// Matches the policy enum once per call; monomorphized loops use
-    /// [`Cache::fill_k`] directly.
-    ///
     /// # Panics
     ///
     /// Panics if `data` length differs from the block size.
     pub fn fill(&mut self, addr: u64, data: &[u8], dirty: bool) -> BlockId {
-        with_policy_kernel!(self.config.policy, K => self.fill_k::<K>(addr, data, dirty))
-    }
-
-    /// [`Cache::fill`] specialised to a [`PolicyKernel`]: identical state
-    /// transitions and statistics without per-access policy dispatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` length differs from the block size; debug builds
-    /// panic if `K` does not match the configured policy.
-    pub fn fill_k<K: PolicyKernel>(&mut self, addr: u64, data: &[u8], dirty: bool) -> BlockId {
-        debug_assert_eq!(
-            K::POLICY,
-            self.config.policy,
-            "policy kernel must match the cache's configured policy"
-        );
         assert_eq!(
             data.len(),
             self.block_bytes() as usize,
@@ -561,7 +504,7 @@ impl Cache {
         } else if self.gated[s] != 0 {
             self.gated[s].trailing_zeros() as u8
         } else {
-            K::victim(&mut self.policy[s], &mut self.shared, ways)
+            self.policy[s].victim(&mut self.shared, ways)
         };
 
         let bit = 1u16 << way_idx;
@@ -582,13 +525,7 @@ impl Cache {
         } else {
             self.dirty[s] &= !bit;
         }
-        K::on_fill(
-            &mut self.policy[s],
-            way_idx,
-            set_idx,
-            ways,
-            &mut self.shared,
-        );
+        self.policy[s].on_fill(way_idx, set_idx, ways, &mut self.shared);
         let range = self.frame_range(set_idx, way_idx);
         self.data[range].copy_from_slice(data);
         self.stats.fills += 1;
@@ -678,16 +615,6 @@ impl Cache {
             addr,
             dirty: was_dirty,
         }
-    }
-
-    /// Re-powers every gated frame without filling it (e.g. when a predictor
-    /// is reset). Frames come back invalid and leaking.
-    pub fn ungate_all(&mut self) {
-        for g in self.gated.iter_mut() {
-            self.stats.ungates += u64::from(g.count_ones());
-            *g = 0;
-        }
-        self.gated_count = 0;
     }
 
     /// Models a power outage: every frame loses its content and comes back
@@ -782,7 +709,7 @@ impl Cache {
     /// of slots written (the way count).
     pub fn set_view_into(&self, set: u32, out: &mut [WayView; MAX_WAYS]) -> usize {
         let s = set as usize;
-        let word = with_policy_kernel!(self.config.policy, K => K::ranks_word(&self.policy[s]));
+        let word = self.policy[s].ranks;
         let ways = self.ways();
         for w in 0..ways {
             let bit = 1u16 << w;
@@ -1025,6 +952,26 @@ mod tests {
     }
 
     #[test]
+    fn set_view_into_matches_set_view() {
+        let mut c = small();
+        for addr in [0x00, 0x40, 0x00, 0x80] {
+            if !c.lookup(addr, AccessKind::Read).is_hit() {
+                c.fill(addr, &BLK, false);
+            }
+        }
+        let mut buf = [WayView {
+            rank: 0xAA,
+            ..WayView::default()
+        }; MAX_WAYS];
+        assert_eq!(c.set_view_into(0, &mut buf), 2);
+        assert_eq!(&buf[..2], c.set_view(0).as_slice());
+        assert!(
+            buf[2..].iter().all(|v| v.rank == 0xAA),
+            "slots past ways kept"
+        );
+    }
+
+    #[test]
     fn data_round_trip_and_write_data() {
         let mut c = small();
         c.lookup(0x00, AccessKind::Read);
@@ -1050,40 +997,6 @@ mod tests {
     fn fill_rejects_wrong_size() {
         let mut c = small();
         c.fill(0x00, &[0u8; 8], false);
-    }
-
-    #[test]
-    fn generic_kernel_paths_match_dispatched_paths() {
-        use crate::LruKernel;
-        let mut a = small();
-        let mut b = small();
-        for i in 0..64u64 {
-            let addr = (i * 16) % 256;
-            let kind = if i % 3 == 0 {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
-            let ra = a.lookup_with(addr, kind, |_, _| {});
-            let rb = b.lookup_with_k::<LruKernel>(addr, kind, |_, _| {});
-            assert_eq!(ra, rb, "access {i}");
-            if !ra.is_hit() {
-                assert_eq!(
-                    a.fill(addr, &BLK, false),
-                    b.fill_k::<LruKernel>(addr, &BLK, false)
-                );
-            }
-        }
-        assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "policy kernel must match")]
-    fn mismatched_kernel_panics_in_debug() {
-        use crate::DrripKernel;
-        let mut c = small(); // configured LRU
-        let _ = c.lookup_with_k::<DrripKernel>(0x00, AccessKind::Read, |_, _| {});
     }
 
     #[test]

@@ -51,10 +51,7 @@ pub use cache::{
     AccessKind, BlockId, Cache, CacheConfig, GateOutcome, GateResult, HitInfo, LookupOutcome,
     LookupResult, MissInfo, MissResult, WayView, Writeback,
 };
-pub use policy::{
-    DrripKernel, FifoKernel, LruKernel, PolicyKernel, RandomKernel, ReplacementPolicy,
-    SetPolicyState, SetState, SharedPolicyState, TreePlruKernel, MAX_WAYS,
-};
+pub use policy::{ReplacementPolicy, MAX_WAYS};
 pub use stats::CacheStats;
 
 pub use ehs_nvm::{CacheGeometry, GeometryError};

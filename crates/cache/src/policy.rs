@@ -23,19 +23,19 @@
 //! This caps associativity at [`MAX_WAYS`] = 16 ways, far above anything the
 //! experiments sweep (the paper's caches are 4-way; Fig. 12 sweeps 1–8).
 //!
-//! # Kernels
+//! # Dispatch
 //!
-//! Each policy's transition functions are exposed as a zero-sized
-//! [`PolicyKernel`] type ([`LruKernel`], [`TreePlruKernel`], [`DrripKernel`],
-//! [`FifoKernel`], [`RandomKernel`]) operating on a plain-old-data
-//! [`SetState`]. The [`with_policy_kernel!`] macro is the single
-//! enum-to-generic dispatch point: it matches a [`ReplacementPolicy`]
-//! exhaustively (no wildcard arm) and runs the caller's body with the
-//! matching kernel type bound, so hot loops monomorphize per policy and pay
-//! the dispatch once per run instead of once per access. [`SetPolicyState`]
-//! is the scalar one-set-at-a-time view over the same kernels; the model
-//! proptests at the bottom of this file pin it — and therefore every kernel —
-//! against a verbatim port of the pre-packing heap implementation.
+//! The policy is a value, not a type. [`SetState`]'s transitions (`new`,
+//! `on_hit`, `on_fill`, `victim`) `match` on the [`ReplacementPolicy`]
+//! where it is consulted, with no wildcard arm, so a new variant does not
+//! compile until every transition handles it; DRRIP's miss-side set
+//! dueling is [`SharedPolicyState::on_miss`], next to the policy it
+//! checks. Each arm is a few word operations on one 16-byte [`SetState`],
+//! and a cache's policy never changes, so the branch always goes the same
+//! way: compiling the simulation loop once per policy instead was no
+//! faster end to end and built slower (DESIGN.md §8). The model proptests
+//! at the bottom of this file pin every arm against a verbatim port of the
+//! pre-packing heap implementation.
 
 /// Maximum associativity supported by the packed per-set policy state
 /// (one 4-bit rank lane per way in a `u64`).
@@ -63,9 +63,9 @@ pub enum ReplacementPolicy {
 }
 
 impl ReplacementPolicy {
-    /// Every policy, in declaration order. Used by the scheme × policy lane
-    /// matrix (`burst_exactness`) to prove the enum-to-generic dispatch is
-    /// exhaustive.
+    /// Every policy, in declaration order. The scheme × policy lane matrix
+    /// (`burst_exactness`) pins a lane under each one to the cycle-accurate
+    /// reference, and `lockstep` pins its lockstep groups to solo runs.
     pub const ALL: [ReplacementPolicy; 5] = [
         ReplacementPolicy::Lru,
         ReplacementPolicy::TreePlru,
@@ -161,24 +161,132 @@ fn identity_word(_ways: u8) -> u64 {
     IDENTITY_WORD
 }
 
-/// Plain-old-data per-set policy state shared by every kernel. Each kernel
-/// uses only the lanes it needs (`ranks` for all but Random, `plru` for
-/// tree-PLRU decision bits, `rrpv` for DRRIP); the unused lanes stay zero.
-/// 16 bytes, `Copy`, no heap — the cache stores one of these per set in a
-/// flat struct-of-arrays column.
+/// Plain-old-data per-set policy state. Each policy uses only the lanes it
+/// needs (`ranks` for all but Random, `plru` for tree-PLRU decision bits,
+/// `rrpv` for DRRIP); the unused lanes stay zero. 16 bytes, `Copy`, no heap
+/// — the cache stores one of these per set in a flat struct-of-arrays
+/// column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SetState {
-    /// Nibble-packed per-way eviction ranks (see module docs).
+pub(crate) struct SetState {
+    /// Nibble-packed per-way eviction ranks (see module docs): 0 = most
+    /// protected, `ways - 1` = next victim; the recency signal EDBP reads
+    /// (Section V-A).
     pub(crate) ranks: u64,
     /// Tree-PLRU decision bits: node `i` = bit `i`.
-    pub(crate) plru: u16,
+    plru: u16,
     /// 2-bit RRPVs packed in a `u32`.
-    pub(crate) rrpv: u32,
+    rrpv: u32,
+}
+
+impl SetState {
+    /// Fresh state for a set of `ways` ways under `policy`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ways` is outside `1..=MAX_WAYS`, or is not a power of two
+    /// under tree-PLRU.
+    pub(crate) fn new(policy: ReplacementPolicy, ways: u8) -> Self {
+        assert!(
+            usize::from(ways) <= MAX_WAYS && ways > 0,
+            "packed policy state supports 1..={MAX_WAYS} ways, got {ways}"
+        );
+        match policy {
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo | ReplacementPolicy::Random => Self {
+                ranks: identity_word(ways),
+                ..Self::default()
+            },
+            ReplacementPolicy::TreePlru => {
+                assert!(
+                    ways.is_power_of_two(),
+                    "tree-PLRU needs a power-of-two way count"
+                );
+                Self {
+                    ranks: plru_rank_word(0, ways),
+                    ..Self::default()
+                }
+            }
+            ReplacementPolicy::Drrip => {
+                let rrpv = rrpv_all_max(ways);
+                Self {
+                    ranks: drrip_rank_word(rrpv, ways),
+                    plru: 0,
+                    rrpv,
+                }
+            }
+        }
+    }
+
+    /// Records a hit on `way`.
+    #[inline]
+    pub(crate) fn on_hit(&mut self, policy: ReplacementPolicy, way: u8, ways: u8) {
+        match policy {
+            ReplacementPolicy::Lru => self.ranks = promote_word(self.ranks, way),
+            ReplacementPolicy::TreePlru => self.touch_plru(way, ways),
+            ReplacementPolicy::Drrip => self.set_rrpv(way, 0, ways),
+            // FIFO ranks by fill age; Random keeps no recency.
+            ReplacementPolicy::Fifo | ReplacementPolicy::Random => {}
+        }
+    }
+
+    /// Records a fill into `way` of set `set` (after victim selection).
+    #[inline]
+    pub(crate) fn on_fill(&mut self, way: u8, set: u32, ways: u8, shared: &mut SharedPolicyState) {
+        match shared.policy {
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
+                self.ranks = promote_word(self.ranks, way);
+            }
+            ReplacementPolicy::TreePlru => self.touch_plru(way, ways),
+            ReplacementPolicy::Drrip => {
+                let insert = shared.drrip_insertion(set);
+                self.set_rrpv(way, insert, ways);
+            }
+            ReplacementPolicy::Random => {}
+        }
+    }
+
+    /// Chooses a victim way among the occupied ways, assuming no invalid
+    /// way was available (the cache prefers invalid/gated ways first).
+    #[inline]
+    pub(crate) fn victim(&mut self, shared: &mut SharedPolicyState, ways: u8) -> u8 {
+        match shared.policy {
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => find_rank(self.ranks, ways - 1),
+            ReplacementPolicy::TreePlru => plru_victim(self.plru, ways),
+            ReplacementPolicy::Drrip => {
+                let lane_mask = RRPV_LANE_ONES & rrpv_used_mask(ways);
+                loop {
+                    // Bit `2w` set iff way `w` sits at RRPV_MAX (0b11).
+                    let distant = self.rrpv & (self.rrpv >> 1) & lane_mask;
+                    if distant != 0 {
+                        break (distant.trailing_zeros() / 2) as u8;
+                    }
+                    // Age every way by one; no lane is at 3, so no carry.
+                    self.rrpv += lane_mask;
+                    self.ranks = drrip_rank_word(self.rrpv, ways);
+                }
+            }
+            ReplacementPolicy::Random => (shared.next_random() % u32::from(ways)) as u8,
+        }
+    }
+
+    /// Tree-PLRU: repoints the decision bits away from `way` and re-derives
+    /// the rank word.
+    #[inline]
+    fn touch_plru(&mut self, way: u8, ways: u8) {
+        plru_touch(&mut self.plru, ways, way);
+        self.ranks = plru_rank_word(self.plru, ways);
+    }
+
+    /// DRRIP: sets `way`'s RRPV and re-derives the rank word.
+    #[inline]
+    fn set_rrpv(&mut self, way: u8, value: u8, ways: u8) {
+        self.rrpv = rrpv_set(self.rrpv, way, value);
+        self.ranks = drrip_rank_word(self.rrpv, ways);
+    }
 }
 
 /// Cache-level shared policy state (set dueling, LFSR).
 #[derive(Debug, Clone, PartialEq)]
-pub struct SharedPolicyState {
+pub(crate) struct SharedPolicyState {
     policy: ReplacementPolicy,
     /// DRRIP policy-selection counter: < midpoint favours SRRIP.
     psel: u16,
@@ -192,13 +300,51 @@ pub struct SharedPolicyState {
 
 impl SharedPolicyState {
     /// Fresh shared state for a cache of `sets` sets.
-    pub fn new(policy: ReplacementPolicy, sets: u32) -> Self {
+    pub(crate) fn new(policy: ReplacementPolicy, sets: u32) -> Self {
         Self {
             policy,
             psel: PSEL_MAX / 2,
             brrip_fills: 0,
             lfsr: 0xACE1_u32,
             sets,
+        }
+    }
+
+    /// Records a miss in set `set`: under DRRIP, a miss in a leader set
+    /// moves the policy-selection counter (set dueling); every other policy
+    /// ignores misses.
+    #[inline]
+    pub(crate) fn on_miss(&mut self, set: u32) {
+        if self.policy != ReplacementPolicy::Drrip {
+            return;
+        }
+        match self.duel_role(set) {
+            // A miss in an SRRIP leader argues for BRRIP, and vice versa.
+            DuelRole::SrripLeader => self.psel = (self.psel + 1).min(PSEL_MAX),
+            DuelRole::BrripLeader => self.psel = self.psel.saturating_sub(1),
+            DuelRole::Follower => {}
+        }
+    }
+
+    /// DRRIP insertion RRPV for a fill into set `set`: SRRIP inserts at
+    /// "long", BRRIP at "distant" except once every `BRRIP_EPSILON` fills;
+    /// followers take whichever policy the selection counter favours.
+    #[inline]
+    fn drrip_insertion(&mut self, set: u32) -> u8 {
+        let use_brrip = match self.duel_role(set) {
+            DuelRole::SrripLeader => false,
+            DuelRole::BrripLeader => true,
+            DuelRole::Follower => self.psel > PSEL_MAX / 2,
+        };
+        if use_brrip {
+            self.brrip_fills = self.brrip_fills.wrapping_add(1);
+            if self.brrip_fills.is_multiple_of(BRRIP_EPSILON) {
+                RRPV_LONG
+            } else {
+                RRPV_MAX
+            }
+        } else {
+            RRPV_LONG
         }
     }
 
@@ -238,410 +384,6 @@ enum DuelRole {
     SrripLeader,
     BrripLeader,
     Follower,
-}
-
-/// A replacement policy's transition functions as compile-time statics, so
-/// the per-access cache path monomorphizes per policy instead of matching a
-/// [`ReplacementPolicy`] on every probe. Obtain a kernel type with
-/// [`with_policy_kernel!`](crate::with_policy_kernel!); never mix kernels and sets of different
-/// policies (the cache guards this with a debug assertion).
-pub trait PolicyKernel {
-    /// The enum variant this kernel specializes.
-    const POLICY: ReplacementPolicy;
-
-    /// Fresh per-set state for a set of `ways` ways.
-    fn init(ways: u8) -> SetState;
-
-    /// Records a hit on `way`.
-    fn on_hit(state: &mut SetState, way: u8, ways: u8);
-
-    /// Records a fill into `way` (after victim selection).
-    fn on_fill(state: &mut SetState, way: u8, set: u32, ways: u8, shared: &mut SharedPolicyState);
-
-    /// Records a miss in set `set` (DRRIP set dueling).
-    fn on_miss(state: &mut SetState, set: u32, shared: &mut SharedPolicyState);
-
-    /// Chooses a victim way among the occupied ways, assuming no invalid
-    /// way was available (the cache prefers invalid/gated ways first).
-    fn victim(state: &mut SetState, shared: &mut SharedPolicyState, ways: u8) -> u8;
-
-    /// The packed rank word — 0 = most protected, `ways-1` = next victim;
-    /// the recency signal EDBP reads (Section V-A).
-    fn ranks_word(state: &SetState) -> u64;
-}
-
-/// LRU: packed rank word, ways ordered by recency (rank 0 = MRU).
-#[derive(Debug, Clone, Copy)]
-pub struct LruKernel;
-
-impl PolicyKernel for LruKernel {
-    const POLICY: ReplacementPolicy = ReplacementPolicy::Lru;
-
-    #[inline]
-    fn init(ways: u8) -> SetState {
-        SetState {
-            ranks: identity_word(ways),
-            ..SetState::default()
-        }
-    }
-
-    #[inline]
-    fn on_hit(state: &mut SetState, way: u8, _ways: u8) {
-        state.ranks = promote_word(state.ranks, way);
-    }
-
-    #[inline]
-    fn on_fill(
-        state: &mut SetState,
-        way: u8,
-        _set: u32,
-        _ways: u8,
-        _shared: &mut SharedPolicyState,
-    ) {
-        state.ranks = promote_word(state.ranks, way);
-    }
-
-    #[inline]
-    fn on_miss(_state: &mut SetState, _set: u32, _shared: &mut SharedPolicyState) {}
-
-    #[inline]
-    fn victim(state: &mut SetState, _shared: &mut SharedPolicyState, ways: u8) -> u8 {
-        find_rank(state.ranks, ways - 1)
-    }
-
-    #[inline]
-    fn ranks_word(state: &SetState) -> u64 {
-        state.ranks
-    }
-}
-
-/// Tree-PLRU: decision bits in `plru`, rank word maintained incrementally
-/// on every touch.
-#[derive(Debug, Clone, Copy)]
-pub struct TreePlruKernel;
-
-impl PolicyKernel for TreePlruKernel {
-    const POLICY: ReplacementPolicy = ReplacementPolicy::TreePlru;
-
-    #[inline]
-    fn init(ways: u8) -> SetState {
-        assert!(
-            ways.is_power_of_two(),
-            "tree-PLRU needs a power-of-two way count"
-        );
-        let bits = 0u16;
-        SetState {
-            ranks: plru_rank_word(bits, ways),
-            plru: bits,
-            rrpv: 0,
-        }
-    }
-
-    #[inline]
-    fn on_hit(state: &mut SetState, way: u8, ways: u8) {
-        plru_touch(&mut state.plru, ways, way);
-        state.ranks = plru_rank_word(state.plru, ways);
-    }
-
-    #[inline]
-    fn on_fill(
-        state: &mut SetState,
-        way: u8,
-        _set: u32,
-        ways: u8,
-        _shared: &mut SharedPolicyState,
-    ) {
-        plru_touch(&mut state.plru, ways, way);
-        state.ranks = plru_rank_word(state.plru, ways);
-    }
-
-    #[inline]
-    fn on_miss(_state: &mut SetState, _set: u32, _shared: &mut SharedPolicyState) {}
-
-    #[inline]
-    fn victim(state: &mut SetState, _shared: &mut SharedPolicyState, ways: u8) -> u8 {
-        plru_victim(state.plru, ways)
-    }
-
-    #[inline]
-    fn ranks_word(state: &SetState) -> u64 {
-        state.ranks
-    }
-}
-
-/// DRRIP: 2-bit RRPVs with SRRIP/BRRIP set dueling; rank word maintained
-/// incrementally on every RRPV change.
-#[derive(Debug, Clone, Copy)]
-pub struct DrripKernel;
-
-impl PolicyKernel for DrripKernel {
-    const POLICY: ReplacementPolicy = ReplacementPolicy::Drrip;
-
-    #[inline]
-    fn init(ways: u8) -> SetState {
-        let rrpv = rrpv_all_max(ways);
-        SetState {
-            ranks: drrip_rank_word(rrpv, ways),
-            plru: 0,
-            rrpv,
-        }
-    }
-
-    #[inline]
-    fn on_hit(state: &mut SetState, way: u8, ways: u8) {
-        state.rrpv = rrpv_set(state.rrpv, way, 0);
-        state.ranks = drrip_rank_word(state.rrpv, ways);
-    }
-
-    #[inline]
-    fn on_fill(state: &mut SetState, way: u8, set: u32, ways: u8, shared: &mut SharedPolicyState) {
-        let use_brrip = match shared.duel_role(set) {
-            DuelRole::SrripLeader => false,
-            DuelRole::BrripLeader => true,
-            DuelRole::Follower => shared.psel > PSEL_MAX / 2,
-        };
-        let insert = if use_brrip {
-            shared.brrip_fills = shared.brrip_fills.wrapping_add(1);
-            if shared.brrip_fills.is_multiple_of(BRRIP_EPSILON) {
-                RRPV_LONG
-            } else {
-                RRPV_MAX
-            }
-        } else {
-            RRPV_LONG
-        };
-        state.rrpv = rrpv_set(state.rrpv, way, insert);
-        state.ranks = drrip_rank_word(state.rrpv, ways);
-    }
-
-    #[inline]
-    fn on_miss(_state: &mut SetState, set: u32, shared: &mut SharedPolicyState) {
-        match shared.duel_role(set) {
-            // A miss in an SRRIP leader argues for BRRIP, and vice versa.
-            DuelRole::SrripLeader => shared.psel = (shared.psel + 1).min(PSEL_MAX),
-            DuelRole::BrripLeader => shared.psel = shared.psel.saturating_sub(1),
-            DuelRole::Follower => {}
-        }
-    }
-
-    #[inline]
-    fn victim(state: &mut SetState, _shared: &mut SharedPolicyState, ways: u8) -> u8 {
-        let lane_mask = RRPV_LANE_ONES & rrpv_used_mask(ways);
-        loop {
-            // Bit `2w` set iff way `w` sits at RRPV_MAX (0b11).
-            let distant = state.rrpv & (state.rrpv >> 1) & lane_mask;
-            if distant != 0 {
-                break (distant.trailing_zeros() / 2) as u8;
-            }
-            // Age every way by one; no lane is at 3, so no carry.
-            state.rrpv += lane_mask;
-            state.ranks = drrip_rank_word(state.rrpv, ways);
-        }
-    }
-
-    #[inline]
-    fn ranks_word(state: &SetState) -> u64 {
-        state.ranks
-    }
-}
-
-/// FIFO: packed rank word, ways ordered by fill age (rank 0 = newest);
-/// hits change nothing.
-#[derive(Debug, Clone, Copy)]
-pub struct FifoKernel;
-
-impl PolicyKernel for FifoKernel {
-    const POLICY: ReplacementPolicy = ReplacementPolicy::Fifo;
-
-    #[inline]
-    fn init(ways: u8) -> SetState {
-        SetState {
-            ranks: identity_word(ways),
-            ..SetState::default()
-        }
-    }
-
-    #[inline]
-    fn on_hit(_state: &mut SetState, _way: u8, _ways: u8) {}
-
-    #[inline]
-    fn on_fill(
-        state: &mut SetState,
-        way: u8,
-        _set: u32,
-        _ways: u8,
-        _shared: &mut SharedPolicyState,
-    ) {
-        state.ranks = promote_word(state.ranks, way);
-    }
-
-    #[inline]
-    fn on_miss(_state: &mut SetState, _set: u32, _shared: &mut SharedPolicyState) {}
-
-    #[inline]
-    fn victim(state: &mut SetState, _shared: &mut SharedPolicyState, ways: u8) -> u8 {
-        find_rank(state.ranks, ways - 1)
-    }
-
-    #[inline]
-    fn ranks_word(state: &SetState) -> u64 {
-        state.ranks
-    }
-}
-
-/// Random: no per-way state; victims from the shared branchless xorshift
-/// LFSR. Lives in the same monomorphized structure as the recency policies
-/// so no policy falls back to slow dispatch.
-#[derive(Debug, Clone, Copy)]
-pub struct RandomKernel;
-
-impl PolicyKernel for RandomKernel {
-    const POLICY: ReplacementPolicy = ReplacementPolicy::Random;
-
-    #[inline]
-    fn init(ways: u8) -> SetState {
-        SetState {
-            ranks: identity_word(ways),
-            ..SetState::default()
-        }
-    }
-
-    #[inline]
-    fn on_hit(_state: &mut SetState, _way: u8, _ways: u8) {}
-
-    #[inline]
-    fn on_fill(
-        _state: &mut SetState,
-        _way: u8,
-        _set: u32,
-        _ways: u8,
-        _shared: &mut SharedPolicyState,
-    ) {
-    }
-
-    #[inline]
-    fn on_miss(_state: &mut SetState, _set: u32, _shared: &mut SharedPolicyState) {}
-
-    #[inline]
-    fn victim(_state: &mut SetState, shared: &mut SharedPolicyState, ways: u8) -> u8 {
-        (shared.next_random() % u32::from(ways)) as u8
-    }
-
-    #[inline]
-    fn ranks_word(state: &SetState) -> u64 {
-        state.ranks
-    }
-}
-
-/// The enum-to-generic dispatch point: runs `$body` with `$K` bound to the
-/// [`PolicyKernel`] type matching `$policy`. The match is exhaustive with
-/// **no wildcard arm**, so adding a [`ReplacementPolicy`] variant without a
-/// kernel is a compile error — no policy can silently fall back to dynamic
-/// dispatch. Callers pay this match once per run (or once per cache call on
-/// the non-generic convenience paths), never once per access inside a
-/// monomorphized loop.
-#[macro_export]
-macro_rules! with_policy_kernel {
-    ($policy:expr, $K:ident => $body:expr) => {
-        match $policy {
-            $crate::ReplacementPolicy::Lru => {
-                type $K = $crate::LruKernel;
-                $body
-            }
-            $crate::ReplacementPolicy::TreePlru => {
-                type $K = $crate::TreePlruKernel;
-                $body
-            }
-            $crate::ReplacementPolicy::Drrip => {
-                type $K = $crate::DrripKernel;
-                $body
-            }
-            $crate::ReplacementPolicy::Fifo => {
-                type $K = $crate::FifoKernel;
-                $body
-            }
-            $crate::ReplacementPolicy::Random => {
-                type $K = $crate::RandomKernel;
-                $body
-            }
-        }
-    };
-}
-
-/// Scalar one-set-at-a-time view over the policy kernels: a
-/// (policy, ways, [`SetState`]) triple that dispatches each call through
-/// [`with_policy_kernel!`](crate::with_policy_kernel!). The cache's hot path uses the kernels directly
-/// over its struct-of-arrays columns; this wrapper exists for tests (the
-/// model proptests pin it against the reference implementation, and through
-/// it every kernel) and for callers that hold a single set's state.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SetPolicyState {
-    policy: ReplacementPolicy,
-    ways: u8,
-    state: SetState,
-}
-
-impl SetPolicyState {
-    /// Fresh per-set state for `policy` over `ways` ways.
-    pub fn new(policy: ReplacementPolicy, ways: u8) -> Self {
-        assert!(
-            usize::from(ways) <= MAX_WAYS && ways > 0,
-            "packed policy state supports 1..={MAX_WAYS} ways, got {ways}"
-        );
-        let state = with_policy_kernel!(policy, K => K::init(ways));
-        Self {
-            policy,
-            ways,
-            state,
-        }
-    }
-
-    /// Records a hit on `way`.
-    pub fn on_hit(&mut self, way: u8) {
-        with_policy_kernel!(self.policy, K => K::on_hit(&mut self.state, way, self.ways));
-    }
-
-    /// Records a fill into `way` (after victim selection).
-    pub fn on_fill(&mut self, way: u8, set: u32, shared: &mut SharedPolicyState) {
-        with_policy_kernel!(
-            self.policy,
-            K => K::on_fill(&mut self.state, way, set, self.ways, shared)
-        );
-    }
-
-    /// Records a miss in this set for DRRIP set dueling.
-    pub fn on_miss(&mut self, set: u32, shared: &mut SharedPolicyState) {
-        with_policy_kernel!(self.policy, K => K::on_miss(&mut self.state, set, shared));
-    }
-
-    /// Chooses a victim way among the occupied ways, assuming no invalid way
-    /// was available (the cache prefers invalid/gated ways first).
-    pub fn victim(&mut self, shared: &mut SharedPolicyState, ways: u8) -> u8 {
-        with_policy_kernel!(self.policy, K => K::victim(&mut self.state, shared, ways))
-    }
-
-    /// Eviction ranks per way — 0 = most protected (MRU-like), `ways-1` =
-    /// next victim; the recency signal EDBP reads (Section V-A) — written
-    /// into the low `ways` slots of a caller-provided buffer. A pure
-    /// shift/mask read: no allocation, no sort.
-    #[inline]
-    pub fn ranks_into(&self, ways: u8, out: &mut [u8; MAX_WAYS]) {
-        let word = with_policy_kernel!(self.policy, K => K::ranks_word(&self.state));
-        for (w, slot) in out.iter_mut().enumerate().take(usize::from(ways)) {
-            *slot = rank_of(word, w as u8);
-        }
-    }
-
-    /// Rank snapshot as a `Vec` — a thin wrapper over [`ranks_into`] kept
-    /// for tests.
-    ///
-    /// [`ranks_into`]: SetPolicyState::ranks_into
-    #[cfg(test)]
-    pub(crate) fn ranks(&self, ways: u8) -> Vec<u8> {
-        let mut buf = [0u8; MAX_WAYS];
-        self.ranks_into(ways, &mut buf);
-        buf[..usize::from(ways)].to_vec()
-    }
 }
 
 /// All-distant initial RRPV word: `RRPV_MAX` in every used lane, unused
@@ -788,14 +530,15 @@ fn plru_coldness(bits: u16, ways: u8, way: u8) -> u8 {
     coldness
 }
 
+/// Rank vector read back from a packed word (test helper).
+#[cfg(test)]
+fn word_ranks(word: u64, ways: u8) -> Vec<u8> {
+    (0..ways).map(|w| rank_of(word, w)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Rank vector read back from a packed word (test helper).
-    fn word_ranks(word: u64, ways: u8) -> Vec<u8> {
-        (0..ways).map(|w| rank_of(word, w)).collect()
-    }
 
     #[test]
     fn promote_word_moves_to_front() {
@@ -850,11 +593,11 @@ mod tests {
     #[test]
     fn lru_victim_is_least_recent() {
         let mut shared = SharedPolicyState::new(ReplacementPolicy::Lru, 64);
-        let mut set = SetPolicyState::new(ReplacementPolicy::Lru, 4);
+        let mut set = SetState::new(ReplacementPolicy::Lru, 4);
         for w in [0u8, 1, 2, 3] {
-            set.on_fill(w, 0, &mut shared);
+            set.on_fill(w, 0, 4, &mut shared);
         }
-        set.on_hit(0);
+        set.on_hit(ReplacementPolicy::Lru, 0, 4);
         // Order now 0,3,2,1 → victim 1.
         assert_eq!(set.victim(&mut shared, 4), 1);
     }
@@ -862,45 +605,32 @@ mod tests {
     #[test]
     fn lru_ranks_match_stack_positions() {
         let mut shared = SharedPolicyState::new(ReplacementPolicy::Lru, 64);
-        let mut set = SetPolicyState::new(ReplacementPolicy::Lru, 4);
+        let mut set = SetState::new(ReplacementPolicy::Lru, 4);
         for w in [0u8, 1, 2, 3] {
-            set.on_fill(w, 0, &mut shared);
+            set.on_fill(w, 0, 4, &mut shared);
         }
         // MRU→LRU: 3,2,1,0.
-        assert_eq!(set.ranks(4), vec![3, 2, 1, 0]);
-        set.on_hit(0);
-        assert_eq!(set.ranks(4), vec![0, 3, 2, 1]);
-    }
-
-    #[test]
-    fn ranks_into_matches_ranks() {
-        let mut shared = SharedPolicyState::new(ReplacementPolicy::Lru, 64);
-        let mut set = SetPolicyState::new(ReplacementPolicy::Lru, 4);
-        for w in [2u8, 0, 3, 1, 2] {
-            set.on_fill(w, 0, &mut shared);
-        }
-        let mut buf = [0xAA_u8; MAX_WAYS];
-        set.ranks_into(4, &mut buf);
-        assert_eq!(&buf[..4], set.ranks(4).as_slice());
-        assert!(buf[4..].iter().all(|&b| b == 0xAA), "slots past ways kept");
+        assert_eq!(word_ranks(set.ranks, 4), vec![3, 2, 1, 0]);
+        set.on_hit(ReplacementPolicy::Lru, 0, 4);
+        assert_eq!(word_ranks(set.ranks, 4), vec![0, 3, 2, 1]);
     }
 
     #[test]
     fn drrip_hit_promotes_to_rrpv_zero() {
         let mut shared = SharedPolicyState::new(ReplacementPolicy::Drrip, 64);
-        let mut set = SetPolicyState::new(ReplacementPolicy::Drrip, 4);
-        set.on_fill(1, 5, &mut shared);
-        set.on_hit(1);
-        let ranks = set.ranks(4);
+        let mut set = SetState::new(ReplacementPolicy::Drrip, 4);
+        set.on_fill(1, 5, 4, &mut shared);
+        set.on_hit(ReplacementPolicy::Drrip, 1, 4);
+        let ranks = word_ranks(set.ranks, 4);
         assert_eq!(ranks[1], 0, "hit block should be most protected");
     }
 
     #[test]
     fn drrip_victim_prefers_max_rrpv() {
         let mut shared = SharedPolicyState::new(ReplacementPolicy::Drrip, 64);
-        let mut set = SetPolicyState::new(ReplacementPolicy::Drrip, 4);
+        let mut set = SetState::new(ReplacementPolicy::Drrip, 4);
         // All start at RRPV_MAX; fill way 0 (gets RRPV_LONG in SRRIP leader).
-        set.on_fill(0, 0, &mut shared);
+        set.on_fill(0, 0, 4, &mut shared);
         let v = set.victim(&mut shared, 4);
         assert_ne!(v, 0, "freshly filled way should not be the victim");
     }
@@ -908,10 +638,10 @@ mod tests {
     #[test]
     fn drrip_aging_terminates() {
         let mut shared = SharedPolicyState::new(ReplacementPolicy::Drrip, 64);
-        let mut set = SetPolicyState::new(ReplacementPolicy::Drrip, 4);
+        let mut set = SetState::new(ReplacementPolicy::Drrip, 4);
         for w in 0..4 {
-            set.on_fill(w, 0, &mut shared);
-            set.on_hit(w); // all at RRPV 0
+            set.on_fill(w, 0, 4, &mut shared);
+            set.on_hit(ReplacementPolicy::Drrip, w, 4); // all at RRPV 0
         }
         let _ = set.victim(&mut shared, 4); // must age until a victim appears
     }
@@ -919,11 +649,11 @@ mod tests {
     #[test]
     fn fifo_ignores_hits() {
         let mut shared = SharedPolicyState::new(ReplacementPolicy::Fifo, 64);
-        let mut set = SetPolicyState::new(ReplacementPolicy::Fifo, 4);
+        let mut set = SetState::new(ReplacementPolicy::Fifo, 4);
         for w in [0u8, 1, 2, 3] {
-            set.on_fill(w, 0, &mut shared);
+            set.on_fill(w, 0, 4, &mut shared);
         }
-        set.on_hit(0); // should NOT rescue way 0
+        set.on_hit(ReplacementPolicy::Fifo, 0, 4); // should NOT rescue way 0
         assert_eq!(set.victim(&mut shared, 4), 0);
     }
 
@@ -931,7 +661,7 @@ mod tests {
     fn random_victim_in_range_and_deterministic() {
         let mut a = SharedPolicyState::new(ReplacementPolicy::Random, 64);
         let mut b = SharedPolicyState::new(ReplacementPolicy::Random, 64);
-        let mut set = SetPolicyState::new(ReplacementPolicy::Random, 4);
+        let mut set = SetState::new(ReplacementPolicy::Random, 4);
         for _ in 0..100 {
             let va = set.victim(&mut a, 4);
             let vb = set.victim(&mut b, 4);
@@ -944,21 +674,13 @@ mod tests {
     fn ranks_are_a_permutation() {
         for policy in ReplacementPolicy::ALL {
             let mut shared = SharedPolicyState::new(policy, 64);
-            let mut set = SetPolicyState::new(policy, 4);
+            let mut set = SetState::new(policy, 4);
             for w in [0u8, 2, 1, 3, 2, 0] {
-                set.on_fill(w, 0, &mut shared);
+                set.on_fill(w, 0, 4, &mut shared);
             }
-            let mut ranks = set.ranks(4);
+            let mut ranks = word_ranks(set.ranks, 4);
             ranks.sort_unstable();
             assert_eq!(ranks, vec![0, 1, 2, 3], "{policy:?}");
-        }
-    }
-
-    #[test]
-    fn kernel_consts_match_their_variants() {
-        for policy in ReplacementPolicy::ALL {
-            let resolved = with_policy_kernel!(policy, K => K::POLICY);
-            assert_eq!(resolved, policy, "dispatch macro resolved a mismatch");
         }
     }
 
@@ -972,9 +694,9 @@ mod tests {
     #[test]
     fn plru_victim_is_never_the_last_touched_way() {
         let mut shared = SharedPolicyState::new(ReplacementPolicy::TreePlru, 64);
-        let mut set = SetPolicyState::new(ReplacementPolicy::TreePlru, 4);
+        let mut set = SetState::new(ReplacementPolicy::TreePlru, 4);
         for w in [0u8, 1, 2, 3, 1, 0, 2] {
-            set.on_hit(w);
+            set.on_hit(ReplacementPolicy::TreePlru, w, 4);
             assert_ne!(set.victim(&mut shared, 4), w, "victim after touching {w}");
         }
     }
@@ -983,12 +705,12 @@ mod tests {
     fn plru_cycles_through_all_ways_under_round_robin_fills() {
         // Repeatedly filling the victim must visit every way (no starvation).
         let mut shared = SharedPolicyState::new(ReplacementPolicy::TreePlru, 64);
-        let mut set = SetPolicyState::new(ReplacementPolicy::TreePlru, 4);
+        let mut set = SetState::new(ReplacementPolicy::TreePlru, 4);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..8 {
             let v = set.victim(&mut shared, 4);
             seen.insert(v);
-            set.on_fill(v, 0, &mut shared);
+            set.on_fill(v, 0, 4, &mut shared);
         }
         assert_eq!(seen.len(), 4, "PLRU must not starve any way: {seen:?}");
     }
@@ -996,11 +718,11 @@ mod tests {
     #[test]
     fn plru_ranks_put_victim_last() {
         let mut shared = SharedPolicyState::new(ReplacementPolicy::TreePlru, 64);
-        let mut set = SetPolicyState::new(ReplacementPolicy::TreePlru, 4);
+        let mut set = SetState::new(ReplacementPolicy::TreePlru, 4);
         for w in [0u8, 1, 2, 3, 0, 1] {
-            set.on_hit(w);
+            set.on_hit(ReplacementPolicy::TreePlru, w, 4);
         }
-        let ranks = set.ranks(4);
+        let ranks = word_ranks(set.ranks, 4);
         let victim = set.victim(&mut shared, 4);
         assert_eq!(
             ranks[victim as usize], 3,
@@ -1011,13 +733,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "power-of-two")]
     fn plru_rejects_non_power_of_two_ways() {
-        let _ = SetPolicyState::new(ReplacementPolicy::TreePlru, 3);
+        let _ = SetState::new(ReplacementPolicy::TreePlru, 3);
     }
 
     #[test]
     #[should_panic(expected = "1..=16 ways")]
     fn rejects_overwide_sets() {
-        let _ = SetPolicyState::new(ReplacementPolicy::Lru, 17);
+        let _ = SetState::new(ReplacementPolicy::Lru, 17);
     }
 }
 
@@ -1025,8 +747,8 @@ mod tests {
 /// reference implementation it replaced (`Vec<u8>` recency stacks, per-way
 /// RRPV vectors, `Vec<bool>` PLRU trees), including PLRU/DRRIP tie-break
 /// order. The reference code below is a verbatim port of the pre-packing
-/// implementation. [`SetPolicyState`] dispatches every call through the
-/// policy kernels, so these tests pin each kernel's transition functions.
+/// implementation; these tests pin every policy arm of [`SetState`]'s
+/// transitions and of [`SharedPolicyState::on_miss`] against it.
 #[cfg(test)]
 mod model_tests {
     use super::*;
@@ -1237,7 +959,7 @@ mod model_tests {
     }
 
     fn check_policy(policy: ReplacementPolicy, ways: u8, sets: u32, ops: &[Op]) {
-        let mut packed = SetPolicyState::new(policy, ways);
+        let mut packed = SetState::new(policy, ways);
         let mut reference = RefSetState::new(policy, ways);
         let mut shared_p = SharedPolicyState::new(policy, sets);
         let mut shared_r = SharedPolicyState::new(policy, sets);
@@ -1245,18 +967,18 @@ mod model_tests {
             match op {
                 Op::Hit(way) => {
                     let way = way % ways;
-                    packed.on_hit(way);
+                    packed.on_hit(policy, way, ways);
                     reference.on_hit(way);
                 }
                 Op::Fill { way, set } => {
                     let way = way % ways;
                     let set = set % sets;
-                    packed.on_fill(way, set, &mut shared_p);
+                    packed.on_fill(way, set, ways, &mut shared_p);
                     reference.on_fill(way, set, &mut shared_r);
                 }
                 Op::Miss { set } => {
                     let set = set % sets;
-                    packed.on_miss(set, &mut shared_p);
+                    shared_p.on_miss(set);
                     reference.on_miss(set, &mut shared_r);
                 }
                 Op::Victim => {
@@ -1266,7 +988,7 @@ mod model_tests {
                 }
             }
             assert_eq!(
-                packed.ranks(ways),
+                word_ranks(packed.ranks, ways),
                 reference.ranks(ways),
                 "ranks diverged at op {i} ({policy:?}, ways {ways})"
             );

@@ -300,11 +300,6 @@ impl EnergySystem {
         &self.config
     }
 
-    /// The harvested-power source.
-    pub fn source(&self) -> &dyn EnergySource {
-        self.source.as_ref()
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &PowerCycleStats {
         &self.stats
@@ -313,11 +308,6 @@ impl EnergySystem {
     /// The voltage monitor's current hysteresis state.
     pub fn monitor_state(&self) -> MonitorState {
         self.monitor.state()
-    }
-
-    /// Instantaneous harvested power right now.
-    pub fn harvest_power(&self) -> Power {
-        self.source.power_at(self.now)
     }
 
     /// Advances execution by `dt`, drawing `load` from the buffer while

@@ -3,10 +3,7 @@
 
 use crate::SystemConfig;
 use edbp_core::{FxHashMap, PagedTable};
-use ehs_cache::{
-    with_policy_kernel, AccessKind, BlockId, Cache, LookupOutcome, LookupResult, PolicyKernel,
-    Writeback,
-};
+use ehs_cache::{AccessKind, BlockId, Cache, LookupOutcome, LookupResult};
 use ehs_nvm::{ArrayCharacteristics, CacheArrayModel, MainMemoryModel, MemoryCharacteristics};
 use ehs_units::{Energy, Power, Time};
 
@@ -121,12 +118,6 @@ impl MemorySystem {
     /// Parks a dirty block in its NVSRAM twin: the data is retained (moved
     /// to the backing image for bookkeeping) and future misses on it become
     /// cheap recalls. Returns nothing; the caller charges the save cost.
-    pub fn park(&mut self, wb: &Writeback) {
-        self.park_from(wb.addr, &wb.data);
-    }
-
-    /// [`MemorySystem::park`] from a borrowed block image — the hot-path
-    /// variant that needs no `Writeback` allocation.
     pub fn park_from(&mut self, addr: u64, data: &[u8]) {
         self.backing_block(addr).copy_from_slice(data);
         self.parked.insert(addr, ());
@@ -148,16 +139,6 @@ impl MemorySystem {
             f(addr, data);
         });
         parked.clear();
-    }
-
-    /// Reads the backing image of a block (for checkpoint assembly).
-    pub fn backing_data(&mut self, block_addr: u64) -> Vec<u8> {
-        self.backing_block(block_addr).clone()
-    }
-
-    /// Borrows the backing image of a block (zero-filled on first touch).
-    pub fn backing_slice(&mut self, block_addr: u64) -> &[u8] {
-        self.backing_block(block_addr)
     }
 
     /// D-cache array characteristics (for leakage integration).
@@ -187,13 +168,8 @@ impl MemorySystem {
             .or_insert_with(|| vec![0u8; len])
     }
 
-    /// Writes one evicted/gated dirty block to main memory and returns its
-    /// (latency, energy) cost.
-    pub fn write_back(&mut self, wb: &Writeback) -> (Time, Energy) {
-        self.write_back_from(wb.addr, &wb.data)
-    }
-
-    /// [`MemorySystem::write_back`] from a borrowed block image.
+    /// Writes one evicted/gated dirty block, given as a borrowed block
+    /// image, to main memory and returns its (latency, energy) cost.
     pub fn write_back_from(&mut self, addr: u64, data: &[u8]) -> (Time, Energy) {
         self.backing_block(addr).copy_from_slice(data);
         (self.mem_chars.write_latency, self.mem_chars.write_energy)
@@ -201,33 +177,10 @@ impl MemorySystem {
 
     /// Performs a data access (word-aligned), filling on miss.
     ///
-    /// Dispatches once on the D-cache's configured replacement policy and
-    /// forwards to [`MemorySystem::data_access_k`]; hot loops that have
-    /// already resolved the policy kernel should call the generic form
-    /// directly so the probe and rank update inline.
-    ///
     /// # Panics
     ///
     /// Panics if `addr` is not 4-byte aligned.
     pub fn data_access(&mut self, addr: u32, kind: AccessKind, store_value: u32) -> DataAccess {
-        with_policy_kernel!(self.dcache.config().policy, K => {
-            self.data_access_k::<K>(addr, kind, store_value)
-        })
-    }
-
-    /// [`MemorySystem::data_access`] monomorphized over the D-cache's
-    /// replacement-policy kernel `K`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is not 4-byte aligned, or (debug builds) if
-    /// `K::POLICY` does not match the D-cache's configured policy.
-    pub fn data_access_k<K: PolicyKernel>(
-        &mut self,
-        addr: u32,
-        kind: AccessKind,
-        store_value: u32,
-    ) -> DataAccess {
         assert_eq!(addr % 4, 0, "unaligned data access at {addr:#x}");
         let addr = u64::from(addr);
         let block_addr = self.block_of(addr);
@@ -253,7 +206,7 @@ impl MemorySystem {
                 ..
             } = self;
             let len = *d_block as usize;
-            dcache.lookup_with_k::<K>(addr, kind, |wb_addr, data| {
+            dcache.lookup_with(addr, kind, |wb_addr, data| {
                 backing
                     .entry(wb_addr)
                     .or_insert_with(|| vec![0u8; len])
@@ -294,7 +247,7 @@ impl MemorySystem {
                 } = self;
                 let len = *d_block as usize;
                 let data = backing.entry(block_addr).or_insert_with(|| vec![0u8; len]);
-                let frame = dcache.fill_k::<K>(block_addr, data, kind == AccessKind::Write);
+                let frame = dcache.fill(block_addr, data, kind == AccessKind::Write);
                 dcache_energy += self.d_chars.write_energy;
                 stall += self.d_chars.write_latency;
                 frame

@@ -7,7 +7,7 @@ use edbp_core::{
     LeakagePredictor, NullPredictor, OraclePredictor, OracleRecorder, PagedTable, Pair,
     PredictionLedger, ReusePredictor, ReusePredictorConfig, TickOutcome, WakeHint,
 };
-use ehs_cache::{with_policy_kernel, AccessKind, Cache, PolicyKernel};
+use ehs_cache::{AccessKind, Cache};
 use ehs_cpu::{stream_is_data_independent, Core, CoreState, Effect, Program, INSTRUCTION_BYTES};
 use ehs_energy::{BurstPlan, EnergyConfigError, EnergySystem, StepEvent};
 use ehs_units::{Energy, Frequency, Power, Time};
@@ -621,8 +621,8 @@ impl<P: LeakagePredictor> Simulation<P> {
         hint
     }
 
-    // The per-cycle steps below are shared by the live loop
-    // (`advance_until_k`) and the transposed replay (`advance_replay_k`).
+    // The per-cycle steps below are shared by the live loop (`live_loop`)
+    // and the transposed replay (`replay_loop`).
     // They are `#[inline(always)]` so both loops compile to straight-line
     // code: left to the optimizer's inlining heuristics, solo runs
     // measured ~7 % fewer sim-MIPS (2-vCPU x86-64 Xeon host).
@@ -721,11 +721,11 @@ impl<P: LeakagePredictor> Simulation<P> {
         }
     }
 
-    /// Performs the cycle's data access through replacement kernel `K` and
-    /// adds it to `cost`: dynamic energy, stall, and the ledger, predictor
-    /// and instrumentation hooks. Returns the value read.
+    /// Performs the cycle's data access and adds it to `cost`: dynamic
+    /// energy, stall, and the ledger, predictor and instrumentation hooks.
+    /// Returns the value read.
     #[inline(always)]
-    fn data_access<K: PolicyKernel>(
+    fn data_access(
         &mut self,
         pace: &mut Pace,
         addr: u32,
@@ -733,7 +733,7 @@ impl<P: LeakagePredictor> Simulation<P> {
         value: u32,
         cost: &mut CycleCost,
     ) -> u32 {
-        let access = self.mem.data_access_k::<K>(addr, kind, value);
+        let access = self.mem.data_access(addr, kind, value);
         cost.stall += access.stall;
         cost.load += access.dcache_energy + access.memory_energy;
         self.breakdown.dcache_dynamic += access.dcache_energy;
@@ -806,8 +806,8 @@ impl<P: LeakagePredictor> Simulation<P> {
         pace.hint_dirty = true;
     }
 
-    /// [`LaneRun::advance_until`] monomorphized over the D-cache's
-    /// replacement-policy kernel `K` and the stream sink `S`.
+    /// [`LaneRun::advance_until`], recording into the stream sink `S`
+    /// (`()` records nothing).
     ///
     /// Two regimes produce bit-identical [`RunResult`]s (the
     /// `burst_exactness` differential suite asserts it for every scheme):
@@ -829,7 +829,7 @@ impl<P: LeakagePredictor> Simulation<P> {
     /// condition (energy event, hint voltage, hint cycle, run length)
     /// holds, so the next tick runs on exactly the cycle the reference
     /// loop would run it on.
-    fn advance_until_k<K: PolicyKernel, S: StreamSink>(&mut self, target: u64, sink: &mut S) {
+    fn live_loop<S: StreamSink>(&mut self, target: u64, sink: &mut S) {
         let sim = self;
         let program = Arc::clone(&sim.workload.program);
         let mut pace = Pace::new();
@@ -874,14 +874,14 @@ impl<P: LeakagePredictor> Simulation<P> {
                     }
                     Effect::Load { addr, dst } => {
                         let value =
-                            sim.data_access::<K>(&mut pace, addr, AccessKind::Read, 0, &mut cost);
+                            sim.data_access(&mut pace, addr, AccessKind::Read, 0, &mut cost);
                         sim.core.finish_load(dst, value);
                         if S::ACTIVE {
                             sink.record_load(pc, addr);
                         }
                     }
                     Effect::Store { addr, value } => {
-                        sim.data_access::<K>(&mut pace, addr, AccessKind::Write, value, &mut cost);
+                        sim.data_access(&mut pace, addr, AccessKind::Write, value, &mut cost);
                         if S::ACTIVE {
                             sink.record_store(pc, addr, value);
                         }
@@ -919,11 +919,10 @@ impl<P: LeakagePredictor> Simulation<P> {
         }
     }
 
-    /// [`LaneRun::advance_replay`] monomorphized over the D-cache's
-    /// replacement-policy kernel `K`: the per-cycle steps of
-    /// [`Simulation::advance_until_k`], with `core.step` replaced by window
+    /// [`LaneRun::advance_replay`]: the per-cycle steps of
+    /// [`Simulation::live_loop`], with `core.step` replaced by window
     /// records and virtual counters.
-    fn advance_replay_k<K: PolicyKernel>(&mut self, window: &StreamWindow) {
+    fn replay_loop(&mut self, window: &StreamWindow) {
         let sim = self;
         let program = Arc::clone(&sim.workload.program);
         let max_instructions = sim.config.max_instructions;
@@ -1018,26 +1017,15 @@ impl<P: LeakagePredictor> Simulation<P> {
                         }
                         REC_LOAD => {
                             let addr = window.addrs[cursor];
-                            let value = sim.data_access::<K>(
-                                &mut pace,
-                                addr,
-                                AccessKind::Read,
-                                0,
-                                &mut cost,
-                            );
+                            let value =
+                                sim.data_access(&mut pace, addr, AccessKind::Read, 0, &mut cost);
                             sim.replay_loads.push(value);
                             virt_committed += 1;
                             virt_loads += 1;
                         }
                         REC_STORE => {
                             let (addr, value) = (window.addrs[cursor], window.values[cursor]);
-                            sim.data_access::<K>(
-                                &mut pace,
-                                addr,
-                                AccessKind::Write,
-                                value,
-                                &mut cost,
-                            );
+                            sim.data_access(&mut pace, addr, AccessKind::Write, value, &mut cost);
                             virt_committed += 1;
                             virt_stores += 1;
                         }
@@ -1150,11 +1138,12 @@ fn redecode_records(
 /// An incrementally drivable simulation lane: the one interface through
 /// which every run is driven.
 ///
-/// [`build_lane`] resolves a scheme to a fully monomorphized simulation
-/// behind this object-safe interface: dynamic dispatch happens once per
-/// driving chunk (tens of thousands of instructions), while everything
-/// inside [`LaneRun::advance_until`] — predictor hooks, wake hints, tag
-/// probes, rank updates — is statically dispatched.
+/// [`build_lane`] resolves a scheme to a simulation monomorphized over its
+/// predictor type, behind this object-safe interface: dynamic dispatch
+/// happens once per driving chunk (tens of thousands of instructions),
+/// while the predictor hooks and wake hints inside
+/// [`LaneRun::advance_until`] are statically dispatched. The D-cache's
+/// replacement policy is a value its rank updates `match` on.
 pub trait LaneRun {
     /// Advances the simulation until `target` instructions have committed,
     /// the workload halts, the instruction budget is exhausted, or the
@@ -1219,11 +1208,9 @@ pub trait LaneRun {
 
 impl<P: LeakagePredictor> LaneRun for Simulation<P> {
     fn advance_until(&mut self, target: u64) {
-        // Resolve the D-cache's replacement-policy kernel once per call;
-        // the entire hot loop then runs with the probe and rank update
-        // statically dispatched. The `()` sink compiles every recording
-        // call to nothing, so the solo loop stays allocation-free.
-        with_policy_kernel!(self.config.dcache.policy, K => self.advance_until_k::<K, ()>(target, &mut ()));
+        // The `()` sink compiles every recording call to nothing, so the
+        // solo loop stays allocation-free.
+        self.live_loop(target, &mut ());
     }
 
     fn committed(&self) -> u64 {
@@ -1273,12 +1260,12 @@ impl<P: LeakagePredictor> LaneRun for Simulation<P> {
 
     fn advance_recording(&mut self, target: u64, window: &mut StreamWindow) {
         window.begin(self.arch_pos());
-        with_policy_kernel!(self.config.dcache.policy, K => self.advance_until_k::<K, StreamWindow>(target, window));
+        self.live_loop(target, window);
         window.finish(self.core.checkpoint());
     }
 
     fn advance_replay(&mut self, window: &StreamWindow) {
-        with_policy_kernel!(self.config.dcache.policy, K => self.advance_replay_k::<K>(window));
+        self.replay_loop(window);
     }
 
     fn word_at(&mut self, addr: u64) -> u32 {

@@ -12,7 +12,8 @@
 //!
 //! Scenarios cover the paper configurations with distinct hot paths, each
 //! built through `build_lane` as every figure builds it: NVSRAMCache/EDBP
-//! (voltage-threshold gating + NV parking), Decay+EDBP (per-epoch sweeps
+//! (voltage-threshold gating + NV parking), EDBP under DRRIP (Fig. 10:
+//! victim aging, rank re-sort, set dueling), Decay+EDBP (per-epoch sweeps
 //! through `Pair`), a zombie-instrumented run (per-instruction sampling on
 //! the cycle-by-cycle reference path), and recorder/replayer lane pairs
 //! (transposed lockstep replay of one shared `StreamWindow`).
@@ -20,6 +21,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use ehs_cache::ReplacementPolicy;
 use ehs_sim::{build_lane, run_lane, LaneRun, Scheme, StreamWindow, SystemConfig};
 use ehs_workloads::{build, AppId, Scale};
 
@@ -161,6 +163,12 @@ fn hot_loop_is_allocation_free_once_warm() {
         AppId::Crc32,
         "decay+edbp",
     );
+
+    // Fig. 10's configuration: EDBP under DRRIP, so victim aging, the
+    // rank re-sort and set dueling run inside the measured window.
+    let mut config = SystemConfig::paper_default();
+    config.dcache.policy = ReplacementPolicy::Drrip;
+    assert_alloc_free_window(&config, Scheme::Edbp, AppId::Patricia, "edbp under drrip");
 
     // Zombie-instrumented run: burst stepping disabled, per-instruction
     // sampling walks the resident set and feeds the pooled chain arena.

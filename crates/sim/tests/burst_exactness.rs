@@ -7,7 +7,7 @@
 //! both [`SystemConfig::force_cycle_accurate`] settings and compare with
 //! `==` (`sim_mips` is excluded from `RunResult`'s `PartialEq`). The same
 //! reference referees [`build_lane`]'s dispatch table: every
-//! (`Scheme`, `ReplacementPolicy`) lane it monomorphizes must match it.
+//! (`Scheme`, `ReplacementPolicy`) lane it builds must match it.
 
 use ehs_cache::ReplacementPolicy;
 use ehs_energy::TracePreset;

@@ -5,8 +5,10 @@
 //! **invisible**: every lane's [`RunResult`] (minus the wall-clock
 //! `sim_mips`, which `PartialEq` excludes) must be bit-identical to running
 //! that lane alone. These tests assert it across the full scheme roster,
-//! three apps and two trace seeds.
+//! three apps and two trace seeds, and under every D-cache replacement
+//! policy.
 
+use ehs_cache::ReplacementPolicy;
 use ehs_sim::{
     build_lane, record_generation_trace, run_lane, run_lockstep, LaneRun, Scheme, SourceKind,
     SystemConfig,
@@ -72,6 +74,24 @@ fn lockstep_matches_independent_for_every_scheme_app_seed() {
                     "lockstep divergence: scheme {scheme} app {app:?} seed {seed}"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn lockstep_matches_independent_under_every_policy() {
+    let workload = build(AppId::Crc32, Scale::Tiny);
+    for policy in ReplacementPolicy::ALL {
+        let mut config = config_with_seed(42);
+        config.dcache.policy = policy;
+        let grouped = run_lockstep(lanes_for(&config, &Scheme::ALL, &workload));
+        let solo = lanes_for(&config, &Scheme::ALL, &workload);
+        for (scheme, (joint, lane)) in Scheme::ALL.iter().zip(grouped.iter().zip(solo)) {
+            assert_eq!(
+                joint.result,
+                run_lane(lane).result,
+                "lockstep divergence: scheme {scheme} policy {policy:?}"
+            );
         }
     }
 }
