@@ -10,11 +10,11 @@
 //! actually executed.
 //!
 //! Fleet execution over a shared cache directory (`EHS_RUNCACHE_DIR`):
-//! `--worker` produces the job set under heartbeat-renewed leases — the same
-//! producer the default run uses, finishing jobs on disk instead of in
-//! memory — and `--finalize [--wait SECS] [--verify DIR]` waits for
-//! completeness, then renders and byte-verifies every figure. See the
-//! multi-machine runbook in `EXPERIMENTS.md`.
+//! `--worker` produces the job set under per-entry claims (kernel file
+//! locks) — the same producer the default run uses, finishing jobs on disk
+//! instead of in memory — and `--finalize [--wait SECS] [--verify DIR]`
+//! waits for completeness, then renders and byte-verifies every figure. See
+//! the multi-machine runbook in `EXPERIMENTS.md`.
 
 fn main() {
     ehs_sim::planner::suite_main();

@@ -130,7 +130,7 @@ pub struct SuiteOptions {
     pub wait: std::time::Duration,
     /// `--verify DIR`: reference directory for per-figure byte comparison.
     pub verify: Option<std::path::PathBuf>,
-    /// `--max-retries N`: retry bound for `--worker`'s lease and store
+    /// `--max-retries N`: retry bound for `--worker`'s claim and store
     /// failures.
     pub max_retries: Option<u32>,
 }

@@ -35,19 +35,15 @@
 //! | `kill`  | `std::process::exit(137)` — the process dies on the spot,    |
 //! |         | as if SIGKILLed (137 = 128 + SIGKILL, the shell convention)  |
 //!
-//! | site        | counted occurrence                                          |
-//! |-------------|-------------------------------------------------------------|
-//! | `exec`      | one real simulation execution (memo/cache hits don't count) |
-//! | `zombie`    | one zombie-instrumented execution (only Fig. 4 runs these,  |
-//! |             | so `panic@zombie=1` poisons exactly one figure of a suite)  |
-//! | `store`     | one persistent-cache entry store                            |
-//! | `lease`     | one lease acquisition attempt (`RunCache::claim`); `io`     |
-//! |             | makes the attempt report `Unavailable` (claim contention)   |
-//! | `steal`     | one expired-lease steal attempt; `io` loses the steal race, |
-//! |             | `kill` dies holding the breaker lock (tests its staleness)  |
-//! | `heartbeat` | one lease heartbeat renewal; `io` skips that renewal (a     |
-//! |             | missed heartbeat), `panic` kills the heartbeat thread so    |
-//! |             | the lease silently expires mid-run, `kill` dies on the spot |
+//! | site     | counted occurrence                                          |
+//! |----------|-------------------------------------------------------------|
+//! | `exec`   | one real simulation execution (memo/cache hits don't count) |
+//! | `zombie` | one zombie-instrumented execution (only Fig. 4 runs these,  |
+//! |          | so `panic@zombie=1` poisons exactly one figure of a suite)  |
+//! | `store`  | one persistent-cache entry store                            |
+//! | `lease`  | one claim attempt (`RunCache::claim`); `io` makes the       |
+//! |          | attempt report `Unavailable` (claim contention), `kill`     |
+//! |          | dies holding the claims the process has already taken       |
 //!
 //! Counters are process-global and monotonic, so a plan is deterministic
 //! for a deterministic workload ordering (e.g. `--threads 1`), and
@@ -93,12 +89,8 @@ pub enum Site {
     ZombieExec,
     /// A persistent-cache entry store.
     Store,
-    /// A lease acquisition attempt (`RunCache::claim`).
+    /// A claim attempt (`RunCache::claim`).
     LeaseAcquire,
-    /// An expired-lease steal attempt (breaker lock held).
-    Steal,
-    /// A lease heartbeat renewal.
-    Heartbeat,
 }
 
 impl Site {
@@ -108,8 +100,6 @@ impl Site {
             Self::ZombieExec => "zombie",
             Self::Store => "store",
             Self::LeaseAcquire => "lease",
-            Self::Steal => "steal",
-            Self::Heartbeat => "heartbeat",
         }
     }
 }
@@ -157,12 +147,10 @@ impl FailPlan {
                 "zombie" => Site::ZombieExec,
                 "store" => Site::Store,
                 "lease" => Site::LeaseAcquire,
-                "steal" => Site::Steal,
-                "heartbeat" => Site::Heartbeat,
                 other => {
                     return Err(format!(
                         "fault spec {clause:?}: unknown site {other:?} \
-                         (exec|zombie|store|lease|steal|heartbeat)"
+                         (exec|zombie|store|lease)"
                     ))
                 }
             };
@@ -215,8 +203,6 @@ static EXEC_HITS: AtomicU64 = AtomicU64::new(0);
 static ZOMBIE_HITS: AtomicU64 = AtomicU64::new(0);
 static STORE_HITS: AtomicU64 = AtomicU64::new(0);
 static LEASE_HITS: AtomicU64 = AtomicU64::new(0);
-static STEAL_HITS: AtomicU64 = AtomicU64::new(0);
-static HEARTBEAT_HITS: AtomicU64 = AtomicU64::new(0);
 
 /// Installs `plan` for the whole process. The first installation wins
 /// (mirroring [`crate::runcache::install`]); returns `true` when this call
@@ -266,8 +252,6 @@ fn hit(site: Site) -> Option<FaultKind> {
         Site::ZombieExec => &ZOMBIE_HITS,
         Site::Store => &STORE_HITS,
         Site::LeaseAcquire => &LEASE_HITS,
-        Site::Steal => &STEAL_HITS,
-        Site::Heartbeat => &HEARTBEAT_HITS,
     };
     let occurrence = counter.fetch_add(1, Ordering::Relaxed) + 1;
     let plan = PLAN.get()?;
@@ -321,45 +305,15 @@ pub(crate) fn on_store() -> Option<FaultKind> {
     }
 }
 
-/// Instrumentation hook for lease acquisition attempts. `Panic`/`Kill`
-/// detonate in place; `IoError` flows back so the claim path reports
-/// `Unavailable` (the shape of real claim contention / an unwritable
-/// directory).
+/// Instrumentation hook for claim attempts. `Panic`/`Kill` detonate in
+/// place; `IoError` flows back so the claim path reports `Unavailable`
+/// (the shape of real claim contention / an unwritable directory).
 pub(crate) fn on_lease_acquire() -> Option<FaultKind> {
     if !armed() {
         return None;
     }
     match hit(Site::LeaseAcquire)? {
-        kind @ (FaultKind::Panic | FaultKind::Kill) => detonate(kind, "lease acquisition"),
-        kind => Some(kind),
-    }
-}
-
-/// Instrumentation hook for expired-lease steal attempts, fired while the
-/// breaker lock is held. `Kill` dies on the spot — leaving the breaker
-/// behind, which the staleness sweep must recover — and `IoError` flows
-/// back so the stealer loses the race (treated as `Busy`).
-pub(crate) fn on_steal() -> Option<FaultKind> {
-    if !armed() {
-        return None;
-    }
-    match hit(Site::Steal)? {
-        kind @ (FaultKind::Panic | FaultKind::Kill) => detonate(kind, "lease steal"),
-        kind => Some(kind),
-    }
-}
-
-/// Instrumentation hook for lease heartbeat renewals, fired on the
-/// heartbeat thread. `IoError` flows back so the renewal is skipped (one
-/// missed heartbeat — the lease must survive it while within its TTL);
-/// `Panic` kills only the heartbeat thread, so the lease silently expires
-/// while its job keeps running; `Kill` dies on the spot.
-pub(crate) fn on_heartbeat() -> Option<FaultKind> {
-    if !armed() {
-        return None;
-    }
-    match hit(Site::Heartbeat)? {
-        kind @ (FaultKind::Panic | FaultKind::Kill) => detonate(kind, "lease heartbeat"),
+        kind @ (FaultKind::Panic | FaultKind::Kill) => detonate(kind, "claim attempt"),
         kind => Some(kind),
     }
 }
@@ -378,18 +332,12 @@ mod tests {
     }
 
     #[test]
-    fn parses_the_lease_protocol_sites() {
-        let plan =
-            FailPlan::parse("io@lease=1,kill@steal=2,io@heartbeat=3,kill@heartbeat=4").unwrap();
-        assert_eq!(plan.specs.len(), 4);
-        assert_eq!(
-            plan.to_string(),
-            "io@lease=1,kill@steal=2,io@heartbeat=3,kill@heartbeat=4"
-        );
-        // Short writes stay a store-only concept, even at the new sites.
-        for bad in ["short@lease=1", "short@steal=1", "short@heartbeat=1"] {
-            assert!(FailPlan::parse(bad).is_err(), "{bad:?} must be rejected");
-        }
+    fn parses_the_claim_site() {
+        let plan = FailPlan::parse("io@lease=1,kill@lease=2").unwrap();
+        assert_eq!(plan.specs.len(), 2);
+        assert_eq!(plan.to_string(), "io@lease=1,kill@lease=2");
+        // Short writes stay a store-only concept.
+        assert!(FailPlan::parse("short@lease=1").is_err());
     }
 
     #[test]
@@ -402,6 +350,10 @@ mod tests {
             "explode@exec=1",
             "panic@nowhere=1",
             "short@exec=1", // short writes are a store-only concept
+            // Sites of the removed heartbeat-lease protocol: an old plan
+            // naming them must fail loudly, not run fault-free.
+            "io@steal=1",
+            "kill@heartbeat=1",
         ] {
             assert!(FailPlan::parse(bad).is_err(), "{bad:?} must be rejected");
         }

@@ -320,10 +320,12 @@ fn arm_fault_plan_or_exit() {
 }
 
 /// Writes `bytes` to `path` via a sibling temp file + atomic rename, so a
-/// killed process never leaves a torn figure on disk.
+/// killed process never leaves a torn figure on disk. The temp file is
+/// private to this call (`<figure>.tmp-<pid>-<n>`), so two `exp_all`s
+/// writing one results directory never rename each other's bytes.
 fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
+    tmp.push(runcache::unique_tmp_suffix());
     let tmp = PathBuf::from(tmp);
     std::fs::write(&tmp, bytes)?;
     std::fs::rename(&tmp, path).inspect_err(|_| {
@@ -378,10 +380,10 @@ pub fn experiment_main(name: &str) {
 ///
 /// * *(default)* — coordinator: compact the shared journal, then plan, run
 ///   and report everything in this process. It produces jobs exactly as a
-///   worker does, through the same lease protocol, and needs their results
+///   worker does, under the same per-entry claims, and needs their results
 ///   in memory rather than on disk.
 /// * `--worker` — produce the deduplicated job set into the shared cache
-///   directory through the lease protocol; write no figures.
+///   directory under per-entry claims; write no figures.
 /// * `--finalize [--wait SECS] [--verify DIR]` — wait for the job set to
 ///   complete, render every figure from the merged cache, optionally
 ///   assert per-figure byte-identity against a reference directory.
@@ -393,7 +395,7 @@ pub fn experiment_main(name: &str) {
 /// * `--expect-resumable` exits non-zero if any job recorded in the suite
 ///   journal (i.e. completed *and persisted* by an earlier, possibly
 ///   killed, run) was re-simulated — the explicit resume contract.
-/// * `--max-retries N` bounds `--worker`'s lease and store retries.
+/// * `--max-retries N` bounds `--worker`'s claim and store retries.
 ///
 /// Exit codes: `0` success, [`EXIT_JOB_FAILURE`], [`EXIT_USAGE`],
 /// [`EXIT_INCOMPLETE_JOURNAL`], [`EXIT_MERGE_MISMATCH`].
@@ -421,8 +423,8 @@ pub fn suite_main() {
     }
 }
 
-/// The `--worker` entry: populate the shared cache directory (through the
-/// lease protocol), print the structured per-worker summary, write no
+/// The `--worker` entry: populate the shared cache directory (under
+/// per-entry claims), print the structured per-worker summary, write no
 /// figures.
 fn worker_main(opts: &SuiteOptions) -> ! {
     let plan = plan_suite(opts.cli.scale);
@@ -689,6 +691,40 @@ mod tests {
             count_unique(&plan.jobs) < plan.jobs.len(),
             "cross-experiment dedup must fold something"
         );
+    }
+
+    /// Two writers of one figure never share a temp file: every write
+    /// succeeds, the figure holds one writer's bytes whole, and no temp
+    /// file is left behind.
+    #[test]
+    fn concurrent_writes_of_one_figure_all_succeed() {
+        let dir = std::env::temp_dir().join(format!("ehs-write-atomic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let path = dir.join("exp_figure.txt");
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for writer in [b'a', b'b'] {
+                let (path, start) = (&path, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..300 {
+                        let bytes = vec![writer; 4096 + i];
+                        if let Err(e) = write_atomic(path, &bytes) {
+                            panic!("write {i} by {} failed: {e}", writer as char);
+                        }
+                    }
+                });
+            }
+        });
+        let figure = std::fs::read(&path).expect("figure written");
+        assert!(
+            figure.iter().all(|&b| b == figure[0]),
+            "interleaved bytes of two writers"
+        );
+        let files = std::fs::read_dir(&dir).expect("list temp dir").count();
+        std::fs::remove_dir_all(&dir).expect("remove temp dir");
+        assert_eq!(files, 1, "a temp file was left behind");
     }
 
     #[test]

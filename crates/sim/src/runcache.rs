@@ -57,10 +57,11 @@
 //!   directory fsync) — a reader never observes a torn entry, and the
 //!   trailing checksum rejects anything a weaker writer left behind.
 //! * Concurrent processes share a directory safely: renames are atomic and
-//!   idempotent (identical bytes for identical keys), and advisory
-//!   per-entry `.claim` leases ([`RunCache::claim`]) let other processes
-//!   skip an in-flight entry and revisit it instead of duplicating the
-//!   work. Leases from dead processes expire and are stolen.
+//!   idempotent (identical bytes for identical keys), and per-entry claims
+//!   ([`RunCache::claim`], an exclusive kernel lock on `<stem>.claim`) let
+//!   other processes skip an in-flight entry and revisit it instead of
+//!   duplicating the work. A lock is volatile state of its process: the
+//!   kernel releases a killed holder's claims at once.
 //! * `journal.log` ([`RunCache::journal_append`]) records each persisted
 //!   entry as one appended line, so a killed `exp_all` can be re-invoked
 //!   and *prove* it resumed (`--expect-resumable`) rather than re-simulate.
@@ -80,7 +81,7 @@ use std::hash::{BuildHasher, Hash, Hasher};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
 /// Bump when the on-disk layout or the semantics of any stored field
@@ -483,10 +484,19 @@ pub fn entry_stem(config_fp: u64, scheme: Scheme, app: AppId, scale: Scale) -> S
 #[derive(Debug)]
 pub struct RunCache {
     dir: PathBuf,
-    lease: LeaseParams,
 }
 
-static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+/// A temp-file suffix no other call, thread or process uses at the same
+/// time: `.tmp-<pid>-<n>`. Staging files under it lets concurrent writers
+/// of one final path each rename whole bytes of their own.
+pub(crate) fn unique_tmp_suffix() -> String {
+    static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+    format!(
+        ".tmp-{}-{}",
+        std::process::id(),
+        TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
+    )
+}
 
 /// One warning per process when cache writes start failing (read-only
 /// directory, disk full, …): the run degrades to cacheless, it never aborts.
@@ -502,207 +512,64 @@ fn warn_store_failure(path: &Path, err: &std::io::Error) {
     }
 }
 
-/// Lease timing: how often a live holder renews its `.claim` file, and how
-/// long a non-renewed lease stays respected before any other worker may
-/// reclaim it.
+/// A held claim on one entry: an exclusive kernel lock on its
+/// `<stem>.claim` file, held by the open `File` this guard owns. While it
+/// lives, other harness processes read the entry as busy and skip past it
+/// instead of duplicating the simulation.
 ///
-/// The lease protocol replaces the old fixed 60 s mtime staleness rule,
-/// which had a live-claim theft hazard: a still-running job longer than the
-/// constant had its claim broken and its work duplicated. Under leases the
-/// two failure directions decouple — a live holder renews every
-/// `heartbeat`, so its lease mtime never ages anywhere near `ttl` no matter
-/// how long the job runs, while a SIGKILLed holder stops renewing and is
-/// reclaimed after at most `ttl` (a few heartbeats, not a minute).
+/// Dropping the guard unlinks the file and then closes it, which releases
+/// the lock. A process that dies while holding claims (SIGKILL, power cut)
+/// has its descriptors closed by the kernel, so its locks vanish with it
+/// and the next [`RunCache::claim`] on the key succeeds; only the unlocked
+/// file is left behind, and the next holder of the key removes it.
 ///
-/// Environment overrides (milliseconds): [`HEARTBEAT_ENV_VAR`] and
-/// [`TTL_ENV_VAR`]. The TTL is clamped to at least three heartbeats so one
-/// delayed renewal (scheduler hiccup, missed-heartbeat fault injection)
-/// can never read as death.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeaseParams {
-    /// Interval between lease renewals by a live holder.
-    pub heartbeat: Duration,
-    /// Age beyond which a non-renewed lease is presumed dead and stealable.
-    pub ttl: Duration,
-}
-
-/// Environment override (ms) for [`LeaseParams::heartbeat`].
-pub const HEARTBEAT_ENV_VAR: &str = "EHS_LEASE_HEARTBEAT_MS";
-/// Environment override (ms) for [`LeaseParams::ttl`].
-pub const TTL_ENV_VAR: &str = "EHS_LEASE_TTL_MS";
-
-impl Default for LeaseParams {
-    fn default() -> Self {
-        Self {
-            heartbeat: Duration::from_millis(500),
-            ttl: Duration::from_millis(2500),
-        }
-    }
-}
-
-impl LeaseParams {
-    /// The defaults, with any environment overrides applied and the TTL
-    /// floor (≥ 3 heartbeats) enforced.
-    pub fn from_env() -> Self {
-        let read = |var: &str| {
-            std::env::var(var)
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .filter(|&ms| ms >= 1)
-                .map(Duration::from_millis)
-        };
-        let mut p = Self::default();
-        if let Some(hb) = read(HEARTBEAT_ENV_VAR) {
-            p.heartbeat = hb;
-        }
-        if let Some(ttl) = read(TTL_ENV_VAR) {
-            p.ttl = ttl;
-        }
-        p.normalized()
-    }
-
-    /// Enforces `ttl >= 3 * heartbeat` (one delayed or injected-missed
-    /// renewal must never be indistinguishable from holder death).
-    pub fn normalized(mut self) -> Self {
-        let floor = self.heartbeat.saturating_mul(3);
-        if self.ttl < floor {
-            self.ttl = floor;
-        }
-        self
-    }
-}
-
-/// A heartbeat-renewed per-entry lease: while it is renewed, other harness
-/// processes wait for (or skip past) the entry instead of duplicating the
-/// simulation. A background thread rewrites the lease file every
-/// [`LeaseParams::heartbeat`]; dropping the guard stops the thread and
-/// removes the file (only if it still carries this guard's token — a
-/// stolen lease is never removed out from under its new holder).
-///
-/// Leases are still *advisory* for correctness: stores are idempotent
-/// (identical bytes, atomic rename), so the worst a broken lease can cost
-/// is duplicated work. What the lease adds over the old mtime claims is a
-/// liveness signal — holders renew, so "stale" means "dead", not "slow".
+/// Claims are *advisory* for correctness: stores are idempotent (identical
+/// bytes, atomic rename), so the worst a lost claim can cost is duplicated
+/// work.
 #[derive(Debug)]
-pub struct LeaseGuard {
+pub struct ClaimGuard {
     path: PathBuf,
-    token: u64,
-    stolen: bool,
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    heartbeats: Arc<AtomicU64>,
-    thread: Option<std::thread::JoinHandle<()>>,
+    _file: std::fs::File,
 }
 
-impl LeaseGuard {
-    /// True when acquiring this lease reclaimed an expired (dead-holder)
-    /// lease rather than finding the slot free.
-    pub fn stole_stale_lease(&self) -> bool {
-        self.stolen
-    }
-
-    /// Number of successful heartbeat renewals so far (test observability).
-    pub fn heartbeats_sent(&self) -> u64 {
-        self.heartbeats.load(Ordering::Relaxed)
-    }
-}
-
-impl Drop for LeaseGuard {
+impl Drop for ClaimGuard {
     fn drop(&mut self) {
-        let (flag, cv) = &*self.stop;
-        *lock_unpoisoned(flag) = true;
-        cv.notify_all();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-        // Remove only our own lease: if it expired and was stolen (the
-        // holder was presumed dead but is in fact us, late), the new
-        // holder's file must survive.
-        if read_lease_token(&self.path) == Some(self.token) {
-            let _ = std::fs::remove_file(&self.path);
-        }
+        // Unlink while still locked; the lock goes when `_file` closes,
+        // right after this body. A rival that opened the file before the
+        // unlink may lock the orphaned inode once it closes, but the
+        // producer re-reads the disk under every claim, so that costs at
+        // most one load.
+        let _ = std::fs::remove_file(&self.path);
     }
 }
 
 /// Result of [`RunCache::claim`].
 #[derive(Debug)]
 pub enum ClaimOutcome {
-    /// This process holds the lease; simulate, store, then drop the guard.
-    Held(LeaseGuard),
-    /// Another holder's lease is live (renewed within its TTL) — the entry
-    /// is in flight; wait for it or move on to other work.
+    /// This process holds the claim; simulate, store, then drop the guard.
+    Held(ClaimGuard),
+    /// A live process holds the claim — the entry is in flight; wait for it
+    /// or move on to other work.
     Busy,
-    /// Leases cannot be taken here (unwritable directory, …); proceed
-    /// unclaimed — duplicate work is safe, stalling is not.
+    /// Claims cannot be taken here (unwritable directory, a filesystem
+    /// without locks, …); proceed unclaimed — duplicate work is safe,
+    /// stalling is not.
     Unavailable,
-}
-
-/// The `token=` field of a lease file, if it parses.
-fn read_lease_token(path: &Path) -> Option<u64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    text.split_whitespace()
-        .find_map(|f| f.strip_prefix("token="))
-        .and_then(|t| u64::from_str_radix(t, 16).ok())
-}
-
-/// One lease-file line: holder identity plus a unique token and a renewal
-/// epoch. Diagnostic except for the token, which arbitrates steal races
-/// and guards release-after-steal.
-fn lease_line(token: u64, epoch: u64) -> String {
-    let host = std::env::var("HOSTNAME").unwrap_or_else(|_| "unknown-host".into());
-    format!(
-        "pid={} host={host} epoch={epoch} token={token:016x}\n",
-        std::process::id()
-    )
-}
-
-/// A process-unique, time-salted lease token.
-pub(crate) fn fresh_token() -> u64 {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.subsec_nanos() as u64 ^ d.as_secs())
-        .unwrap_or(0);
-    splitmix(
-        nanos ^ (u64::from(std::process::id()) << 32) ^ COUNTER.fetch_add(1, Ordering::Relaxed),
-    )
-}
-
-/// One splitmix64 step — the deterministic mixer behind lease tokens and
-/// backoff jitter.
-pub(crate) fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 impl RunCache {
     /// Opens (creating if needed) a cache rooted at `dir`.
     ///
-    /// Leftover temp files and claims from crashed processes older than an
-    /// hour are swept (fresh ones may belong to a live concurrent process
-    /// and are left alone; they are harmless either way).
+    /// Debris from crashed processes older than an hour is swept: temp
+    /// files, and claim files no live process holds (fresh debris may
+    /// belong to a live concurrent process and is left alone; it is
+    /// harmless either way).
     pub fn new(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let cache = Self {
-            dir,
-            lease: LeaseParams::from_env(),
-        };
+        let cache = Self { dir };
         cache.sweep_debris();
         Ok(cache)
-    }
-
-    /// Overrides the lease timing (tests shrink the intervals to keep
-    /// steal/expiry campaigns fast; production uses the env-derived
-    /// defaults).
-    pub fn set_lease_params(&mut self, params: LeaseParams) {
-        self.lease = params.normalized();
-    }
-
-    /// The lease timing this cache operates under.
-    pub fn lease_params(&self) -> LeaseParams {
-        self.lease
     }
 
     fn sweep_debris(&self) {
@@ -712,11 +579,8 @@ impl RunCache {
         for entry in entries.flatten() {
             let name = entry.file_name();
             let name = name.to_string_lossy();
-            if !(name.starts_with(".tmp-")
-                || name.ends_with(".claim")
-                || name.ends_with(".steal")
-                || name.ends_with(".lock"))
-            {
+            let claim = name.ends_with(".claim");
+            if !(claim || name.starts_with(".tmp-") || name.ends_with(".lock")) {
                 continue;
             }
             let stale = entry
@@ -725,7 +589,24 @@ impl RunCache {
                 .ok()
                 .and_then(|t| t.elapsed().ok())
                 .is_some_and(|age| age > Duration::from_secs(3600));
-            if stale {
+            if !stale {
+                continue;
+            }
+            if claim {
+                // Age says nothing about a claim's holder (a live job keeps
+                // its lock however long it runs): only a claim this process
+                // can lock has a dead holder. The age test still spares a
+                // claim file a rival has just created and not yet locked.
+                // Dropping the guard unlinks it.
+                if let Ok(file) = std::fs::OpenOptions::new().write(true).open(entry.path()) {
+                    if file.try_lock().is_ok() {
+                        drop(ClaimGuard {
+                            path: entry.path(),
+                            _file: file,
+                        });
+                    }
+                }
+            } else {
                 let _ = std::fs::remove_file(entry.path());
             }
         }
@@ -806,11 +687,7 @@ impl RunCache {
             }
             _ => {}
         }
-        let tmp = self.dir.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
+        let tmp = self.dir.join(unique_tmp_suffix());
         let written = std::fs::File::create(&tmp)
             .and_then(|mut f| f.write_all(&bytes).and_then(|()| f.sync_all()));
         if let Err(e) = written {
@@ -843,163 +720,36 @@ impl RunCache {
         }
     }
 
-    /// Tries to lease an entry before simulating it, so concurrent harness
+    /// Tries to claim an entry before simulating it, so concurrent harness
     /// processes (and machines sharing the directory) avoid duplicating the
-    /// work. Leases are heartbeat-renewed (see [`LeaseParams`]): a live
-    /// holder — however slow its job — is never preempted, while a lease
-    /// whose holder died (SIGKILL, power cut) stops renewing and is
-    /// reclaimed after at most one TTL.
-    ///
-    /// Stealing an expired lease is serialized through a sibling breaker
-    /// lock (`<stem>.claim.steal`): exactly one contender removes the dead
-    /// lease, and it re-verifies the lease is still the expired one it
-    /// observed before removing, so a holder that renews concurrently is
-    /// never evicted. Advisory for *correctness* throughout — stores are
-    /// idempotent, a broken lease can only duplicate work, never corrupt a
-    /// result.
+    /// work: opens `<stem>.claim` (creating it, never truncating) and takes
+    /// a non-blocking exclusive lock on it. A live holder — however slow
+    /// its job — is never preempted, and a holder that died (SIGKILL,
+    /// power cut) lost its lock with its process, so the key is claimable
+    /// on the very next call. Advisory for *correctness*: stores are
+    /// idempotent, so a lost claim can only duplicate work, never corrupt
+    /// a result.
     pub fn claim(&self, config_fp: u64, scheme: Scheme, app: AppId, scale: Scale) -> ClaimOutcome {
         if fault::on_lease_acquire().is_some() {
-            // Injected claim contention: leases unavailable this attempt.
+            // Injected claim contention: claims unavailable this attempt.
             return ClaimOutcome::Unavailable;
         }
         let path = self.dir.join(format!(
             "{}.claim",
             entry_stem(config_fp, scheme, app, scale)
         ));
-        let mut stolen = false;
-        // Up to two acquisition attempts: free path, and once more after a
-        // successful steal. Losing both reads as busy.
-        for _ in 0..2 {
-            match std::fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(mut f) => {
-                    let token = fresh_token();
-                    let _ = f.write_all(lease_line(token, 0).as_bytes());
-                    drop(f);
-                    return ClaimOutcome::Held(self.spawn_heartbeat(path, token, stolen));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    let Ok(meta) = std::fs::metadata(&path) else {
-                        // Lease vanished between open and stat (released or
-                        // stolen): retry the free path.
-                        continue;
-                    };
-                    let age = meta.modified().ok().and_then(|t| t.elapsed().ok());
-                    if age.is_some_and(|age| age <= self.lease.ttl) {
-                        return ClaimOutcome::Busy; // live holder: never steal
-                    }
-                    if !self.steal_expired_lease(&path) {
-                        return ClaimOutcome::Busy;
-                    }
-                    stolen = true;
-                }
-                Err(_) => return ClaimOutcome::Unavailable,
-            }
-        }
-        ClaimOutcome::Busy
-    }
-
-    /// Removes an expired lease under the breaker lock. Returns `true` when
-    /// this caller performed the removal (and may retry acquisition).
-    fn steal_expired_lease(&self, lease: &Path) -> bool {
-        let observed = std::fs::read(lease).unwrap_or_default();
-        let mut breaker = lease.as_os_str().to_owned();
-        breaker.push(".steal");
-        let breaker = PathBuf::from(breaker);
-        // A breaker abandoned by a killed stealer must not wedge the entry
-        // forever: past one TTL it is debris and is swept.
-        let breaker_stale = std::fs::metadata(&breaker)
-            .and_then(|m| m.modified())
-            .ok()
-            .and_then(|t| t.elapsed().ok())
-            .is_some_and(|age| age > self.lease.ttl);
-        if breaker_stale {
-            let _ = std::fs::remove_file(&breaker);
-        }
-        let Ok(_lock) = std::fs::OpenOptions::new()
+        let Ok(file) = std::fs::OpenOptions::new()
             .write(true)
-            .create_new(true)
-            .open(&breaker)
+            .create(true)
+            .truncate(false)
+            .open(&path)
         else {
-            return false; // another stealer owns the breaker: they win
+            return ClaimOutcome::Unavailable;
         };
-        // Re-verify under the lock: the lease must still be the expired
-        // bytes we observed, still older than the TTL. A holder that
-        // renewed in between (new inode, fresh mtime, different epoch)
-        // survives untouched.
-        let unchanged = std::fs::read(lease).is_ok_and(|now| now == observed);
-        let still_expired = std::fs::metadata(lease)
-            .and_then(|m| m.modified())
-            .ok()
-            .and_then(|t| t.elapsed().ok())
-            .is_none_or(|age| age > self.lease.ttl);
-        let lost_race = fault::on_steal().is_some();
-        let stole = unchanged && still_expired && !lost_race;
-        if stole {
-            let _ = std::fs::remove_file(lease);
-        }
-        let _ = std::fs::remove_file(&breaker);
-        stole
-    }
-
-    /// Starts the heartbeat thread renewing `path` every
-    /// [`LeaseParams::heartbeat`] until the guard drops. Renewal rewrites
-    /// the lease via tmp + rename (the file is always a complete line) with
-    /// a bumped epoch; an injected heartbeat miss skips one renewal, which
-    /// the TTL floor (≥ 3 heartbeats) absorbs.
-    fn spawn_heartbeat(&self, path: PathBuf, token: u64, stolen: bool) -> LeaseGuard {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let heartbeats = Arc::new(AtomicU64::new(0));
-        let interval = self.lease.heartbeat;
-        let thread = {
-            let stop = Arc::clone(&stop);
-            let heartbeats = Arc::clone(&heartbeats);
-            let path = path.clone();
-            std::thread::spawn(move || {
-                let mut epoch = 0u64;
-                loop {
-                    let (flag, cv) = &*stop;
-                    let mut stopped = lock_unpoisoned(flag);
-                    while !*stopped {
-                        let (guard, timeout) = cv
-                            .wait_timeout(stopped, interval)
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        stopped = guard;
-                        if timeout.timed_out() {
-                            break;
-                        }
-                    }
-                    if *stopped {
-                        return;
-                    }
-                    drop(stopped);
-                    if fault::on_heartbeat().is_some() {
-                        continue; // injected miss: skip this renewal
-                    }
-                    epoch += 1;
-                    let mut tmp = path.as_os_str().to_owned();
-                    tmp.push(".hb");
-                    let tmp = PathBuf::from(tmp);
-                    let renewed = std::fs::write(&tmp, lease_line(token, epoch))
-                        .and_then(|()| std::fs::rename(&tmp, &path));
-                    if renewed.is_ok() {
-                        heartbeats.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        let _ = std::fs::remove_file(&tmp);
-                    }
-                }
-            })
-        };
-        LeaseGuard {
-            path,
-            token,
-            stolen,
-            stop,
-            heartbeats,
-            thread: Some(thread),
+        match file.try_lock() {
+            Ok(()) => ClaimOutcome::Held(ClaimGuard { path, _file: file }),
+            Err(std::fs::TryLockError::WouldBlock) => ClaimOutcome::Busy,
+            Err(std::fs::TryLockError::Error(_)) => ClaimOutcome::Unavailable,
         }
     }
 

@@ -59,12 +59,13 @@
 //! # Producing an item
 //!
 //! Per key: a memo hit is done, and a disk hit is adopted into the memo.
-//! Otherwise the key's lease is taken ([`runcache::RunCache::claim`]) and
-//! the disk checked again under it. The claimed keys simulate, and each
-//! finished key is stored and journaled before its lease is released. A
-//! key whose lease another process holds is revisited on a later sweep
-//! (backing off, at most one heartbeat between sweeps) until its entry
-//! lands on disk or the lease expires and this process steals it.
+//! Otherwise the key is claimed ([`runcache::RunCache::claim`], a kernel
+//! file lock) and the disk checked again under the claim. The claimed keys
+//! simulate, and each finished key is stored and journaled before its
+//! claim is released. A key that another process holds is revisited on a
+//! later sweep (backing off, at most [`RetryPolicy::cap`] between sweeps)
+//! until its entry lands on disk or its holder dies, which releases the
+//! claim at once.
 //!
 //! Items run longest-estimated-first (see [`Job::estimated_cost`]) from
 //! one queue shared by every thread, so a `Full`-scale straggler cannot
@@ -73,7 +74,7 @@
 //!
 //! # Exclusivity and fault containment
 //!
-//! Leases are the only claim between processes. Inside one process, the
+//! Claims are the only exclusion between processes. Inside one process, the
 //! items of a call are disjoint, so no key has two producers, and
 //! concurrent calls take turns on one process-wide lock held for the
 //! whole call.
@@ -82,7 +83,7 @@
 //! its own key's jobs ([`JobError`]) while every other key completes, and
 //! the key stays out of the memo, so the next call retries it. Whether a
 //! failure is retried within a call depends on where it happened: a
-//! simulation panic fails at once; under `--worker`, lease and store
+//! simulation panic fails at once; under `--worker`, claim and store
 //! failures retry (see [`RetryPolicy`]). No table in this module can stay
 //! poisoned (see `lock_unpoisoned`). The deterministic fault-injection
 //! harness ([`crate::fault`]) exercises these paths.
@@ -460,7 +461,7 @@ enum Finish {
     /// The result is in memory. An unwritable cache degrades to cacheless:
     /// one warning, no per-key retries or sleeps.
     Memory,
-    /// The result is durable on disk (`--worker`). Lease and store failures
+    /// The result is durable on disk (`--worker`). Claim and store failures
     /// are retried under the [`RetryPolicy`], using the in-memory result.
     Disk,
 }
@@ -483,7 +484,7 @@ enum Status {
 struct Claim {
     unit: usize,
     attempts: u32,
-    lease: Option<runcache::LeaseGuard>,
+    guard: Option<runcache::ClaimGuard>,
 }
 
 /// One [`produce`] call's shared state.
@@ -494,7 +495,6 @@ struct Producer<'a> {
     durable: bool,
     policy: &'a RetryPolicy,
     status: Vec<Mutex<Status>>,
-    stolen_leases: AtomicUsize,
     busy_skips: AtomicUsize,
     retries: AtomicUsize,
 }
@@ -523,13 +523,12 @@ fn produce(
             .iter()
             .map(|_| Mutex::new(Status::Open { attempts: 0 }))
             .collect(),
-        stolen_leases: AtomicUsize::new(0),
         busy_skips: AtomicUsize::new(0),
         retries: AtomicUsize::new(0),
     };
     let items = work_items(units);
     let mut pending: Vec<usize> = (0..items.len()).collect();
-    let mut rng = runcache::fresh_token();
+    let mut rng = jitter_seed();
     let mut idle_sweeps = 0u32;
     while !pending.is_empty() {
         let next = AtomicUsize::new(0);
@@ -538,7 +537,7 @@ fn produce(
         std::thread::scope(|scope| {
             for _ in 0..threads.min(pending.len()) {
                 scope.spawn(|| {
-                    let mut rng = runcache::fresh_token();
+                    let mut rng = jitter_seed();
                     while let Some(&i) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
                         let (moved, open) = producer.visit(&items[i], &mut rng);
                         if moved {
@@ -558,15 +557,13 @@ fn produce(
         if progressed.into_inner() {
             idle_sweeps = 0;
         } else if !pending.is_empty() {
-            // Other processes hold every remaining lease: back off before
-            // the next sweep, never longer than one heartbeat.
+            // Other processes hold every remaining claim: back off before
+            // the next sweep, never longer than the policy's cap.
             idle_sweeps += 1;
-            let heartbeat = cache.map_or(policy.cap, |c| c.lease_params().heartbeat);
-            std::thread::sleep(policy.delay(idle_sweeps.min(6), &mut rng).min(heartbeat));
+            std::thread::sleep(policy.delay(idle_sweeps.min(6), &mut rng));
         }
     }
     let mut report = WorkerReport {
-        stolen_leases: producer.stolen_leases.into_inner(),
         busy_skips: producer.busy_skips.into_inner(),
         retries: producer.retries.into_inner(),
         ..WorkerReport::default()
@@ -667,11 +664,11 @@ impl Producer<'_> {
     /// process holds it.
     fn open(&self, unit: usize, attempts: u32, rng: &mut u64) -> Option<Claim> {
         let key = &self.units[unit].key;
-        let claim = |lease| {
+        let claim = |guard| {
             Some(Claim {
                 unit,
                 attempts,
-                lease,
+                guard,
             })
         };
         if !self.durable && memo().contains_key(key) {
@@ -686,17 +683,14 @@ impl Producer<'_> {
             return None;
         }
         match cache.claim(key.config_fp, key.scheme, key.app, key.scale) {
-            runcache::ClaimOutcome::Held(lease) => {
-                if lease.stole_stale_lease() {
-                    self.stolen_leases.fetch_add(1, Ordering::Relaxed);
-                }
-                // Re-check under the lease: a rival may have stored (and
+            runcache::ClaimOutcome::Held(guard) => {
+                // Re-check under the claim: a rival may have stored (and
                 // journaled) this key between the load and the claim.
                 if self.adopt(cache, key) {
                     self.settle(unit, Status::Found);
                     return None;
                 }
-                claim(Some(lease))
+                claim(Some(guard))
             }
             runcache::ClaimOutcome::Busy => {
                 self.busy_skips.fetch_add(1, Ordering::Relaxed);
@@ -705,7 +699,7 @@ impl Producer<'_> {
             runcache::ClaimOutcome::Unavailable if self.durable => {
                 let status = match self.backoff(attempts, rng) {
                     Some(attempts) => Status::Open { attempts },
-                    None => Status::Failed("lease unavailable (claim contention)".into()),
+                    None => Status::Failed("claim unavailable".into()),
                 };
                 self.settle(unit, status);
                 None
@@ -728,7 +722,7 @@ impl Producer<'_> {
         true
     }
 
-    /// Counts one failed lease or store attempt: backs off and returns the
+    /// Counts one failed claim or store attempt: backs off and returns the
     /// new attempt count, or `None` once the retries are spent.
     fn backoff(&self, attempts: u32, rng: &mut u64) -> Option<u32> {
         let next = attempts + 1;
@@ -741,12 +735,12 @@ impl Producer<'_> {
     }
 
     /// Finishes one simulated key: store and journal it, memoize it, then
-    /// release its lease.
+    /// release its claim.
     fn finish(&self, claim: Claim, outcome: Result<RunOutcome, String>, rng: &mut u64) {
         let Claim {
             unit,
             mut attempts,
-            lease,
+            guard,
         } = claim;
         let mut run = match outcome {
             Ok(run) => run,
@@ -795,7 +789,7 @@ impl Producer<'_> {
         }
         memo().insert(key.clone(), entry);
         self.settle(unit, status);
-        drop(lease);
+        drop(guard);
     }
 }
 
@@ -1044,7 +1038,7 @@ pub fn default_threads() -> usize {
 // Fleet execution: work-stealing workers over a shared cache directory.
 // ---------------------------------------------------------------------------
 
-/// Retry policy for `--worker`'s lease and store failures: exponential
+/// Retry policy for `--worker`'s claim and store failures: exponential
 /// backoff (`base`, doubling, capped at `cap`) with jitter in
 /// `[delay/2, delay)`, bounded by `max_retries` attempts beyond the first.
 /// A simulation panic is never retried: it reproduces identically on every
@@ -1076,10 +1070,30 @@ impl RetryPolicy {
             .base
             .saturating_mul(1u32 << attempt.min(20).saturating_sub(1));
         let capped = exp.min(self.cap).max(std::time::Duration::from_micros(100));
-        *rng = runcache::splitmix(*rng);
+        *rng = splitmix(*rng);
         let nanos = capped.as_nanos() as u64;
         std::time::Duration::from_nanos(nanos / 2 + *rng % (nanos / 2).max(1))
     }
+}
+
+/// A process-unique, time-salted seed for backoff jitter.
+fn jitter_seed() -> u64 {
+    static COUNTER: AtomicU64 = AtomicU64::new(0);
+    let nanos = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.subsec_nanos() as u64 ^ d.as_secs())
+        .unwrap_or(0);
+    splitmix(
+        nanos ^ (u64::from(std::process::id()) << 32) ^ COUNTER.fetch_add(1, Ordering::Relaxed),
+    )
+}
+
+/// One splitmix64 step — the deterministic mixer behind backoff jitter.
+fn splitmix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// Deduplicates `jobs` to one representative per distinct memo key, adding
@@ -1100,13 +1114,11 @@ pub struct WorkerReport {
     /// Jobs found already produced: on disk (by another worker), or in
     /// memory when no cache is installed.
     pub adopted: usize,
-    /// Expired leases this worker reclaimed from dead holders.
-    pub stolen_leases: usize,
-    /// Visits that found a job's lease held by another live process.
+    /// Visits that found a job claimed by another live process.
     pub busy_skips: usize,
-    /// Lease and store failures retried (with backoff).
+    /// Claim and store failures retried (with backoff).
     pub retries: usize,
-    /// Jobs whose simulation panicked, or whose lease or store failures
+    /// Jobs whose simulation panicked, or whose claim or store failures
     /// outlasted the retries.
     pub failures: Vec<JobError>,
 }
@@ -1115,12 +1127,10 @@ impl std::fmt::Display for WorkerReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "worker pid={}: completed={} adopted={} stolen_leases={} \
-             busy_skips={} retries={} failed={}",
+            "worker pid={}: completed={} adopted={} busy_skips={} retries={} failed={}",
             std::process::id(),
             self.completed,
             self.adopted,
-            self.stolen_leases,
             self.busy_skips,
             self.retries,
             self.failures.len()
@@ -1131,13 +1141,13 @@ impl std::fmt::Display for WorkerReport {
 /// Produces the deduplicated job set into the shared cache directory on
 /// `threads` threads, until every job is durably on disk (or failed): the
 /// `--worker` mode of `exp_all`. Any number of workers — processes,
-/// machines — may run this concurrently over one directory; the lease
-/// protocol ([`runcache::RunCache::claim`]) gives each job exactly one live
-/// producer, and dead producers are reclaimed after one lease TTL.
+/// machines — may run this concurrently over one directory; claims
+/// ([`runcache::RunCache::claim`]) give each job one live producer, and a
+/// dead producer's claims are released by the kernel when it dies.
 ///
 /// This is the producer behind [`try_run_jobs_outputs`], with a job
 /// finished once it is durable rather than once it is in memory: a job
-/// already on disk is *adopted*, lease and store failures retry under
+/// already on disk is *adopted*, claim and store failures retry under
 /// `policy` with jittered exponential backoff, and a simulation panic fails
 /// at once. Without an installed cache it degrades to an in-process run.
 ///

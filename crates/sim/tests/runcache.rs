@@ -7,14 +7,14 @@
 //! (a rejected entry triggering re-simulation inside the planner) is
 //! covered by `tests/planner.rs`.
 
-use ehs_sim::runcache::{
-    checksum, entry_stem, ClaimOutcome, LeaseParams, RunCache, SCHEMA_VERSION,
-};
+use ehs_sim::runcache::{checksum, entry_stem, ClaimOutcome, RunCache, SCHEMA_VERSION};
 use ehs_sim::runner::effective_fingerprint;
 use ehs_sim::{run_app, Scheme, SystemConfig, ZombieSample};
 use ehs_workloads::{AppId, Scale};
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant, SystemTime};
 
 const ALL_SCHEMES: [Scheme; 9] = [
     Scheme::Baseline,
@@ -186,9 +186,11 @@ fn garbage_file_is_rejected() {
         .is_none());
 }
 
-/// Advisory claims exclude a second claimant while held, and release on
-/// drop — the cross-process dedup protocol, exercised through two handles
-/// on one directory (exactly what two concurrent `exp_all`s look like).
+/// Claims exclude a second claimant for as long as they are held — a slow
+/// job never loses its claim, there is no timeout to outlast — and release
+/// on drop without leaving a claim file: the cross-process dedup protocol,
+/// exercised through two handles on one directory (exactly what two
+/// concurrent `exp_all`s look like).
 #[test]
 fn claims_exclude_second_claimant_until_dropped() {
     let cache = tmp_cache("claims");
@@ -200,140 +202,117 @@ fn claims_exclude_second_claimant_until_dropped() {
     let ClaimOutcome::Held(guard) = claim(&cache) else {
         panic!("first claim on a fresh entry must be held");
     };
-    assert!(
-        matches!(claim(&other), ClaimOutcome::Busy),
-        "a held claim must read as busy to a second claimant"
-    );
-    drop(guard);
-    assert!(
-        matches!(claim(&other), ClaimOutcome::Held(_)),
-        "a released claim must be claimable again"
-    );
-}
-
-/// A holder whose heartbeat keeps renewing the lease is never preempted,
-/// no matter how many TTLs its job outlasts — the live-claim theft hazard
-/// of the old fixed-staleness scheme, pinned shut.
-#[test]
-fn a_renewing_holder_is_never_preempted() {
-    let mut cache = tmp_cache("lease-renew");
-    let params = LeaseParams {
-        heartbeat: Duration::from_millis(50),
-        ttl: Duration::from_millis(250),
-    };
-    cache.set_lease_params(params);
-    let mut other = RunCache::new(cache.dir()).expect("second handle");
-    other.set_lease_params(params);
-    let config = SystemConfig::paper_default();
-    let fp = effective_fingerprint(&config, Scheme::Baseline);
-    let claim = |c: &RunCache| c.claim(fp, Scheme::Baseline, AppId::Crc32, Scale::Tiny);
-
-    let ClaimOutcome::Held(guard) = claim(&cache) else {
-        panic!("first claim on a fresh entry must be held");
-    };
-    // The "slow job": hold the lease across several TTLs while a rival
-    // polls for it. Every poll must read Busy — never a steal.
-    let deadline = std::time::Instant::now() + Duration::from_millis(900);
-    while std::time::Instant::now() < deadline {
-        let outcome = claim(&other);
+    let held_since = Instant::now();
+    while held_since.elapsed() < Duration::from_millis(1200) {
         assert!(
-            matches!(outcome, ClaimOutcome::Busy),
-            "a heartbeat-renewed lease must never be preempted"
+            matches!(claim(&other), ClaimOutcome::Busy),
+            "a held claim must read as busy to a second claimant ({:?} in)",
+            held_since.elapsed()
         );
         std::thread::sleep(Duration::from_millis(50));
     }
-    assert!(
-        guard.heartbeats_sent() >= 3,
-        "the holder must have renewed across the hold ({} heartbeats)",
-        guard.heartbeats_sent()
-    );
     drop(guard);
+    let ClaimOutcome::Held(guard) = claim(&other) else {
+        panic!("a released claim must be claimable again");
+    };
+    drop(guard);
+    let leftovers: Vec<_> = std::fs::read_dir(cache.dir())
+        .expect("list cache dir")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|name| name.ends_with(".claim"))
+        .collect();
     assert!(
-        matches!(claim(&other), ClaimOutcome::Held(_)),
-        "a released lease must be claimable again"
+        leftovers.is_empty(),
+        "claim files left behind: {leftovers:?}"
     );
 }
 
-/// A lease whose holder died (no heartbeat thread ever renews it) is
-/// reclaimed promptly after the TTL — and the reclaim is visible on the
-/// guard, so worker reports can count steals.
+/// Set in the child process of [`a_killed_holders_claim_is_free_at_once`]:
+/// the cache directory in which it takes and holds the claim.
+const HOLDER_DIR_ENV: &str = "EHS_TEST_CLAIM_HOLDER_DIR";
+
+/// A holder killed with SIGKILL takes its claim with it: the kernel drops
+/// the lock with the process, so the very next claim succeeds — no wait,
+/// no expiry. The holder is this test binary re-run as a child process.
 #[test]
-fn a_dead_holders_lease_is_reclaimed_after_the_ttl() {
-    let mut cache = tmp_cache("lease-reclaim");
-    let params = LeaseParams {
-        heartbeat: Duration::from_millis(50),
-        ttl: Duration::from_millis(150),
-    };
-    cache.set_lease_params(params);
-    let config = SystemConfig::paper_default();
-    let fp = effective_fingerprint(&config, Scheme::Baseline);
-    let stem = entry_stem(fp, Scheme::Baseline, AppId::Crc32, Scale::Tiny);
-    // A kill -9'd holder: its lease file exists, its heartbeats stopped.
-    let lease_path = cache.dir().join(format!("{stem}.claim"));
-    std::fs::write(
-        &lease_path,
-        "pid=0 host=dead-worker epoch=0 token=0000000000000000\n",
-    )
-    .expect("plant dead lease");
+fn a_killed_holders_claim_is_free_at_once() {
+    let fp = effective_fingerprint(&SystemConfig::paper_default(), Scheme::Baseline);
+    let claim = |c: &RunCache| c.claim(fp, Scheme::Baseline, AppId::Crc32, Scale::Tiny);
+
+    if let Some(dir) = std::env::var_os(HOLDER_DIR_ENV) {
+        // The child: hold the claim until killed.
+        let cache = RunCache::new(PathBuf::from(dir)).expect("open holder cache");
+        let ClaimOutcome::Held(_guard) = claim(&cache) else {
+            panic!("the holder must take the claim");
+        };
+        println!("claim held");
+        std::thread::sleep(Duration::from_secs(60));
+        return;
+    }
+
+    let cache = tmp_cache("claim-kill");
+    let mut holder = Command::new(std::env::current_exe().expect("test binary path"))
+        .args([
+            "--exact",
+            "a_killed_holders_claim_is_free_at_once",
+            "--nocapture",
+        ])
+        .env(HOLDER_DIR_ENV, cache.dir())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn the holder");
+    let stdout = BufReader::new(holder.stdout.take().expect("piped stdout"));
+    let held = stdout
+        .lines()
+        .map_while(Result::ok)
+        .any(|line| line == "claim held");
+    assert!(held, "the holder exited without taking the claim");
     assert!(
-        matches!(
-            cache.claim(fp, Scheme::Baseline, AppId::Crc32, Scale::Tiny),
-            ClaimOutcome::Busy
-        ),
-        "a lease within its TTL reads busy even if the holder is dead"
+        matches!(claim(&cache), ClaimOutcome::Busy),
+        "the live holder's claim must read as busy"
     );
-    std::thread::sleep(params.ttl + Duration::from_millis(100));
-    match cache.claim(fp, Scheme::Baseline, AppId::Crc32, Scale::Tiny) {
-        ClaimOutcome::Held(guard) => {
-            assert!(
-                guard.stole_stale_lease(),
-                "the reclaim must be visible as a steal"
-            );
-        }
-        other => panic!("expired dead lease must be reclaimable, got {other:?}"),
+
+    holder.kill().expect("SIGKILL the holder");
+    holder.wait().expect("reap the holder");
+    match claim(&cache) {
+        ClaimOutcome::Held(guard) => drop(guard),
+        other => panic!("a killed holder's claim must be free at once, got {other:?}"),
     }
 }
 
-/// Token arbitration on release: a guard whose lease was stolen and
-/// re-acquired by someone else must not remove the new holder's file.
+/// Opening a cache sweeps an hour-old claim file only when no live process
+/// holds it: the claim of a job that has run for hours survives, while a
+/// dead holder's leftover goes.
 #[test]
-fn drop_after_a_steal_leaves_the_new_holders_lease_intact() {
-    let mut cache = tmp_cache("lease-token");
-    // Huge heartbeat: the holder never renews during the test, so the
-    // manual overwrite below cannot race the heartbeat thread.
-    cache.set_lease_params(LeaseParams {
-        heartbeat: Duration::from_secs(10),
-        ttl: Duration::from_secs(30),
-    });
-    let config = SystemConfig::paper_default();
-    let fp = effective_fingerprint(&config, Scheme::Baseline);
+fn sweep_removes_only_unheld_claims() {
+    let cache = tmp_cache("claim-sweep");
+    let fp = effective_fingerprint(&SystemConfig::paper_default(), Scheme::Baseline);
+    let claim = |c: &RunCache| c.claim(fp, Scheme::Baseline, AppId::Crc32, Scale::Tiny);
+    let ClaimOutcome::Held(guard) = claim(&cache) else {
+        panic!("first claim on a fresh entry must be held");
+    };
     let stem = entry_stem(fp, Scheme::Baseline, AppId::Crc32, Scale::Tiny);
-    let lease_path = cache.dir().join(format!("{stem}.claim"));
+    let held = cache.dir().join(format!("{stem}.claim"));
+    let leftover = cache.dir().join("dead-holder.claim");
+    std::fs::write(&leftover, b"").expect("plant a leftover claim");
+    let two_hours_ago = SystemTime::now() - Duration::from_secs(7200);
+    for path in [&held, &leftover] {
+        std::fs::File::options()
+            .write(true)
+            .open(path)
+            .and_then(|f| f.set_modified(two_hours_ago))
+            .expect("backdate claim file");
+    }
 
-    let ClaimOutcome::Held(guard) = cache.claim(fp, Scheme::Baseline, AppId::Crc32, Scale::Tiny)
-    else {
-        panic!("fresh claim must be held");
-    };
-    // Simulate a steal + re-acquisition: the file now carries a different
-    // holder's token.
-    let new_holder = "pid=1 host=rival epoch=0 token=ffffffffffffffff\n";
-    std::fs::write(&lease_path, new_holder).expect("overwrite lease");
+    let reopened = RunCache::new(cache.dir()).expect("reopen cache");
+    assert!(held.exists(), "a held claim must survive the sweep");
+    assert!(
+        matches!(claim(&reopened), ClaimOutcome::Busy),
+        "the swept-past claim must still exclude rivals"
+    );
+    assert!(!leftover.exists(), "an old claim nobody holds is debris");
     drop(guard);
-    let survived = std::fs::read_to_string(&lease_path).expect("lease file must survive the drop");
-    assert_eq!(survived, new_holder, "a foreign token must not be removed");
-
-    // And the ordinary case: a drop with our own token still on file
-    // removes it (pinned here so the arbitration test cannot pass vacuously).
-    let ClaimOutcome::Held(guard) = cache.claim(fp, Scheme::Edbp, AppId::Crc32, Scale::Tiny) else {
-        panic!("fresh claim must be held");
-    };
-    let own_path = cache.dir().join(format!(
-        "{}.claim",
-        entry_stem(fp, Scheme::Edbp, AppId::Crc32, Scale::Tiny)
-    ));
-    assert!(own_path.exists());
-    drop(guard);
-    assert!(!own_path.exists(), "an unstolen lease is removed on drop");
 }
 
 /// Compaction folds duplicate lines (first-seen order), drops the torn
