@@ -131,31 +131,6 @@ fn shadow_table_lookup(c: &mut Criterion) {
             table.len()
         })
     });
-    group.bench_function("paged_remove_batch_1k", |b| {
-        // The batch cursor on its target shape: an ascending block-aligned
-        // drain (resident-set walks, tick gate lists) resolves each
-        // 1024-slot page once instead of per address.
-        let mut table: PagedTable<u32> = PagedTable::for_block_bytes(BLOCK as u32);
-        b.iter(|| {
-            table.fill_batch((0..PROBES).map(|i| i * BLOCK), 1);
-            let mut drained = 0u64;
-            table.remove_batch((0..PROBES).map(|i| i * BLOCK), |_, _| drained += 1);
-            drained
-        })
-    });
-    group.bench_function("paged_remove_scalar_1k", |b| {
-        let mut table: PagedTable<u32> = PagedTable::for_block_bytes(BLOCK as u32);
-        b.iter(|| {
-            for i in 0..PROBES {
-                table.insert(i * BLOCK, 1);
-            }
-            let mut drained = 0u64;
-            for i in 0..PROBES {
-                drained += u64::from(table.remove(i * BLOCK).is_some());
-            }
-            drained
-        })
-    });
     group.bench_function("fxhash_insert_remove_1k", |b| {
         let mut table: FxHashMap<u64, u32> = FxHashMap::default();
         for i in 0..RESIDENT {

@@ -190,19 +190,6 @@ impl PredictionLedger {
         self.gated_pending.insert(addr, ());
     }
 
-    /// [`on_gate`] for a whole tick's worth of gated addresses at once.
-    ///
-    /// Predictor ticks gate blocks in cache-walk (set) order, so the
-    /// addresses are page-local; the paged tables' batch cursor resolves
-    /// each shadow page once per run instead of once per block.
-    /// Classification is identical to per-address [`on_gate`] calls.
-    ///
-    /// [`on_gate`]: PredictionLedger::on_gate
-    pub fn on_gate_batch(&mut self, addrs: impl IntoIterator<Item = u64> + Clone) {
-        self.resident.remove_batch(addrs.clone(), |_, _| {});
-        self.gated_pending.fill_batch(addrs, ());
-    }
-
     /// The block at `addr` was evicted by a miss.
     pub fn on_evict(&mut self, addr: u64) {
         if let Some(hits) = self.resident.remove(addr) {
@@ -342,34 +329,6 @@ mod tests {
         assert_eq!(m.true_positives, 1);
         assert_eq!(m.missed_zombies, 2);
         assert_eq!(m.total(), 3);
-    }
-
-    #[test]
-    fn batched_gates_classify_like_sequential_gates() {
-        // Same event stream, gates applied singly vs as one batch: every
-        // terminal class must match. Covers TP (gated, quiet), FP (gated,
-        // re-requested) and the resident survivor (zombie at outage).
-        let addrs = [0x40u64, 0x80, 0x1000];
-        let mut single = PredictionLedger::for_block_bytes(64);
-        let mut batched = PredictionLedger::for_block_bytes(64);
-        for l in [&mut single, &mut batched] {
-            for &a in &addrs {
-                l.on_fill(a);
-            }
-            l.on_fill(0x2000);
-        }
-        for &a in &addrs {
-            single.on_gate(a);
-        }
-        batched.on_gate_batch(addrs.iter().copied());
-        for l in [&mut single, &mut batched] {
-            l.on_miss(0x80); // one gated block re-requested -> FP
-            l.on_power_fail();
-        }
-        assert_eq!(single.summary(), batched.summary());
-        assert_eq!(batched.summary().true_positives, 2);
-        assert_eq!(batched.summary().false_positives, 1);
-        assert_eq!(batched.summary().missed_zombies, 1);
     }
 
     #[test]

@@ -120,48 +120,11 @@ impl<T: Clone + Default> PagedTable<T> {
         self.get(addr).is_some()
     }
 
-    /// Ensures the page covering `addr` exists and returns its entry slot.
-    /// The only allocation site; a page is touched at most once per run.
-    fn entry_slot(&mut self, addr: u64) -> &mut Entry<T> {
-        let (page, slot) = self.locate(addr);
-        if page >= self.pages.len() {
-            self.pages.resize_with(page + 1, || None);
-        }
-        let entries = self.pages[page].get_or_insert_with(|| {
-            vec![
-                Entry {
-                    epoch: 0,
-                    value: T::default(),
-                };
-                PAGE_SLOTS
-            ]
-            .into_boxed_slice()
-        });
-        &mut entries[slot]
-    }
-
-    /// Inserts `value` at `addr`, returning the previous value if present.
-    #[inline]
-    pub fn insert(&mut self, addr: u64, value: T) -> Option<T> {
-        let epoch = self.epoch;
-        let entry = self.entry_slot(addr);
-        let old = if entry.epoch == epoch {
-            Some(std::mem::replace(&mut entry.value, value))
-        } else {
-            entry.epoch = epoch;
-            entry.value = value;
-            None
-        };
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
-    }
-
-    /// Returns the value at `addr`, inserting `make()` first if absent.
-    #[inline]
-    pub fn get_or_insert_with(&mut self, addr: u64, make: impl FnOnce() -> T) -> &mut T {
-        let epoch = self.epoch;
+    /// Marks `addr` present and returns its value slot, and whether it was
+    /// absent (the slot then still holds a stale value for the caller to
+    /// overwrite). Allocates the covering page on first touch: the only
+    /// allocation site; a page is touched at most once per run.
+    fn occupy(&mut self, addr: u64) -> (&mut T, bool) {
         let (page, slot) = self.locate(addr);
         if page >= self.pages.len() {
             self.pages.resize_with(page + 1, || None);
@@ -177,12 +140,34 @@ impl<T: Clone + Default> PagedTable<T> {
             .into_boxed_slice()
         });
         let entry = &mut entries[slot];
-        if entry.epoch != epoch {
-            entry.epoch = epoch;
-            entry.value = make();
+        let absent = entry.epoch != self.epoch;
+        if absent {
+            entry.epoch = self.epoch;
             self.len += 1;
         }
-        &mut entry.value
+        (&mut entry.value, absent)
+    }
+
+    /// Inserts `value` at `addr`, returning the previous value if present.
+    #[inline]
+    pub fn insert(&mut self, addr: u64, value: T) -> Option<T> {
+        let (slot, absent) = self.occupy(addr);
+        if absent {
+            *slot = value;
+            None
+        } else {
+            Some(std::mem::replace(slot, value))
+        }
+    }
+
+    /// Returns the value at `addr`, inserting `make()` first if absent.
+    #[inline]
+    pub fn get_or_insert_with(&mut self, addr: u64, make: impl FnOnce() -> T) -> &mut T {
+        let (slot, absent) = self.occupy(addr);
+        if absent {
+            *slot = make();
+        }
+        slot
     }
 
     /// Removes and returns the value at `addr`.
@@ -216,116 +201,6 @@ impl<T: Clone + Default> PagedTable<T> {
             self.epoch += 1;
         }
         self.len = 0;
-    }
-
-    /// Removes every present address in `addrs`, invoking `f` with each
-    /// removed `(addr, value)` in input order.
-    ///
-    /// Bit-identical to calling [`remove`] per address; the difference is
-    /// the batch cursor: consecutive addresses landing on the same page
-    /// resolve the spine (bounds check + option match) once per run, not
-    /// once per address. Drains that walk the cache in set order or an
-    /// ascending resident set are page-local almost everywhere, so the
-    /// two-level walk all but disappears.
-    ///
-    /// [`remove`]: PagedTable::remove
-    pub fn remove_batch(
-        &mut self,
-        addrs: impl IntoIterator<Item = u64>,
-        mut f: impl FnMut(u64, T),
-    ) {
-        let epoch = self.epoch;
-        let shift = self.shift;
-        let mut removed = 0usize;
-        let mut iter = addrs.into_iter();
-        let mut next = iter.next();
-        while let Some(first) = next {
-            let index = (first >> shift) as usize;
-            let page = index / PAGE_SLOTS;
-            match self.pages.get_mut(page) {
-                Some(Some(entries)) => {
-                    let mut addr = first;
-                    let mut slot = index % PAGE_SLOTS;
-                    loop {
-                        let entry = &mut entries[slot];
-                        if entry.epoch == epoch {
-                            entry.epoch = 0;
-                            removed += 1;
-                            f(addr, std::mem::take(&mut entry.value));
-                        }
-                        next = iter.next();
-                        let Some(n) = next else { break };
-                        let ni = (n >> shift) as usize;
-                        if ni / PAGE_SLOTS != page {
-                            break;
-                        }
-                        addr = n;
-                        slot = ni % PAGE_SLOTS;
-                    }
-                }
-                _ => {
-                    // The page was never allocated: nothing on it can be
-                    // present, so the whole same-page run is a no-op.
-                    next = iter.next();
-                    while let Some(n) = next {
-                        if ((n >> shift) as usize) / PAGE_SLOTS != page {
-                            break;
-                        }
-                        next = iter.next();
-                    }
-                }
-            }
-        }
-        self.len -= removed;
-    }
-
-    /// Inserts a clone of `value` at every address in `addrs`, overwriting
-    /// entries already present. The bulk counterpart of [`insert`] with the
-    /// same page-run cursor as [`remove_batch`], for drains that mark a
-    /// whole (page-local) address set at once.
-    ///
-    /// [`insert`]: PagedTable::insert
-    /// [`remove_batch`]: PagedTable::remove_batch
-    pub fn fill_batch(&mut self, addrs: impl IntoIterator<Item = u64>, value: T) {
-        let epoch = self.epoch;
-        let shift = self.shift;
-        let mut added = 0usize;
-        let mut iter = addrs.into_iter();
-        let mut next = iter.next();
-        while let Some(first) = next {
-            let index = (first >> shift) as usize;
-            let page = index / PAGE_SLOTS;
-            let mut slot = index % PAGE_SLOTS;
-            if page >= self.pages.len() {
-                self.pages.resize_with(page + 1, || None);
-            }
-            let entries = self.pages[page].get_or_insert_with(|| {
-                vec![
-                    Entry {
-                        epoch: 0,
-                        value: T::default(),
-                    };
-                    PAGE_SLOTS
-                ]
-                .into_boxed_slice()
-            });
-            loop {
-                let entry = &mut entries[slot];
-                if entry.epoch != epoch {
-                    entry.epoch = epoch;
-                    added += 1;
-                }
-                entry.value = value.clone();
-                next = iter.next();
-                let Some(n) = next else { break };
-                let ni = (n >> shift) as usize;
-                if ni / PAGE_SLOTS != page {
-                    break;
-                }
-                slot = ni % PAGE_SLOTS;
-            }
-        }
-        self.len += added;
     }
 
     /// Visits every present `(addr, value)` in ascending address order.
@@ -439,57 +314,6 @@ mod tests {
     fn rejects_non_power_of_two_blocks() {
         let _ = PagedTable::<u8>::for_block_bytes(12);
     }
-
-    #[test]
-    fn remove_batch_matches_per_element_removes() {
-        // Mixed-page, mixed-presence drain: present entries, absent slots on
-        // an allocated page, a whole never-allocated page, and a duplicate
-        // (second occurrence sees the slot already drained).
-        let addrs = [0x10u64, 0x40, 0x40, 0x8000, 0x0100_0000, 0x0200_0000];
-        let mut batched = PagedTable::for_block_bytes(16);
-        let mut scalar = PagedTable::for_block_bytes(16);
-        for addr in [0x10u64, 0x40, 0x8000, 0x50] {
-            batched.insert(addr, addr as u32);
-            scalar.insert(addr, addr as u32);
-        }
-        let mut got = Vec::new();
-        batched.remove_batch(addrs.iter().copied(), |a, v| got.push((a, v)));
-        let mut want = Vec::new();
-        for &a in &addrs {
-            if let Some(v) = scalar.remove(a) {
-                want.push((a, v));
-            }
-        }
-        assert_eq!(got, want);
-        assert_eq!(batched.len(), scalar.len());
-        assert_eq!(batched.get(0x50), Some(&0x50), "untouched entry survives");
-    }
-
-    #[test]
-    fn fill_batch_matches_per_element_inserts() {
-        let addrs = [0x10u64, 0x10, 0x40, 0x0100_0000];
-        let mut batched = PagedTable::for_block_bytes(16);
-        let mut scalar = PagedTable::for_block_bytes(16);
-        batched.insert(0x40, 9u32);
-        scalar.insert(0x40, 9u32);
-        batched.fill_batch(addrs.iter().copied(), 7);
-        for &a in &addrs {
-            scalar.insert(a, 7);
-        }
-        for &a in &addrs {
-            assert_eq!(batched.get(a), scalar.get(a));
-        }
-        assert_eq!(batched.len(), scalar.len());
-    }
-
-    #[test]
-    fn batch_ops_on_empty_iterator_are_no_ops() {
-        let mut t: PagedTable<u32> = PagedTable::for_block_bytes(16);
-        t.insert(0x40, 1);
-        t.remove_batch(std::iter::empty(), |_, _| panic!("nothing to drain"));
-        t.fill_batch(std::iter::empty(), 0);
-        assert_eq!(t.len(), 1);
-    }
 }
 
 /// Property tests pinning [`PagedTable`] to `HashMap` semantics under random
@@ -506,8 +330,6 @@ mod model_tests {
         Remove(u64),
         Get(u64),
         GetOrInsert(u64, u32),
-        RemoveBatch(Vec<u64>),
-        FillBatch(Vec<u64>, u32),
         Clear,
     }
 
@@ -526,9 +348,6 @@ mod model_tests {
             2 => addr_strategy().prop_map(Op::Remove),
             3 => addr_strategy().prop_map(Op::Get),
             2 => (addr_strategy(), 0u32..1000).prop_map(|(a, v)| Op::GetOrInsert(a, v)),
-            2 => proptest::collection::vec(addr_strategy(), 0..12).prop_map(Op::RemoveBatch),
-            2 => (proptest::collection::vec(addr_strategy(), 0..12), 0u32..1000)
-                .prop_map(|(a, v)| Op::FillBatch(a, v)),
             1 => Just(Op::Clear),
         ]
     }
@@ -556,23 +375,6 @@ mod model_tests {
                         let got = *table.get_or_insert_with(a, || v);
                         let want = *model.entry(a).or_insert(v);
                         prop_assert_eq!(got, want);
-                    }
-                    Op::RemoveBatch(ref addrs) => {
-                        let mut got = Vec::new();
-                        table.remove_batch(addrs.iter().copied(), |a, v| got.push((a, v)));
-                        let mut want = Vec::new();
-                        for &a in addrs {
-                            if let Some(v) = model.remove(&a) {
-                                want.push((a, v));
-                            }
-                        }
-                        prop_assert_eq!(got, want, "remove_batch order/content");
-                    }
-                    Op::FillBatch(ref addrs, v) => {
-                        table.fill_batch(addrs.iter().copied(), v);
-                        for &a in addrs {
-                            model.insert(a, v);
-                        }
                     }
                     Op::Clear => {
                         table.clear();

@@ -9,12 +9,11 @@
 //! disables it and `--expect-cached` fails the run if any simulation
 //! actually executed.
 //!
-//! Fleet execution over a shared cache directory (`EHS_RUNCACHE_DIR`):
-//! `--worker` produces the job set under per-entry claims (kernel file
-//! locks) — the same producer the default run uses, finishing jobs on disk
-//! instead of in memory — and `--finalize [--wait SECS] [--verify DIR]`
-//! waits for completeness, then renders and byte-verifies every figure. See
-//! the multi-machine runbook in `EXPERIMENTS.md`.
+//! Any number of `exp_all`s sharing one cache directory (`EHS_RUNCACHE_DIR`)
+//! are a fleet: each compacts the journal at startup, adopts the entries
+//! already on disk, claims (kernel file locks) and simulates the rest,
+//! waits out the keys a live rival holds, and renders every figure. See the
+//! multi-machine runbook in `EXPERIMENTS.md`.
 
 fn main() {
     ehs_sim::planner::suite_main();

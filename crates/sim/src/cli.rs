@@ -6,6 +6,7 @@
 //! exp_<name> [tiny|small|full] [--csv] [--threads N] [--no-cache]
 //! ```
 //!
+//! `exp_all` adds `--expect-cached` and `--expect-resumable` ([`parse_suite`]).
 //! Unknown arguments are an error (usage on stderr, exit code 2) — a typo
 //! must not silently fall back to the default scale.
 
@@ -100,52 +101,28 @@ where
     Ok(opts)
 }
 
-/// How a `exp_all` invocation participates in a fleet run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FleetMode {
-    /// Plan, run and report everything in this one process (the historical
-    /// behavior). Compacts the shared journal at startup.
-    Coordinator,
-    /// Produce the deduplicated job set into the shared cache directory,
-    /// writing no figures (`--worker`).
-    Worker,
-    /// Wait for the job set to be complete in the shared directory, then
-    /// render and verify every figure (`--finalize`).
-    Finalize,
-}
-
 /// The full `exp_all` option surface: the shared [`CliOptions`] plus the
-/// fleet-mode flags.
+/// suite's two checks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SuiteOptions {
     /// The options every experiment binary shares.
     pub cli: CliOptions,
-    /// Fleet participation mode.
-    pub mode: FleetMode,
     /// `--expect-cached`: fail unless the run was a pure cache replay.
     pub expect_cached: bool,
     /// `--expect-resumable`: fail if a journaled job re-simulated.
     pub expect_resumable: bool,
-    /// `--wait SECS`: how long `--finalize` waits for completeness.
-    pub wait: std::time::Duration,
-    /// `--verify DIR`: reference directory for per-figure byte comparison.
-    pub verify: Option<std::path::PathBuf>,
-    /// `--max-retries N`: retry bound for `--worker`'s claim and store
-    /// failures.
-    pub max_retries: Option<u32>,
 }
 
 /// The usage line for `exp_all`.
 pub fn suite_usage() -> String {
     format!(
-        "{}\n       exp_all [scale] --worker | --finalize [--wait SECS] [--verify DIR] \
-         [--max-retries N] [--expect-cached] [--expect-resumable]",
+        "{} [--expect-cached] [--expect-resumable]",
         usage("exp_all")
     )
 }
 
 /// Parses the `exp_all` argument list (without the leading program name):
-/// the fleet flags documented on [`SuiteOptions`], with everything else
+/// the flags documented on [`SuiteOptions`], with everything else
 /// delegated to [`parse`].
 pub fn parse_suite<I>(args: I) -> Result<SuiteOptions, CliError>
 where
@@ -153,64 +130,19 @@ where
     I::Item: Into<String>,
 {
     let mut rest: Vec<String> = Vec::new();
-    let mut worker = false;
-    let mut finalize = false;
     let mut expect_cached = false;
     let mut expect_resumable = false;
-    let mut wait = std::time::Duration::from_secs(60);
-    let mut verify = None;
-    let mut max_retries = None;
-    let mut args = args.into_iter().map(Into::into);
-    while let Some(arg) = args.next() {
-        let mut value_of = |flag: &str| {
-            args.next()
-                .ok_or_else(|| CliError::Invalid(format!("{flag} needs a value")))
-        };
+    for arg in args.into_iter().map(Into::into) {
         match arg.as_str() {
-            "--worker" => worker = true,
-            "--finalize" => finalize = true,
             "--expect-cached" => expect_cached = true,
             "--expect-resumable" => expect_resumable = true,
-            "--wait" => {
-                let value = value_of("--wait")?;
-                wait = value
-                    .parse::<u64>()
-                    .ok()
-                    .map(std::time::Duration::from_secs)
-                    .ok_or_else(|| {
-                        CliError::Invalid(format!("--wait needs whole seconds, got {value:?}"))
-                    })?;
-            }
-            "--verify" => verify = Some(std::path::PathBuf::from(value_of("--verify")?)),
-            "--max-retries" => {
-                let value = value_of("--max-retries")?;
-                max_retries = Some(value.parse::<u32>().map_err(|_| {
-                    CliError::Invalid(format!(
-                        "--max-retries needs a non-negative integer, got {value:?}"
-                    ))
-                })?);
-            }
             _ => rest.push(arg),
         }
     }
-    let mode = match (worker, finalize) {
-        (true, true) => {
-            return Err(CliError::Invalid(
-                "--finalize cannot combine with --worker".into(),
-            ))
-        }
-        (true, false) => FleetMode::Worker,
-        (false, true) => FleetMode::Finalize,
-        (false, false) => FleetMode::Coordinator,
-    };
     Ok(SuiteOptions {
         cli: parse(rest)?,
-        mode,
         expect_cached,
         expect_resumable,
-        wait,
-        verify,
-        max_retries,
     })
 }
 
@@ -285,38 +217,28 @@ mod tests {
     }
 
     #[test]
-    fn suite_defaults_to_coordinator_mode() {
+    fn suite_parses_its_checks() {
         let opts = parse_suite(["tiny"]).unwrap();
-        assert_eq!(opts.mode, FleetMode::Coordinator);
         assert_eq!(opts.cli.scale, Scale::Tiny);
         assert!(!opts.expect_cached && !opts.expect_resumable);
-        assert_eq!(opts.wait, std::time::Duration::from_secs(60));
-        assert_eq!(opts.verify, None);
-        assert_eq!(opts.max_retries, None);
+        let opts = parse_suite(["--expect-cached", "--expect-resumable", "--csv"]).unwrap();
+        assert!(opts.expect_cached && opts.expect_resumable && opts.cli.csv);
     }
 
     #[test]
-    fn suite_parses_fleet_modes() {
-        assert_eq!(parse_suite(["--worker"]).unwrap().mode, FleetMode::Worker);
-        let fin = parse_suite(["--finalize", "--wait", "5", "--verify", "/tmp/ref"]).unwrap();
-        assert_eq!(fin.mode, FleetMode::Finalize);
-        assert_eq!(fin.wait, std::time::Duration::from_secs(5));
-        assert_eq!(fin.verify, Some(std::path::PathBuf::from("/tmp/ref")));
-        let retried = parse_suite(["--worker", "--max-retries", "0"]).unwrap();
-        assert_eq!(retried.max_retries, Some(0));
-    }
-
-    #[test]
-    fn suite_rejects_bad_fleet_flags() {
-        assert!(matches!(
-            parse_suite(["--finalize", "--worker"]),
-            Err(CliError::Invalid(_))
-        ));
-        assert!(matches!(parse_suite(["--wait"]), Err(CliError::Invalid(_))));
-        // Unknown arguments still fall through to the shared parser.
-        assert!(matches!(
-            parse_suite(["--bogus"]),
-            Err(CliError::Invalid(_))
-        ));
+    fn suite_rejects_the_removed_fleet_flags() {
+        for args in [
+            &["--worker"][..],
+            &["--finalize"],
+            &["--wait", "5"],
+            &["--verify", "ref"],
+            &["--max-retries", "0"],
+            &["--bogus"],
+        ] {
+            assert!(
+                matches!(parse_suite(args.iter().copied()), Err(CliError::Invalid(_))),
+                "{args:?} must be rejected"
+            );
+        }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The simulator's whole subject is surviving arbitrary power failure, so
 //! the harness that runs it is held to the same bar: every recovery path —
-//! panic containment in the worker pool, rejection of torn cache writes,
+//! panic containment per job, rejection of torn cache writes,
 //! resumption after a mid-run kill — is *exercised* by injected faults, not
 //! merely asserted. This module is the harness-side analogue of the
 //! simulator's own brown-out injection: a seeded, deterministic [`FailPlan`]
@@ -27,7 +27,7 @@
 //!
 //! | kind    | effect at the site                                          |
 //! |---------|-------------------------------------------------------------|
-//! | `panic` | `panic!` — unwinds into the worker's `catch_unwind`          |
+//! | `panic` | `panic!` — unwinds into the job's `catch_unwind`             |
 //! | `io`    | the operation reports an I/O error (store: entry not written)|
 //! | `short` | store only: a torn entry is written straight to the final    |
 //! |         | path, bypassing the atomic temp-file dance (simulates a      |
@@ -41,9 +41,10 @@
 //! | `zombie` | one zombie-instrumented execution (only Fig. 4 runs these,  |
 //! |          | so `panic@zombie=1` poisons exactly one figure of a suite)  |
 //! | `store`  | one persistent-cache entry store                            |
-//! | `lease`  | one claim attempt (`RunCache::claim`); `io` makes the       |
-//! |          | attempt report `Unavailable` (claim contention), `kill`     |
-//! |          | dies holding the claims the process has already taken       |
+//! | `claim`  | one claim attempt (`RunCache::claim`); `io` makes the       |
+//! |          | attempt report `Unavailable`, so the key simulates          |
+//! |          | unclaimed; `kill` dies holding the claims the process has   |
+//! |          | already taken                                               |
 //!
 //! Counters are process-global and monotonic, so a plan is deterministic
 //! for a deterministic workload ordering (e.g. `--threads 1`), and
@@ -59,7 +60,7 @@ use std::sync::OnceLock;
 /// What an armed spec does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// `panic!` at the site (exercises worker panic isolation).
+    /// `panic!` at the site (exercises per-job panic isolation).
     Panic,
     /// Report an I/O error at the site (exercises degraded-mode paths).
     IoError,
@@ -90,7 +91,7 @@ pub enum Site {
     /// A persistent-cache entry store.
     Store,
     /// A claim attempt (`RunCache::claim`).
-    LeaseAcquire,
+    Claim,
 }
 
 impl Site {
@@ -99,7 +100,7 @@ impl Site {
             Self::Exec => "exec",
             Self::ZombieExec => "zombie",
             Self::Store => "store",
-            Self::LeaseAcquire => "lease",
+            Self::Claim => "claim",
         }
     }
 }
@@ -146,11 +147,11 @@ impl FailPlan {
                 "exec" => Site::Exec,
                 "zombie" => Site::ZombieExec,
                 "store" => Site::Store,
-                "lease" => Site::LeaseAcquire,
+                "claim" => Site::Claim,
                 other => {
                     return Err(format!(
                         "fault spec {clause:?}: unknown site {other:?} \
-                         (exec|zombie|store|lease)"
+                         (exec|zombie|store|claim)"
                     ))
                 }
             };
@@ -202,7 +203,7 @@ static ARMED: AtomicBool = AtomicBool::new(false);
 static EXEC_HITS: AtomicU64 = AtomicU64::new(0);
 static ZOMBIE_HITS: AtomicU64 = AtomicU64::new(0);
 static STORE_HITS: AtomicU64 = AtomicU64::new(0);
-static LEASE_HITS: AtomicU64 = AtomicU64::new(0);
+static CLAIM_HITS: AtomicU64 = AtomicU64::new(0);
 
 /// Installs `plan` for the whole process. The first installation wins
 /// (mirroring [`crate::runcache::install`]); returns `true` when this call
@@ -251,7 +252,7 @@ fn hit(site: Site) -> Option<FaultKind> {
         Site::Exec => &EXEC_HITS,
         Site::ZombieExec => &ZOMBIE_HITS,
         Site::Store => &STORE_HITS,
-        Site::LeaseAcquire => &LEASE_HITS,
+        Site::Claim => &CLAIM_HITS,
     };
     let occurrence = counter.fetch_add(1, Ordering::Relaxed) + 1;
     let plan = PLAN.get()?;
@@ -263,7 +264,7 @@ fn hit(site: Site) -> Option<FaultKind> {
 }
 
 /// Applies `kind` at a site that has no I/O failure mode of its own
-/// (`IoError` degrades to a panic there — still a contained worker fault).
+/// (`IoError` degrades to a panic there — still a contained job fault).
 fn detonate(kind: FaultKind, occurrence_desc: &str) -> ! {
     match kind {
         FaultKind::Kill => {
@@ -307,12 +308,12 @@ pub(crate) fn on_store() -> Option<FaultKind> {
 
 /// Instrumentation hook for claim attempts. `Panic`/`Kill` detonate in
 /// place; `IoError` flows back so the claim path reports `Unavailable`
-/// (the shape of real claim contention / an unwritable directory).
-pub(crate) fn on_lease_acquire() -> Option<FaultKind> {
+/// (the shape of an unwritable directory or a filesystem without locks).
+pub(crate) fn on_claim() -> Option<FaultKind> {
     if !armed() {
         return None;
     }
-    match hit(Site::LeaseAcquire)? {
+    match hit(Site::Claim)? {
         kind @ (FaultKind::Panic | FaultKind::Kill) => detonate(kind, "claim attempt"),
         kind => Some(kind),
     }
@@ -333,11 +334,11 @@ mod tests {
 
     #[test]
     fn parses_the_claim_site() {
-        let plan = FailPlan::parse("io@lease=1,kill@lease=2").unwrap();
+        let plan = FailPlan::parse("io@claim=1,kill@claim=2").unwrap();
         assert_eq!(plan.specs.len(), 2);
-        assert_eq!(plan.to_string(), "io@lease=1,kill@lease=2");
+        assert_eq!(plan.to_string(), "io@claim=1,kill@claim=2");
         // Short writes stay a store-only concept.
-        assert!(FailPlan::parse("short@lease=1").is_err());
+        assert!(FailPlan::parse("short@claim=1").is_err());
     }
 
     #[test]
@@ -350,10 +351,12 @@ mod tests {
             "explode@exec=1",
             "panic@nowhere=1",
             "short@exec=1", // short writes are a store-only concept
-            // Sites of the removed heartbeat-lease protocol: an old plan
-            // naming them must fail loudly, not run fault-free.
+            // Sites of the removed heartbeat-lease protocol, and the claim
+            // site's old name: an old plan naming them must fail loudly,
+            // not run fault-free.
             "io@steal=1",
             "kill@heartbeat=1",
+            "io@lease=1",
         ] {
             assert!(FailPlan::parse(bad).is_err(), "{bad:?} must be rejected");
         }

@@ -11,9 +11,9 @@
 //! [`crate::runner::effective_fingerprint`]), carries each Ideal job with
 //! the baseline it replays, runs lockstep groups, and kills the straggler
 //! tail with a longest-first queue — and then dispatches each experiment's
-//! slice of the outputs to its reporter in registry order. `exp_all`'s
-//! coordinator is therefore an in-process `--worker` that renders figures
-//! at the end.
+//! slice of the outputs to its reporter in registry order. Several
+//! `exp_all`s sharing one cache directory split the work through that
+//! producer's claims, and each renders every figure.
 //!
 //! Invariants (see `DESIGN.md` §8):
 //!
@@ -23,33 +23,26 @@
 //! * Dedup accounting is exact: a cache-cold `run_suite` executes exactly
 //!   [`crate::runner::count_unique`] simulations (asserted by a test).
 
-use crate::cli::{self, FleetMode, SuiteOptions};
+use crate::cli::{self, SuiteOptions};
 use crate::experiments::ExperimentOptions;
 use crate::experiments::{headline, motivation, sensitivity};
 use crate::fault;
 use crate::report::Table;
 use crate::runcache;
 use crate::runner::{
-    effective_fingerprint, executed_entry_stems, run_workers, simulations_executed,
-    try_run_jobs_counted, try_run_jobs_outputs, unique_jobs, Job, JobError, JobOutput, RetryPolicy,
+    executed_entry_stems, simulations_executed, try_run_jobs_counted, try_run_jobs_outputs, Job,
+    JobError, JobOutput,
 };
 use ehs_workloads::Scale;
 use std::collections::HashSet;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
-/// Exit code: one or more jobs failed (a figure was not written, a worker
-/// exhausted retries, or a `--expect-*` assertion tripped).
+/// Exit code: one or more jobs failed (a figure was not written), the
+/// results directory is unwritable, or a `--expect-*` assertion tripped.
 pub const EXIT_JOB_FAILURE: i32 = 1;
 /// Exit code: bad usage or a malformed `$EHS_FAILPLAN`.
 pub const EXIT_USAGE: i32 = 2;
-/// Exit code: `--finalize` timed out waiting for the job set to become
-/// complete in the shared directory.
-pub const EXIT_INCOMPLETE_JOURNAL: i32 = 3;
-/// Exit code: `--finalize --verify` found a figure whose bytes differ from
-/// the reference directory.
-pub const EXIT_MERGE_MISMATCH: i32 = 4;
 
 /// One registered experiment: the library form of an `exp_*` binary.
 pub struct Experiment {
@@ -374,19 +367,14 @@ pub fn experiment_main(name: &str) {
 /// contain it — every other figure is still written (atomically, so a
 /// killed process never leaves a torn figure) — and the run exits 1 with a
 /// structured per-figure failure summary on stderr. A killed run resumes
-/// on re-invocation through the persistent cache plus the suite journal.
+/// on re-invocation through the persistent cache plus the suite journal,
+/// which every run compacts at startup.
 ///
-/// Fleet modes (see `EXPERIMENTS.md` for the multi-machine runbook):
-///
-/// * *(default)* — coordinator: compact the shared journal, then plan, run
-///   and report everything in this process. It produces jobs exactly as a
-///   worker does, under the same per-entry claims, and needs their results
-///   in memory rather than on disk.
-/// * `--worker` — produce the deduplicated job set into the shared cache
-///   directory under per-entry claims; write no figures.
-/// * `--finalize [--wait SECS] [--verify DIR]` — wait for the job set to
-///   complete, render every figure from the merged cache, optionally
-///   assert per-figure byte-identity against a reference directory.
+/// Any number of `exp_all`s may share one cache directory
+/// (`EHS_RUNCACHE_DIR`; see `EXPERIMENTS.md` for the multi-machine
+/// runbook): each adopts the entries already on disk, claims and simulates
+/// the rest, waits out the keys a live rival holds, and renders every
+/// figure.
 ///
 /// Extra flags:
 ///
@@ -395,10 +383,9 @@ pub fn experiment_main(name: &str) {
 /// * `--expect-resumable` exits non-zero if any job recorded in the suite
 ///   journal (i.e. completed *and persisted* by an earlier, possibly
 ///   killed, run) was re-simulated — the explicit resume contract.
-/// * `--max-retries N` bounds `--worker`'s claim and store retries.
 ///
-/// Exit codes: `0` success, [`EXIT_JOB_FAILURE`], [`EXIT_USAGE`],
-/// [`EXIT_INCOMPLETE_JOURNAL`], [`EXIT_MERGE_MISMATCH`].
+/// Exit codes: `0` success, [`EXIT_JOB_FAILURE`], [`EXIT_USAGE`], and 137
+/// for a kill (SIGKILL, or an injected `kill` fault; see [`crate::fault`]).
 pub fn suite_main() {
     let opts = match cli::parse_suite(std::env::args().skip(1)) {
         Ok(opts) => opts,
@@ -416,174 +403,6 @@ pub fn suite_main() {
     if !opts.cli.no_cache {
         runcache::install_default();
     }
-    match opts.mode {
-        FleetMode::Worker => worker_main(&opts),
-        FleetMode::Finalize => finalize_main(&opts),
-        FleetMode::Coordinator => coordinator_main(&opts),
-    }
-}
-
-/// The `--worker` entry: populate the shared cache directory (under
-/// per-entry claims), print the structured per-worker summary, write no
-/// figures.
-fn worker_main(opts: &SuiteOptions) -> ! {
-    let plan = plan_suite(opts.cli.scale);
-    let mut policy = RetryPolicy::default();
-    if let Some(n) = opts.max_retries {
-        policy.max_retries = n;
-    }
-    let start = std::time::Instant::now();
-    let report = run_workers(&plan.jobs, &policy, opts.cli.threads);
-    println!("{report} wall={:.1}s", start.elapsed().as_secs_f64());
-    if !report.failures.is_empty() {
-        eprintln!("worker failure summary ({} job(s)):", report.failures.len());
-        for e in &report.failures {
-            eprintln!("  {e}");
-        }
-        std::process::exit(EXIT_JOB_FAILURE);
-    }
-    std::process::exit(0);
-}
-
-/// The `--finalize` entry: wait (up to `--wait`) until every unique job of
-/// the suite is present in the shared directory — journaled, or loadable
-/// for a job whose journal line was lost to a crash — then render every
-/// figure from the merged cache and, with `--verify DIR`, assert each
-/// written figure is byte-identical to the reference copy.
-///
-/// Exit codes, most specific first: [`EXIT_INCOMPLETE_JOURNAL`] if the job
-/// set never completed, [`EXIT_JOB_FAILURE`] if rendering hit failed jobs,
-/// [`EXIT_MERGE_MISMATCH`] if any figure differed from the reference.
-fn finalize_main(opts: &SuiteOptions) -> ! {
-    let Some(cache) = runcache::active() else {
-        eprintln!("--finalize needs the persistent cache (drop --no-cache)");
-        std::process::exit(EXIT_USAGE);
-    };
-    let plan = plan_suite(opts.cli.scale);
-    let needed = unique_jobs(&plan.jobs);
-    let deadline = std::time::Instant::now() + opts.wait;
-    loop {
-        let journaled = cache.journal_entries();
-        let missing: Vec<String> = needed
-            .iter()
-            .filter_map(|job| {
-                let fp = effective_fingerprint(&job.config, job.scheme);
-                let stem = runcache::entry_stem(fp, job.scheme, job.app, job.scale);
-                let present = journaled.contains(&stem)
-                    || cache.load(fp, job.scheme, job.app, job.scale).is_some();
-                (!present).then_some(stem)
-            })
-            .collect();
-        if missing.is_empty() {
-            break;
-        }
-        if std::time::Instant::now() >= deadline {
-            eprintln!(
-                "--finalize: job set incomplete after {}s: {} of {} job(s) missing:",
-                opts.wait.as_secs(),
-                missing.len(),
-                needed.len()
-            );
-            for stem in missing.iter().take(10) {
-                eprintln!("  {stem}");
-            }
-            if missing.len() > 10 {
-                eprintln!("  ... and {} more", missing.len() - 10);
-            }
-            std::process::exit(EXIT_INCOMPLETE_JOURNAL);
-        }
-        std::thread::sleep(Duration::from_millis(200));
-    }
-    println!(
-        "finalize: all {} unique job(s) present; rendering figures",
-        needed.len()
-    );
-    let run = run_suite(opts.cli.experiment_options());
-    let dir = write_figures(&run, opts);
-    let failures = run.failures();
-    if !failures.is_empty() {
-        eprintln!(
-            "failure summary ({} figure(s) not written):",
-            failures.len()
-        );
-        for (name, errs) in &failures {
-            eprintln!("  {name}: {} failed job(s)", errs.len());
-            for e in *errs {
-                eprintln!("    {e}");
-            }
-        }
-        std::process::exit(EXIT_JOB_FAILURE);
-    }
-    if let Some(reference) = &opts.verify {
-        let mut mismatched = 0usize;
-        for exp in REGISTRY {
-            let mut names = vec![format!("{}.txt", exp.name)];
-            if opts.cli.csv {
-                names.push(format!("{}.csv", exp.name));
-            }
-            for name in names {
-                let ours = std::fs::read(dir.join(&name)).ok();
-                let theirs = std::fs::read(reference.join(&name)).ok();
-                if ours != theirs || ours.is_none() {
-                    eprintln!(
-                        "--verify: {name} differs from {}",
-                        reference.join(&name).display()
-                    );
-                    mismatched += 1;
-                }
-            }
-        }
-        if mismatched > 0 {
-            eprintln!("--verify: {mismatched} figure file(s) mismatched");
-            std::process::exit(EXIT_MERGE_MISMATCH);
-        }
-        println!(
-            "verify: every figure byte-identical to {}",
-            reference.display()
-        );
-    }
-    std::process::exit(0);
-}
-
-/// Writes every successfully reported figure of `run` to the results
-/// directory (atomically); exits [`EXIT_JOB_FAILURE`] on an unwritable
-/// directory. Returns the directory.
-fn write_figures(run: &SuiteRun, opts: &SuiteOptions) -> PathBuf {
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!(
-            "error: cannot create results directory {} ({e}); \
-             set {RESULTS_ENV_VAR} to a writable location",
-            dir.display()
-        );
-        std::process::exit(EXIT_JOB_FAILURE);
-    }
-    for (exp, table) in REGISTRY.iter().zip(&run.tables) {
-        let Ok(table) = table else {
-            continue; // summarized by the caller; unaffected figures land
-        };
-        let path = dir.join(format!("{}.txt", exp.name));
-        let mut wrote = write_atomic(&path, render_titled(exp.title, table).as_bytes());
-        if opts.cli.csv && wrote.is_ok() {
-            let path = dir.join(format!("{}.csv", exp.name));
-            wrote = write_atomic(&path, table.to_csv().as_bytes());
-        }
-        if let Err(e) = wrote {
-            eprintln!(
-                "error: cannot write figure {} ({e}); \
-                 set {RESULTS_ENV_VAR} to a writable location",
-                path.display()
-            );
-            std::process::exit(EXIT_JOB_FAILURE);
-        }
-        println!("wrote {}", path.display());
-    }
-    dir
-}
-
-/// The historical single-process entry: plan, run, report — now also the
-/// fleet *coordinator*, which compacts the shared journal at startup.
-fn coordinator_main(opts: &SuiteOptions) -> ! {
     if let Some(cache) = runcache::active() {
         match cache.compact_journal() {
             Ok(0) => {}
@@ -607,7 +426,7 @@ fn coordinator_main(opts: &SuiteOptions) -> ! {
 
     let start = std::time::Instant::now();
     let run = run_suite(opts.cli.experiment_options());
-    write_figures(&run, opts);
+    write_figures(&run, &opts);
     let failures = run.failures();
     let failed_jobs: usize = failures.iter().map(|(_, errs)| errs.len()).sum();
     println!(
@@ -659,6 +478,41 @@ fn coordinator_main(opts: &SuiteOptions) -> ! {
         }
     }
     std::process::exit(exit_code);
+}
+
+/// Writes every successfully reported figure of `run` to the results
+/// directory (atomically); exits [`EXIT_JOB_FAILURE`] on an unwritable
+/// directory.
+fn write_figures(run: &SuiteRun, opts: &SuiteOptions) {
+    let dir = results_dir();
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        eprintln!(
+            "error: cannot create results directory {} ({e}); \
+             set {RESULTS_ENV_VAR} to a writable location",
+            dir.display()
+        );
+        std::process::exit(EXIT_JOB_FAILURE);
+    }
+    for (exp, table) in REGISTRY.iter().zip(&run.tables) {
+        let Ok(table) = table else {
+            continue; // summarized by the caller; unaffected figures land
+        };
+        let path = dir.join(format!("{}.txt", exp.name));
+        let mut wrote = write_atomic(&path, render_titled(exp.title, table).as_bytes());
+        if opts.cli.csv && wrote.is_ok() {
+            let path = dir.join(format!("{}.csv", exp.name));
+            wrote = write_atomic(&path, table.to_csv().as_bytes());
+        }
+        if let Err(e) = wrote {
+            eprintln!(
+                "error: cannot write figure {} ({e}); \
+                 set {RESULTS_ENV_VAR} to a writable location",
+                path.display()
+            );
+            std::process::exit(EXIT_JOB_FAILURE);
+        }
+        println!("wrote {}", path.display());
+    }
 }
 
 #[cfg(test)]

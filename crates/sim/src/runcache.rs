@@ -730,8 +730,8 @@ impl RunCache {
     /// idempotent, so a lost claim can only duplicate work, never corrupt
     /// a result.
     pub fn claim(&self, config_fp: u64, scheme: Scheme, app: AppId, scale: Scale) -> ClaimOutcome {
-        if fault::on_lease_acquire().is_some() {
-            // Injected claim contention: claims unavailable this attempt.
+        if fault::on_claim().is_some() {
+            // Injected claim failure: claims unavailable this attempt.
             return ClaimOutcome::Unavailable;
         }
         let path = self.dir.join(format!(
@@ -819,8 +819,8 @@ impl RunCache {
     /// The journal grows without bound across resumed runs — every resume
     /// re-appends nothing, but retries and multi-process campaigns can
     /// duplicate lines, and a torn final line otherwise persists forever.
-    /// Only the coordinator calls this, at startup, serialized against other
-    /// compactors by a `journal.lock` breaker; a worker appending
+    /// Every `exp_all` calls this at startup, serialized against other
+    /// compactors by a `journal.lock` breaker; a rival appending
     /// concurrently can at worst have one line dropped, which weakens
     /// accounting (a job may re-verify on resume), never a result.
     pub fn compact_journal(&self) -> std::io::Result<usize> {

@@ -3,12 +3,11 @@
 //! cache.
 //!
 //! Every way of running jobs goes through one producer: [`run_jobs`] and
-//! [`try_run_jobs_outputs`] (the library, the per-figure binaries, and
-//! `exp_all`'s coordinator and `--finalize` render) and [`run_workers`]
-//! (`exp_all --worker`). The two differ only in what finishes a key: the
-//! coordinator needs the result in memory, a worker needs it durable on
-//! disk. The coordinator is therefore an in-process worker that renders
-//! figures at the end.
+//! [`try_run_jobs_outputs`] serve the library, the per-figure binaries and
+//! `exp_all`. Any number of `exp_all` processes sharing one cache directory
+//! run this same producer, so they are a fleet without a second role: each
+//! adopts what is on disk, claims and simulates the rest, and waits out the
+//! keys a live rival holds.
 //!
 //! # Memoization
 //!
@@ -63,9 +62,11 @@
 //! file lock) and the disk checked again under the claim. The claimed keys
 //! simulate, and each finished key is stored and journaled before its
 //! claim is released. A key that another process holds is revisited on a
-//! later sweep (backing off, at most [`RetryPolicy::cap`] between sweeps)
-//! until its entry lands on disk or its holder dies, which releases the
-//! claim at once.
+//! later sweep (a sweep that settled nothing backs off with jitter, at most
+//! 320 ms) until its entry lands on disk or its holder dies, which releases
+//! the claim at once. An `Ideal` key is opened only once its baseline is
+//! settled or claimed by the same visit, so it never re-records a baseline
+//! that a rival is still simulating.
 //!
 //! Items run longest-estimated-first (see [`Job::estimated_cost`]) from
 //! one queue shared by every thread, so a `Full`-scale straggler cannot
@@ -81,12 +82,12 @@
 //!
 //! A panicking lane is a *result*, not a process event: it fails exactly
 //! its own key's jobs ([`JobError`]) while every other key completes, and
-//! the key stays out of the memo, so the next call retries it. Whether a
-//! failure is retried within a call depends on where it happened: a
-//! simulation panic fails at once; under `--worker`, claim and store
-//! failures retry (see [`RetryPolicy`]). No table in this module can stay
-//! poisoned (see `lock_unpoisoned`). The deterministic fault-injection
-//! harness ([`crate::fault`]) exercises these paths.
+//! the key stays out of the memo, so the next call retries it. Nothing
+//! else fails a key: a claim that cannot be taken is simulated unclaimed
+//! (duplicate work is safe, stalling is not), and a store that fails keeps
+//! the result in memory, unjournaled, after one warning. No table in this
+//! module can stay poisoned (see `lock_unpoisoned`). The deterministic
+//! fault-injection harness ([`crate::fault`]) exercises these paths.
 
 use crate::{
     config_fingerprint, fault, runcache, LaneRun, RunOutcome, RunResult, Scheme, SystemConfig,
@@ -100,6 +101,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::Duration;
 
 /// Locks `m`, recovering the data if a previous holder panicked.
 ///
@@ -455,23 +457,11 @@ fn work_items(units: &[Unit]) -> Vec<Vec<usize>> {
     ranked.into_iter().map(|(_, item)| item).collect()
 }
 
-/// What finishes a key in one [`produce`] call.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Finish {
-    /// The result is in memory. An unwritable cache degrades to cacheless:
-    /// one warning, no per-key retries or sleeps.
-    Memory,
-    /// The result is durable on disk (`--worker`). Claim and store failures
-    /// are retried under the [`RetryPolicy`], using the in-memory result.
-    Disk,
-}
-
 /// A unit's progress within one [`produce`] call.
 enum Status {
-    Open {
-        attempts: u32,
-    },
-    /// Simulated (and stored) by this call, at this `sim_mips`.
+    /// Not settled yet: opened on this or a later sweep.
+    Open,
+    /// Simulated by this call, at this `sim_mips`.
     Produced {
         sim_mips: f64,
     },
@@ -480,10 +470,10 @@ enum Status {
     Failed(String),
 }
 
-/// The claim this process holds on a key it is about to simulate.
+/// The claim this process holds on a key it is about to simulate; `None`
+/// when the key simulates unclaimed (no cache, or claims unavailable).
 struct Claim {
     unit: usize,
-    attempts: u32,
     guard: Option<runcache::ClaimGuard>,
 }
 
@@ -491,40 +481,38 @@ struct Claim {
 struct Producer<'a> {
     units: &'a [Unit],
     cache: Option<&'static runcache::RunCache>,
-    /// Finish::Disk with a cache installed.
-    durable: bool,
-    policy: &'a RetryPolicy,
     status: Vec<Mutex<Status>>,
-    busy_skips: AtomicUsize,
-    retries: AtomicUsize,
 }
 
 /// Serializes produce calls within the process (see the module docs).
 static TURN: Mutex<()> = Mutex::new(());
 
+/// First pause after a sweep that settled nothing; it doubles with each
+/// further idle sweep, up to [`BACKOFF_CAP`].
+const BACKOFF_BASE: Duration = Duration::from_millis(10);
+/// Longest pause between sweeps while rivals hold every open key.
+const BACKOFF_CAP: Duration = Duration::from_millis(320);
+
+/// The pause after `idle_sweeps` (≥ 1) sweeps in a row settled nothing:
+/// [`BACKOFF_BASE`] doubled per idle sweep, at most [`BACKOFF_CAP`], drawn
+/// from `[delay/2, delay)` so rival processes do not poll in step.
+fn idle_backoff(idle_sweeps: u32, rng: &mut u64) -> Duration {
+    let doublings = idle_sweeps.saturating_sub(1).min(16);
+    let delay = BACKOFF_BASE.saturating_mul(1 << doublings).min(BACKOFF_CAP);
+    *rng = splitmix(*rng);
+    let nanos = delay.as_nanos() as u64;
+    Duration::from_nanos(nanos / 2 + *rng % (nanos / 2))
+}
+
 /// Produces every unit, sweeping the work items on `threads` threads until
-/// none is left open. Returns each unit's final status and the call's
-/// accounting.
-fn produce(
-    units: &[Unit],
-    finish: Finish,
-    policy: &RetryPolicy,
-    threads: usize,
-) -> (Vec<Status>, WorkerReport) {
+/// none is left open. Returns each unit's final status.
+fn produce(units: &[Unit], threads: usize) -> Vec<Status> {
     assert!(threads >= 1, "need at least one thread");
     let _turn = lock_unpoisoned(&TURN);
-    let cache = runcache::active();
     let producer = Producer {
         units,
-        cache,
-        durable: finish == Finish::Disk && cache.is_some(),
-        policy,
-        status: units
-            .iter()
-            .map(|_| Mutex::new(Status::Open { attempts: 0 }))
-            .collect(),
-        busy_skips: AtomicUsize::new(0),
-        retries: AtomicUsize::new(0),
+        cache: runcache::active(),
+        status: units.iter().map(|_| Mutex::new(Status::Open)).collect(),
     };
     let items = work_items(units);
     let mut pending: Vec<usize> = (0..items.len()).collect();
@@ -537,9 +525,8 @@ fn produce(
         std::thread::scope(|scope| {
             for _ in 0..threads.min(pending.len()) {
                 scope.spawn(|| {
-                    let mut rng = jitter_seed();
                     while let Some(&i) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
-                        let (moved, open) = producer.visit(&items[i], &mut rng);
+                        let (moved, open) = producer.visit(&items[i]);
                         if moved {
                             progressed.store(true, Ordering::Relaxed);
                         }
@@ -557,31 +544,16 @@ fn produce(
         if progressed.into_inner() {
             idle_sweeps = 0;
         } else if !pending.is_empty() {
-            // Other processes hold every remaining claim: back off before
-            // the next sweep, never longer than the policy's cap.
+            // Other processes hold every remaining claim.
             idle_sweeps += 1;
-            std::thread::sleep(policy.delay(idle_sweeps.min(6), &mut rng));
+            std::thread::sleep(idle_backoff(idle_sweeps, &mut rng));
         }
     }
-    let mut report = WorkerReport {
-        busy_skips: producer.busy_skips.into_inner(),
-        retries: producer.retries.into_inner(),
-        ..WorkerReport::default()
-    };
-    let status: Vec<Status> = producer
+    producer
         .status
         .into_iter()
         .map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner))
-        .collect();
-    for (unit, status) in units.iter().zip(&status) {
-        match status {
-            Status::Produced { .. } => report.completed += 1,
-            Status::Found => report.adopted += 1,
-            Status::Failed(message) => report.failures.push(job_error(&unit.key, message)),
-            Status::Open { .. } => unreachable!("sweeps run until no unit is open"),
-        }
-    }
-    (status, report)
+        .collect()
 }
 
 impl Producer<'_> {
@@ -589,29 +561,45 @@ impl Producer<'_> {
         *lock_unpoisoned(&self.status[unit]) = status;
     }
 
+    fn is_open(&self, unit: usize) -> bool {
+        matches!(*lock_unpoisoned(&self.status[unit]), Status::Open)
+    }
+
     fn open_units(&self, item: &[usize]) -> usize {
-        item.iter()
-            .filter(|&&u| matches!(*lock_unpoisoned(&self.status[u]), Status::Open { .. }))
-            .count()
+        item.iter().filter(|&&u| self.is_open(u)).count()
     }
 
     /// One visit to one item: opens its open keys, simulates the ones this
     /// process claimed, and finishes them. Returns whether any key settled
     /// and whether any is still open.
-    fn visit(&self, item: &[usize], rng: &mut u64) -> (bool, bool) {
+    ///
+    /// An `Ideal` key opens only when this visit holds its baseline's claim
+    /// or the baseline has settled; while a rival holds the baseline, the
+    /// `Ideal` waits for a later sweep rather than re-record the baseline
+    /// as its oracle. The baseline precedes its `Ideal`s in the item (see
+    /// [`units_of`]).
+    fn visit(&self, item: &[usize]) -> (bool, bool) {
         let open_before = self.open_units(item);
         let mut group = Vec::new();
         let mut oracles = Vec::new();
+        let mut baseline_ready = false;
         for &unit in item {
-            let Status::Open { attempts } = *lock_unpoisoned(&self.status[unit]) else {
+            let scheme = self.units[unit].key.scheme;
+            if scheme.needs_oracle_trace() && !baseline_ready {
                 continue;
+            }
+            let claim = if self.is_open(unit) {
+                self.open(unit)
+            } else {
+                None
             };
-            if let Some(claim) = self.open(unit, attempts, rng) {
-                if self.units[unit].key.scheme.needs_oracle_trace() {
-                    oracles.push(claim);
-                } else {
-                    group.push(claim);
-                }
+            if scheme == Scheme::Baseline {
+                baseline_ready = claim.is_some() || !self.is_open(unit);
+            }
+            match claim {
+                Some(claim) if scheme.needs_oracle_trace() => oracles.push(claim),
+                Some(claim) => group.push(claim),
+                None => {}
             }
         }
 
@@ -638,7 +626,7 @@ impl Producer<'_> {
             if let Ok(run) = &mut outcome {
                 trace = trace.or(run.trace.take());
             }
-            self.finish(claim, outcome, rng);
+            self.finish(claim, outcome);
         }
 
         for claim in oracles {
@@ -652,7 +640,7 @@ impl Producer<'_> {
             let outcome = oracle
                 .and_then(|oracle| start(job, job.scheme, Some(oracle), false))
                 .and_then(|lane| simulate(vec![lane]).pop().expect("one lane"));
-            self.finish(claim, outcome, rng);
+            self.finish(claim, outcome);
         }
 
         let open_after = self.open_units(item);
@@ -662,21 +650,14 @@ impl Producer<'_> {
     /// Opens one key. Returns the claim to simulate it under, or `None`
     /// when there is nothing to simulate now: the key settled, or another
     /// process holds it.
-    fn open(&self, unit: usize, attempts: u32, rng: &mut u64) -> Option<Claim> {
+    fn open(&self, unit: usize) -> Option<Claim> {
         let key = &self.units[unit].key;
-        let claim = |guard| {
-            Some(Claim {
-                unit,
-                attempts,
-                guard,
-            })
-        };
-        if !self.durable && memo().contains_key(key) {
+        if memo().contains_key(key) {
             self.settle(unit, Status::Found);
             return None;
         }
         let Some(cache) = self.cache else {
-            return claim(None);
+            return Some(Claim { unit, guard: None });
         };
         if self.adopt(cache, key) {
             self.settle(unit, Status::Found);
@@ -690,22 +671,14 @@ impl Producer<'_> {
                     self.settle(unit, Status::Found);
                     return None;
                 }
-                claim(Some(guard))
+                Some(Claim {
+                    unit,
+                    guard: Some(guard),
+                })
             }
-            runcache::ClaimOutcome::Busy => {
-                self.busy_skips.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            runcache::ClaimOutcome::Unavailable if self.durable => {
-                let status = match self.backoff(attempts, rng) {
-                    Some(attempts) => Status::Open { attempts },
-                    None => Status::Failed("claim unavailable".into()),
-                };
-                self.settle(unit, status);
-                None
-            }
+            runcache::ClaimOutcome::Busy => None,
             // Duplicate work is safe, stalling is not.
-            runcache::ClaimOutcome::Unavailable => claim(None),
+            runcache::ClaimOutcome::Unavailable => Some(Claim { unit, guard: None }),
         }
     }
 
@@ -722,26 +695,12 @@ impl Producer<'_> {
         true
     }
 
-    /// Counts one failed claim or store attempt: backs off and returns the
-    /// new attempt count, or `None` once the retries are spent.
-    fn backoff(&self, attempts: u32, rng: &mut u64) -> Option<u32> {
-        let next = attempts + 1;
-        if next > self.policy.max_retries {
-            return None;
-        }
-        self.retries.fetch_add(1, Ordering::Relaxed);
-        std::thread::sleep(self.policy.delay(next, rng));
-        Some(next)
-    }
-
     /// Finishes one simulated key: store and journal it, memoize it, then
-    /// release its claim.
-    fn finish(&self, claim: Claim, outcome: Result<RunOutcome, String>, rng: &mut u64) {
-        let Claim {
-            unit,
-            mut attempts,
-            guard,
-        } = claim;
+    /// release its claim. A failed store keeps the result in memory only
+    /// (the cache warns once); it is not journaled, because journaled means
+    /// replayable.
+    fn finish(&self, claim: Claim, outcome: Result<RunOutcome, String>) {
+        let Claim { unit, guard } = claim;
         let mut run = match outcome {
             Ok(run) => run,
             Err(message) => return self.settle(unit, Status::Failed(message)),
@@ -758,37 +717,21 @@ impl Producer<'_> {
                 .is_some()
                 .then(|| Arc::new(run.zombie_samples)),
         };
-        let mut status = Status::Produced { sim_mips };
         if let Some(cache) = self.cache {
             let zombies = entry.zombies.as_deref().map(Vec::as_slice);
-            loop {
-                if cache.store(
-                    key.config_fp,
-                    key.scheme,
-                    key.app,
-                    key.scale,
-                    &entry.result,
-                    zombies,
-                ) {
-                    // Journal only durable entries: journaled means
-                    // replayable.
-                    cache.journal_append(&key.stem());
-                    break;
-                }
-                if !self.durable {
-                    break;
-                }
-                match self.backoff(attempts, rng) {
-                    Some(next) => attempts = next,
-                    None => {
-                        status = Status::Failed("store failed (I/O)".into());
-                        break;
-                    }
-                }
+            if cache.store(
+                key.config_fp,
+                key.scheme,
+                key.app,
+                key.scale,
+                &entry.result,
+                zombies,
+            ) {
+                cache.journal_append(&key.stem());
             }
         }
         memo().insert(key.clone(), entry);
-        self.settle(unit, status);
+        self.settle(unit, Status::Produced { sim_mips });
         drop(guard);
     }
 }
@@ -854,7 +797,7 @@ pub(crate) fn try_run_jobs_counted(
     threads: usize,
 ) -> (Vec<Result<JobOutput, JobError>>, usize) {
     let (units, unit_of) = units_of(jobs);
-    let (status, _) = produce(&units, Finish::Memory, &RetryPolicy::default(), threads);
+    let status = produce(&units, threads);
     let memo = memo();
     let outputs = unit_of
         .into_iter()
@@ -864,7 +807,7 @@ pub(crate) fn try_run_jobs_counted(
                 Status::Produced { sim_mips } => *sim_mips,
                 Status::Found => 0.0,
                 Status::Failed(message) => return Err(job_error(key, message)),
-                Status::Open { .. } => unreachable!("produce settles every unit"),
+                Status::Open => unreachable!("produce settles every unit"),
             };
             let entry = &memo[key];
             let mut result = entry.result.clone();
@@ -1034,48 +977,6 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-// ---------------------------------------------------------------------------
-// Fleet execution: work-stealing workers over a shared cache directory.
-// ---------------------------------------------------------------------------
-
-/// Retry policy for `--worker`'s claim and store failures: exponential
-/// backoff (`base`, doubling, capped at `cap`) with jitter in
-/// `[delay/2, delay)`, bounded by `max_retries` attempts beyond the first.
-/// A simulation panic is never retried: it reproduces identically on every
-/// attempt.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Retries allowed after the first attempt of a job.
-    pub max_retries: u32,
-    /// First backoff delay.
-    pub base: std::time::Duration,
-    /// Backoff ceiling.
-    pub cap: std::time::Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 3,
-            base: std::time::Duration::from_millis(10),
-            cap: std::time::Duration::from_secs(1),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The jittered backoff delay before retry number `attempt` (1-based).
-    fn delay(&self, attempt: u32, rng: &mut u64) -> std::time::Duration {
-        let exp = self
-            .base
-            .saturating_mul(1u32 << attempt.min(20).saturating_sub(1));
-        let capped = exp.min(self.cap).max(std::time::Duration::from_micros(100));
-        *rng = splitmix(*rng);
-        let nanos = capped.as_nanos() as u64;
-        std::time::Duration::from_nanos(nanos / 2 + *rng % (nanos / 2).max(1))
-    }
-}
-
 /// A process-unique, time-salted seed for backoff jitter.
 fn jitter_seed() -> u64 {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -1098,64 +999,11 @@ fn splitmix(mut z: u64) -> u64 {
 
 /// Deduplicates `jobs` to one representative per distinct memo key, adding
 /// the implicit oracle-baseline job behind any `Ideal` key whose baseline is
-/// not itself requested — the exact unit set a fleet of workers must
-/// produce, in input order (baselines before the Ideal jobs that consume
+/// not itself requested — the exact set of simulations a cache-cold run
+/// executes, in input order (baselines before the Ideal jobs that consume
 /// them).
 pub fn unique_jobs(jobs: &[Job]) -> Vec<Job> {
     units_of(jobs).0.into_iter().map(|unit| unit.job).collect()
-}
-
-/// Structured outcome of one worker call — the per-worker summary line the
-/// fleet campaign asserts against.
-#[derive(Debug, Default, Clone)]
-pub struct WorkerReport {
-    /// Jobs this worker simulated and durably stored.
-    pub completed: usize,
-    /// Jobs found already produced: on disk (by another worker), or in
-    /// memory when no cache is installed.
-    pub adopted: usize,
-    /// Visits that found a job claimed by another live process.
-    pub busy_skips: usize,
-    /// Claim and store failures retried (with backoff).
-    pub retries: usize,
-    /// Jobs whose simulation panicked, or whose claim or store failures
-    /// outlasted the retries.
-    pub failures: Vec<JobError>,
-}
-
-impl std::fmt::Display for WorkerReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "worker pid={}: completed={} adopted={} busy_skips={} retries={} failed={}",
-            std::process::id(),
-            self.completed,
-            self.adopted,
-            self.busy_skips,
-            self.retries,
-            self.failures.len()
-        )
-    }
-}
-
-/// Produces the deduplicated job set into the shared cache directory on
-/// `threads` threads, until every job is durably on disk (or failed): the
-/// `--worker` mode of `exp_all`. Any number of workers — processes,
-/// machines — may run this concurrently over one directory; claims
-/// ([`runcache::RunCache::claim`]) give each job one live producer, and a
-/// dead producer's claims are released by the kernel when it dies.
-///
-/// This is the producer behind [`try_run_jobs_outputs`], with a job
-/// finished once it is durable rather than once it is in memory: a job
-/// already on disk is *adopted*, claim and store failures retry under
-/// `policy` with jittered exponential backoff, and a simulation panic fails
-/// at once. Without an installed cache it degrades to an in-process run.
-///
-/// Unlike [`try_run_jobs_outputs`], nothing is returned in job order: the
-/// worker's product is the populated cache directory; the report carries
-/// the accounting.
-pub fn run_workers(jobs: &[Job], policy: &RetryPolicy, threads: usize) -> WorkerReport {
-    produce(&units_of(jobs).0, Finish::Disk, policy, threads).1
 }
 
 #[cfg(test)]
@@ -1247,27 +1095,6 @@ mod tests {
                 prop_assert_eq!(parts.len(), 1);
             }
         }
-    }
-
-    #[test]
-    fn cacheless_workers_complete_every_unique_job_once() {
-        // No cache is installed in this binary, so the worker finishes keys
-        // in memory. A private trace seed keeps sibling tests' memo entries
-        // out of the count.
-        let mut config = SystemConfig::paper_default();
-        if let crate::SourceKind::Preset { preset, scale, .. } = config.source {
-            config.source = crate::SourceKind::Preset {
-                preset,
-                seed: 0xacc0,
-                scale,
-            };
-        }
-        let schemes = [Scheme::Baseline, Scheme::Edbp, Scheme::Ideal];
-        let jobs = matrix_jobs(&config, &schemes, &[AppId::Crc32, AppId::Sha], Scale::Tiny);
-        let report = run_workers(&jobs, &RetryPolicy::default(), 2);
-        assert!(report.failures.is_empty(), "{report}");
-        assert_eq!(report.completed, count_unique(&jobs), "{report}");
-        assert_eq!(report.adopted, 0, "{report}");
     }
 
     #[test]

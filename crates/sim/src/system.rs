@@ -401,21 +401,20 @@ impl<P: LeakagePredictor> Simulation<P> {
     /// accesses observe correct values (see DESIGN.md).
     fn apply_tick(&mut self, tick: &TickOutcome, is_dcache: bool) {
         if is_dcache {
-            // Ticks gate in cache-walk order, so the addresses are
-            // page-local: drain each side table with the paged batch
-            // cursor (one spine resolution per page run). Per-table event
-            // order is unchanged, so classification and training are
-            // bit-identical to the per-address loop.
-            let gated = tick.gated.iter().map(|g| g.addr);
-            self.ledger.on_gate_batch(gated.clone());
+            for g in &tick.gated {
+                self.ledger.on_gate(g.addr);
+            }
             if let Some(z) = &mut self.zombie {
                 for g in &tick.gated {
                     z.on_generation_end(g.addr);
                 }
             }
             if let Some(r) = &mut self.reuse {
-                self.reuse_flags
-                    .remove_batch(gated, |addr, reused| r.train(addr, reused));
+                for g in &tick.gated {
+                    if let Some(reused) = self.reuse_flags.remove(g.addr) {
+                        r.train(g.addr, reused);
+                    }
+                }
             }
         }
         for (addr, data) in tick.writebacks.iter() {
@@ -526,9 +525,11 @@ impl<P: LeakagePredictor> Simulation<P> {
                 ..
             } = self;
             if let Some(r) = reuse {
-                reuse_flags.remove_batch(mem.dcache.resident_addrs_iter(), |addr, reused| {
-                    r.train(addr, reused)
-                });
+                for addr in mem.dcache.resident_addrs_iter() {
+                    if let Some(reused) = reuse_flags.remove(addr) {
+                        r.train(addr, reused);
+                    }
+                }
             }
         }
         self.ledger.on_power_fail();

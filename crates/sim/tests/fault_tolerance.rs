@@ -1,9 +1,10 @@
 //! End-to-end fault campaigns against the real `exp_all` binary: concurrent
-//! suite processes sharing one cache, kill -9 mid-run + resume, and a
-//! panicking job that must fail exactly its own figure.
+//! suite processes sharing one cache, with and without injected kills and
+//! I/O faults, kill -9 mid-run + resume, and a panicking job that must fail
+//! exactly its own figure.
 //!
-//! Each campaign spawns full `exp_all --scale tiny` suites (seconds each in
-//! release, minutes in debug), so every test here is `#[ignore]`d out of
+//! Each campaign spawns full `exp_all tiny` suites (seconds each in
+//! release, minutes in debug), so every campaign is `#[ignore]`d out of
 //! the default `cargo test` pass. The CI fault-injection job runs them
 //! with:
 //!
@@ -152,6 +153,18 @@ fn concurrent_suites_share_one_cache_without_corruption() {
     assert_eq!(figs_a.len(), 20, "all figures written by A");
     assert_eq!(figs_a, figs_b, "concurrent runs diverged");
 
+    // The claims split the work: every unique job simulated once in all,
+    // with no Ideal re-recording a baseline its rival was simulating.
+    let (sim_a, sim_b) = (
+        simulated_count(&stdout_of(&out_a)),
+        simulated_count(&stdout_of(&out_b)),
+    );
+    assert_eq!(
+        sim_a + sim_b,
+        suite_unique_at_tiny(),
+        "the two runs simulated {sim_a} + {sim_b} jobs"
+    );
+
     // No debris: a finished pair leaves only entries + the journal.
     for entry in std::fs::read_dir(&cache).expect("read cache dir").flatten() {
         let name = entry.file_name().to_string_lossy().into_owned();
@@ -231,59 +244,49 @@ fn killed_suite_resumes_byte_identical() {
     }
 }
 
-/// `--finalize` on an empty shared directory must report the job set as
-/// incomplete with its dedicated exit code — the distinct-exit-code
-/// contract of the merge step, cheap enough to run in the default pass.
+/// Each flag of the removed fleet roles is an unknown argument: usage on
+/// stderr, exit 2, nothing run — cheap enough for the default pass.
 #[test]
-fn finalize_times_out_with_the_incomplete_journal_exit_code() {
-    let cache = fresh_dir("finalize-empty-cache");
-    let results = fresh_dir("finalize-empty-results");
-    let out = run_exp_all(&results, &cache, None, &["--finalize", "--wait", "0"]);
-    assert_eq!(
-        out.status.code(),
-        Some(3),
-        "an incomplete job set must exit 3, got {}:\n{}",
-        out.status,
-        stderr_of(&out)
-    );
-    assert!(
-        stderr_of(&out).contains("incomplete"),
-        "finalize must say what it was missing:\n{}",
-        stderr_of(&out)
-    );
-    assert!(
-        figures(&results).is_empty(),
-        "no figures may be written from an incomplete job set"
-    );
+fn removed_fleet_flags_exit_with_usage() {
+    let cache = fresh_dir("removed-flags-cache");
+    let results = fresh_dir("removed-flags-results");
+    for flags in [
+        &["--worker"][..],
+        &["--finalize"],
+        &["--wait", "5"],
+        &["--verify", "ref"],
+        &["--max-retries", "3"],
+    ] {
+        let out = run_exp_all(&results, &cache, None, flags);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{flags:?} must exit 2, got {}",
+            out.status
+        );
+        assert!(
+            stderr_of(&out).contains("usage: exp_all"),
+            "{flags:?} must print usage:\n{}",
+            stderr_of(&out)
+        );
+    }
+    assert!(figures(&results).is_empty(), "no figure may be written");
 }
 
-/// The numeric value of `field=` in a worker report line.
-fn report_field(line: &str, field: &str) -> u64 {
-    line.split_whitespace()
-        .find_map(|part| part.strip_prefix(field)?.parse().ok())
-        .unwrap_or_else(|| panic!("no {field} field in worker report: {line}"))
-}
-
-/// The `worker pid=...` report lines of a set of captured stdouts.
-fn worker_reports(outputs: &[Output]) -> Vec<String> {
-    outputs
-        .iter()
-        .flat_map(|o| stdout_of(o).lines().map(str::to_owned).collect::<Vec<_>>())
-        .filter(|l| l.starts_with("worker pid="))
-        .collect()
-}
-
-/// The fleet acceptance campaign: 4 workers share one cache directory
-/// under a seeded kill/EIO plan (workers murdered mid-store and while
-/// holding claims, claim attempts failing), a clean recovery wave finishes
-/// the job set, and `--finalize --verify` proves the merged figures are
-/// byte-identical to a single-process run. The journal must show no job
-/// executed to completion twice, and the per-worker summaries must show
-/// the retry/backoff machinery actually firing. That the clean wave
-/// completes and the merge verifies proves a killed worker's claims free.
+/// The fleet campaign: plain `exp_all` runs share one cache directory.
+/// Wave 1 is four concurrent runs under seeded fault plans — killed
+/// mid-store, failing a store, killed on a claim attempt while holding the
+/// item's earlier claims, and failing a claim attempt (that key simulates
+/// unclaimed). Each run exits 0 or 137, and each that exits 0 wrote every
+/// figure byte-identical to a single-process run. Wave 2 is clean
+/// concurrent runs that finish the set and write the same figures (so a
+/// killed run's claims freed), and a final run replays the cache without
+/// a simulation. The journal lists no stem three times and at most one
+/// twice: the key the `io@claim` run simulated unclaimed, which a rival may
+/// also have produced.
 #[test]
 #[ignore = "spawns full exp_all suites; CI fault-injection job runs with --release --ignored"]
-fn four_workers_under_seeded_kills_merge_byte_identical() {
+fn four_runs_under_seeded_faults_render_byte_identical() {
     let mut rng = seed();
 
     // The single-process reference.
@@ -294,120 +297,80 @@ fn four_workers_under_seeded_kills_merge_byte_identical() {
     assert_eq!(golden_figs.len(), 20);
 
     let cache = fresh_dir("fleet-cache");
-    let results = fresh_dir("fleet-results");
-    let spawn_worker = |failplan: Option<&str>| {
-        let mut cmd = exp_all_command(
-            &results,
-            &cache,
-            failplan,
-            &["--worker", "--max-retries", "5"],
-        );
-        cmd.stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn worker")
+    let spawn_wave = |wave: &str, plans: &[Option<String>]| -> Vec<(PathBuf, Output)> {
+        plans
+            .iter()
+            .enumerate()
+            .map(|(i, plan)| {
+                let results = fresh_dir(&format!("fleet-{wave}-results-{i}"));
+                let child = exp_all_command(&results, &cache, plan.as_deref(), &[])
+                    .stdout(Stdio::piped())
+                    .stderr(Stdio::piped())
+                    .spawn()
+                    .expect("spawn exp_all");
+                (results, child)
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|(results, child)| (results, child.wait_with_output().expect("wait for exp_all")))
+            .collect()
     };
 
-    // Wave 1: 4 workers, each with its own seeded fault plan. Early
-    // occurrence numbers so every plan actually fires: two workers are
-    // killed outright (mid-store / on a claim attempt, holding the item's
-    // earlier claims), two absorb injected I/O faults through the retry
-    // machinery.
+    // Wave 1: early occurrence numbers, so every plan fires.
     let plans = [
         format!("kill@store={}", 2 + next_rand(&mut rng) % 8),
         format!("io@store={}", 1 + next_rand(&mut rng) % 4),
-        format!("kill@lease={}", 2 + next_rand(&mut rng) % 3),
-        format!("io@lease={}", 1 + next_rand(&mut rng) % 4),
+        format!("kill@claim={}", 2 + next_rand(&mut rng) % 3),
+        format!("io@claim={}", 1 + next_rand(&mut rng) % 4),
     ];
     eprintln!("fleet fail plans: {plans:?}");
-    let wave1: Vec<Output> = plans
-        .iter()
-        .map(|p| spawn_worker(Some(p)))
-        .collect::<Vec<_>>()
-        .into_iter()
-        .map(|c| c.wait_with_output().expect("wait for worker"))
-        .collect();
-    // A kill plan that fired exits 137; plans whose site was never reached
-    // or whose faults were absorbed exit 0. Anything else is a real
-    // failure.
-    for (plan, out) in plans.iter().zip(&wave1) {
-        assert!(
-            matches!(out.status.code(), Some(0) | Some(137)),
-            "worker with plan {plan} exited {}:\n{}",
-            out.status,
-            stderr_of(out)
-        );
+    let wave1 = spawn_wave("wave1", &plans.clone().map(Some));
+    for (plan, (results, out)) in plans.iter().zip(&wave1) {
+        match out.status.code() {
+            Some(0) => assert_eq!(
+                figures(results),
+                golden_figs,
+                "the run with plan {plan} exited 0 with figures unlike the reference"
+            ),
+            Some(137) => {}
+            _ => panic!(
+                "the run with plan {plan} exited {}:\n{}",
+                out.status,
+                stderr_of(out)
+            ),
+        }
     }
 
-    // Wave 2: a clean recovery fleet finishes whatever the murdered
-    // workers left behind, claiming their keys at once. All must succeed.
-    let wave2: Vec<Output> = (0..4)
-        .map(|_| spawn_worker(None))
-        .collect::<Vec<_>>()
-        .into_iter()
-        .map(|c| c.wait_with_output().expect("wait for worker"))
-        .collect();
-    for out in &wave2 {
-        assert_clean_exit(out, "recovery worker");
-    }
-
-    // Zero duplicated completions: no entry stem may be journaled twice.
-    // (A worker killed between store and journal loses the line, never
-    // duplicates it — the finalize step accepts loadable-but-unjournaled.)
-    let cache_handle = ehs_sim::runcache::RunCache::new(&cache).expect("open campaign cache");
-    for (stem, count) in cache_handle.journal_occurrences() {
+    // Wave 2: clean runs finish whatever the killed runs left behind,
+    // claiming their keys at once.
+    for (results, out) in spawn_wave("wave2", &[None, None]) {
+        assert_clean_exit(&out, "recovery run");
         assert_eq!(
-            count, 1,
-            "{stem} journaled {count} times: a job was executed to completion twice"
+            figures(&results),
+            golden_figs,
+            "a recovery run's figures diverged from the reference"
         );
     }
 
-    // Retries/backoff are observable in the structured per-worker
-    // summaries.
-    let reports = worker_reports(&[wave1, wave2].concat());
-    assert!(
-        !reports.is_empty(),
-        "workers must print structured summaries"
-    );
-    let total_retries: u64 = reports.iter().map(|l| report_field(l, "retries=")).sum();
-    let total_failed: u64 = reports.iter().map(|l| report_field(l, "failed=")).sum();
-    assert!(
-        total_retries >= 1,
-        "injected I/O faults must surface as retries in the summaries:\n{reports:#?}"
-    );
-    assert_eq!(
-        total_failed, 0,
-        "no job may exhaust its retries in this campaign:\n{reports:#?}"
-    );
+    let warm_results = fresh_dir("fleet-warm-results");
+    let warm = run_exp_all(&warm_results, &cache, None, &["--expect-cached"]);
+    assert_clean_exit(&warm, "warm replay of the campaign cache");
+    assert_eq!(simulated_count(&stdout_of(&warm)), 0);
+    assert_eq!(figures(&warm_results), golden_figs);
 
-    // Merge: byte-identity against the single-process reference, asserted
-    // both by --verify (exit code) and directly.
-    let finalized = run_exp_all(
-        &results,
-        &cache,
-        None,
-        &[
-            "--finalize",
-            "--wait",
-            "60",
-            "--verify",
-            golden_results.to_str().expect("utf-8 path"),
-        ],
-    );
-    assert_clean_exit(&finalized, "finalize with byte-verify");
+    // A run killed between store and journal loses the line, never
+    // duplicates it; only the unclaimed key may be journaled twice.
+    let journal = ehs_sim::runcache::RunCache::new(&cache)
+        .expect("open campaign cache")
+        .journal_occurrences();
+    let repeated: Vec<(&String, &usize)> = journal.iter().filter(|(_, &n)| n > 1).collect();
     assert!(
-        stdout_of(&finalized).contains("verify: every figure byte-identical"),
-        "finalize must report the verification:\n{}",
-        stdout_of(&finalized)
-    );
-    assert_eq!(
-        figures(&results),
-        golden_figs,
-        "fleet-merged figures diverged from the single-process run"
+        repeated.len() <= 1 && repeated.iter().all(|(_, &n)| n == 2),
+        "jobs executed to completion more than once: {repeated:?}"
     );
 }
 
-/// A worker panic (plus a torn cache write) fails exactly the one figure
+/// A job panic (plus a torn cache write) fails exactly the one figure
 /// whose plan contains the panicked job; every other figure is written, the
 /// run exits 1 with a structured summary, and the re-invocation simulates
 /// only the work actually lost to the faults.

@@ -1,4 +1,5 @@
-//! Suite-planner dedup accounting, end-to-end.
+//! Suite-planner dedup accounting, end-to-end: a two-thread cold pass over
+//! a fresh cache produces every unique job exactly once.
 //!
 //! Everything lives in ONE `#[test]`: the execution counters and the
 //! installed persistent cache are process-wide, so parallel test functions
@@ -7,8 +8,8 @@
 
 use ehs_sim::experiments::ExperimentOptions;
 use ehs_sim::planner::{plan_suite, run_suite};
-use ehs_sim::runcache::{self, workload_fingerprint};
-use ehs_sim::runner::{count_unique, effective_fingerprint, simulations_executed};
+use ehs_sim::runcache::{self, entry_stem, workload_fingerprint};
+use ehs_sim::runner::{count_unique, effective_fingerprint, simulations_executed, unique_jobs};
 use ehs_sim::{Scheme, SystemConfig};
 use ehs_workloads::{AppId, Scale};
 use std::path::PathBuf;
@@ -58,20 +59,33 @@ fn suite_dedup_accounting_is_exact() {
     // A fault-free pass has an empty structured failure summary.
     assert!(cold.failures().is_empty(), "no failures without faults");
 
-    // Every simulated-and-stored job was journaled (the resume contract's
-    // write half): executed stems ⊆ journal, and the counts line up with
-    // the dedup arithmetic.
+    // Every simulated-and-stored job was journaled exactly once (the
+    // resume contract's write half), counted without deduplication, so a
+    // job produced twice shows: the two threads never duplicate a key, and
+    // each Ideal rides with its baseline instead of re-recording it.
     let cache = runcache::RunCache::new(&dir).expect("reopen cache dir");
-    let journal = cache.journal_entries();
+    let journal = cache.journal_occurrences();
     assert_eq!(
         journal.len(),
         unique,
-        "every unique simulation must be journaled once"
+        "every unique simulation must be journaled"
     );
+    for job in unique_jobs(&plan.jobs) {
+        let fp = effective_fingerprint(&job.config, job.scheme);
+        let stem = entry_stem(fp, job.scheme, job.app, job.scale);
+        assert_eq!(
+            journal.get(&stem),
+            Some(&1),
+            "{stem} must be journaled once"
+        );
+    }
     let executed_stems = ehs_sim::runner::executed_entry_stems();
     assert_eq!(executed_stems.len(), unique);
     for stem in &executed_stems {
-        assert!(journal.contains(stem), "executed {stem} missing in journal");
+        assert!(
+            journal.contains_key(stem),
+            "executed {stem} missing in journal"
+        );
     }
 
     // The in-process memo makes a second pass in the same process free;
