@@ -123,6 +123,16 @@ fn suite_unique_at_tiny() -> u64 {
     ehs_sim::runner::count_unique(&plan.jobs) as u64
 }
 
+/// Every stem the journal in `cache` lists more than once, with its count.
+fn repeated_journal_lines(cache: &Path) -> Vec<(String, usize)> {
+    ehs_sim::runcache::RunCache::new(cache)
+        .expect("open campaign cache")
+        .journal_occurrences()
+        .into_iter()
+        .filter(|&(_, n)| n > 1)
+        .collect()
+}
+
 /// Two `exp_all` processes racing on one shared run cache must both
 /// succeed, produce byte-identical figures, and leave a cache with no torn
 /// entries, no orphan temp files, and no leaked claims — validated by a
@@ -159,10 +169,21 @@ fn concurrent_suites_share_one_cache_without_corruption() {
         simulated_count(&stdout_of(&out_a)),
         simulated_count(&stdout_of(&out_b)),
     );
+    let unique = suite_unique_at_tiny();
     assert_eq!(
         sim_a + sim_b,
-        suite_unique_at_tiny(),
+        unique,
         "the two runs simulated {sim_a} + {sim_b} jobs"
+    );
+    // ...and journaled each job once. Both runs started on an empty
+    // journal, so their startup compaction hid nothing.
+    let journal = ehs_sim::runcache::RunCache::new(&cache)
+        .expect("open the shared cache")
+        .journal_occurrences();
+    assert_eq!(journal.len() as u64, unique, "distinct journaled stems");
+    assert!(
+        journal.values().all(|&n| n == 1),
+        "jobs journaled more than once"
     );
 
     // No debris: a finished pair leaves only entries + the journal.
@@ -281,9 +302,14 @@ fn removed_fleet_flags_exit_with_usage() {
 /// figure byte-identical to a single-process run. Wave 2 is clean
 /// concurrent runs that finish the set and write the same figures (so a
 /// killed run's claims freed), and a final run replays the cache without
-/// a simulation. The journal lists no stem three times and at most one
-/// twice: the key the `io@claim` run simulated unclaimed, which a rival may
-/// also have produced.
+/// a simulation. After wave 1 the journal lists no stem three times and at
+/// most one twice: the key the `io@claim` run simulated unclaimed, which a
+/// rival may also have produced. Every `exp_all` compacts the journal at
+/// startup, so each wave's journal is read before the next wave starts;
+/// after wave 2, whose runs compacted wave 1's lines, no stem may repeat.
+/// (Wave 1's two `io` runs exit 0, so they leave wave 2 a complete cache;
+/// the clean concurrent split is checked by
+/// `concurrent_suites_share_one_cache_without_corruption`.)
 #[test]
 #[ignore = "spawns full exp_all suites; CI fault-injection job runs with --release --ignored"]
 fn four_runs_under_seeded_faults_render_byte_identical() {
@@ -340,6 +366,13 @@ fn four_runs_under_seeded_faults_render_byte_identical() {
             ),
         }
     }
+    // A run killed between store and journal loses the line, never
+    // duplicates it; only the unclaimed key may be journaled twice.
+    let repeated = repeated_journal_lines(&cache);
+    assert!(
+        repeated.len() <= 1 && repeated.iter().all(|(_, n)| *n == 2),
+        "wave 1 executed jobs to completion more than once: {repeated:?}"
+    );
 
     // Wave 2: clean runs finish whatever the killed runs left behind,
     // claiming their keys at once.
@@ -351,23 +384,17 @@ fn four_runs_under_seeded_faults_render_byte_identical() {
             "a recovery run's figures diverged from the reference"
         );
     }
+    let repeated = repeated_journal_lines(&cache);
+    assert!(
+        repeated.is_empty(),
+        "the clean wave 2 executed jobs to completion more than once: {repeated:?}"
+    );
 
     let warm_results = fresh_dir("fleet-warm-results");
     let warm = run_exp_all(&warm_results, &cache, None, &["--expect-cached"]);
     assert_clean_exit(&warm, "warm replay of the campaign cache");
     assert_eq!(simulated_count(&stdout_of(&warm)), 0);
     assert_eq!(figures(&warm_results), golden_figs);
-
-    // A run killed between store and journal loses the line, never
-    // duplicates it; only the unclaimed key may be journaled twice.
-    let journal = ehs_sim::runcache::RunCache::new(&cache)
-        .expect("open campaign cache")
-        .journal_occurrences();
-    let repeated: Vec<(&String, &usize)> = journal.iter().filter(|(_, &n)| n > 1).collect();
-    assert!(
-        repeated.len() <= 1 && repeated.iter().all(|(_, &n)| n == 2),
-        "jobs executed to completion more than once: {repeated:?}"
-    );
 }
 
 /// A job panic (plus a torn cache write) fails exactly the one figure
