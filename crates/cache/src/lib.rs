@@ -44,7 +44,7 @@
 
 mod cache;
 mod policy;
-pub mod probe;
+mod probe;
 mod stats;
 
 pub use cache::{

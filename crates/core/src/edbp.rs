@@ -282,18 +282,6 @@ impl LeakagePredictor for Edbp {
     }
 
     fn on_reboot(&mut self, _cache: &Cache) {
-        #[cfg(feature = "edbp-debug")]
-        eprintln!(
-            "edbp reboot: wrong_kill={} total={} fpr={:.3} thr0={:.3}",
-            self.wrong_kill,
-            self.total_predicted,
-            if self.total_predicted > 0 {
-                self.wrong_kill as f64 / self.total_predicted as f64
-            } else {
-                0.0
-            },
-            self.thresholds[0].as_volts()
-        );
         // Section V-B1: the FPR is computed in the wake of the failure from
         // the checkpointed statistics, and the thresholds adapt.
         if self.total_predicted > 0 {

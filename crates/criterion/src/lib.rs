@@ -8,8 +8,8 @@
 //! Statistics are deliberately minimal — each benchmark is timed over
 //! `sample_size` batches and the per-iteration mean (plus min) is printed.
 //! There is no warm-up analysis, outlier rejection, or HTML report; the
-//! numbers are for trend-watching, and `exp_perf_baseline` (which records
-//! `BENCH_hotloop.json`) is the canonical throughput measurement.
+//! numbers are for trend-watching, and `ehs_bench` (`perfbench/`, declared
+//! by `BENCHMARK.json`) is the canonical throughput measurement.
 
 use std::time::{Duration, Instant};
 

@@ -868,7 +868,8 @@ mod tests {
     /// `sqrt` voltage derivation and a monitor observation on *every*
     /// recharge step. Kept as the differential oracle for the edge-only
     /// implementation: both simulator regimes share the new code, so the
-    /// sim-level divergence gate alone cannot catch a recharge-only bug.
+    /// sim-level burst-vs-cycle-accurate tests alone cannot catch a
+    /// recharge-only bug.
     fn reference_recharge(sys: &mut EnergySystem) -> OutageOutcome {
         let dt = sys.config.recharge_step;
         let mut off = Time::ZERO;

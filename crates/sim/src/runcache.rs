@@ -580,7 +580,7 @@ impl RunCache {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             let claim = name.ends_with(".claim");
-            if !(claim || name.starts_with(".tmp-") || name.ends_with(".lock")) {
+            if !(claim || name.starts_with(".tmp-")) {
                 continue;
             }
             let stale = entry
@@ -779,36 +779,38 @@ impl RunCache {
     /// — no trailing newline, the signature of a mid-append kill — is
     /// ignored, as is a missing journal.
     pub fn journal_entries(&self) -> HashSet<String> {
-        let Ok(text) = std::fs::read_to_string(self.journal_path()) else {
-            return HashSet::new();
-        };
-        let complete = match text.rfind('\n') {
-            Some(last) => &text[..=last],
-            None => return HashSet::new(),
-        };
-        complete
-            .lines()
-            .filter(|l| !l.is_empty())
-            .map(str::to_string)
-            .collect()
+        self.journal_occurrences().into_keys().collect()
     }
 
     /// Every complete line of the journal with its occurrence count,
     /// *without* deduplication — the raw record the fleet tests use to
     /// assert that no job was executed-and-stored twice.
     pub fn journal_occurrences(&self) -> HashMap<String, usize> {
-        let Ok(text) = std::fs::read_to_string(self.journal_path()) else {
-            return HashMap::new();
-        };
-        let complete = match text.rfind('\n') {
-            Some(last) => &text[..=last],
-            None => return HashMap::new(),
-        };
         let mut counts = HashMap::new();
-        for line in complete.lines().filter(|l| !l.is_empty()) {
-            *counts.entry(line.to_string()).or_insert(0) += 1;
+        let (lines, _) = self.read_journal().unwrap_or_default();
+        for line in lines {
+            *counts.entry(line).or_insert(0) += 1;
         }
         counts
+    }
+
+    /// The journal's complete lines in file order, and the number of lines
+    /// the file holds. A torn final line — no trailing newline — is not
+    /// complete, empty lines are dropped, and a missing journal has no
+    /// lines.
+    fn read_journal(&self) -> std::io::Result<(Vec<String>, usize)> {
+        let text = match std::fs::read_to_string(self.journal_path()) {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
+            Err(e) => return Err(e),
+        };
+        let complete = text.rfind('\n').map_or("", |last| &text[..=last]);
+        let lines = complete
+            .lines()
+            .filter(|l| !l.is_empty())
+            .map(str::to_string)
+            .collect();
+        Ok((lines, text.lines().count()))
     }
 
     /// Compacts the journal in place: deduplicates lines (first-seen order),
@@ -820,44 +822,35 @@ impl RunCache {
     /// re-appends nothing, but retries and multi-process campaigns can
     /// duplicate lines, and a torn final line otherwise persists forever.
     /// Every `exp_all` calls this at startup, serialized against other
-    /// compactors by a `journal.lock` breaker; a rival appending
-    /// concurrently can at worst have one line dropped, which weakens
-    /// accounting (a job may re-verify on resume), never a result.
+    /// compactors by an exclusive kernel lock on `journal.lock` (skipped
+    /// while a rival holds it). Like a claim, the lock dies with its
+    /// process, so a compactor killed mid-compaction stops no later one;
+    /// unlike a claim file, `journal.lock` is never unlinked, so every
+    /// compactor locks the same inode. A rival appending concurrently can
+    /// at worst have one line dropped, which weakens accounting (a job may
+    /// re-verify on resume), never a result.
     pub fn compact_journal(&self) -> std::io::Result<usize> {
-        let path = self.journal_path();
-        let lock = self.dir.join("journal.lock");
-        let Ok(_lock) = std::fs::OpenOptions::new()
+        let lock = std::fs::OpenOptions::new()
             .write(true)
-            .create_new(true)
-            .open(&lock)
-        else {
-            return Ok(0); // another compactor is active: skip
-        };
-        let result = self.compact_journal_locked(&path);
-        let _ = std::fs::remove_file(&lock);
-        result
-    }
-
-    fn compact_journal_locked(&self, path: &Path) -> std::io::Result<usize> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-            Err(e) => return Err(e),
-        };
-        let complete = match text.rfind('\n') {
-            Some(last) => &text[..=last],
-            None => "",
-        };
-        let before = text.lines().count();
+            .create(true)
+            .truncate(false)
+            .open(self.dir.join("journal.lock"))?;
+        match lock.try_lock() {
+            Ok(()) => {}
+            Err(std::fs::TryLockError::WouldBlock) => return Ok(0),
+            Err(std::fs::TryLockError::Error(e)) => return Err(e),
+        }
+        let (lines, before) = self.read_journal()?;
         let mut seen = HashSet::new();
-        let mut compacted = String::with_capacity(complete.len());
-        for line in complete.lines().filter(|l| !l.is_empty()) {
+        let mut compacted = String::new();
+        for line in &lines {
             if seen.insert(line) {
                 compacted.push_str(line);
                 compacted.push('\n');
             }
         }
-        if before == seen.len() && text.ends_with('\n') {
+        // A torn tail, an empty line or a duplicate counts in `before` only.
+        if before == seen.len() {
             return Ok(0); // already compact: leave the inode alone
         }
         let tmp = self.dir.join("journal.log.tmp");
@@ -866,7 +859,7 @@ impl RunCache {
             f.write_all(compacted.as_bytes())?;
             f.sync_all()?;
         }
-        std::fs::rename(&tmp, path)?;
+        std::fs::rename(&tmp, self.journal_path())?;
         if let Ok(dir) = std::fs::File::open(&self.dir) {
             let _ = dir.sync_all();
         }

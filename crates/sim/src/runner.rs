@@ -134,10 +134,10 @@ impl Job {
     ///
     /// The model is `committed-instructions(app at Tiny) × scale ×
     /// scheme × stepping` where the per-app term is the committed count
-    /// *measured* at `Tiny` scale (the `BENCH_hotloop.json` instrumentation
-    /// runs), the scale term follows the pass ratio (Tiny 1, Small 8,
-    /// Full 80), the scheme term reflects predictor bookkeeping (and the
-    /// Ideal scheme's extra oracle pass), and zombie-instrumented or
+    /// *measured* at `Tiny` scale (`RunResult::committed` of the
+    /// paper-default run), the scale term follows the pass ratio (Tiny 1,
+    /// Small 8, Full 80), the scheme term reflects predictor bookkeeping
+    /// (and the Ideal scheme's extra oracle pass), and zombie-instrumented or
     /// forced-cycle-accurate configs pay the ~6× cost of not burst-stepping.
     /// Only the *ordering* of estimates matters; absolute values are
     /// unitless.

@@ -4,7 +4,8 @@
 //! every [`RunResult`] field except the host-wall-clock `sim_mips` must be
 //! identical whether the loop coalesces compute bursts or steps one cycle
 //! at a time. These tests run the same (scheme, app, seed) matrix under
-//! both [`SystemConfig::force_cycle_accurate`] settings and compare with
+//! both [`SystemConfig::force_cycle_accurate`] settings, at Tiny and, for
+//! the baseline and the headline predictor, at Small, and compare with
 //! `==` (`sim_mips` is excluded from `RunResult`'s `PartialEq`). The same
 //! reference referees [`build_lane`]'s dispatch table: every
 //! (`Scheme`, `ReplacementPolicy`) lane it builds must match it.
@@ -37,25 +38,13 @@ fn variant(config: &SystemConfig, seed: u64, cycle_accurate: bool) -> SystemConf
     c
 }
 
-/// Runs `schemes` × `apps` under both regimes for every seed and asserts
-/// cell-wise equality.
-fn assert_matrix_bit_exact(base: &SystemConfig, schemes: &[Scheme], apps: &[AppId]) {
+/// Runs `schemes` × `apps` at `scale` under both regimes for every seed and
+/// asserts cell-wise equality.
+fn assert_matrix_bit_exact(base: &SystemConfig, schemes: &[Scheme], apps: &[AppId], scale: Scale) {
     let threads = default_threads();
     for &seed in &SEEDS {
-        let burst = run_matrix(
-            &variant(base, seed, false),
-            schemes,
-            apps,
-            Scale::Tiny,
-            threads,
-        );
-        let exact = run_matrix(
-            &variant(base, seed, true),
-            schemes,
-            apps,
-            Scale::Tiny,
-            threads,
-        );
+        let burst = run_matrix(&variant(base, seed, false), schemes, apps, scale, threads);
+        let exact = run_matrix(&variant(base, seed, true), schemes, apps, scale, threads);
         for (b_row, e_row) in burst.iter().zip(&exact) {
             for (b, e) in b_row.iter().zip(e_row) {
                 assert_eq!(
@@ -70,7 +59,26 @@ fn assert_matrix_bit_exact(base: &SystemConfig, schemes: &[Scheme], apps: &[AppI
 
 #[test]
 fn every_scheme_is_bit_exact_across_apps_and_seeds() {
-    assert_matrix_bit_exact(&SystemConfig::paper_default(), &Scheme::ALL, &APPS);
+    assert_matrix_bit_exact(
+        &SystemConfig::paper_default(),
+        &Scheme::ALL,
+        &APPS,
+        Scale::Tiny,
+    );
+}
+
+/// The same property over Small-scale runs (8× Tiny's length, the scale
+/// of the committed figures) of the baseline and the headline predictor:
+/// 12–73 outages per run where Tiny sees 2–10, so threshold adaptation
+/// and trace segments that Tiny never reaches are refereed too.
+#[test]
+fn small_scale_runs_are_bit_exact() {
+    assert_matrix_bit_exact(
+        &SystemConfig::paper_default(),
+        &[Scheme::Baseline, Scheme::DecayEdbp],
+        &APPS,
+        Scale::Small,
+    );
 }
 
 /// The `outage_storm` platform: a weak source (0.3× RFHome) on a 1 µF
@@ -89,7 +97,7 @@ fn outage_dense_config() -> SystemConfig {
 
 #[test]
 fn outage_dense_runs_are_bit_exact() {
-    assert_matrix_bit_exact(&outage_dense_config(), &Scheme::FIG8, &APPS);
+    assert_matrix_bit_exact(&outage_dense_config(), &Scheme::FIG8, &APPS, Scale::Tiny);
 }
 
 #[test]
@@ -104,6 +112,7 @@ fn icache_prediction_path_is_bit_exact() {
         &config,
         &[Scheme::Decay, Scheme::Edbp, Scheme::DecayEdbp, Scheme::Amc],
         &[AppId::Crc32, AppId::Bitcount, AppId::StringSearch],
+        Scale::Tiny,
     );
 }
 
@@ -111,27 +120,35 @@ fn icache_prediction_path_is_bit_exact() {
 fn zombie_instrumented_runs_are_bit_exact() {
     // Zombie sampling disables bursting but leaves hint-based tick skipping
     // active; both the results and the resolved samples must match the
-    // reference.
+    // reference, on Tiny runs of both schemes and a full Small baseline run.
     let mut config = SystemConfig::paper_default();
     config.zombie_sample_interval = Some(500);
-    for scheme in [Scheme::Baseline, Scheme::DecayEdbp] {
+    let cases = [
+        (Scheme::Baseline, Scale::Tiny),
+        (Scheme::DecayEdbp, Scale::Tiny),
+        (Scheme::Baseline, Scale::Small),
+    ];
+    for (scheme, scale) in cases {
         let run = |cycle_accurate: bool| {
             let config = variant(&config, 42, cycle_accurate);
-            let workload = build(AppId::Crc32, Scale::Tiny);
+            let workload = build(AppId::Crc32, scale);
             let lane = build_lane(&config, scheme, workload, None, false)
                 .expect("paper-default energy configuration is valid");
             run_lane(lane)
         };
         let burst = run(false);
         let exact = run(true);
-        assert!(!burst.zombie_samples.is_empty(), "{scheme}: no samples");
+        assert!(
+            !burst.zombie_samples.is_empty(),
+            "{scheme} at {scale:?}: no samples"
+        );
         assert_eq!(
             burst.result, exact.result,
-            "zombie run diverged for {scheme}"
+            "zombie run diverged for {scheme} at {scale:?}"
         );
         assert_eq!(
             burst.zombie_samples, exact.zombie_samples,
-            "zombie samples diverged for {scheme}"
+            "zombie samples diverged for {scheme} at {scale:?}"
         );
     }
 }

@@ -186,11 +186,13 @@ fn concurrent_suites_share_one_cache_without_corruption() {
         "jobs journaled more than once"
     );
 
-    // No debris: a finished pair leaves only entries + the journal.
+    // No debris: a finished pair leaves only entries, the journal and the
+    // journal's compaction lock file (never unlinked, so that every
+    // compactor locks one inode).
     for entry in std::fs::read_dir(&cache).expect("read cache dir").flatten() {
         let name = entry.file_name().to_string_lossy().into_owned();
         assert!(
-            name.ends_with(".run") || name == "journal.log",
+            name.ends_with(".run") || name == "journal.log" || name == "journal.lock",
             "leftover cache debris: {name}"
         );
     }

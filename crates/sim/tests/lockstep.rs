@@ -6,7 +6,8 @@
 //! `sim_mips`, which `PartialEq` excludes) must be bit-identical to running
 //! that lane alone. These tests assert it across the full scheme roster,
 //! three apps and two trace seeds, and under every D-cache replacement
-//! policy.
+//! policy, on bounded Tiny runs, and on uncapped Small runs of the baseline
+//! and the headline predictor.
 
 use ehs_cache::ReplacementPolicy;
 use ehs_sim::{
@@ -74,6 +75,28 @@ fn lockstep_matches_independent_for_every_scheme_app_seed() {
                     "lockstep divergence: scheme {scheme} app {app:?} seed {seed}"
                 );
             }
+        }
+    }
+}
+
+/// The uncapped paper default at Small (8× Tiny's length, the scale of the
+/// committed figures): every lane of a baseline + headline-predictor group
+/// runs to completion, through 12–73 outages, and must still equal the
+/// same lane run alone.
+#[test]
+fn lockstep_matches_independent_at_small_scale() {
+    let config = SystemConfig::paper_default();
+    let schemes = [Scheme::Baseline, Scheme::DecayEdbp];
+    for &app in &APPS {
+        let workload = build(app, Scale::Small);
+        let grouped = run_lockstep(lanes_for(&config, &schemes, &workload));
+        let solo = lanes_for(&config, &schemes, &workload);
+        for (scheme, (joint, lane)) in schemes.iter().zip(grouped.iter().zip(solo)) {
+            assert_eq!(
+                joint.result,
+                run_lane(lane).result,
+                "lockstep divergence at Small: scheme {scheme} app {app:?}"
+            );
         }
     }
 }

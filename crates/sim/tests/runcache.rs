@@ -355,12 +355,72 @@ fn journal_compaction_dedups_and_drops_the_torn_tail() {
         "compaction is idempotent"
     );
 
-    // A concurrent compactor's breaker lock makes compaction a no-op
-    // instead of a race.
+    // A concurrent compactor's lock makes compaction a no-op instead of a
+    // race.
     cache.journal_append("aaaa-a");
-    std::fs::write(cache.dir().join("journal.lock"), b"").expect("plant breaker");
+    let rival = hold_journal_lock(&cache);
     assert_eq!(cache.compact_journal().expect("locked compaction skips"), 0);
     assert_eq!(cache.journal_occurrences().get("aaaa-a"), Some(&2));
+    drop(rival);
+    assert_eq!(cache.compact_journal().expect("unlocked compaction"), 1);
+}
+
+/// Takes the compaction lock the way a rival compactor does: an exclusive
+/// kernel lock on `journal.lock`, through a file handle of its own.
+fn hold_journal_lock(cache: &RunCache) -> std::fs::File {
+    let lock = std::fs::OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(cache.dir().join("journal.lock"))
+        .expect("open journal.lock");
+    lock.try_lock().expect("lock journal.lock");
+    lock
+}
+
+/// A `journal.lock` file that no live process holds — what a compactor
+/// killed mid-compaction leaves — does not stop the next compaction.
+#[test]
+fn a_leftover_journal_lock_does_not_stop_compaction() {
+    let cache = tmp_cache("journal-leftover-lock");
+    for stem in ["aaaa-a", "bbbb-b", "aaaa-a"] {
+        cache.journal_append(stem);
+    }
+    std::fs::write(cache.dir().join("journal.lock"), b"").expect("plant a leftover lock file");
+    assert_eq!(
+        cache.compact_journal().expect("compaction succeeds"),
+        1,
+        "an unheld lock file must not skip compaction"
+    );
+    let text = std::fs::read_to_string(cache.journal_path()).expect("journal readable");
+    assert_eq!(text, "aaaa-a\nbbbb-b\n");
+}
+
+/// Opening a cache never sweeps `journal.lock`, however old: a compactor
+/// holding it keeps excluding rivals.
+#[test]
+fn a_held_journal_lock_survives_the_sweep() {
+    let cache = tmp_cache("journal-held-lock");
+    for stem in ["aaaa-a", "aaaa-a"] {
+        cache.journal_append(stem);
+    }
+    let rival = hold_journal_lock(&cache);
+    let lock_path = cache.dir().join("journal.lock");
+    rival
+        .set_modified(SystemTime::now() - Duration::from_secs(7200))
+        .expect("backdate journal.lock");
+
+    let reopened = RunCache::new(cache.dir()).expect("reopen cache");
+    assert!(
+        lock_path.exists(),
+        "a held journal.lock must survive the sweep"
+    );
+    assert_eq!(
+        reopened.compact_journal().expect("locked compaction skips"),
+        0
+    );
+    assert_eq!(reopened.journal_occurrences().get("aaaa-a"), Some(&2));
+    drop(rival);
 }
 
 /// The journal deduplicates complete lines and skips a torn final line —
