@@ -194,13 +194,6 @@ impl CacheConfig {
             policy: ReplacementPolicy::Lru,
         }
     }
-
-    /// Replaces the replacement policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: ReplacementPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
 }
 
 /// Tag value of a frame holding no block (invalid or gated — gating takes

@@ -241,7 +241,7 @@ mod tests {
         fill(&mut cache, &mut decay, 0x80, true);
         let mut out = TickOutcome::default();
         for cycle in 0..=4096 {
-            out.absorb(&decay.tick(&mut cache, V, cycle));
+            decay.tick_into(&mut cache, V, cycle, &mut out);
         }
         assert_eq!(out.gated.len(), 1);
         assert!(out.gated[0].dirty);

@@ -71,7 +71,7 @@ mod reuse;
 pub use amc::{AdaptiveModeControl, AmcConfig};
 pub use decay::{CacheDecay, DecayConfig};
 pub use edbp::{Edbp, EdbpConfig};
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use metrics::{PredictionClass, PredictionLedger, PredictionSummary};
 pub use oracle::{GenerationTrace, OraclePredictor, OracleRecorder};
 pub use paged::PagedTable;

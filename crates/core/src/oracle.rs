@@ -158,11 +158,6 @@ impl OraclePredictor {
 
     /// Creates the oracle from a recorded trace with the default guard.
     pub fn new(trace: GenerationTrace) -> Self {
-        Self::with_guard(trace, Self::DEFAULT_GUARD)
-    }
-
-    /// Creates the oracle with an explicit voltage guard.
-    pub fn with_guard(trace: GenerationTrace, guard: Voltage) -> Self {
         let mut per_addr: Vec<(u64, VecDeque<Generation>)> =
             trace.generations.into_iter().collect();
         per_addr.sort_unstable_by_key(|&(addr, _)| addr);
@@ -183,7 +178,7 @@ impl OraclePredictor {
             cursors,
             live: PagedTable::new(0),
             pending_kill: Vec::new(),
-            guard,
+            guard: Self::DEFAULT_GUARD,
         }
     }
 

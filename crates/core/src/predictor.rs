@@ -79,17 +79,6 @@ pub struct TickOutcome {
 }
 
 impl TickOutcome {
-    /// Merges another outcome into this one.
-    pub fn absorb(&mut self, other: &TickOutcome) {
-        self.gated.extend_from_slice(&other.gated);
-        for (addr, data) in other.writebacks.iter() {
-            self.writebacks.push(addr, data);
-        }
-        for (addr, data) in other.parked.iter() {
-            self.parked.push(addr, data);
-        }
-    }
-
     /// Removes everything, keeping capacity (the reusable-scratch contract).
     pub fn clear(&mut self) {
         self.gated.clear();
@@ -430,27 +419,6 @@ mod tests {
     #[test]
     fn null_predictor_never_wakes() {
         assert_eq!(NullPredictor::new().next_wakeup(), WakeHint::NEVER);
-    }
-
-    #[test]
-    fn tick_outcome_absorb_concatenates() {
-        let mut a = TickOutcome::default();
-        a.gated.push(GatedBlock {
-            addr: 0x10,
-            dirty: false,
-        });
-        let mut b = TickOutcome::default();
-        b.gated.push(GatedBlock {
-            addr: 0x20,
-            dirty: true,
-        });
-        b.writebacks.push(0x20, &[7u8; 16]);
-        a.absorb(&b);
-        assert_eq!(a.gated.len(), 2);
-        assert_eq!(a.writebacks.len(), 1);
-        let (addr, data) = a.writebacks.iter().next().expect("one entry");
-        assert_eq!(addr, 0x20);
-        assert_eq!(data, &[7u8; 16]);
     }
 
     #[test]

@@ -79,12 +79,6 @@ impl Core {
         self.regs[r.index()]
     }
 
-    /// Writes a register.
-    #[inline]
-    pub fn set_reg(&mut self, r: Reg, v: u32) {
-        self.regs[r.index()] = v;
-    }
-
     /// The current program counter.
     pub fn pc(&self) -> u32 {
         self.pc

@@ -204,11 +204,6 @@ impl Capacitor {
         self.stored -= delivered;
         delivered
     }
-
-    /// True when the terminal voltage is at or below the brown-out floor.
-    pub fn below_minimum(&self) -> bool {
-        self.voltage() <= self.config.v_min
-    }
 }
 
 #[cfg(test)]

@@ -35,20 +35,6 @@ impl EnergySystemConfig {
         }
     }
 
-    /// Replaces the capacitor configuration (Fig. 16 sweep).
-    #[must_use]
-    pub fn with_capacitor(mut self, capacitor: CapacitorConfig) -> Self {
-        self.capacitor = capacitor;
-        self
-    }
-
-    /// Replaces the monitor thresholds.
-    #[must_use]
-    pub fn with_thresholds(mut self, thresholds: VoltageThresholds) -> Self {
-        self.thresholds = thresholds;
-        self
-    }
-
     /// Declares the worst-case checkpoint energy for reserve validation.
     #[must_use]
     pub fn with_checkpoint_budget(mut self, budget: Energy) -> Self {

@@ -10,7 +10,7 @@
 //! Unknown arguments are an error (usage on stderr, exit code 2) — a typo
 //! must not silently fall back to the default scale.
 
-use crate::experiments::ExperimentOptions;
+use crate::planner::EXIT_USAGE;
 use crate::runner::default_threads;
 use ehs_workloads::Scale;
 
@@ -34,16 +34,6 @@ impl Default for CliOptions {
             threads: default_threads(),
             csv: false,
             no_cache: false,
-        }
-    }
-}
-
-impl CliOptions {
-    /// The experiment-layer view of these options.
-    pub fn experiment_options(&self) -> ExperimentOptions {
-        ExperimentOptions {
-            scale: self.scale,
-            threads: self.threads,
         }
     }
 }
@@ -146,19 +136,23 @@ where
     })
 }
 
-/// Parses [`std::env::args`] for binary `name`; prints usage and exits on
-/// `--help` (code 0) or any invalid argument (code 2).
-pub fn parse_or_exit(name: &str) -> CliOptions {
+/// Parses [`std::env::args`] with `parse` ([`parse`] or [`parse_suite`]);
+/// prints `usage` and exits on `--help` (code 0) or any invalid argument
+/// (code 2).
+pub fn parse_or_exit<T>(
+    usage: &str,
+    parse: impl FnOnce(std::iter::Skip<std::env::Args>) -> Result<T, CliError>,
+) -> T {
     match parse(std::env::args().skip(1)) {
         Ok(opts) => opts,
         Err(CliError::Help) => {
-            println!("{}", usage(name));
+            println!("{usage}");
             std::process::exit(0);
         }
         Err(CliError::Invalid(msg)) => {
             eprintln!("{msg}");
-            eprintln!("{}", usage(name));
-            std::process::exit(2);
+            eprintln!("{usage}");
+            std::process::exit(EXIT_USAGE);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Headline experiments: Figs. 6–9 (true/false rates, energy breakdown,
 //! performance, absolute power).
 
-use super::{regroup, run_pair, ExperimentOptions};
+use super::regroup;
 use crate::report::{factor, pct, Table};
 use crate::runner::{geomean, matrix_jobs, Job, JobOutput};
 use crate::{RunResult, Scheme, SystemConfig};
@@ -9,6 +9,10 @@ use ehs_workloads::{AppId, Scale};
 
 const FIG6_SCHEMES: [Scheme; 3] = [Scheme::Decay, Scheme::Edbp, Scheme::DecayEdbp];
 
+/// **Fig. 6** — zombie-aware prediction outcomes per application for Cache
+/// Decay, EDBP, and Cache Decay + EDBP: TP / FP / TN / FN(dead) / missed
+/// zombies as fractions of classified block generations, plus the paper's
+/// redefined coverage and accuracy (Eqs. 1–2).
 pub(crate) fn fig6_plan(scale: Scale) -> Vec<Job> {
     let config = SystemConfig::paper_default();
     matrix_jobs(&config, &FIG6_SCHEMES, &AppId::ALL, scale)
@@ -56,14 +60,9 @@ pub(crate) fn fig6_report(outputs: &[JobOutput]) -> Table {
     table
 }
 
-/// **Fig. 6** — zombie-aware prediction outcomes per application for Cache
-/// Decay, EDBP, and Cache Decay + EDBP: TP / FP / TN / FN(dead) / missed
-/// zombies as fractions of classified block generations, plus the paper's
-/// redefined coverage and accuracy (Eqs. 1–2).
-pub fn fig6_true_false_rates(opts: ExperimentOptions) -> Table {
-    run_pair(fig6_plan, fig6_report, opts)
-}
-
+/// **Fig. 7** — energy breakdown normalized to the NVSRAMCache baseline,
+/// split into the paper's categories (cache / memory / checkpoint+restore /
+/// others), plus the load/store fraction of committed instructions.
 pub(crate) fn fig7_plan(scale: Scale) -> Vec<Job> {
     let config = SystemConfig::paper_default();
     matrix_jobs(&config, &Scheme::HEADLINE, &AppId::ALL, scale)
@@ -113,13 +112,6 @@ pub(crate) fn fig7_report(outputs: &[JobOutput]) -> Table {
     table
 }
 
-/// **Fig. 7** — energy breakdown normalized to the NVSRAMCache baseline,
-/// split into the paper's categories (cache / memory / checkpoint+restore /
-/// others), plus the load/store fraction of committed instructions.
-pub fn fig7_energy_breakdown(opts: ExperimentOptions) -> Table {
-    run_pair(fig7_plan, fig7_report, opts)
-}
-
 /// Builds the speedup-vs-baseline rows shared by Fig. 8 and the sweeps.
 pub(crate) fn speedups<'a>(
     baseline: &'a [RunResult],
@@ -131,6 +123,9 @@ pub(crate) fn speedups<'a>(
         .map(|(b, r)| b.total_time() / r.total_time())
 }
 
+/// **Fig. 8** — speedup over NVSRAMCache (top) and data-cache miss rate
+/// (bottom) for every scheme including the "80% Leakage Off" and Ideal
+/// bounds, per application and as the suite geomean.
 pub(crate) fn fig8_plan(scale: Scale) -> Vec<Job> {
     let config = SystemConfig::paper_default();
     matrix_jobs(&config, &Scheme::FIG8, &AppId::ALL, scale)
@@ -169,13 +164,8 @@ pub(crate) fn fig8_report(outputs: &[JobOutput]) -> Table {
     table
 }
 
-/// **Fig. 8** — speedup over NVSRAMCache (top) and data-cache miss rate
-/// (bottom) for every scheme including the "80% Leakage Off" and Ideal
-/// bounds, per application and as the suite geomean.
-pub fn fig8_performance(opts: ExperimentOptions) -> Table {
-    run_pair(fig8_plan, fig8_report, opts)
-}
-
+/// **Fig. 9** — absolute average power (mW) and total consumed energy (µJ)
+/// of the NVSRAMCache baseline per application.
 pub(crate) fn fig9_plan(scale: Scale) -> Vec<Job> {
     let config = SystemConfig::paper_default();
     matrix_jobs(&config, &[Scheme::Baseline], &AppId::ALL, scale)
@@ -204,10 +194,4 @@ pub(crate) fn fig9_report(outputs: &[JobOutput]) -> Table {
         String::new(),
     ]);
     table
-}
-
-/// **Fig. 9** — absolute average power (mW) and total consumed energy (µJ)
-/// of the NVSRAMCache baseline per application.
-pub fn fig9_absolute(opts: ExperimentOptions) -> Table {
-    run_pair(fig9_plan, fig9_report, opts)
 }

@@ -1,81 +1,21 @@
-//! One entry point per table/figure of the paper.
+//! The paper's tables and figures as plan/report pairs.
 //!
-//! Each function runs the experiment and returns a rendered
-//! [`crate::report::Table`] (the experiment binaries print it). See
-//! `DESIGN.md` §3 for the experiment index and `EXPERIMENTS.md` for the
-//! recorded paper-vs-measured results.
-//!
-//! Every experiment takes the workload `Scale` and a
-//! worker-thread count; [`ExperimentOptions::default`] uses `Scale::Small`
-//! and all-but-one hardware threads, which regenerates each figure in
-//! seconds-to-minutes.
-//!
-//! # Plan / report split
-//!
-//! Internally every experiment is a *plan* function (`Scale` → the flat,
-//! deterministically ordered list of [`Job`]s it needs) and a pure *report*
-//! function (the jobs' outputs, in plan order → the figure's `Table`). The
-//! public functions here glue one pair together through
-//! [`crate::runner::run_jobs_outputs`]; the suite planner
-//! ([`crate::planner`]) instead collects *every* experiment's plan, dedups
-//! across them, runs the union once, and feeds each report its own slice.
+//! Every experiment is a *plan* function (`Scale` → the flat,
+//! deterministically ordered job list it needs) and a pure *report*
+//! function (the jobs' outputs, in plan order → the figure's `Table`).
+//! [`crate::planner::REGISTRY`] names each pair; the planner runs one
+//! experiment ([`crate::planner::Experiment::run`]) or all of them at once
+//! ([`crate::planner::run_suite`], which dedups the plans' jobs across
+//! experiments and feeds each report its own slice). See `DESIGN.md` §3 for
+//! the experiment index and `EXPERIMENTS.md` for the recorded
+//! paper-vs-measured results.
 
 pub(crate) mod headline;
 pub(crate) mod motivation;
 pub(crate) mod sensitivity;
 
-pub use headline::{fig6_true_false_rates, fig7_energy_breakdown, fig8_performance, fig9_absolute};
-pub use motivation::{fig1_cache_size_motivation, fig4_zombie_ratio, table1_sram_leakage};
-pub use sensitivity::{
-    ablation_adaptation, ablation_policy, fig10_replacement_policy, fig11_cache_size,
-    fig12_associativity, fig13_nvm_technology, fig14_memory_size, fig15_energy_conditions,
-    fig16_capacitor_size, fig17_sensitivity_summary, fig18_icache, hw_cost, other_predictors,
-};
-
-use crate::report::Table;
-use crate::runner::{default_threads, run_jobs_outputs, Job, JobOutput};
+use crate::runner::JobOutput;
 use crate::RunResult;
-use ehs_workloads::Scale;
-
-/// Common knobs shared by every experiment runner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExperimentOptions {
-    /// Workload scale (Small reproduces the shapes in minutes).
-    pub scale: Scale,
-    /// Worker threads for the run fan-out.
-    pub threads: usize,
-}
-
-impl Default for ExperimentOptions {
-    fn default() -> Self {
-        Self {
-            scale: Scale::Small,
-            threads: default_threads(),
-        }
-    }
-}
-
-impl ExperimentOptions {
-    /// Quick options for tests: tiny workloads, two threads.
-    pub fn quick() -> Self {
-        Self {
-            scale: Scale::Tiny,
-            threads: 2,
-        }
-    }
-}
-
-/// Runs one experiment's plan/report pair standalone (the per-figure public
-/// functions and thin binaries go through here).
-pub(crate) fn run_pair(
-    plan: fn(Scale) -> Vec<Job>,
-    report: fn(&[JobOutput]) -> Table,
-    opts: ExperimentOptions,
-) -> Table {
-    let jobs = plan(opts.scale);
-    let outputs = run_jobs_outputs(&jobs, opts.threads);
-    report(&outputs)
-}
 
 /// Regroups a flat output slice into `[scheme][app]`-style rows of
 /// `columns` results each — the inverse of [`crate::runner::matrix_jobs`]'

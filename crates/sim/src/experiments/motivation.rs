@@ -1,6 +1,6 @@
 //! Motivation experiments: Table I, Fig. 1 and Fig. 4.
 
-use super::{regroup, run_pair, ExperimentOptions};
+use super::regroup;
 use crate::report::{pct, Table};
 use crate::runner::{geomean, matrix_jobs, Job, JobOutput};
 use crate::{zombie_ratio_by_voltage, Scheme, SystemConfig, ZombieSample};
@@ -19,6 +19,12 @@ fn config_with_dcache_size(base: &SystemConfig, bytes: u32) -> SystemConfig {
     config
 }
 
+/// **Table I** — SRAM cache leakage power (mW) and the ratio of static
+/// energy to total SRAM data-cache energy, for 4-way caches of 256 B–16 kB.
+///
+/// Leakage comes from the NVSim-style model (anchored to the paper's
+/// published points); the static-energy ratio is measured on baseline runs
+/// averaged across all 20 applications.
 pub(crate) fn table1_plan(scale: Scale) -> Vec<Job> {
     let base = SystemConfig::paper_default();
     CACHE_SIZES
@@ -52,16 +58,9 @@ pub(crate) fn table1_report(outputs: &[JobOutput]) -> Table {
     table
 }
 
-/// **Table I** — SRAM cache leakage power (mW) and the ratio of static
-/// energy to total SRAM data-cache energy, for 4-way caches of 256 B–16 kB.
-///
-/// Leakage comes from the NVSim-style model (anchored to the paper's
-/// published points); the static-energy ratio is measured on baseline runs
-/// averaged across all 20 applications.
-pub fn table1_sram_leakage(opts: ExperimentOptions) -> Table {
-    run_pair(table1_plan, table1_report, opts)
-}
-
+/// **Fig. 1** — speedup across data-cache sizes, with real leakage vs the
+/// "80% Leakage Off" stress test. All speedups are normalized to the 4 kB
+/// 4-way baseline with real leakage (geomean over the 20 applications).
 pub(crate) fn fig1_plan(scale: Scale) -> Vec<Job> {
     let base = SystemConfig::paper_default();
     // Reference matrix first, then one [Baseline, LeakageOff80] matrix per
@@ -107,13 +106,10 @@ pub(crate) fn fig1_report(outputs: &[JobOutput]) -> Table {
     table
 }
 
-/// **Fig. 1** — speedup across data-cache sizes, with real leakage vs the
-/// "80% Leakage Off" stress test. All speedups are normalized to the 4 kB
-/// 4-way baseline with real leakage (geomean over the 20 applications).
-pub fn fig1_cache_size_motivation(opts: ExperimentOptions) -> Table {
-    run_pair(fig1_plan, fig1_report, opts)
-}
-
+/// **Fig. 4** — the fraction of resident data-cache blocks that are zombies
+/// (no further access before the upcoming outage / their eviction), bucketed
+/// by the capacitor voltage at the sampling instant. Baseline scheme,
+/// RFHome, samples pooled across all 20 applications.
 pub(crate) fn fig4_plan(scale: Scale) -> Vec<Job> {
     let mut config = SystemConfig::paper_default();
     config.zombie_sample_interval = Some(500);
@@ -148,14 +144,6 @@ pub(crate) fn fig4_report(outputs: &[JobOutput]) -> Table {
         table.row([format!("{centre:.3}"), pct(ratio), count.to_string()]);
     }
     table
-}
-
-/// **Fig. 4** — the fraction of resident data-cache blocks that are zombies
-/// (no further access before the upcoming outage / their eviction), bucketed
-/// by the capacitor voltage at the sampling instant. Baseline scheme,
-/// RFHome, samples pooled across all 20 applications.
-pub fn fig4_zombie_ratio(opts: ExperimentOptions) -> Table {
-    run_pair(fig4_plan, fig4_report, opts)
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 
 use super::headline::speedups;
 use super::motivation::CACHE_SIZES;
-use super::{regroup, run_pair, ExperimentOptions};
+use super::regroup;
 use crate::report::{factor, pct, Table};
 use crate::runner::{geomean, matrix_jobs, Job, JobOutput};
 use crate::{RunResult, Scheme, SourceKind, SystemConfig};
@@ -59,6 +59,10 @@ fn fig10_policies() -> [ReplacementPolicy; 2] {
     [ReplacementPolicy::Lru, ReplacementPolicy::Drrip]
 }
 
+/// **Fig. 10** — replacement-policy sensitivity: LRU (naive) vs DRRIP
+/// (sophisticated). Speedups are normalized to the baseline under the *same*
+/// policy, as in the paper ("17.1% improvement over the baseline with
+/// DRRIP, compared to 6.91% with LRU").
 pub(crate) fn fig10_plan(scale: Scale) -> Vec<Job> {
     fig10_policies()
         .into_iter()
@@ -80,14 +84,6 @@ pub(crate) fn fig10_report(outputs: &[JobOutput]) -> Table {
     table
 }
 
-/// **Fig. 10** — replacement-policy sensitivity: LRU (naive) vs DRRIP
-/// (sophisticated). Speedups are normalized to the baseline under the *same*
-/// policy, as in the paper ("17.1% improvement over the baseline with
-/// DRRIP, compared to 6.91% with LRU").
-pub fn fig10_replacement_policy(opts: ExperimentOptions) -> Table {
-    run_pair(fig10_plan, fig10_report, opts)
-}
-
 fn dcache_size_config(bytes: u32) -> SystemConfig {
     let mut config = SystemConfig::paper_default();
     let assoc = config.dcache.geometry.associativity.min(bytes / 16);
@@ -95,6 +91,8 @@ fn dcache_size_config(bytes: u32) -> SystemConfig {
     config
 }
 
+/// **Fig. 11** — cache-size sensitivity, 256 B–16 kB, all schemes normalized
+/// to the 4 kB baseline.
 pub(crate) fn fig11_plan(scale: Scale) -> Vec<Job> {
     let base = SystemConfig::paper_default();
     let mut jobs = matrix_jobs(&base, &[Scheme::Baseline], &AppId::ALL, scale);
@@ -121,14 +119,11 @@ pub(crate) fn fig11_report(outputs: &[JobOutput]) -> Table {
     table
 }
 
-/// **Fig. 11** — cache-size sensitivity, 256 B–16 kB, all schemes normalized
-/// to the 4 kB baseline.
-pub fn fig11_cache_size(opts: ExperimentOptions) -> Table {
-    run_pair(fig11_plan, fig11_report, opts)
-}
-
 const FIG12_WAYS: [u32; 4] = [1, 2, 4, 8];
 
+/// **Fig. 12** — associativity sensitivity (direct-mapped to 8-way),
+/// normalized to the 4-way baseline. Direct-mapped EDBP collapses to a
+/// single threshold that deactivates every block (Section VI-H3).
 pub(crate) fn fig12_plan(scale: Scale) -> Vec<Job> {
     let base = SystemConfig::paper_default();
     let mut jobs = matrix_jobs(&base, &[Scheme::Baseline], &AppId::ALL, scale);
@@ -158,13 +153,9 @@ pub(crate) fn fig12_report(outputs: &[JobOutput]) -> Table {
     table
 }
 
-/// **Fig. 12** — associativity sensitivity (direct-mapped to 8-way),
-/// normalized to the 4-way baseline. Direct-mapped EDBP collapses to a
-/// single threshold that deactivates every block (Section VI-H3).
-pub fn fig12_associativity(opts: ExperimentOptions) -> Table {
-    run_pair(fig12_plan, fig12_report, opts)
-}
-
+/// **Fig. 13** — NVM-technology sensitivity: ReRAM / FeRAM / STTRAM for the
+/// instruction cache and main memory. Speedups normalized to the same-tech
+/// baseline (the paper compares predictor gains per technology).
 pub(crate) fn fig13_plan(scale: Scale) -> Vec<Job> {
     MemoryTechnology::NONVOLATILE
         .into_iter()
@@ -187,15 +178,10 @@ pub(crate) fn fig13_report(outputs: &[JobOutput]) -> Table {
     table
 }
 
-/// **Fig. 13** — NVM-technology sensitivity: ReRAM / FeRAM / STTRAM for the
-/// instruction cache and main memory. Speedups normalized to the same-tech
-/// baseline (the paper compares predictor gains per technology).
-pub fn fig13_nvm_technology(opts: ExperimentOptions) -> Table {
-    run_pair(fig13_plan, fig13_report, opts)
-}
-
 const FIG14_MB: [u64; 5] = [2, 4, 8, 16, 32];
 
+/// **Fig. 14** — memory-size sensitivity, 2–32 MB (larger memories amplify
+/// every miss penalty). Normalized to the same-size baseline.
 pub(crate) fn fig14_plan(scale: Scale) -> Vec<Job> {
     FIG14_MB
         .into_iter()
@@ -217,12 +203,8 @@ pub(crate) fn fig14_report(outputs: &[JobOutput]) -> Table {
     table
 }
 
-/// **Fig. 14** — memory-size sensitivity, 2–32 MB (larger memories amplify
-/// every miss penalty). Normalized to the same-size baseline.
-pub fn fig14_memory_size(opts: ExperimentOptions) -> Table {
-    run_pair(fig14_plan, fig14_report, opts)
-}
-
+/// **Fig. 15** — energy-condition sensitivity across the four ambient
+/// environments. Normalized to the same-trace baseline.
 pub(crate) fn fig15_plan(scale: Scale) -> Vec<Job> {
     TracePreset::ALL
         .into_iter()
@@ -248,12 +230,6 @@ pub(crate) fn fig15_report(outputs: &[JobOutput]) -> Table {
     table
 }
 
-/// **Fig. 15** — energy-condition sensitivity across the four ambient
-/// environments. Normalized to the same-trace baseline.
-pub fn fig15_energy_conditions(opts: ExperimentOptions) -> Table {
-    run_pair(fig15_plan, fig15_report, opts)
-}
-
 const FIG16_CAPS: [(&str, f64); 5] = [
     ("C0 (4.7uF)", 4.7),
     ("2.1x C0", 10.0),
@@ -262,6 +238,9 @@ const FIG16_CAPS: [(&str, f64); 5] = [
     ("100x C0", 470.0),
 ];
 
+/// **Fig. 16** — capacitor-size sensitivity. The paper sweeps 0.47–100 µF;
+/// we sweep the same ×1 … ×200 ratios over our scaled default (see
+/// `DESIGN.md` §4). Normalized to the same-capacitor baseline.
 pub(crate) fn fig16_plan(scale: Scale) -> Vec<Job> {
     FIG16_CAPS
         .into_iter()
@@ -281,13 +260,6 @@ pub(crate) fn fig16_report(outputs: &[JobOutput]) -> Table {
         sweep_rows(&mut table, label, &results, None);
     }
     table
-}
-
-/// **Fig. 16** — capacitor-size sensitivity. The paper sweeps 0.47–100 µF;
-/// we sweep the same ×1 … ×200 ratios over our scaled default (see
-/// `DESIGN.md` §4). Normalized to the same-capacitor baseline.
-pub fn fig16_capacitor_size(opts: ExperimentOptions) -> Table {
-    run_pair(fig16_plan, fig16_report, opts)
 }
 
 fn fig17_points() -> Vec<(&'static str, SystemConfig)> {
@@ -336,6 +308,9 @@ fn fig17_points() -> Vec<(&'static str, SystemConfig)> {
     points
 }
 
+/// **Fig. 17** — sensitivity summary: the geomean speedup of the combined
+/// scheme (Cache Decay + EDBP) at the default and at one representative
+/// point of every sensitivity axis, normalized to each point's own baseline.
 pub(crate) fn fig17_plan(scale: Scale) -> Vec<Job> {
     fig17_points()
         .into_iter()
@@ -363,13 +338,6 @@ pub(crate) fn fig17_report(outputs: &[JobOutput]) -> Table {
     table
 }
 
-/// **Fig. 17** — sensitivity summary: the geomean speedup of the combined
-/// scheme (Cache Decay + EDBP) at the default and at one representative
-/// point of every sensitivity axis, normalized to each point's own baseline.
-pub fn fig17_sensitivity_summary(opts: ExperimentOptions) -> Table {
-    run_pair(fig17_plan, fig17_report, opts)
-}
-
 const FIG18_DESIGNS: [(&str, bool); 2] = [("d$ only", false), ("both caches", true)];
 
 fn fig18_config(predict_icache: bool) -> SystemConfig {
@@ -380,6 +348,9 @@ fn fig18_config(predict_icache: bool) -> SystemConfig {
     config
 }
 
+/// **Fig. 18** — SRAM instruction cache: a new baseline with SRAM for both
+/// caches, comparing the predictors applied to the data cache only vs to
+/// both caches. Energy and speedup normalized to the new baseline.
 pub(crate) fn fig18_plan(scale: Scale) -> Vec<Job> {
     FIG18_DESIGNS
         .into_iter()
@@ -421,13 +392,6 @@ pub(crate) fn fig18_report(outputs: &[JobOutput]) -> Table {
     table
 }
 
-/// **Fig. 18** — SRAM instruction cache: a new baseline with SRAM for both
-/// caches, comparing the predictors applied to the data cache only vs to
-/// both caches. Energy and speedup normalized to the new baseline.
-pub fn fig18_icache(opts: ExperimentOptions) -> Table {
-    run_pair(fig18_plan, fig18_report, opts)
-}
-
 const OTHER_PREDICTOR_SCHEMES: [Scheme; 5] = [
     Scheme::Baseline,
     Scheme::Amc,
@@ -436,6 +400,9 @@ const OTHER_PREDICTOR_SCHEMES: [Scheme; 5] = [
     Scheme::DecayEdbp,
 ];
 
+/// **Section VII-A** — EDBP composes with predictors other than Cache
+/// Decay: the same baseline-relative comparison with Adaptive Mode Control
+/// in Cache Decay's seat.
 pub(crate) fn other_predictors_plan(scale: Scale) -> Vec<Job> {
     let config = SystemConfig::paper_default();
     matrix_jobs(&config, &OTHER_PREDICTOR_SCHEMES, &AppId::ALL, scale)
@@ -466,13 +433,8 @@ pub(crate) fn other_predictors_report(outputs: &[JobOutput]) -> Table {
     table
 }
 
-/// **Section VII-A** — EDBP composes with predictors other than Cache
-/// Decay: the same baseline-relative comparison with Adaptive Mode Control
-/// in Cache Decay's seat.
-pub fn other_predictors(opts: ExperimentOptions) -> Table {
-    run_pair(other_predictors_plan, other_predictors_report, opts)
-}
-
+/// **Section VI-B** — hardware cost: EDBP's comparators, registers and
+/// deactivation buffer as a fraction of the core area.
 pub(crate) fn hw_cost_plan(_scale: Scale) -> Vec<Job> {
     Vec::new()
 }
@@ -493,12 +455,6 @@ pub(crate) fn hw_cost_report(_outputs: &[JobOutput]) -> Table {
     table
 }
 
-/// **Section VI-B** — hardware cost: EDBP's comparators, registers and
-/// deactivation buffer as a fraction of the core area.
-pub fn hw_cost(opts: ExperimentOptions) -> Table {
-    run_pair(hw_cost_plan, hw_cost_report, opts)
-}
-
 const ADAPTATION_VARIANTS: [(&str, f64); 2] =
     [("adaptive (paper)", 0.05), ("fixed thresholds", 1.0)];
 
@@ -510,6 +466,9 @@ fn adaptation_config(reference_fpr: f64) -> SystemConfig {
     config
 }
 
+/// **Ablation (Section V-B1)** — fixed vs adaptive EDBP thresholds: the
+/// adaptation loop is disabled by setting the reference FPR to 1.0 (never
+/// lowers, always resets), isolating the contribution of the feedback.
 pub(crate) fn ablation_adaptation_plan(scale: Scale) -> Vec<Job> {
     ADAPTATION_VARIANTS
         .into_iter()
@@ -550,13 +509,6 @@ pub(crate) fn ablation_adaptation_report(outputs: &[JobOutput]) -> Table {
     table
 }
 
-/// **Ablation (Section V-B1)** — fixed vs adaptive EDBP thresholds: the
-/// adaptation loop is disabled by setting the reference FPR to 1.0 (never
-/// lowers, always resets), isolating the contribution of the feedback.
-pub fn ablation_adaptation(opts: ExperimentOptions) -> Table {
-    run_pair(ablation_adaptation_plan, ablation_adaptation_report, opts)
-}
-
 const POLICY_VARIANTS: [(&str, bool, bool); 4] = [
     ("paper (mru+clean)", true, true),
     ("no MRU protection", false, true),
@@ -564,6 +516,8 @@ const POLICY_VARIANTS: [(&str, bool, bool); 4] = [
     ("neither", false, false),
 ];
 
+/// **Ablation (Section V-A)** — EDBP's two selection principles: disabling
+/// MRU protection and clean-first prioritization, one at a time.
 pub(crate) fn ablation_policy_plan(scale: Scale) -> Vec<Job> {
     POLICY_VARIANTS
         .into_iter()
@@ -600,10 +554,4 @@ pub(crate) fn ablation_policy_report(outputs: &[JobOutput]) -> Table {
         ]);
     }
     table
-}
-
-/// **Ablation (Section V-A)** — EDBP's two selection principles: disabling
-/// MRU protection and clean-first prioritization, one at a time.
-pub fn ablation_policy(opts: ExperimentOptions) -> Table {
-    run_pair(ablation_policy_plan, ablation_policy_report, opts)
 }

@@ -14,8 +14,9 @@
 //!   one scheme and get a [`RunResult`] (timings, energy breakdown, cache
 //!   stats, prediction accounting).
 //! * [`runner`] — fan a set of runs out across threads, deterministically.
-//! * [`experiments`] — one entry point per table/figure of the paper, each
-//!   printing the rows the paper reports (see `EXPERIMENTS.md`).
+//! * [`planner`] — one [`planner::REGISTRY`] entry per table/figure of the
+//!   paper: [`planner::Experiment::run`] renders one, [`planner::run_suite`]
+//!   all of them from one deduplicated pass (see `EXPERIMENTS.md`).
 //!
 //! # Example
 //!
@@ -37,7 +38,7 @@
 
 pub mod cli;
 mod config;
-pub mod experiments;
+mod experiments;
 pub mod fault;
 mod fingerprint;
 mod memory_system;

@@ -327,7 +327,7 @@ impl MemorySystem {
                     buffered: false,
                     block_addr,
                     frame,
-                    evicted: None,
+                    evicted: miss.evicted,
                     stall: self.i_chars.probe_latency
                         + self.mem_chars.read_latency
                         + self.i_chars.write_latency,
@@ -431,6 +431,19 @@ mod tests {
             assert!(f.hit, "instruction {k} should hit");
             assert!(f.stall.is_zero());
         }
+    }
+
+    #[test]
+    fn ifetch_miss_reports_the_evicted_block() {
+        let mut m = mk();
+        // The paper I-cache (4 kB, 4-way, 16 B) has 64 sets: these four
+        // blocks fill set 0, so the fifth evicts the least recent, 0x000.
+        for addr in [0x000, 0x400, 0x800, 0xC00] {
+            assert_eq!(m.ifetch(addr).evicted, None);
+        }
+        let miss = m.ifetch(0x1000);
+        assert!(!miss.hit);
+        assert_eq!(miss.evicted, Some(0x000));
     }
 
     #[test]

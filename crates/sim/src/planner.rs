@@ -1,19 +1,22 @@
 //! The suite planner: a registry of every experiment's plan/report pair,
-//! plus the global orchestrator behind the `exp_all` binary.
+//! and the one way to run them.
 //!
 //! A registered [`Experiment`] is the library form of one `exp_*` binary:
 //! `plan` maps a workload scale to the flat, deterministically ordered
 //! [`Job`] list the figure needs, and `report` turns those jobs' outputs
-//! (in plan order) back into the figure's table. The thin binaries call
-//! [`experiment_main`]; [`run_suite`] instead concatenates *every*
+//! (in plan order) back into the figure's table. [`Experiment::run`] runs
+//! one experiment (the thin binaries call it through [`experiment_main`]);
+//! [`run_suite`] (behind `exp_all`) instead concatenates *every*
 //! experiment's plan, runs the union once through the runner's one producer
 //! — which collapses all cross-experiment duplicates (see
 //! [`crate::runner::effective_fingerprint`]), carries each Ideal job with
 //! the baseline it replays, runs lockstep groups, and kills the straggler
-//! tail with a longest-first queue — and then dispatches each experiment's
-//! slice of the outputs to its reporter in registry order. Several
-//! `exp_all`s sharing one cache directory split the work through that
-//! producer's claims, and each renders every figure.
+//! tail with a longest-first queue — and then hands each experiment its
+//! slice of the outputs in registry order. Both end in one report step: an
+//! experiment with a failed job yields its failed keys, each once, and
+//! otherwise its table. Several `exp_all`s sharing one cache directory
+//! split the work through that producer's claims, and each renders every
+//! figure.
 //!
 //! Invariants (see `DESIGN.md` §8):
 //!
@@ -24,7 +27,6 @@
 //!   [`crate::runner::count_unique`] simulations (asserted by a test).
 
 use crate::cli::{self, SuiteOptions};
-use crate::experiments::ExperimentOptions;
 use crate::experiments::{headline, motivation, sensitivity};
 use crate::fault;
 use crate::report::Table;
@@ -55,6 +57,47 @@ pub struct Experiment {
     pub plan: fn(Scale) -> Vec<Job>,
     /// Pure reporter over the planned jobs' outputs (same order).
     pub report: fn(&[JobOutput]) -> Table,
+}
+
+impl Experiment {
+    /// Plans, runs and reports this experiment on `threads` worker threads.
+    ///
+    /// Worker panics are contained per job (see
+    /// [`crate::runner::try_run_jobs_outputs`]): a failed job fails the
+    /// table, and `Err` lists each failed key once. A process that
+    /// installed the persistent cache ([`crate::runcache::install`])
+    /// replays from and stores to it.
+    pub fn run(&self, scale: Scale, threads: usize) -> Result<Table, Vec<JobError>> {
+        self.report_outputs(&try_run_jobs_outputs(&(self.plan)(scale), threads))
+    }
+
+    /// The report step of [`Experiment::run`] and [`run_suite`]: the table
+    /// over `outputs` (this experiment's plan order), or the failed keys.
+    fn report_outputs(
+        &self,
+        outputs: &[Result<JobOutput, JobError>],
+    ) -> Result<Table, Vec<JobError>> {
+        let mut ok = Vec::with_capacity(outputs.len());
+        let mut errors: Vec<JobError> = Vec::new();
+        let mut seen = HashSet::new();
+        for output in outputs {
+            match output {
+                Ok(output) => ok.push(output.clone()),
+                // Duplicate requests for one failed key fail together;
+                // report the key once.
+                Err(e) => {
+                    if seen.insert((e.config_fp, e.scheme, e.app, e.scale)) {
+                        errors.push(e.clone());
+                    }
+                }
+            }
+        }
+        if errors.is_empty() {
+            Ok((self.report)(&ok))
+        } else {
+            Err(errors)
+        }
+    }
 }
 
 /// Every experiment, in the order `run_all_experiments.sh` has always
@@ -241,44 +284,22 @@ impl SuiteRun {
     }
 }
 
-/// Plans, runs and reports every registered experiment on one shared pool.
+/// Plans, runs and reports every registered experiment on one shared pool
+/// of `threads` worker threads.
 ///
-/// Worker panics are contained per job (see
-/// [`crate::runner::try_run_jobs_outputs`]): an experiment whose slice has
-/// a failed job yields `Err` with those failures, while every other
-/// experiment's reporter runs normally — a single panicking job can never
-/// abort the suite mid-pass.
-pub fn run_suite(opts: ExperimentOptions) -> SuiteRun {
-    let plan = plan_suite(opts.scale);
+/// Worker panics are contained per job, as in [`Experiment::run`]: an
+/// experiment whose slice has a failed job yields `Err` with those
+/// failures, while every other experiment's reporter runs normally — a
+/// single panicking job can never abort the suite mid-pass.
+pub fn run_suite(scale: Scale, threads: usize) -> SuiteRun {
+    let plan = plan_suite(scale);
     let executed_before = simulations_executed();
-    let (outputs, unique) = try_run_jobs_counted(&plan.jobs, opts.threads);
+    let (outputs, unique) = try_run_jobs_counted(&plan.jobs, threads);
     let executed = simulations_executed() - executed_before;
     let tables = REGISTRY
         .iter()
         .zip(&plan.sections)
-        .map(|(exp, range)| {
-            let slice = &outputs[range.clone()];
-            let mut errors: Vec<JobError> = Vec::new();
-            let mut seen = HashSet::new();
-            for r in slice {
-                if let Err(e) = r {
-                    // Duplicate requests for one failed key fail together;
-                    // report the key once.
-                    if seen.insert((e.config_fp, e.scheme, e.app, e.scale)) {
-                        errors.push(e.clone());
-                    }
-                }
-            }
-            if errors.is_empty() {
-                let ok: Vec<JobOutput> = slice
-                    .iter()
-                    .map(|r| r.as_ref().expect("no errors in slice").clone())
-                    .collect();
-                Ok((exp.report)(&ok))
-            } else {
-                Err(errors)
-            }
-        })
+        .map(|(exp, range)| exp.report_outputs(&outputs[range.clone()]))
         .collect();
     SuiteRun {
         tables,
@@ -327,35 +348,27 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 }
 
 /// Entry point for the thin per-experiment binaries: parse the unified CLI,
-/// install the persistent cache (unless `--no-cache`), run this
-/// experiment's plan, print the reported table. A failed job prints a
-/// structured failure summary and exits 1 instead of unwinding.
+/// install the persistent cache (unless `--no-cache`), run the experiment
+/// ([`Experiment::run`]), print the reported table. A failed job prints
+/// each failed key once on stderr and exits [`EXIT_JOB_FAILURE`] instead of
+/// unwinding.
 pub fn experiment_main(name: &str) {
     let exp = find(name).unwrap_or_else(|| panic!("{name} is not a registered experiment"));
-    let cli = cli::parse_or_exit(name);
+    let cli = cli::parse_or_exit(&cli::usage(name), cli::parse);
     arm_fault_plan_or_exit();
     if !cli.no_cache {
         runcache::install_default();
     }
-    let jobs = (exp.plan)(cli.scale);
-    let outputs = try_run_jobs_outputs(&jobs, cli.threads);
-    let errors: Vec<&JobError> = outputs.iter().filter_map(|r| r.as_ref().err()).collect();
-    if !errors.is_empty() {
-        eprintln!("{name}: {} job(s) failed:", errors.len());
-        for e in errors {
-            eprintln!("  {e}");
+    match exp.run(cli.scale, cli.threads) {
+        Ok(table) if cli.csv => print!("{}", table.to_csv()),
+        Ok(table) => print!("{}", render_titled(exp.title, &table)),
+        Err(errors) => {
+            eprintln!("{name}: {} job(s) failed:", errors.len());
+            for e in errors {
+                eprintln!("  {e}");
+            }
+            std::process::exit(EXIT_JOB_FAILURE);
         }
-        std::process::exit(1);
-    }
-    let ok: Vec<JobOutput> = outputs
-        .into_iter()
-        .map(|r| r.expect("checked above"))
-        .collect();
-    let table = (exp.report)(&ok);
-    if cli.csv {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", render_titled(exp.title, &table));
     }
 }
 
@@ -387,18 +400,7 @@ pub fn experiment_main(name: &str) {
 /// Exit codes: `0` success, [`EXIT_JOB_FAILURE`], [`EXIT_USAGE`], and 137
 /// for a kill (SIGKILL, or an injected `kill` fault; see [`crate::fault`]).
 pub fn suite_main() {
-    let opts = match cli::parse_suite(std::env::args().skip(1)) {
-        Ok(opts) => opts,
-        Err(cli::CliError::Help) => {
-            println!("{}", cli::suite_usage());
-            return;
-        }
-        Err(cli::CliError::Invalid(msg)) => {
-            eprintln!("{msg}");
-            eprintln!("{}", cli::suite_usage());
-            std::process::exit(EXIT_USAGE);
-        }
-    };
+    let opts = cli::parse_or_exit(&cli::suite_usage(), cli::parse_suite);
     arm_fault_plan_or_exit();
     if !opts.cli.no_cache {
         runcache::install_default();
@@ -425,7 +427,7 @@ pub fn suite_main() {
     }
 
     let start = std::time::Instant::now();
-    let run = run_suite(opts.cli.experiment_options());
+    let run = run_suite(opts.cli.scale, opts.cli.threads);
     write_figures(&run, &opts);
     let failures = run.failures();
     let failed_jobs: usize = failures.iter().map(|(_, errs)| errs.len()).sum();
@@ -519,6 +521,8 @@ fn write_figures(run: &SuiteRun, opts: &SuiteOptions) {
 mod tests {
     use super::*;
     use crate::runner::count_unique;
+    use crate::Scheme;
+    use ehs_workloads::AppId;
 
     #[test]
     fn registry_names_and_titles_are_unique() {
@@ -529,6 +533,24 @@ mod tests {
             assert!(titles.insert(exp.title), "duplicate title {}", exp.title);
         }
         assert_eq!(REGISTRY.len(), 20);
+    }
+
+    /// Duplicate requests for one failed key fail together; the report
+    /// step lists the key once.
+    #[test]
+    fn report_step_lists_each_failed_key_once() {
+        let error = JobError {
+            config_fp: 7,
+            scheme: Scheme::Baseline,
+            app: AppId::Crc32,
+            scale: Scale::Tiny,
+            message: "injected".into(),
+        };
+        let exp = find("exp_hw_cost").expect("registered");
+        let errors = exp
+            .report_outputs(&[Err(error.clone()), Err(error)])
+            .expect_err("a failed job fails the table");
+        assert_eq!(errors.len(), 1);
     }
 
     #[test]

@@ -151,6 +151,17 @@ impl ZombieAnalysis {
     /// A power outage ended every resident generation. Generations resolve
     /// in ascending address order.
     pub fn on_power_fail(&mut self) {
+        self.resolve_live();
+        // Every chain was consumed above, so the whole pool is free.
+        self.gens.clear();
+        self.nodes.clear();
+        self.free_head = NIL;
+    }
+
+    /// Resolves the pending samples of every live generation against its
+    /// use count so far, in ascending address order. Leaves the chains in
+    /// place; the caller discards them.
+    fn resolve_live(&mut self) {
         let Self {
             gens,
             nodes,
@@ -168,10 +179,6 @@ impl ZombieAnalysis {
                 node = n.next;
             }
         });
-        // Every chain was consumed above, so the whole pool is free.
-        gens.clear();
-        nodes.clear();
-        self.free_head = NIL;
     }
 
     /// Resolves one pending chain and returns its nodes to the free list.
@@ -235,49 +242,13 @@ impl ZombieAnalysis {
         }
     }
 
-    /// Called once per committed instruction; takes a snapshot of every
-    /// resident block when the sampling period elapses. Convenience wrapper
-    /// over [`ZombieAnalysis::due`] + [`ZombieAnalysis::sample`] for callers
-    /// that already hold a resident set.
-    pub fn maybe_sample<'a>(
-        &mut self,
-        committed: u64,
-        voltage: f64,
-        resident: impl IntoIterator<Item = &'a u64>,
-    ) {
-        if self.due(committed) {
-            self.sample(committed, voltage, resident.into_iter().copied());
-        }
-    }
-
     /// Finalizes: unresolved samples belong to generations that never ended
     /// (the program finished first); a block unused since its sample is
     /// classified as a zombie-to-be. Remaining generations drain in
     /// ascending address order.
-    pub fn finish(self) -> Vec<ZombieSample> {
-        let Self {
-            gens,
-            nodes,
-            mut resolved,
-            ..
-        } = self;
-        gens.for_each(|_, g| {
-            let mut node = g.head;
-            while node != NIL {
-                let n = &nodes[node as usize];
-                resolved.push(ZombieSample {
-                    voltage: n.voltage,
-                    zombie: n.at_sample == g.count,
-                });
-                node = n.next;
-            }
-        });
-        resolved
-    }
-
-    /// Samples resolved so far.
-    pub fn resolved(&self) -> &[ZombieSample] {
-        &self.resolved
+    pub fn finish(mut self) -> Vec<ZombieSample> {
+        self.resolve_live();
+        self.resolved
     }
 }
 
@@ -325,7 +296,7 @@ mod tests {
     fn block_unused_after_sample_is_zombie() {
         let mut z = ZombieAnalysis::new(1);
         z.on_fill(0x40);
-        z.maybe_sample(1, 3.3, [0x40u64].iter());
+        z.sample(1, 3.3, [0x40u64]);
         z.on_power_fail();
         let s = z.finish();
         assert_eq!(s.len(), 1);
@@ -337,7 +308,7 @@ mod tests {
     fn block_reused_after_sample_is_live() {
         let mut z = ZombieAnalysis::new(1);
         z.on_fill(0x40);
-        z.maybe_sample(1, 3.4, [0x40u64].iter());
+        z.sample(1, 3.4, [0x40u64]);
         z.on_hit(0x40); // reuse after the sample
         z.on_power_fail();
         let s = z.finish();
@@ -349,9 +320,13 @@ mod tests {
     fn samples_respect_interval() {
         let mut z = ZombieAnalysis::new(100);
         z.on_fill(0x40);
-        z.maybe_sample(50, 3.4, [0x40u64].iter()); // too early
-        z.maybe_sample(100, 3.4, [0x40u64].iter()); // fires
-        z.maybe_sample(150, 3.4, [0x40u64].iter()); // too early again
+        // Only committed = 100 is due: 50 is too early, and 150 too early
+        // again once 100 sampled.
+        for committed in [50, 100, 150] {
+            if z.due(committed) {
+                z.sample(committed, 3.4, [0x40u64]);
+            }
+        }
         z.on_power_fail();
         assert_eq!(z.finish().len(), 1);
     }
@@ -360,7 +335,7 @@ mod tests {
     fn eviction_resolves_like_outage() {
         let mut z = ZombieAnalysis::new(1);
         z.on_fill(0x40);
-        z.maybe_sample(1, 3.45, [0x40u64].iter());
+        z.sample(1, 3.45, [0x40u64]);
         z.on_generation_end(0x40); // evicted unused
         let s = z.finish();
         assert!(s[0].zombie);
@@ -370,7 +345,7 @@ mod tests {
     fn generations_do_not_leak_across_refills() {
         let mut z = ZombieAnalysis::new(1);
         z.on_fill(0x40);
-        z.maybe_sample(1, 3.4, [0x40u64].iter());
+        z.sample(1, 3.4, [0x40u64]);
         z.on_generation_end(0x40);
         // New generation of the same address, gets a hit.
         z.on_fill(0x40);
@@ -388,7 +363,7 @@ mod tests {
     fn unfinished_generation_with_later_hit_is_live() {
         let mut z = ZombieAnalysis::new(1);
         z.on_fill(0x40);
-        z.maybe_sample(1, 3.4, [0x40u64].iter());
+        z.sample(1, 3.4, [0x40u64]);
         z.on_hit(0x40);
         // Program ends without outage or eviction.
         let s = z.finish();

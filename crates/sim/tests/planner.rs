@@ -6,7 +6,6 @@
 //! would race on them. Sequencing inside one function keeps the arithmetic
 //! exact.
 
-use ehs_sim::experiments::ExperimentOptions;
 use ehs_sim::planner::{plan_suite, run_suite};
 use ehs_sim::runcache::{self, entry_stem, workload_fingerprint};
 use ehs_sim::runner::{count_unique, effective_fingerprint, simulations_executed, unique_jobs};
@@ -16,10 +15,7 @@ use std::path::PathBuf;
 
 #[test]
 fn suite_dedup_accounting_is_exact() {
-    let opts = ExperimentOptions {
-        scale: Scale::Tiny,
-        threads: 2,
-    };
+    let (scale, threads) = (Scale::Tiny, 2);
 
     // Install a private persistent cache seeded with corrupt entries: one
     // file of plain garbage at a real entry's path, plus junk that matches
@@ -40,14 +36,14 @@ fn suite_dedup_accounting_is_exact() {
         "first install wins in this process"
     );
 
-    let plan = plan_suite(opts.scale);
+    let plan = plan_suite(scale);
     let unique = count_unique(&plan.jobs);
     assert!(unique < plan.jobs.len(), "cross-experiment dedup must fold");
 
     // Cold pass: every unique request simulates exactly once — no more
     // (dedup works), no less (corrupt cache entries rejected, not trusted).
     let before = simulations_executed();
-    let cold = run_suite(opts);
+    let cold = run_suite(scale, threads);
     assert_eq!(cold.total_requested, plan.jobs.len());
     assert_eq!(cold.unique, unique);
     assert_eq!(cold.executed, simulations_executed() - before);
@@ -90,7 +86,7 @@ fn suite_dedup_accounting_is_exact() {
 
     // The in-process memo makes a second pass in the same process free;
     // its reports must match the cold pass exactly.
-    let warm = run_suite(opts);
+    let warm = run_suite(scale, threads);
     assert_eq!(warm.executed, 0, "second pass is a pure memo replay");
     for (c, w) in cold.tables.iter().zip(&warm.tables) {
         let (c, w) = (c.as_ref().expect("cold table"), w.as_ref().expect("warm"));
