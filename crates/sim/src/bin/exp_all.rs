@@ -9,11 +9,13 @@
 //! disables it and `--expect-cached` fails the run if any simulation
 //! actually executed.
 //!
-//! Any number of `exp_all`s sharing one cache directory (`EHS_RUNCACHE_DIR`)
-//! are a fleet: each compacts the journal at startup, adopts the entries
-//! already on disk, claims (kernel file locks) and simulates the rest,
-//! waits out the keys a live rival holds, and renders every figure. See the
-//! multi-machine runbook in `EXPERIMENTS.md`.
+//! The cache directory is the only record of finished work: a re-run after
+//! a kill adopts every valid entry and simulates only what was lost. Any
+//! number of `exp_all`s sharing one cache directory (`EHS_RUNCACHE_DIR`)
+//! are a fleet: each adopts the entries already on disk, claims (kernel
+//! file locks) and simulates the rest, waits out the keys a live rival
+//! holds, and renders every figure. See the multi-machine runbook in
+//! `EXPERIMENTS.md`.
 
 fn main() {
     ehs_sim::planner::suite_main();

@@ -6,7 +6,7 @@
 //! exp_<name> [tiny|small|full] [--csv] [--threads N] [--no-cache]
 //! ```
 //!
-//! `exp_all` adds `--expect-cached` and `--expect-resumable` ([`parse_suite`]).
+//! `exp_all` adds `--expect-cached` ([`parse_suite`]).
 //! Unknown arguments are an error (usage on stderr, exit code 2) — a typo
 //! must not silently fall back to the default scale.
 
@@ -92,27 +92,22 @@ where
 }
 
 /// The full `exp_all` option surface: the shared [`CliOptions`] plus the
-/// suite's two checks.
+/// suite's check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SuiteOptions {
     /// The options every experiment binary shares.
     pub cli: CliOptions,
     /// `--expect-cached`: fail unless the run was a pure cache replay.
     pub expect_cached: bool,
-    /// `--expect-resumable`: fail if a journaled job re-simulated.
-    pub expect_resumable: bool,
 }
 
 /// The usage line for `exp_all`.
 pub fn suite_usage() -> String {
-    format!(
-        "{} [--expect-cached] [--expect-resumable]",
-        usage("exp_all")
-    )
+    format!("{} [--expect-cached]", usage("exp_all"))
 }
 
 /// Parses the `exp_all` argument list (without the leading program name):
-/// the flags documented on [`SuiteOptions`], with everything else
+/// the flag documented on [`SuiteOptions`], with everything else
 /// delegated to [`parse`].
 pub fn parse_suite<I>(args: I) -> Result<SuiteOptions, CliError>
 where
@@ -121,18 +116,15 @@ where
 {
     let mut rest: Vec<String> = Vec::new();
     let mut expect_cached = false;
-    let mut expect_resumable = false;
     for arg in args.into_iter().map(Into::into) {
         match arg.as_str() {
             "--expect-cached" => expect_cached = true,
-            "--expect-resumable" => expect_resumable = true,
             _ => rest.push(arg),
         }
     }
     Ok(SuiteOptions {
         cli: parse(rest)?,
         expect_cached,
-        expect_resumable,
     })
 }
 
@@ -211,12 +203,12 @@ mod tests {
     }
 
     #[test]
-    fn suite_parses_its_checks() {
+    fn suite_parses_its_check() {
         let opts = parse_suite(["tiny"]).unwrap();
         assert_eq!(opts.cli.scale, Scale::Tiny);
-        assert!(!opts.expect_cached && !opts.expect_resumable);
-        let opts = parse_suite(["--expect-cached", "--expect-resumable", "--csv"]).unwrap();
-        assert!(opts.expect_cached && opts.expect_resumable && opts.cli.csv);
+        assert!(!opts.expect_cached);
+        let opts = parse_suite(["--expect-cached", "--csv"]).unwrap();
+        assert!(opts.expect_cached && opts.cli.csv);
     }
 
     #[test]
@@ -227,6 +219,7 @@ mod tests {
             &["--wait", "5"],
             &["--verify", "ref"],
             &["--max-retries", "0"],
+            &["--expect-resumable"],
             &["--bogus"],
         ] {
             assert!(

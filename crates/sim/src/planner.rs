@@ -32,8 +32,7 @@ use crate::fault;
 use crate::report::Table;
 use crate::runcache;
 use crate::runner::{
-    executed_entry_stems, simulations_executed, try_run_jobs_counted, try_run_jobs_outputs, Job,
-    JobError, JobOutput,
+    simulations_executed, try_run_jobs_counted, try_run_jobs_outputs, Job, JobError, JobOutput,
 };
 use ehs_workloads::Scale;
 use std::collections::HashSet;
@@ -41,7 +40,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Exit code: one or more jobs failed (a figure was not written), the
-/// results directory is unwritable, or a `--expect-*` assertion tripped.
+/// results directory is unwritable, or `--expect-cached` tripped.
 pub const EXIT_JOB_FAILURE: i32 = 1;
 /// Exit code: bad usage or a malformed `$EHS_FAILPLAN`.
 pub const EXIT_USAGE: i32 = 2;
@@ -380,8 +379,8 @@ pub fn experiment_main(name: &str) {
 /// contain it — every other figure is still written (atomically, so a
 /// killed process never leaves a torn figure) — and the run exits 1 with a
 /// structured per-figure failure summary on stderr. A killed run resumes
-/// on re-invocation through the persistent cache plus the suite journal,
-/// which every run compacts at startup.
+/// on re-invocation through the persistent cache alone: the re-run adopts
+/// every valid entry and simulates only the work that was lost.
 ///
 /// Any number of `exp_all`s may share one cache directory
 /// (`EHS_RUNCACHE_DIR`; see `EXPERIMENTS.md` for the multi-machine
@@ -389,13 +388,8 @@ pub fn experiment_main(name: &str) {
 /// the rest, waits out the keys a live rival holds, and renders every
 /// figure.
 ///
-/// Extra flags:
-///
-/// * `--expect-cached` exits non-zero if any simulation actually executed —
-///   the CI hook asserting a warm re-run is a pure cache replay.
-/// * `--expect-resumable` exits non-zero if any job recorded in the suite
-///   journal (i.e. completed *and persisted* by an earlier, possibly
-///   killed, run) was re-simulated — the explicit resume contract.
+/// Extra flag: `--expect-cached` exits non-zero if any simulation actually
+/// executed — the CI hook asserting a warm re-run is a pure cache replay.
 ///
 /// Exit codes: `0` success, [`EXIT_JOB_FAILURE`], [`EXIT_USAGE`], and 137
 /// for a kill (SIGKILL, or an injected `kill` fault; see [`crate::fault`]).
@@ -405,27 +399,6 @@ pub fn suite_main() {
     if !opts.cli.no_cache {
         runcache::install_default();
     }
-    if let Some(cache) = runcache::active() {
-        match cache.compact_journal() {
-            Ok(0) => {}
-            Ok(removed) => println!("journal: compacted ({removed} duplicate/torn line(s))"),
-            Err(e) => eprintln!("warning: journal compaction failed ({e}); continuing"),
-        }
-    }
-
-    // Snapshot the journal before running: these jobs were completed and
-    // persisted by an earlier run (possibly one that was killed mid-suite),
-    // so this run must replay — not re-simulate — them.
-    let journaled_before: HashSet<String> = runcache::active()
-        .map(|c| c.journal_entries())
-        .unwrap_or_default();
-    if !journaled_before.is_empty() {
-        println!(
-            "resume: {} job(s) journaled by earlier runs will replay from cache",
-            journaled_before.len()
-        );
-    }
-
     let start = std::time::Instant::now();
     let run = run_suite(opts.cli.scale, opts.cli.threads);
     write_figures(&run, &opts);
@@ -462,22 +435,6 @@ pub fn suite_main() {
             run.executed
         );
         exit_code = EXIT_JOB_FAILURE;
-    }
-    if opts.expect_resumable {
-        let re_simulated: Vec<String> = executed_entry_stems()
-            .into_iter()
-            .filter(|stem| journaled_before.contains(stem))
-            .collect();
-        if !re_simulated.is_empty() {
-            eprintln!(
-                "--expect-resumable: {} journaled job(s) were re-simulated instead of replayed:",
-                re_simulated.len()
-            );
-            for stem in re_simulated {
-                eprintln!("  {stem}");
-            }
-            exit_code = EXIT_JOB_FAILURE;
-        }
     }
     std::process::exit(exit_code);
 }

@@ -62,9 +62,9 @@
 //!   other processes skip an in-flight entry and revisit it instead of
 //!   duplicating the work. A lock is volatile state of its process: the
 //!   kernel releases a killed holder's claims at once.
-//! * `journal.log` ([`RunCache::journal_append`]) records each persisted
-//!   entry as one appended line, so a killed `exp_all` can be re-invoked
-//!   and *prove* it resumed (`--expect-resumable`) rather than re-simulate.
+//! * The directory is the only record of finished work; no log sits
+//!   beside it. A re-run after a kill loads every valid entry
+//!   ([`RunCache::load`]) and simulates only what is missing.
 //!
 //! The deterministic fault-injection harness ([`crate::fault`]) drives
 //! kills, torn writes and I/O errors through these paths in tests and CI.
@@ -76,7 +76,6 @@ use edbp_core::{FxBuildHasher, PredictionSummary};
 use ehs_cache::CacheStats;
 use ehs_units::{Energy, Time};
 use ehs_workloads::{AppId, Scale};
-use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -468,8 +467,8 @@ fn decode(
     })
 }
 
-/// The file-name stem of one cache entry, also the line format of the
-/// suite journal and the job identifier in failure summaries:
+/// The file-name stem of one cache entry, also the job identifier in
+/// failure summaries:
 /// `<config_fp hex>-<scheme>-<app>-<scale>`.
 pub fn entry_stem(config_fp: u64, scheme: Scheme, app: AppId, scale: Scale) -> String {
     format!(
@@ -648,8 +647,8 @@ impl RunCache {
     /// after a mid-write kill — observes either no entry or a complete one,
     /// never a torn file. Best-effort on I/O error: a failed store costs
     /// future cache hits, never correctness, so it warns once and degrades
-    /// to cacheless instead of aborting. Returns `true` exactly when the
-    /// entry is durably in place — the condition for journaling it.
+    /// to cacheless instead of aborting. Returns whether the entry is
+    /// durably in place.
     pub fn store(
         &self,
         config_fp: u64,
@@ -751,119 +750,6 @@ impl RunCache {
             Err(std::fs::TryLockError::WouldBlock) => ClaimOutcome::Busy,
             Err(std::fs::TryLockError::Error(_)) => ClaimOutcome::Unavailable,
         }
-    }
-
-    /// The suite journal: an append-only log of completed (simulated *and
-    /// persisted*) entry stems, one per line, shared by every process using
-    /// this cache directory.
-    pub fn journal_path(&self) -> PathBuf {
-        self.dir.join("journal.log")
-    }
-
-    /// Appends one completed entry stem to the journal. A single `O_APPEND`
-    /// write of one short line is atomic on POSIX, so concurrent appenders
-    /// interleave whole lines; a mid-write kill at worst leaves one torn
-    /// final line, which [`Self::journal_entries`] skips. Best-effort: the
-    /// journal is an accounting aid, losing a line only weakens the
-    /// `--expect-resumable` assertion, never a result.
-    pub fn journal_append(&self, stem: &str) {
-        let line = format!("{stem}\n");
-        let _ = std::fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(self.journal_path())
-            .and_then(|mut f| f.write_all(line.as_bytes()));
-    }
-
-    /// Every complete line of the journal (deduplicated). A torn final line
-    /// — no trailing newline, the signature of a mid-append kill — is
-    /// ignored, as is a missing journal.
-    pub fn journal_entries(&self) -> HashSet<String> {
-        self.journal_occurrences().into_keys().collect()
-    }
-
-    /// Every complete line of the journal with its occurrence count,
-    /// *without* deduplication — the raw record the fleet tests use to
-    /// assert that no job was executed-and-stored twice.
-    pub fn journal_occurrences(&self) -> HashMap<String, usize> {
-        let mut counts = HashMap::new();
-        let (lines, _) = self.read_journal().unwrap_or_default();
-        for line in lines {
-            *counts.entry(line).or_insert(0) += 1;
-        }
-        counts
-    }
-
-    /// The journal's complete lines in file order, and the number of lines
-    /// the file holds. A torn final line — no trailing newline — is not
-    /// complete, empty lines are dropped, and a missing journal has no
-    /// lines.
-    fn read_journal(&self) -> std::io::Result<(Vec<String>, usize)> {
-        let text = match std::fs::read_to_string(self.journal_path()) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
-            Err(e) => return Err(e),
-        };
-        let complete = text.rfind('\n').map_or("", |last| &text[..=last]);
-        let lines = complete
-            .lines()
-            .filter(|l| !l.is_empty())
-            .map(str::to_string)
-            .collect();
-        Ok((lines, text.lines().count()))
-    }
-
-    /// Compacts the journal in place: deduplicates lines (first-seen order),
-    /// drops a torn final line, and rewrites atomically with the same
-    /// tmp + fsync + rename discipline as entry stores. Returns the number
-    /// of lines removed.
-    ///
-    /// The journal grows without bound across resumed runs — every resume
-    /// re-appends nothing, but retries and multi-process campaigns can
-    /// duplicate lines, and a torn final line otherwise persists forever.
-    /// Every `exp_all` calls this at startup, serialized against other
-    /// compactors by an exclusive kernel lock on `journal.lock` (skipped
-    /// while a rival holds it). Like a claim, the lock dies with its
-    /// process, so a compactor killed mid-compaction stops no later one;
-    /// unlike a claim file, `journal.lock` is never unlinked, so every
-    /// compactor locks the same inode. A rival appending concurrently can
-    /// at worst have one line dropped, which weakens accounting (a job may
-    /// re-verify on resume), never a result.
-    pub fn compact_journal(&self) -> std::io::Result<usize> {
-        let lock = std::fs::OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(self.dir.join("journal.lock"))?;
-        match lock.try_lock() {
-            Ok(()) => {}
-            Err(std::fs::TryLockError::WouldBlock) => return Ok(0),
-            Err(std::fs::TryLockError::Error(e)) => return Err(e),
-        }
-        let (lines, before) = self.read_journal()?;
-        let mut seen = HashSet::new();
-        let mut compacted = String::new();
-        for line in &lines {
-            if seen.insert(line) {
-                compacted.push_str(line);
-                compacted.push('\n');
-            }
-        }
-        // A torn tail, an empty line or a duplicate counts in `before` only.
-        if before == seen.len() {
-            return Ok(0); // already compact: leave the inode alone
-        }
-        let tmp = self.dir.join("journal.log.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(compacted.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, self.journal_path())?;
-        if let Ok(dir) = std::fs::File::open(&self.dir) {
-            let _ = dir.sync_all();
-        }
-        Ok(before - seen.len())
     }
 }
 

@@ -2,18 +2,18 @@
 //! memoization, cost-aware scheduling and an optional persistent result
 //! cache.
 //!
-//! Every way of running jobs goes through one producer: [`run_jobs`] and
-//! [`try_run_jobs_outputs`] serve the library, the per-figure binaries and
-//! `exp_all`. Any number of `exp_all` processes sharing one cache directory
-//! run this same producer, so they are a fleet without a second role: each
-//! adopts what is on disk, claims and simulates the rest, and waits out the
-//! keys a live rival holds.
+//! Every way of running jobs goes through one producer:
+//! [`try_run_jobs_outputs`] serves the library, the per-figure binaries and
+//! `exp_all`, and returns each failed job's [`JobError`] in its slot. Any
+//! number of `exp_all` processes sharing one cache directory run this same
+//! producer, so they are a fleet without a second role: each adopts what is
+//! on disk, claims and simulates the rest, and waits out the keys a live
+//! rival holds.
 //!
 //! # Memoization
 //!
 //! Experiment drivers repeat identical runs constantly: every figure's
-//! matrix re-runs the baseline column, `mean_speedup_over_seeds` shares its
-//! baseline runs with the headline matrix, and the sensitivity sweeps
+//! matrix re-runs the baseline column, and the sensitivity sweeps
 //! (Figs. 10–17) all contain the paper-default point. Finished results
 //! therefore live in a process-wide table keyed by the **effective**
 //! configuration fingerprint (see [`effective_fingerprint`]) plus (scheme,
@@ -60,11 +60,11 @@
 //! Per key: a memo hit is done, and a disk hit is adopted into the memo.
 //! Otherwise the key is claimed ([`runcache::RunCache::claim`], a kernel
 //! file lock) and the disk checked again under the claim. The claimed keys
-//! simulate, and each finished key is stored and journaled before its
-//! claim is released. A key that another process holds is revisited on a
-//! later sweep (a sweep that settled nothing backs off with jitter, at most
-//! 320 ms) until its entry lands on disk or its holder dies, which releases
-//! the claim at once. An `Ideal` key is opened only once its baseline is
+//! simulate, and each finished key is stored before its claim is released.
+//! A key that another process holds is revisited on a later sweep (a sweep
+//! that settled nothing backs off with jitter, at most 320 ms) until its
+//! entry lands on disk or its holder dies, which releases the claim at
+//! once. An `Ideal` key is opened only once its baseline is
 //! settled or claimed by the same visit, so it never re-records a baseline
 //! that a rival is still simulating.
 //!
@@ -85,8 +85,8 @@
 //! the key stays out of the memo, so the next call retries it. Nothing
 //! else fails a key: a claim that cannot be taken is simulated unclaimed
 //! (duplicate work is safe, stalling is not), and a store that fails keeps
-//! the result in memory, unjournaled, after one warning. No table in this
-//! module can stay poisoned (see `lock_unpoisoned`). The deterministic
+//! the result in memory only, after one warning. No table in this module
+//! can stay poisoned (see `lock_unpoisoned`). The deterministic
 //! fault-injection harness ([`crate::fault`]) exercises these paths.
 
 use crate::{
@@ -255,10 +255,6 @@ impl MemoKey {
             scale: job.scale,
         }
     }
-
-    fn stem(&self) -> String {
-        runcache::entry_stem(self.config_fp, self.scheme, self.app, self.scale)
-    }
 }
 
 /// One finished simulation.
@@ -315,22 +311,6 @@ fn baseline_key(config: &SystemConfig, app: AppId, scale: Scale) -> MemoKey {
         app,
         scale,
     }
-}
-
-/// Entry stems (see [`runcache::entry_stem`]) of every simulation this
-/// process actually executed, for the planner's resume accounting.
-static EXECUTED_STEMS: OnceLock<Mutex<Vec<String>>> = OnceLock::new();
-
-/// The cache-entry stems of every simulation executed (not memo- or
-/// cache-replayed) by this process, in completion order. The planner's
-/// `--expect-resumable` check cross-references these against the suite
-/// journal: a journaled job that shows up here was lost and re-simulated —
-/// a broken resume contract.
-pub fn executed_entry_stems() -> Vec<String> {
-    EXECUTED_STEMS
-        .get()
-        .map(|v| lock_unpoisoned(v).clone())
-        .unwrap_or_default()
 }
 
 /// Everything one job's run produced.
@@ -665,8 +645,8 @@ impl Producer<'_> {
         }
         match cache.claim(key.config_fp, key.scheme, key.app, key.scale) {
             runcache::ClaimOutcome::Held(guard) => {
-                // Re-check under the claim: a rival may have stored (and
-                // journaled) this key between the load and the claim.
+                // Re-check under the claim: a rival may have stored this
+                // key between the load and the claim.
                 if self.adopt(cache, key) {
                     self.settle(unit, Status::Found);
                     return None;
@@ -695,10 +675,9 @@ impl Producer<'_> {
         true
     }
 
-    /// Finishes one simulated key: store and journal it, memoize it, then
-    /// release its claim. A failed store keeps the result in memory only
-    /// (the cache warns once); it is not journaled, because journaled means
-    /// replayable.
+    /// Finishes one simulated key: store it, memoize it, then release its
+    /// claim. A failed store keeps the result in memory only (the cache
+    /// warns once), so a later process simulates the key again.
     fn finish(&self, claim: Claim, outcome: Result<RunOutcome, String>) {
         let Claim { unit, guard } = claim;
         let mut run = match outcome {
@@ -706,7 +685,6 @@ impl Producer<'_> {
             Err(message) => return self.settle(unit, Status::Failed(message)),
         };
         let key = &self.units[unit].key;
-        lock_unpoisoned(EXECUTED_STEMS.get_or_init(Mutex::default)).push(key.stem());
         let sim_mips = std::mem::take(&mut run.result.sim_mips);
         let entry = MemoEntry {
             result: run.result,
@@ -719,16 +697,14 @@ impl Producer<'_> {
         };
         if let Some(cache) = self.cache {
             let zombies = entry.zombies.as_deref().map(Vec::as_slice);
-            if cache.store(
+            cache.store(
                 key.config_fp,
                 key.scheme,
                 key.app,
                 key.scale,
                 &entry.result,
                 zombies,
-            ) {
-                cache.journal_append(&key.stem());
-            }
+            );
         }
         memo().insert(key.clone(), entry);
         self.settle(unit, Status::Produced { sim_mips });
@@ -778,10 +754,15 @@ fn job_error(key: &MemoKey, message: &str) -> JobError {
     }
 }
 
-/// [`run_jobs_outputs`], but a panicking job is contained to its own
-/// result slot instead of taking the whole pool (and every sibling
-/// experiment) down: its key fails with a [`JobError`] and every other
-/// job completes.
+/// Runs all jobs, fanning out across `threads` scoped OS threads, and
+/// returns each job's [`JobOutput`] in input order — parallelism never
+/// changes the output. Identical jobs (same effective config, scheme, app,
+/// scale) are executed once per process and recalled from the memoization
+/// table.
+///
+/// A panicking job is contained to its own result slot instead of taking
+/// the whole pool (and every sibling experiment) down: its key fails with
+/// a [`JobError`] and every other job completes.
 ///
 /// A failed key stays out of the memo, so a later call for the same key
 /// retries the execution — a transient fault costs one retry, it does not
@@ -821,29 +802,6 @@ pub(crate) fn try_run_jobs_counted(
     (outputs, units.len())
 }
 
-/// [`run_jobs`], but returning each job's full [`JobOutput`] (Fig. 4 needs
-/// the zombie samples, not just the aggregate result). Panics if any job
-/// panicked — callers that must survive individual job failures use
-/// [`try_run_jobs_outputs`] (the suite planner does).
-pub fn run_jobs_outputs(jobs: &[Job], threads: usize) -> Vec<JobOutput> {
-    try_run_jobs_outputs(jobs, threads)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|e| panic!("job failed: {e}")))
-        .collect()
-}
-
-/// Runs all jobs, fanning out across `threads` scoped OS threads, and
-/// returns results in the same order as the input — parallelism never
-/// changes the output. Identical jobs (same effective config, scheme, app,
-/// scale) are executed once per process and recalled from the memoization
-/// table.
-pub fn run_jobs(jobs: &[Job], threads: usize) -> Vec<RunResult> {
-    run_jobs_outputs(jobs, threads)
-        .into_iter()
-        .map(|o| o.result)
-        .collect()
-}
-
 /// The flat job list of a scheme × app matrix, in `[scheme][app]` order.
 pub fn matrix_jobs(
     config: &SystemConfig,
@@ -864,19 +822,6 @@ pub fn matrix_jobs(
             })
         })
         .collect()
-}
-
-/// Convenience: runs every app of the paper's suite under each scheme and
-/// returns results indexed `[scheme][app]` in input order.
-pub fn run_matrix(
-    config: &SystemConfig,
-    schemes: &[Scheme],
-    apps: &[AppId],
-    scale: Scale,
-    threads: usize,
-) -> Vec<Vec<RunResult>> {
-    let flat = run_jobs(&matrix_jobs(config, schemes, apps, scale), threads);
-    flat.chunks(apps.len()).map(<[RunResult]>::to_vec).collect()
 }
 
 /// Number of distinct simulations a cache-cold run of `jobs` executes:
@@ -903,71 +848,6 @@ pub fn geomean(xs: impl IntoIterator<Item = f64>) -> f64 {
     } else {
         (log_sum / n as f64).exp()
     }
-}
-
-/// Runs `scheme` vs. [`Scheme::Baseline`] over `apps` for several trace
-/// seeds and returns the seed-averaged geomean speedup — the noise-reduced
-/// headline number (single-seed outage schedules carry real variance; the
-/// paper's hours-long runs average it out intrinsically).
-pub fn mean_speedup_over_seeds(
-    config: &SystemConfig,
-    scheme: Scheme,
-    apps: &[AppId],
-    scale: Scale,
-    seeds: &[u64],
-    threads: usize,
-) -> f64 {
-    assert!(!seeds.is_empty(), "need at least one seed");
-    let flat = run_jobs(
-        &seed_sweep_jobs(config, scheme, apps, scale, seeds),
-        threads,
-    );
-    let per_seed = flat.chunks(2 * apps.len()).map(|chunk| {
-        let (base, tested) = chunk.split_at(apps.len());
-        geomean(
-            base.iter()
-                .zip(tested)
-                .map(|(b, r)| b.total_time() / r.total_time()),
-        )
-    });
-    geomean(per_seed)
-}
-
-/// The flat job list behind [`mean_speedup_over_seeds`]: one entry per
-/// (seed, Baseline | `scheme`, app) cell, in `[seed][scheme][app]` order, so
-/// a single [`run_jobs`] fan-out keeps all worker threads busy across seed
-/// boundaries instead of draining the pool at the end of each seed's
-/// matrix. Public so the suite planner can pre-register these runs.
-pub fn seed_sweep_jobs(
-    config: &SystemConfig,
-    scheme: Scheme,
-    apps: &[AppId],
-    scale: Scale,
-    seeds: &[u64],
-) -> Vec<Job> {
-    let mut jobs = Vec::with_capacity(seeds.len() * 2 * apps.len());
-    for &seed in seeds {
-        let mut seeded = config.clone();
-        if let crate::SourceKind::Preset { preset, scale, .. } = seeded.source {
-            seeded.source = crate::SourceKind::Preset {
-                preset,
-                seed,
-                scale,
-            };
-        }
-        let seeded = Arc::new(seeded);
-        for job_scheme in [Scheme::Baseline, scheme] {
-            for &app in apps {
-                jobs.push(Job {
-                    config: Arc::clone(&seeded),
-                    scheme: job_scheme,
-                    app,
-                    scale,
-                });
-            }
-        }
-    }
-    jobs
 }
 
 /// Default worker-thread count: all but one hardware thread.
@@ -1128,23 +1008,12 @@ mod tests {
                 scale: Scale::Tiny,
             })
             .collect();
-        let results = run_jobs(&jobs, 2);
+        let results: Vec<RunResult> = try_run_jobs_outputs(&jobs, 2)
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|e| panic!("job failed: {e}")).result)
+            .collect();
         assert_eq!(results[0].app, AppId::Crc32);
         assert_eq!(results[1].app, AppId::Bitcount);
-    }
-
-    #[test]
-    fn seed_averaging_returns_a_sane_factor() {
-        let config = SystemConfig::paper_default();
-        let speedup = mean_speedup_over_seeds(
-            &config,
-            Scheme::Edbp,
-            &[AppId::Crc32],
-            Scale::Tiny,
-            &[1, 2],
-            2,
-        );
-        assert!((0.5..2.0).contains(&speedup), "speedup {speedup}");
     }
 
     #[test]

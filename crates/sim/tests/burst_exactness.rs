@@ -13,7 +13,7 @@
 use ehs_cache::ReplacementPolicy;
 use ehs_energy::TracePreset;
 use ehs_nvm::MemoryTechnology;
-use ehs_sim::runner::{default_threads, run_matrix};
+use ehs_sim::runner::{default_threads, matrix_jobs, try_run_jobs_outputs};
 use ehs_sim::{
     build_lane, record_generation_trace, run_app, run_lane, Scheme, SourceKind, SystemConfig,
 };
@@ -42,17 +42,21 @@ fn variant(config: &SystemConfig, seed: u64, cycle_accurate: bool) -> SystemConf
 /// asserts cell-wise equality.
 fn assert_matrix_bit_exact(base: &SystemConfig, schemes: &[Scheme], apps: &[AppId], scale: Scale) {
     let threads = default_threads();
+    let run = |config: &SystemConfig| {
+        try_run_jobs_outputs(&matrix_jobs(config, schemes, apps, scale), threads)
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|e| panic!("job failed: {e}")).result)
+            .collect::<Vec<_>>()
+    };
     for &seed in &SEEDS {
-        let burst = run_matrix(&variant(base, seed, false), schemes, apps, scale, threads);
-        let exact = run_matrix(&variant(base, seed, true), schemes, apps, scale, threads);
-        for (b_row, e_row) in burst.iter().zip(&exact) {
-            for (b, e) in b_row.iter().zip(e_row) {
-                assert_eq!(
-                    b, e,
-                    "burst vs cycle-accurate divergence: scheme {} app {:?} seed {seed}",
-                    b.scheme, b.app
-                );
-            }
+        let burst = run(&variant(base, seed, false));
+        let exact = run(&variant(base, seed, true));
+        for (b, e) in burst.iter().zip(&exact) {
+            assert_eq!(
+                b, e,
+                "burst vs cycle-accurate divergence: scheme {} app {:?} seed {seed}",
+                b.scheme, b.app
+            );
         }
     }
 }

@@ -1,5 +1,5 @@
-//! In-process fault-injection: panic containment, store-failure degradation,
-//! and journal honesty, with a deterministic single-threaded schedule.
+//! In-process fault-injection: panic containment and store-failure
+//! degradation, with a deterministic single-threaded schedule.
 //!
 //! Everything lives in ONE `#[test]`: the fault plan, the installed
 //! persistent cache, and the fault-site counters are all process-wide, so
@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 #[test]
-fn panics_are_contained_and_failed_stores_stay_unjournaled() {
+fn panics_are_contained_and_failed_stores_leave_no_entry() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("fault-injection");
     let _ = std::fs::remove_dir_all(&dir);
     assert!(runcache::install(&dir), "first cache install wins");
@@ -27,7 +27,7 @@ fn panics_are_contained_and_failed_stores_stay_unjournaled() {
     // With one worker thread the schedule is the longest-first cost order,
     // so the fault sites land deterministically: Bitcount, BasicMath,
     // Dijkstra, Crc32 (descending committed-instruction weight).
-    //   exec hit 2  = BasicMath  -> panics (no store, no journal line)
+    //   exec hit 2  = BasicMath  -> panics (no store)
     //   store hit 3 = Crc32      -> injected EIO (simulated fine, not persisted)
     assert!(
         fault::install(FailPlan::parse("panic@exec=2,io@store=3").unwrap()),
@@ -89,7 +89,7 @@ fn panics_are_contained_and_failed_stores_stay_unjournaled() {
 
     // Disk state, via a fresh handle (not the installed one): the panicked
     // job was stored by its pass-2 retry; the EIO-injected store left no
-    // entry — and, critically, no journal line promising one.
+    // entry, so the next process simulates it again.
     let cache = RunCache::new(&dir).expect("reopen cache dir");
     let load = |app| cache.load(fp, Scheme::Baseline, app, Scale::Tiny);
     assert!(load(AppId::Bitcount).is_some());
@@ -98,13 +98,5 @@ fn panics_are_contained_and_failed_stores_stay_unjournaled() {
     assert!(
         load(AppId::Crc32).is_none(),
         "the EIO-injected store must not leave an entry"
-    );
-    let journal = cache.journal_entries();
-    assert!(journal.contains(&stem(AppId::Bitcount)));
-    assert!(journal.contains(&stem(AppId::Dijkstra)));
-    assert!(journal.contains(&stem(AppId::BasicMath)));
-    assert!(
-        !journal.contains(&stem(AppId::Crc32)),
-        "a failed store must not be journaled: journaled means replayable"
     );
 }

@@ -3,6 +3,11 @@
 //! I/O faults, kill -9 mid-run + resume, and a panicking job that must fail
 //! exactly its own figure.
 //!
+//! The cache directory is the only record of finished work, so a resumed
+//! run is held to the correctness criterion of intermittent execution: it
+//! must redo exactly the work the faults lost ([`lost_work`], read from the
+//! disk) and write figures byte-identical to an uninterrupted run.
+//!
 //! Each campaign spawns full `exp_all tiny` suites (seconds each in
 //! release, minutes in debug), so every campaign is `#[ignore]`d out of
 //! the default `cargo test` pass. The CI fault-injection job runs them
@@ -17,6 +22,11 @@
 //! prints. The always-on, fast in-process slice of the fault matrix lives
 //! in `tests/fault_injection.rs`.
 
+use ehs_sim::planner::plan_suite;
+use ehs_sim::runcache::RunCache;
+use ehs_sim::runner::{count_unique, effective_fingerprint, unique_jobs, Job};
+use ehs_sim::Scheme;
+use ehs_workloads::Scale;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -119,24 +129,37 @@ fn simulated_count(stdout: &str) -> u64 {
 }
 
 fn suite_unique_at_tiny() -> u64 {
-    let plan = ehs_sim::planner::plan_suite(ehs_workloads::Scale::Tiny);
-    ehs_sim::runner::count_unique(&plan.jobs) as u64
+    count_unique(&plan_suite(Scale::Tiny).jobs) as u64
 }
 
-/// Every stem the journal in `cache` lists more than once, with its count.
-fn repeated_journal_lines(cache: &Path) -> Vec<(String, usize)> {
-    ehs_sim::runcache::RunCache::new(cache)
-        .expect("open campaign cache")
-        .journal_occurrences()
-        .into_iter()
-        .filter(|&(_, n)| n > 1)
-        .collect()
+/// The simulations a clean `exp_all tiny` over `cache` must execute: one
+/// for each unique key whose entry does not load, plus one more for each
+/// such `Ideal` key whose baseline does load (its oracle trace is not
+/// persisted, so the baseline is re-recorded).
+fn lost_work(cache: &Path) -> u64 {
+    let cache = RunCache::new(cache).expect("open campaign cache");
+    let loads = |job: &Job, scheme: Scheme| {
+        let fp = effective_fingerprint(&job.config, scheme);
+        cache.load(fp, scheme, job.app, job.scale).is_some()
+    };
+    unique_jobs(&plan_suite(Scale::Tiny).jobs)
+        .iter()
+        .filter(|job| !loads(job, job.scheme))
+        .map(|job| {
+            if job.scheme.needs_oracle_trace() && loads(job, Scheme::Baseline) {
+                2
+            } else {
+                1
+            }
+        })
+        .sum()
 }
 
 /// Two `exp_all` processes racing on one shared run cache must both
-/// succeed, produce byte-identical figures, and leave a cache with no torn
-/// entries, no orphan temp files, and no leaked claims — validated by a
-/// third run that must replay it without a single simulation.
+/// succeed, produce byte-identical figures, simulate every unique job once
+/// between them, and leave a complete cache with no orphan temp files and
+/// no leaked claims — validated by a third run that must replay it without
+/// a single simulation.
 #[test]
 #[ignore = "spawns full exp_all suites; CI fault-injection job runs with --release --ignored"]
 fn concurrent_suites_share_one_cache_without_corruption() {
@@ -175,26 +198,13 @@ fn concurrent_suites_share_one_cache_without_corruption() {
         unique,
         "the two runs simulated {sim_a} + {sim_b} jobs"
     );
-    // ...and journaled each job once. Both runs started on an empty
-    // journal, so their startup compaction hid nothing.
-    let journal = ehs_sim::runcache::RunCache::new(&cache)
-        .expect("open the shared cache")
-        .journal_occurrences();
-    assert_eq!(journal.len() as u64, unique, "distinct journaled stems");
-    assert!(
-        journal.values().all(|&n| n == 1),
-        "jobs journaled more than once"
-    );
+    // Every unique entry loads from the shared directory.
+    assert_eq!(lost_work(&cache), 0, "the pair left work undone");
 
-    // No debris: a finished pair leaves only entries, the journal and the
-    // journal's compaction lock file (never unlinked, so that every
-    // compactor locks one inode).
+    // No debris: a finished pair leaves only entries.
     for entry in std::fs::read_dir(&cache).expect("read cache dir").flatten() {
         let name = entry.file_name().to_string_lossy().into_owned();
-        assert!(
-            name.ends_with(".run") || name == "journal.log" || name == "journal.lock",
-            "leftover cache debris: {name}"
-        );
+        assert!(name.ends_with(".run"), "leftover cache debris: {name}");
     }
 
     // The shared cache replays cleanly: zero simulations, same figures.
@@ -206,9 +216,11 @@ fn concurrent_suites_share_one_cache_without_corruption() {
 }
 
 /// A suite killed (exit as-if-SIGKILLed) at seeded random store points must,
-/// on re-invocation, replay every journaled job from cache (the
-/// `--expect-resumable` contract) and still produce figures byte-identical
-/// to a never-interrupted run.
+/// on a plain re-invocation, simulate exactly the work the kill lost and
+/// produce figures byte-identical to a never-interrupted run. The "mixed"
+/// case carries all three fault kinds in one run — a job panic, a torn
+/// cache write, and a kill that fires last (store 61 comes after store 23
+/// and after the first zombie execution).
 #[test]
 #[ignore = "spawns full exp_all suites; CI fault-injection job runs with --release --ignored"]
 fn killed_suite_resumes_byte_identical() {
@@ -225,16 +237,22 @@ fn killed_suite_resumes_byte_identical() {
     // [2, unique] so at least one store lands before the kill.
     let early = 2 + next_rand(&mut rng) % (unique / 4).max(1);
     let late = (unique / 2 + next_rand(&mut rng) % (unique / 4).max(1)).min(unique);
-    for (label, kill_at) in [("early", early), ("late", late)] {
+    for (label, plan) in [
+        ("early", format!("kill@store={early}")),
+        ("late", format!("kill@store={late}")),
+        (
+            "mixed",
+            "panic@zombie=1,short@store=23,kill@store=61".to_string(),
+        ),
+    ] {
         let cache = fresh_dir(&format!("kill-{label}-cache"));
         let results = fresh_dir(&format!("kill-{label}-results"));
 
-        let plan = format!("kill@store={kill_at}");
         let killed = run_exp_all(&results, &cache, Some(&plan), &[]);
         assert_eq!(
             killed.status.code(),
             Some(137),
-            "{label} kill at store {kill_at} must die with the SIGKILL code, got {}:\n{}",
+            "{label} run under {plan} must die with the SIGKILL code, got {}:\n{}",
             killed.status,
             stderr_of(&killed)
         );
@@ -243,17 +261,14 @@ fn killed_suite_resumes_byte_identical() {
             "{label}: kill must announce itself on stderr"
         );
 
-        let resumed = run_exp_all(&results, &cache, None, &["--expect-resumable"]);
+        let lost = lost_work(&cache);
+        eprintln!("{label} ({plan}): {lost} simulation(s) lost");
+        let resumed = run_exp_all(&results, &cache, None, &[]);
         assert_clean_exit(&resumed, "resumed run");
-        let stdout = stdout_of(&resumed);
-        assert!(
-            stdout.contains("resume:"),
-            "{label}: resumed run must report the journal it picked up:\n{stdout}"
-        );
-        let resimulated = simulated_count(&stdout);
-        assert!(
-            resimulated < unique,
-            "{label}: resume must replay journaled work, not redo all {unique} jobs"
+        assert_eq!(
+            simulated_count(&stdout_of(&resumed)),
+            lost,
+            "{label}: the resume must redo exactly the work the kill lost"
         );
         assert_eq!(
             figures(&results),
@@ -267,8 +282,9 @@ fn killed_suite_resumes_byte_identical() {
     }
 }
 
-/// Each flag of the removed fleet roles is an unknown argument: usage on
-/// stderr, exit 2, nothing run — cheap enough for the default pass.
+/// Each flag of the removed fleet roles, and the removed resume check, is
+/// an unknown argument: usage on stderr, exit 2, nothing run — cheap
+/// enough for the default pass.
 #[test]
 fn removed_fleet_flags_exit_with_usage() {
     let cache = fresh_dir("removed-flags-cache");
@@ -279,6 +295,7 @@ fn removed_fleet_flags_exit_with_usage() {
         &["--wait", "5"],
         &["--verify", "ref"],
         &["--max-retries", "3"],
+        &["--expect-resumable"],
     ] {
         let out = run_exp_all(&results, &cache, None, flags);
         assert_eq!(
@@ -303,15 +320,12 @@ fn removed_fleet_flags_exit_with_usage() {
 /// unclaimed). Each run exits 0 or 137, and each that exits 0 wrote every
 /// figure byte-identical to a single-process run. Wave 2 is clean
 /// concurrent runs that finish the set and write the same figures (so a
-/// killed run's claims freed), and a final run replays the cache without
-/// a simulation. After wave 1 the journal lists no stem three times and at
-/// most one twice: the key the `io@claim` run simulated unclaimed, which a
-/// rival may also have produced. Every `exp_all` compacts the journal at
-/// startup, so each wave's journal is read before the next wave starts;
-/// after wave 2, whose runs compacted wave 1's lines, no stem may repeat.
-/// (Wave 1's two `io` runs exit 0, so they leave wave 2 a complete cache;
-/// the clean concurrent split is checked by
-/// `concurrent_suites_share_one_cache_without_corruption`.)
+/// killed run's claims freed); together they simulate exactly the work
+/// wave 1 left undone, read from the disk. A final run replays the cache
+/// without a simulation. (Wave 1's two `io` runs exit 0, so wave 2 usually
+/// finds a complete cache; the clean concurrent split is checked by
+/// `concurrent_suites_share_one_cache_without_corruption`, and a failed
+/// claim attempt's reach by `tests/claim_faults.rs`.)
 #[test]
 #[ignore = "spawns full exp_all suites; CI fault-injection job runs with --release --ignored"]
 fn four_runs_under_seeded_faults_render_byte_identical() {
@@ -368,28 +382,24 @@ fn four_runs_under_seeded_faults_render_byte_identical() {
             ),
         }
     }
-    // A run killed between store and journal loses the line, never
-    // duplicates it; only the unclaimed key may be journaled twice.
-    let repeated = repeated_journal_lines(&cache);
-    assert!(
-        repeated.len() <= 1 && repeated.iter().all(|(_, n)| *n == 2),
-        "wave 1 executed jobs to completion more than once: {repeated:?}"
-    );
 
     // Wave 2: clean runs finish whatever the killed runs left behind,
-    // claiming their keys at once.
+    // claiming their keys at once, and split it without duplication.
+    let lost = lost_work(&cache);
+    eprintln!("after wave 1: {lost} simulation(s) lost");
+    let mut simulated = 0;
     for (results, out) in spawn_wave("wave2", &[None, None]) {
         assert_clean_exit(&out, "recovery run");
+        simulated += simulated_count(&stdout_of(&out));
         assert_eq!(
             figures(&results),
             golden_figs,
             "a recovery run's figures diverged from the reference"
         );
     }
-    let repeated = repeated_journal_lines(&cache);
-    assert!(
-        repeated.is_empty(),
-        "the clean wave 2 executed jobs to completion more than once: {repeated:?}"
+    assert_eq!(
+        simulated, lost,
+        "wave 2 must redo exactly the work wave 1 left undone"
     );
 
     let warm_results = fresh_dir("fleet-warm-results");
@@ -402,7 +412,7 @@ fn four_runs_under_seeded_faults_render_byte_identical() {
 /// A job panic (plus a torn cache write) fails exactly the one figure
 /// whose plan contains the panicked job; every other figure is written, the
 /// run exits 1 with a structured summary, and the re-invocation simulates
-/// only the work actually lost to the faults.
+/// exactly the work lost to the faults.
 #[test]
 #[ignore = "spawns full exp_all suites; CI fault-injection job runs with --release --ignored"]
 fn panicking_job_fails_only_its_own_figure() {
@@ -448,9 +458,11 @@ fn panicking_job_fails_only_its_own_figure() {
     // Re-invocation completes the suite, resimulating only the lost work:
     // the panicked zombie job, the torn-store job, and (only when the torn
     // entry was an Ideal run) its oracle-trace refill.
-    let resumed = run_exp_all(&results, &cache, None, &["--expect-resumable"]);
+    let lost = lost_work(&cache);
+    let resumed = run_exp_all(&results, &cache, None, &[]);
     assert_clean_exit(&resumed, "resumed run after contained panic");
     let resimulated = simulated_count(&stdout_of(&resumed));
+    assert_eq!(resimulated, lost, "resume must redo exactly the lost work");
     assert!(
         (2..=3).contains(&resimulated),
         "resume must simulate only the jobs lost to faults, simulated {resimulated}"

@@ -314,136 +314,3 @@ fn sweep_removes_only_unheld_claims() {
     assert!(!leftover.exists(), "an old claim nobody holds is debris");
     drop(guard);
 }
-
-/// Compaction folds duplicate lines (first-seen order), drops the torn
-/// tail, rewrites atomically, and is idempotent; `journal_occurrences`
-/// exposes the raw pre-compaction counts the fleet tests assert on.
-#[test]
-fn journal_compaction_dedups_and_drops_the_torn_tail() {
-    let cache = tmp_cache("journal-compact");
-    for stem in ["aaaa-a", "bbbb-b", "aaaa-a", "cccc-c", "bbbb-b"] {
-        cache.journal_append(stem);
-    }
-    use std::io::Write as _;
-    std::fs::OpenOptions::new()
-        .append(true)
-        .open(cache.journal_path())
-        .expect("open journal")
-        .write_all(b"dddd-torn")
-        .expect("append torn line");
-
-    let occurrences = cache.journal_occurrences();
-    assert_eq!(occurrences.get("aaaa-a"), Some(&2));
-    assert_eq!(occurrences.get("bbbb-b"), Some(&2));
-    assert_eq!(occurrences.get("cccc-c"), Some(&1));
-    assert_eq!(
-        occurrences.get("dddd-torn"),
-        None,
-        "torn line is not a record"
-    );
-
-    let removed = cache.compact_journal().expect("compaction succeeds");
-    assert_eq!(removed, 3, "two duplicates + one torn line removed");
-    let text = std::fs::read_to_string(cache.journal_path()).expect("journal readable");
-    assert_eq!(
-        text, "aaaa-a\nbbbb-b\ncccc-c\n",
-        "first-seen order, complete lines"
-    );
-    assert_eq!(
-        cache.compact_journal().expect("second compaction succeeds"),
-        0,
-        "compaction is idempotent"
-    );
-
-    // A concurrent compactor's lock makes compaction a no-op instead of a
-    // race.
-    cache.journal_append("aaaa-a");
-    let rival = hold_journal_lock(&cache);
-    assert_eq!(cache.compact_journal().expect("locked compaction skips"), 0);
-    assert_eq!(cache.journal_occurrences().get("aaaa-a"), Some(&2));
-    drop(rival);
-    assert_eq!(cache.compact_journal().expect("unlocked compaction"), 1);
-}
-
-/// Takes the compaction lock the way a rival compactor does: an exclusive
-/// kernel lock on `journal.lock`, through a file handle of its own.
-fn hold_journal_lock(cache: &RunCache) -> std::fs::File {
-    let lock = std::fs::OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(false)
-        .open(cache.dir().join("journal.lock"))
-        .expect("open journal.lock");
-    lock.try_lock().expect("lock journal.lock");
-    lock
-}
-
-/// A `journal.lock` file that no live process holds — what a compactor
-/// killed mid-compaction leaves — does not stop the next compaction.
-#[test]
-fn a_leftover_journal_lock_does_not_stop_compaction() {
-    let cache = tmp_cache("journal-leftover-lock");
-    for stem in ["aaaa-a", "bbbb-b", "aaaa-a"] {
-        cache.journal_append(stem);
-    }
-    std::fs::write(cache.dir().join("journal.lock"), b"").expect("plant a leftover lock file");
-    assert_eq!(
-        cache.compact_journal().expect("compaction succeeds"),
-        1,
-        "an unheld lock file must not skip compaction"
-    );
-    let text = std::fs::read_to_string(cache.journal_path()).expect("journal readable");
-    assert_eq!(text, "aaaa-a\nbbbb-b\n");
-}
-
-/// Opening a cache never sweeps `journal.lock`, however old: a compactor
-/// holding it keeps excluding rivals.
-#[test]
-fn a_held_journal_lock_survives_the_sweep() {
-    let cache = tmp_cache("journal-held-lock");
-    for stem in ["aaaa-a", "aaaa-a"] {
-        cache.journal_append(stem);
-    }
-    let rival = hold_journal_lock(&cache);
-    let lock_path = cache.dir().join("journal.lock");
-    rival
-        .set_modified(SystemTime::now() - Duration::from_secs(7200))
-        .expect("backdate journal.lock");
-
-    let reopened = RunCache::new(cache.dir()).expect("reopen cache");
-    assert!(
-        lock_path.exists(),
-        "a held journal.lock must survive the sweep"
-    );
-    assert_eq!(
-        reopened.compact_journal().expect("locked compaction skips"),
-        0
-    );
-    assert_eq!(reopened.journal_occurrences().get("aaaa-a"), Some(&2));
-    drop(rival);
-}
-
-/// The journal deduplicates complete lines and skips a torn final line —
-/// the exact artifact of a process killed mid-append.
-#[test]
-fn journal_skips_a_torn_final_line() {
-    let cache = tmp_cache("journal");
-    cache.journal_append("aaaa-edbp-crc32-tiny");
-    cache.journal_append("bbbb-edbp-sha-tiny");
-    cache.journal_append("aaaa-edbp-crc32-tiny"); // duplicate: folded
-    use std::io::Write as _;
-    std::fs::OpenOptions::new()
-        .append(true)
-        .open(cache.journal_path())
-        .expect("open journal")
-        .write_all(b"cccc-torn-mid-app")
-        .expect("append torn line");
-    let entries = cache.journal_entries();
-    assert_eq!(entries.len(), 2);
-    assert!(entries.contains("aaaa-edbp-crc32-tiny"));
-    assert!(entries.contains("bbbb-edbp-sha-tiny"));
-    assert!(
-        !entries.iter().any(|e| e.starts_with("cccc")),
-        "a torn (newline-less) final line must be ignored"
-    );
-}

@@ -7,7 +7,7 @@
 # figure to results/<binary-name>.txt — byte-identical to what the
 # standalone binary prints. Results persist in results/.runcache/, so
 # re-running after a partial edit — or after an interruption, even kill -9;
-# completed work is journaled and replayed — only simulates what is missing.
+# every entry on disk is replayed — only simulates what is missing.
 # Pass --no-cache to force a fully fresh pass.
 set -eu
 cd "$(dirname "$0")"

@@ -156,14 +156,14 @@ fn failure_free_run_matches_golden_too() {
 /// The harness is held to the same crash-consistency bar as the simulated
 /// caches: a torn run-cache write (injected via the deterministic fault
 /// harness) must never surface as a wrong result — the torn entry is
-/// rejected on load, stays out of the resume journal, and the result that
+/// rejected on load, so a resume re-simulates it, and the result that
 /// reached the caller is the fault-free one.
 #[test]
 fn torn_runcache_write_never_corrupts_a_result() {
     use edbp_repro::sim::fault::{self, FailPlan};
     use edbp_repro::sim::run_app;
     use edbp_repro::sim::runcache::{self, entry_stem, RunCache};
-    use edbp_repro::sim::runner::{effective_fingerprint, run_jobs, Job};
+    use edbp_repro::sim::runner::{effective_fingerprint, try_run_jobs_outputs, Job};
     use edbp_repro::workloads::{AppId, Scale};
     use std::sync::Arc;
 
@@ -181,16 +181,18 @@ fn torn_runcache_write_never_corrupts_a_result() {
         app: AppId::Crc32,
         scale: Scale::Tiny,
     };
-    let results = run_jobs(std::slice::from_ref(&job), 1);
+    let output = try_run_jobs_outputs(std::slice::from_ref(&job), 1)
+        .pop()
+        .expect("one output")
+        .unwrap_or_else(|e| panic!("job failed: {e}"));
 
     // The caller's result is the fault-free one: the tear happened strictly
     // after the simulation, on the persistence path.
     let fresh = run_app(&config, Scheme::Edbp, AppId::Crc32, Scale::Tiny);
-    assert_eq!(results[0], fresh, "torn store leaked into the result");
+    assert_eq!(output.result, fresh, "torn store leaked into the result");
 
     // The torn bytes landed at the final path (the injected fault bypasses
-    // the atomic rename on purpose), yet a fresh handle rejects them and
-    // the journal never promised the entry was replayable.
+    // the atomic rename on purpose), yet a fresh handle rejects them.
     let fp = effective_fingerprint(&config, Scheme::Edbp);
     let stem = entry_stem(fp, Scheme::Edbp, AppId::Crc32, Scale::Tiny);
     let cache = RunCache::new(&dir).expect("reopen cache dir");
@@ -204,7 +206,6 @@ fn torn_runcache_write_never_corrupts_a_result() {
             .is_none(),
         "torn entry must be rejected on load"
     );
-    assert!(!cache.journal_entries().contains(&stem));
 
     // Recovery: a healthy store (the one-shot fault is spent) overwrites
     // the torn file and round-trips exactly.
