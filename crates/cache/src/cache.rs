@@ -22,76 +22,19 @@ pub struct BlockId {
     pub way: u8,
 }
 
-/// A dirty block that must be written back to the backing store.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Writeback {
-    /// Block-aligned byte address.
-    pub addr: u64,
-    /// The block's data.
-    pub data: Vec<u8>,
-}
-
-/// Details of a hit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HitInfo {
-    /// Where the block lives.
-    pub block: BlockId,
-    /// Whether the block was dirty *before* this access.
-    pub was_dirty: bool,
-}
-
-/// Details of a miss. The victim way has already been evicted; the caller
-/// must fetch the block from the backing store, perform `writeback` if
-/// present, and then call [`Cache::fill`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MissInfo {
-    /// The frame freed for the incoming block.
-    pub victim: BlockId,
-    /// Block-aligned address of the valid block that was evicted, if the
-    /// victim frame held one (clean or dirty).
-    pub evicted: Option<u64>,
-    /// Dirty victim content that must be written back, if any.
-    pub writeback: Option<Writeback>,
-}
-
 /// Result of [`Cache::lookup`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LookupOutcome {
-    /// The block was present and powered.
-    Hit(HitInfo),
-    /// The block was absent (or its frame was gated).
-    Miss(MissInfo),
-}
-
-impl LookupOutcome {
-    /// True for [`LookupOutcome::Hit`].
-    pub fn is_hit(&self) -> bool {
-        matches!(self, LookupOutcome::Hit(_))
-    }
-}
-
-/// Details of a miss as reported by [`Cache::lookup_with`]: like
-/// [`MissInfo`] but without owning the victim's dirty data — that went to
-/// the caller's write-back sink instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MissResult {
-    /// The frame freed for the incoming block.
-    pub victim: BlockId,
-    /// Block-aligned address of the valid block that was evicted, if the
-    /// victim frame held one (clean or dirty).
-    pub evicted: Option<u64>,
-    /// Whether the victim was dirty (its content was passed to the sink).
-    pub wrote_back: bool,
-}
-
-/// Result of [`Cache::lookup_with`] — the allocation-free counterpart of
-/// [`LookupOutcome`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LookupResult {
-    /// The block was present and powered.
-    Hit(HitInfo),
-    /// The block was absent (or its frame was gated).
-    Miss(MissResult),
+    /// The block was present and powered, in this frame.
+    Hit(BlockId),
+    /// The block was absent (or its frame was gated). The victim frame has
+    /// already been vacated; the caller fetches the block from the backing
+    /// store and then calls [`Cache::fill`].
+    Miss {
+        /// Block-aligned address of the valid block that was evicted, if the
+        /// victim frame held one (clean or dirty).
+        evicted: Option<u64>,
+    },
 }
 
 impl LookupResult {
@@ -101,9 +44,7 @@ impl LookupResult {
     }
 }
 
-/// Result of [`Cache::gate_with`] — the allocation-free counterpart of
-/// [`GateOutcome`]: dirty content goes to the caller's sink instead of an
-/// owned [`Writeback`].
+/// Result of power-gating a block via [`Cache::gate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GateResult {
     /// The frame was already gated; nothing happened.
@@ -116,24 +57,6 @@ pub enum GateResult {
         addr: u64,
         /// Whether it was dirty (its content was passed to the sink).
         dirty: bool,
-    },
-}
-
-/// Result of power-gating a block via [`Cache::gate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GateOutcome {
-    /// The frame was already gated; nothing happened.
-    AlreadyGated,
-    /// The frame held no valid block; it is now gated and leak-free.
-    GatedInvalid,
-    /// A valid block was deactivated. If it was dirty, its content is
-    /// returned and the caller must write it back (paper Section V-A:
-    /// "dirty blocks require their write back before deactivation").
-    GatedValid {
-        /// Block-aligned address of the deactivated block.
-        addr: u64,
-        /// Dirty content to write back, `None` if the block was clean.
-        writeback: Option<Writeback>,
     },
 }
 
@@ -366,33 +289,12 @@ impl Cache {
     }
 
     /// Performs an access. On a miss, the victim frame is evicted
-    /// immediately (its dirty content returned for write-back) and the
-    /// caller is expected to [`Cache::fill`] the requested block next.
-    ///
-    /// Thin wrapper over [`Cache::lookup_with`] that materialises the dirty
-    /// victim as an owned [`Writeback`]; hot paths use the sink variant.
-    pub fn lookup(&mut self, addr: u64, kind: AccessKind) -> LookupOutcome {
-        let mut writeback = None;
-        match self.lookup_with(addr, kind, |wb_addr, data| {
-            writeback = Some(Writeback {
-                addr: wb_addr,
-                data: data.to_vec(),
-            });
-        }) {
-            LookupResult::Hit(hit) => LookupOutcome::Hit(hit),
-            LookupResult::Miss(miss) => LookupOutcome::Miss(MissInfo {
-                victim: miss.victim,
-                evicted: miss.evicted,
-                writeback,
-            }),
-        }
-    }
-
-    /// Performs an access without allocating: if the miss victim was dirty,
-    /// its (address, data) is handed to `wb_sink` instead of being copied
-    /// into an owned [`Writeback`]. Identical state transitions and
-    /// statistics to [`Cache::lookup`] (which wraps it).
-    pub fn lookup_with(
+    /// immediately and the caller is expected to [`Cache::fill`] the
+    /// requested block next. A dirty victim leaves the cache through
+    /// `wb_sink`, called once with its block address and a borrow of its
+    /// bytes before this returns, so the caller writes it back without an
+    /// allocation; `wb_sink` is not called otherwise.
+    pub fn lookup(
         &mut self,
         addr: u64,
         kind: AccessKind,
@@ -410,16 +312,12 @@ impl Cache {
         if match_mask != 0 {
             let way_idx = match_mask.trailing_zeros() as u8;
             let bit = 1u16 << way_idx;
-            let was_dirty = self.dirty[s] & bit != 0;
             self.dirty[s] |= bit & (0u16.wrapping_sub(u16::from(kind == AccessKind::Write)));
             self.policy[s].on_hit(self.config.policy, way_idx, ways);
             self.stats.hits += 1;
-            return LookupResult::Hit(HitInfo {
-                block: BlockId {
-                    set: set_idx,
-                    way: way_idx,
-                },
-                was_dirty,
+            return LookupResult::Hit(BlockId {
+                set: set_idx,
+                way: way_idx,
             });
         }
 
@@ -450,26 +348,14 @@ impl Cache {
         self.tags[frame] = TAG_NONE;
         self.valid[s] &= !bit;
         self.dirty[s] &= !bit;
-        let wrote_back = match evicted {
-            Some(wb_addr) if victim_dirty => {
+        if let Some(wb_addr) = evicted {
+            self.stats.evictions += 1;
+            if victim_dirty {
                 self.stats.writebacks += 1;
                 wb_sink(wb_addr, self.frame_data(set_idx, victim_way));
-                true
             }
-            _ => false,
-        };
-        if evicted.is_some() {
-            self.stats.evictions += 1;
         }
-
-        LookupResult::Miss(MissResult {
-            victim: BlockId {
-                set: set_idx,
-                way: victim_way,
-            },
-            evicted,
-            wrote_back,
-        })
+        LookupResult::Miss { evicted }
     }
 
     /// Installs a block (after the backing store supplied `data`), re-powering
@@ -557,30 +443,13 @@ impl Cache {
         self.data[start..start + bytes.len()].copy_from_slice(bytes);
     }
 
-    /// Power-gates a frame (gate-Vdd). Content is lost; dirty content is
-    /// returned so the caller can write it back *first*.
-    ///
-    /// Thin wrapper over [`Cache::gate_with`] that materialises the dirty
-    /// content as an owned [`Writeback`]; hot paths use the sink variant.
-    pub fn gate(&mut self, block: BlockId) -> GateOutcome {
-        let mut writeback = None;
-        match self.gate_with(block, |addr, data| {
-            writeback = Some(Writeback {
-                addr,
-                data: data.to_vec(),
-            });
-        }) {
-            GateResult::AlreadyGated => GateOutcome::AlreadyGated,
-            GateResult::GatedInvalid => GateOutcome::GatedInvalid,
-            GateResult::GatedValid { addr, .. } => GateOutcome::GatedValid { addr, writeback },
-        }
-    }
-
-    /// Power-gates a frame without allocating: dirty content is handed to
-    /// `wb_sink` as a borrowed slice instead of being copied into an owned
-    /// [`Writeback`]. Identical state transitions and statistics to
-    /// [`Cache::gate`] (which wraps it).
-    pub fn gate_with(&mut self, block: BlockId, wb_sink: impl FnOnce(u64, &[u8])) -> GateResult {
+    /// Power-gates a frame (gate-Vdd): its content is lost and it stops
+    /// leaking. A dirty block leaves the cache through `wb_sink` first,
+    /// called once with its block address and a borrow of its bytes, so the
+    /// caller saves it before deactivation (paper Section V-A: "dirty blocks
+    /// require their write back before deactivation") without an
+    /// allocation; `wb_sink` is not called otherwise.
+    pub fn gate(&mut self, block: BlockId, wb_sink: impl FnOnce(u64, &[u8])) -> GateResult {
         let s = block.set as usize;
         let bit = 1u16 << block.way;
         if self.gated[s] & bit != 0 {
@@ -598,16 +467,13 @@ impl Cache {
         self.tags[frame] = TAG_NONE;
         self.valid[s] &= !bit;
         let addr = self.block_addr(block.set, tag);
-        let was_dirty = self.dirty[s] & bit != 0;
+        let dirty = self.dirty[s] & bit != 0;
         self.dirty[s] &= !bit;
-        if was_dirty {
+        if dirty {
             self.stats.writebacks += 1;
             wb_sink(addr, self.frame_data(block.set, block.way));
         }
-        GateResult::GatedValid {
-            addr,
-            dirty: was_dirty,
-        }
+        GateResult::GatedValid { addr, dirty }
     }
 
     /// Models a power outage: every frame loses its content and comes back
@@ -625,9 +491,8 @@ impl Cache {
     }
 
     /// Visits every *valid, powered* block (clean and dirty) without
-    /// allocating: `f(block_addr, data, dirty)`. The hot path for JIT
-    /// checkpointing and whole-cache schemes such as SDBP; the `Vec`
-    /// snapshots below are thin wrappers kept for tests and cold paths.
+    /// allocating: `f(block_addr, data, dirty)`, in set then way order. The
+    /// walk behind JIT checkpointing and whole-cache schemes such as SDBP.
     pub fn for_each_valid(&self, mut f: impl FnMut(u64, &[u8], bool)) {
         let ways = usize::from(self.ways());
         for (s, &valid) in self.valid.iter().enumerate() {
@@ -674,28 +539,6 @@ impl Cache {
         })
     }
 
-    /// Snapshot of every *valid, powered* dirty block, for JIT checkpointing.
-    pub fn dirty_blocks(&self) -> Vec<Writeback> {
-        let mut out = Vec::new();
-        self.for_each_dirty(|addr, data| {
-            out.push(Writeback {
-                addr,
-                data: data.to_vec(),
-            });
-        });
-        out
-    }
-
-    /// Snapshot of every *valid, powered* block (clean and dirty), for
-    /// whole-cache checkpointing schemes such as SDBP.
-    pub fn valid_blocks(&self) -> Vec<(u64, Vec<u8>, bool)> {
-        let mut out = Vec::new();
-        self.for_each_valid(|addr, data, dirty| {
-            out.push((addr, data.to_vec(), dirty));
-        });
-        out
-    }
-
     /// Views of every way in a set, annotated with eviction ranks, written
     /// into the low slots of a caller-provided buffer — the allocation-free
     /// interface predictors use to pick gating victims. Returns the number
@@ -723,20 +566,6 @@ impl Cache {
         }
         usize::from(ways)
     }
-
-    /// Views of every way in a set, annotated with eviction ranks — a thin
-    /// allocating wrapper over [`Cache::set_view_into`] for tests and cold
-    /// paths.
-    pub fn set_view(&self, set: u32) -> Vec<WayView> {
-        let mut buf = [WayView::default(); MAX_WAYS];
-        let n = self.set_view_into(set, &mut buf);
-        buf[..n].to_vec()
-    }
-
-    /// Collects the addresses of all valid powered blocks.
-    pub fn resident_addrs(&self) -> Vec<u64> {
-        self.resident_addrs_iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -754,12 +583,31 @@ mod tests {
 
     const BLK: [u8; 16] = [0xAB; 16];
 
+    /// An access whose caller expects no dirty victim.
+    fn access(c: &mut Cache, addr: u64, kind: AccessKind) -> LookupResult {
+        c.lookup(addr, kind, |wb_addr, _| {
+            panic!("unexpected write-back of {wb_addr:#x}")
+        })
+    }
+
+    fn dirty_addrs(c: &Cache) -> Vec<u64> {
+        let mut out = Vec::new();
+        c.for_each_dirty(|addr, _| out.push(addr));
+        out
+    }
+
     #[test]
     fn cold_miss_then_hit() {
         let mut c = small();
-        assert!(!c.lookup(0x40, AccessKind::Read).is_hit());
-        c.fill(0x40, &BLK, false);
-        assert!(c.lookup(0x40, AccessKind::Read).is_hit());
+        assert_eq!(
+            access(&mut c, 0x40, AccessKind::Read),
+            LookupResult::Miss { evicted: None }
+        );
+        let id = c.fill(0x40, &BLK, false);
+        assert_eq!(
+            access(&mut c, 0x40, AccessKind::Read),
+            LookupResult::Hit(id)
+        );
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
     }
@@ -779,69 +627,71 @@ mod tests {
     #[test]
     fn write_hit_dirties_block() {
         let mut c = small();
-        c.lookup(0x40, AccessKind::Write);
-        c.fill(0x40, &BLK, true);
-        match c.lookup(0x40, AccessKind::Write) {
-            LookupOutcome::Hit(h) => assert!(h.was_dirty),
-            _ => panic!("expected hit"),
-        }
+        access(&mut c, 0x40, AccessKind::Read);
+        c.fill(0x40, &BLK, false);
+        assert!(dirty_addrs(&c).is_empty(), "clean fill");
+        assert!(access(&mut c, 0x40, AccessKind::Write).is_hit());
+        assert_eq!(dirty_addrs(&c), [0x40]);
     }
 
     #[test]
     fn read_hit_keeps_block_clean() {
         let mut c = small();
-        c.lookup(0x40, AccessKind::Read);
+        access(&mut c, 0x40, AccessKind::Read);
         c.fill(0x40, &BLK, false);
-        match c.lookup(0x40, AccessKind::Read) {
-            LookupOutcome::Hit(h) => assert!(!h.was_dirty),
-            _ => panic!("expected hit"),
-        }
-        assert!(c.dirty_blocks().is_empty(), "read hits must not dirty");
+        assert!(access(&mut c, 0x40, AccessKind::Read).is_hit());
+        assert!(dirty_addrs(&c).is_empty(), "read hits must not dirty");
     }
 
     #[test]
     fn dirty_eviction_produces_writeback() {
         let mut c = small();
         // Fill both ways of set 0, first one dirty.
-        c.lookup(0x00, AccessKind::Write);
+        access(&mut c, 0x00, AccessKind::Write);
         c.fill(0x00, &BLK, true);
-        c.lookup(0x40, AccessKind::Read);
+        access(&mut c, 0x40, AccessKind::Read);
         c.fill(0x40, &BLK, false);
         // Third conflicting block evicts LRU (0x00, dirty).
-        match c.lookup(0x80, AccessKind::Read) {
-            LookupOutcome::Miss(m) => {
-                let wb = m.writeback.expect("dirty victim");
-                assert_eq!(wb.addr, 0x00);
-                assert_eq!(wb.data, BLK.to_vec());
+        let mut wb = None;
+        let outcome = c.lookup(0x80, AccessKind::Read, |addr, data| {
+            wb = Some((addr, data.to_vec()));
+        });
+        assert_eq!(
+            outcome,
+            LookupResult::Miss {
+                evicted: Some(0x00)
             }
-            _ => panic!("expected miss"),
-        }
+        );
+        assert_eq!(wb, Some((0x00, BLK.to_vec())));
         assert_eq!(c.stats().writebacks, 1);
     }
 
     #[test]
     fn clean_eviction_has_no_writeback() {
         let mut c = small();
-        c.lookup(0x00, AccessKind::Read);
+        access(&mut c, 0x00, AccessKind::Read);
         c.fill(0x00, &BLK, false);
-        c.lookup(0x40, AccessKind::Read);
+        access(&mut c, 0x40, AccessKind::Read);
         c.fill(0x40, &BLK, false);
-        match c.lookup(0x80, AccessKind::Read) {
-            LookupOutcome::Miss(m) => assert!(m.writeback.is_none()),
-            _ => panic!("expected miss"),
-        }
+        assert_eq!(
+            access(&mut c, 0x80, AccessKind::Read),
+            LookupResult::Miss {
+                evicted: Some(0x00)
+            }
+        );
+        assert_eq!(c.stats().writebacks, 0);
     }
 
     #[test]
     fn lru_eviction_order() {
         let mut c = small();
-        c.lookup(0x00, AccessKind::Read);
+        access(&mut c, 0x00, AccessKind::Read);
         c.fill(0x00, &BLK, false);
-        c.lookup(0x40, AccessKind::Read);
+        access(&mut c, 0x40, AccessKind::Read);
         c.fill(0x40, &BLK, false);
         // Touch 0x00 so 0x40 becomes LRU.
-        c.lookup(0x00, AccessKind::Read);
-        c.lookup(0x80, AccessKind::Read);
+        access(&mut c, 0x00, AccessKind::Read);
+        access(&mut c, 0x80, AccessKind::Read);
         c.fill(0x80, &BLK, false);
         assert!(c.contains(0x00).is_some(), "MRU block survives");
         assert!(c.contains(0x40).is_none(), "LRU block evicted");
@@ -850,16 +700,17 @@ mod tests {
     #[test]
     fn gate_clean_block_loses_content_silently() {
         let mut c = small();
-        c.lookup(0x00, AccessKind::Read);
+        access(&mut c, 0x00, AccessKind::Read);
         c.fill(0x00, &BLK, false);
         let id = c.contains(0x00).expect("resident");
-        match c.gate(id) {
-            GateOutcome::GatedValid { addr, writeback } => {
-                assert_eq!(addr, 0x00);
-                assert!(writeback.is_none());
+        let outcome = c.gate(id, |addr, _| panic!("clean {addr:#x} written back"));
+        assert_eq!(
+            outcome,
+            GateResult::GatedValid {
+                addr: 0x00,
+                dirty: false
             }
-            other => panic!("unexpected {other:?}"),
-        }
+        );
         assert!(c.contains(0x00).is_none(), "gated block is gone");
         assert_eq!(c.gated_blocks(), 1);
         assert_eq!(c.active_blocks(), c.blocks() - 1);
@@ -868,34 +719,42 @@ mod tests {
     #[test]
     fn gate_dirty_block_returns_writeback() {
         let mut c = small();
-        c.lookup(0x00, AccessKind::Write);
+        access(&mut c, 0x00, AccessKind::Write);
         c.fill(0x00, &BLK, true);
         let id = c.contains(0x00).expect("resident");
-        match c.gate(id) {
-            GateOutcome::GatedValid { writeback, .. } => {
-                let wb = writeback.expect("dirty content must be written back");
-                assert_eq!(wb.addr, 0x00);
+        let mut wb = None;
+        let outcome = c.gate(id, |addr, data| wb = Some((addr, data.to_vec())));
+        assert_eq!(
+            outcome,
+            GateResult::GatedValid {
+                addr: 0x00,
+                dirty: true
             }
-            other => panic!("unexpected {other:?}"),
-        }
+        );
+        assert_eq!(
+            wb,
+            Some((0x00, BLK.to_vec())),
+            "dirty content must be written back"
+        );
+        assert_eq!(c.stats().writebacks, 1);
     }
 
     #[test]
     fn gate_is_idempotent() {
         let mut c = small();
         let id = BlockId { set: 0, way: 0 };
-        assert_eq!(c.gate(id), GateOutcome::GatedInvalid);
-        assert_eq!(c.gate(id), GateOutcome::AlreadyGated);
+        assert_eq!(c.gate(id, |_, _| {}), GateResult::GatedInvalid);
+        assert_eq!(c.gate(id, |_, _| {}), GateResult::AlreadyGated);
         assert_eq!(c.gated_blocks(), 1);
     }
 
     #[test]
     fn fill_repowers_gated_frame() {
         let mut c = small();
-        c.gate(BlockId { set: 0, way: 0 });
-        c.gate(BlockId { set: 0, way: 1 });
+        c.gate(BlockId { set: 0, way: 0 }, |_, _| {});
+        c.gate(BlockId { set: 0, way: 1 }, |_, _| {});
         assert_eq!(c.active_blocks(), c.blocks() - 2);
-        c.lookup(0x00, AccessKind::Read);
+        access(&mut c, 0x00, AccessKind::Read);
         c.fill(0x00, &BLK, false);
         assert_eq!(c.gated_blocks(), 1, "one frame re-powered by the fill");
         assert!(c.contains(0x00).is_some());
@@ -904,40 +763,41 @@ mod tests {
     #[test]
     fn power_fail_clears_everything() {
         let mut c = small();
-        c.lookup(0x00, AccessKind::Write);
+        access(&mut c, 0x00, AccessKind::Write);
         c.fill(0x00, &BLK, true);
-        c.gate(BlockId { set: 1, way: 0 });
+        c.gate(BlockId { set: 1, way: 0 }, |_, _| {});
         let lost = c.power_fail();
         assert_eq!(lost, 1);
         assert_eq!(c.gated_blocks(), 0, "reboot re-powers all frames");
         assert!(c.contains(0x00).is_none());
+        assert_eq!(c.resident_addrs_iter().count(), 0);
         assert_eq!(c.stats().power_failures, 1);
     }
 
     #[test]
-    fn dirty_blocks_snapshot() {
+    fn walks_visit_the_valid_and_the_dirty() {
         let mut c = small();
-        c.lookup(0x00, AccessKind::Write);
+        access(&mut c, 0x00, AccessKind::Write);
         c.fill(0x00, &BLK, true);
-        c.lookup(0x10, AccessKind::Read);
-        c.fill(0x10, &BLK, false);
-        let dirty = c.dirty_blocks();
-        assert_eq!(dirty.len(), 1);
-        assert_eq!(dirty[0].addr, 0x00);
-        assert_eq!(c.valid_blocks().len(), 2);
+        access(&mut c, 0x10, AccessKind::Read);
+        c.fill(0x10, &[0xCD; 16], false);
+        assert_eq!(dirty_addrs(&c), [0x00]);
+        let mut valid = Vec::new();
+        c.for_each_valid(|addr, data, dirty| valid.push((addr, data[0], dirty)));
+        assert_eq!(valid, [(0x00, 0xAB, true), (0x10, 0xCD, false)]);
     }
 
     #[test]
     fn set_view_exposes_ranks_and_state() {
         let mut c = small();
-        c.lookup(0x00, AccessKind::Read);
+        access(&mut c, 0x00, AccessKind::Read);
         c.fill(0x00, &BLK, false);
-        c.lookup(0x40, AccessKind::Write);
+        access(&mut c, 0x40, AccessKind::Write);
         c.fill(0x40, &BLK, true);
-        let view = c.set_view(0);
-        assert_eq!(view.len(), 2);
-        let v0 = view.iter().find(|v| v.addr == 0x00).expect("present");
-        let v1 = view.iter().find(|v| v.addr == 0x40).expect("present");
+        let mut view = [WayView::default(); MAX_WAYS];
+        assert_eq!(c.set_view_into(0, &mut view), 2);
+        let v0 = view[..2].iter().find(|v| v.addr == 0x00).expect("present");
+        let v1 = view[..2].iter().find(|v| v.addr == 0x40).expect("present");
         assert!(v0.valid && !v0.dirty);
         assert!(v1.valid && v1.dirty);
         assert_eq!(v1.rank, 0, "most recent fill is MRU");
@@ -945,10 +805,10 @@ mod tests {
     }
 
     #[test]
-    fn set_view_into_matches_set_view() {
+    fn set_view_into_writes_only_the_low_slots() {
         let mut c = small();
         for addr in [0x00, 0x40, 0x00, 0x80] {
-            if !c.lookup(addr, AccessKind::Read).is_hit() {
+            if !access(&mut c, addr, AccessKind::Read).is_hit() {
                 c.fill(addr, &BLK, false);
             }
         }
@@ -957,7 +817,14 @@ mod tests {
             ..WayView::default()
         }; MAX_WAYS];
         assert_eq!(c.set_view_into(0, &mut buf), 2);
-        assert_eq!(&buf[..2], c.set_view(0).as_slice());
+        assert_eq!(
+            buf[..2]
+                .iter()
+                .map(|v| (v.addr, v.rank))
+                .collect::<Vec<_>>(),
+            [(0x00, 1), (0x80, 0)],
+            "0x80 replaced LRU 0x40 in way 1 and is most recent"
+        );
         assert!(
             buf[2..].iter().all(|v| v.rank == 0xAA),
             "slots past ways kept"
@@ -967,22 +834,21 @@ mod tests {
     #[test]
     fn data_round_trip_and_write_data() {
         let mut c = small();
-        c.lookup(0x00, AccessKind::Read);
+        access(&mut c, 0x00, AccessKind::Read);
         let id = c.fill(0x00, &BLK, false);
         c.write_data(id, 4, &[1, 2, 3, 4]);
         assert_eq!(&c.data(id)[4..8], &[1, 2, 3, 4]);
-        let dirty = c.dirty_blocks();
-        assert_eq!(dirty.len(), 1, "write_data dirties the block");
+        assert_eq!(dirty_addrs(&c), [0x00], "write_data dirties the block");
     }
 
     #[test]
     fn gated_frame_tag_match_is_a_miss() {
         let mut c = small();
-        c.lookup(0x00, AccessKind::Read);
+        access(&mut c, 0x00, AccessKind::Read);
         c.fill(0x00, &BLK, false);
         let id = c.contains(0x00).expect("resident");
-        c.gate(id);
-        assert!(!c.lookup(0x00, AccessKind::Read).is_hit());
+        c.gate(id, |_, _| {});
+        assert!(!access(&mut c, 0x00, AccessKind::Read).is_hit());
     }
 
     #[test]
@@ -1003,7 +869,7 @@ mod tests {
         // Streaming pattern: DRRIP should not thrash everything.
         for i in 0..4096u64 {
             let addr = i * 16;
-            if !c.lookup(addr, AccessKind::Read).is_hit() {
+            if !access(&mut c, addr, AccessKind::Read).is_hit() {
                 c.fill(addr, &blk, false);
             }
         }

@@ -1,17 +1,25 @@
-//! Model-based property tests: the cache against a trivially-correct
-//! reference model, under random mixes of accesses, gating, and power
-//! failures.
+//! Model-based property tests: the cache against a reference model, under
+//! random mixes of accesses, gating, and power failures.
 
-use ehs_cache::{AccessKind, Cache, CacheConfig, CacheGeometry, LookupOutcome, ReplacementPolicy};
+use ehs_cache::{
+    AccessKind, BlockId, Cache, CacheConfig, CacheGeometry, GateResult, LookupResult,
+    ReplacementPolicy, WayView, MAX_WAYS,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
+
+type Block = [u8; 16];
 
 /// Operations thrown at the cache.
 #[derive(Debug, Clone)]
 enum Op {
     Read(u64),
-    Write(u64),
-    Gate { set: u32, way: u8 },
+    /// Stores the word at the block's offset 0.
+    Write(u64, u32),
+    Gate {
+        set: u32,
+        way: u8,
+    },
     PowerFail,
 }
 
@@ -20,18 +28,63 @@ fn op_strategy(sets: u32, ways: u8) -> impl Strategy<Value = Op> {
     let addr = (0u64..64).prop_map(|i| i * 16);
     prop_oneof![
         4 => addr.clone().prop_map(Op::Read),
-        3 => addr.prop_map(Op::Write),
+        3 => (addr, any::<u32>()).prop_map(|(addr, value)| Op::Write(addr, value)),
         2 => (0..sets, 0..ways).prop_map(|(set, way)| Op::Gate { set, way }),
         1 => Just(Op::PowerFail),
     ]
 }
 
-/// Reference model: a map from block address to dirty flag, with LRU
-/// modelled implicitly (we only check membership-consistency properties
-/// that hold for any replacement policy, plus the counters).
+/// Reference model. Which frame a block lands in and which block a miss
+/// evicts are the replacement policy's choice, so the model learns them
+/// from the cache's own reports (fills, evictions, gating, outages); it
+/// then holds every resident block's bytes and dirty flag, and the backing
+/// memory that write-backs update and fills read.
 #[derive(Default)]
 struct Reference {
-    dirty: HashMap<u64, bool>,
+    /// Block address -> (bytes, dirty) for every block the cache must hold.
+    resident: HashMap<u64, (Block, bool)>,
+    /// The last bytes written back for each block.
+    memory: HashMap<u64, Block>,
+}
+
+impl Reference {
+    /// What a fill of `addr` installs: the written-back copy, else bytes
+    /// unique to the address, so a visitor handing out another frame's
+    /// bytes cannot hide behind identical block images.
+    fn memory_block(&self, addr: u64) -> Block {
+        self.memory.get(&addr).copied().unwrap_or_else(|| {
+            let mut block = [0u8; 16];
+            block[..8].copy_from_slice(&addr.to_le_bytes());
+            block[8..].copy_from_slice(&(!addr).to_le_bytes());
+            block
+        })
+    }
+
+    /// A dirty block left the cache through a write-back sink: it must be
+    /// one the model holds dirty, carrying the bytes the model holds.
+    fn write_back(&mut self, addr: u64, data: &[u8]) {
+        let (bytes, dirty) = self
+            .resident
+            .get_mut(&addr)
+            .unwrap_or_else(|| panic!("write-back of {addr:#x}, which is not resident"));
+        assert!(*dirty, "clean block {addr:#x} written back");
+        assert_eq!(
+            data, bytes,
+            "write-back of {addr:#x} carried the wrong bytes"
+        );
+        *dirty = false;
+        self.memory.insert(addr, *bytes);
+    }
+
+    /// A block left the cache by eviction or gating; its write-back, if it
+    /// was dirty, must already have happened.
+    fn drop_block(&mut self, addr: u64) {
+        let (_, dirty) = self
+            .resident
+            .remove(&addr)
+            .unwrap_or_else(|| panic!("{addr:#x} left the cache but was not resident"));
+        assert!(!dirty, "dirty block {addr:#x} left without a write-back");
+    }
 }
 
 fn small_cache(policy: ReplacementPolicy) -> Cache {
@@ -39,109 +92,152 @@ fn small_cache(policy: ReplacementPolicy) -> Cache {
     Cache::new(CacheConfig { geometry, policy })
 }
 
-fn check_invariants(cache: &Cache, reference: &Reference) {
-    // 1. Gated + active partition the frames.
+/// A read or write-allocate access of `addr`, as the memory system makes
+/// it: a miss fills the block from memory, dirty when it is a write.
+fn access(cache: &mut Cache, reference: &mut Reference, addr: u64, kind: AccessKind) -> BlockId {
+    let outcome = cache.lookup(addr, kind, |wb_addr, data| {
+        reference.write_back(wb_addr, data)
+    });
+    let write = kind == AccessKind::Write;
+    match outcome {
+        LookupResult::Hit(frame) => {
+            let (_, dirty) = reference
+                .resident
+                .get_mut(&addr)
+                .unwrap_or_else(|| panic!("hit on {addr:#x}, which is not resident"));
+            *dirty |= write;
+            frame
+        }
+        LookupResult::Miss { evicted } => {
+            assert!(
+                !reference.resident.contains_key(&addr),
+                "miss on resident {addr:#x}"
+            );
+            if let Some(ev) = evicted {
+                reference.drop_block(ev);
+            }
+            let block = reference.memory_block(addr);
+            reference.resident.insert(addr, (block, write));
+            cache.fill(addr, &block, write)
+        }
+    }
+}
+
+/// The cache agrees with the reference, and its walks with each other:
+/// - every `for_each_valid` block is visible to `contains` and carries the
+///   bytes and dirty flag the reference holds, and the walk misses none of
+///   the reference's blocks;
+/// - `for_each_dirty` yields exactly the dirty subset of `for_each_valid`,
+///   in the same order;
+/// - `resident_addrs_iter` yields exactly `for_each_valid`'s addresses, in
+///   order;
+/// - `set_view_into` agrees on validity and dirtiness, and each set's
+///   eviction ranks are a permutation of `0..ways`.
+fn check_against_reference(cache: &Cache, reference: &Reference) {
     assert_eq!(cache.active_blocks() + cache.gated_blocks(), cache.blocks());
-    // 2. Every resident dirty block agrees with the reference dirty flag.
-    for wb in cache.dirty_blocks() {
+
+    let mut valid: Vec<(u64, Vec<u8>, bool)> = Vec::new();
+    cache.for_each_valid(|addr, data, dirty| {
+        let frame = cache
+            .contains(addr)
+            .unwrap_or_else(|| panic!("walked {addr:#x}, which contains() cannot see"));
         assert_eq!(
-            reference.dirty.get(&wb.addr),
-            Some(&true),
-            "cache says {:#x} is dirty, reference disagrees",
-            wb.addr
+            cache.data(frame),
+            data,
+            "{addr:#x}: walk and frame disagree"
         );
-    }
-    // 3. valid_blocks and contains agree.
-    for (addr, _, _) in cache.valid_blocks() {
-        assert!(cache.contains(addr).is_some());
-    }
-    // 4. Ranks in every set are a permutation of 0..ways.
+        let (bytes, model_dirty) = reference
+            .resident
+            .get(&addr)
+            .unwrap_or_else(|| panic!("walked {addr:#x}, which is not resident"));
+        assert_eq!(data, bytes, "{addr:#x} carries the wrong bytes");
+        assert_eq!(
+            dirty, *model_dirty,
+            "{addr:#x} carries the wrong dirty flag"
+        );
+        valid.push((addr, data.to_vec(), dirty));
+    });
+    assert_eq!(
+        valid.len(),
+        reference.resident.len(),
+        "for_each_valid missed a resident block"
+    );
+
+    let mut dirty: Vec<(u64, Vec<u8>)> = Vec::new();
+    cache.for_each_dirty(|addr, data| dirty.push((addr, data.to_vec())));
+    let dirty_subset: Vec<(u64, Vec<u8>)> = valid
+        .iter()
+        .filter(|(_, _, d)| *d)
+        .map(|(addr, data, _)| (*addr, data.clone()))
+        .collect();
+    assert_eq!(
+        dirty, dirty_subset,
+        "for_each_dirty is not the dirty subset of for_each_valid"
+    );
+
+    let addrs: Vec<u64> = cache.resident_addrs_iter().collect();
+    let valid_addrs: Vec<u64> = valid.iter().map(|(addr, _, _)| *addr).collect();
+    assert_eq!(
+        addrs, valid_addrs,
+        "resident_addrs_iter diverged from for_each_valid"
+    );
+
+    let mut valid_ways = 0;
     for set in 0..cache.sets() {
-        let mut ranks: Vec<u8> = cache.set_view(set).iter().map(|v| v.rank).collect();
+        let mut view = [WayView::default(); MAX_WAYS];
+        let n = cache.set_view_into(set, &mut view);
+        assert_eq!(n, usize::from(cache.ways()));
+        for way in &view[..n] {
+            if way.valid {
+                valid_ways += 1;
+                let model_dirty = reference.resident.get(&way.addr).map(|&(_, d)| d);
+                assert_eq!(model_dirty, Some(way.dirty), "set view of {:#x}", way.addr);
+            }
+        }
+        let mut ranks: Vec<u8> = view[..n].iter().map(|v| v.rank).collect();
         ranks.sort_unstable();
         let expect: Vec<u8> = (0..cache.ways()).collect();
         assert_eq!(ranks, expect);
     }
-}
-
-/// The borrowing visitor APIs must report exactly what the legacy `Vec`
-/// snapshot APIs report — same blocks, same data, same order. The hot paths
-/// use the visitors; the snapshots are the specification.
-fn check_visitor_equivalence(cache: &Cache) {
-    let valid = cache.valid_blocks();
-    let mut visited: Vec<(u64, Vec<u8>, bool)> = Vec::new();
-    cache.for_each_valid(|addr, data, dirty| visited.push((addr, data.to_vec(), dirty)));
-    assert_eq!(visited, valid, "for_each_valid diverged from valid_blocks");
-
-    let dirty = cache.dirty_blocks();
-    let mut dirty_visited: Vec<(u64, Vec<u8>)> = Vec::new();
-    cache.for_each_dirty(|addr, data| dirty_visited.push((addr, data.to_vec())));
-    assert_eq!(dirty_visited.len(), dirty.len());
-    for (got, want) in dirty_visited.iter().zip(&dirty) {
-        assert_eq!(
-            got.0, want.addr,
-            "for_each_dirty diverged from dirty_blocks"
-        );
-        assert_eq!(got.1, want.data);
-    }
-
-    let addrs: Vec<u64> = cache.resident_addrs_iter().collect();
-    assert_eq!(addrs, cache.resident_addrs());
-    let from_valid: Vec<u64> = valid.iter().map(|(a, _, _)| *a).collect();
-    assert_eq!(
-        addrs, from_valid,
-        "resident_addrs_iter diverged from valid_blocks"
-    );
+    assert_eq!(valid_ways, reference.resident.len());
 }
 
 fn run_ops(policy: ReplacementPolicy, ops: &[Op]) {
     let mut cache = small_cache(policy);
     let mut reference = Reference::default();
-    let block = [0u8; 16];
     for op in ops {
-        match op {
+        match *op {
             Op::Read(addr) => {
-                if let LookupOutcome::Miss(miss) = cache.lookup(*addr, AccessKind::Read) {
-                    if let Some(ev) = miss.evicted {
-                        // Evicted blocks are clean in memory afterwards.
-                        reference.dirty.insert(ev, false);
-                    }
-                    cache.fill(*addr, &block, false);
-                    reference.dirty.insert(*addr, false);
-                }
+                access(&mut cache, &mut reference, addr, AccessKind::Read);
             }
-            Op::Write(addr) => {
-                if let LookupOutcome::Miss(miss) = cache.lookup(*addr, AccessKind::Write) {
-                    if let Some(ev) = miss.evicted {
-                        reference.dirty.insert(ev, false);
-                    }
-                    cache.fill(*addr, &block, true);
-                }
-                reference.dirty.insert(*addr, true);
+            Op::Write(addr, value) => {
+                let frame = access(&mut cache, &mut reference, addr, AccessKind::Write);
+                cache.write_data(frame, 0, &value.to_le_bytes());
+                let (bytes, _) = reference.resident.get_mut(&addr).expect("just accessed");
+                bytes[..4].copy_from_slice(&value.to_le_bytes());
             }
             Op::Gate { set, way } => {
-                use ehs_cache::GateOutcome;
-                let id = ehs_cache::BlockId {
-                    set: *set,
-                    way: *way,
-                };
-                if let GateOutcome::GatedValid { addr, .. } = cache.gate(id) {
-                    // Gated content is written back conceptually: clean now.
-                    reference.dirty.insert(addr, false);
+                let mut wrote_back = false;
+                let outcome = cache.gate(BlockId { set, way }, |addr, data| {
+                    reference.write_back(addr, data);
+                    wrote_back = true;
+                });
+                if let GateResult::GatedValid { addr, dirty } = outcome {
+                    assert_eq!(dirty, wrote_back, "gating {addr:#x}");
+                    reference.drop_block(addr);
                     assert!(cache.contains(addr).is_none(), "gated block still visible");
                 }
             }
             Op::PowerFail => {
-                cache.power_fail();
-                for flag in reference.dirty.values_mut() {
-                    *flag = false; // baseline semantics: contents gone
-                }
+                let lost = cache.power_fail();
+                assert_eq!(lost as usize, reference.resident.len());
+                // Baseline semantics: cached contents are gone, dirty or
+                // not; memory keeps what was written back.
+                reference.resident.clear();
                 assert_eq!(cache.gated_blocks(), 0, "reboot re-powers frames");
-                assert!(cache.valid_blocks().is_empty(), "reboot leaves no data");
             }
         }
-        check_invariants(&cache, &reference);
-        check_visitor_equivalence(&cache);
+        check_against_reference(&cache, &reference);
     }
     // Accounting sanity at the end.
     let stats = cache.stats();
@@ -179,7 +275,7 @@ proptest! {
         let mut expected: HashMap<u64, u32> = HashMap::new();
         for (slot, value) in writes {
             let addr = slot * 16;
-            if let LookupOutcome::Miss(_) = cache.lookup(addr, AccessKind::Write) {
+            if !cache.lookup(addr, AccessKind::Write, |_, _| {}).is_hit() {
                 cache.fill(addr, &[0u8; 16], true);
             }
             let frame = cache.contains(addr).expect("just filled");
@@ -196,27 +292,22 @@ proptest! {
     }
 
     #[test]
-    fn visitors_match_snapshots_with_random_data(
-        writes in proptest::collection::vec((0u64..48, any::<u32>(), any::<bool>()), 1..128)
+    fn visitors_match_the_reference_with_random_data(
+        accesses in proptest::collection::vec((0u64..48, any::<u32>(), any::<bool>()), 1..128)
     ) {
-        // Distinct per-block contents and a mix of clean/dirty fills, so a
-        // frame-indexing bug in the arena-backed visitors cannot hide
-        // behind identical block images.
-        let mut cache = small_cache(ReplacementPolicy::Lru);
-        for (slot, value, dirty) in writes {
-            let addr = slot * 16;
-            let kind = if dirty { AccessKind::Write } else { AccessKind::Read };
-            if let LookupOutcome::Miss(_) = cache.lookup(addr, kind) {
-                let mut block = [0u8; 16];
-                block[..4].copy_from_slice(&value.to_le_bytes());
-                block[12..].copy_from_slice(&(addr as u32).to_le_bytes());
-                cache.fill(addr, &block, dirty);
-            } else if dirty {
-                let frame = cache.contains(addr).expect("hit");
-                cache.write_data(frame, 0, &value.to_le_bytes());
-            }
-            check_visitor_equivalence(&cache);
-        }
+        // Accesses only, over more conflicting blocks than the op mix
+        // uses: long runs of dirty evictions with distinct block contents.
+        let ops: Vec<Op> = accesses
+            .into_iter()
+            .map(|(slot, value, write)| {
+                if write {
+                    Op::Write(slot * 16, value)
+                } else {
+                    Op::Read(slot * 16)
+                }
+            })
+            .collect();
+        run_ops(ReplacementPolicy::Lru, &ops);
     }
 
     #[test]
@@ -230,7 +321,7 @@ proptest! {
         let mut last = None;
         for slot in addrs {
             let addr = slot * 16;
-            if !cache.lookup(addr, AccessKind::Read).is_hit() {
+            if !cache.lookup(addr, AccessKind::Read, |_, _| {}).is_hit() {
                 cache.fill(addr, &[0u8; 16], false);
             }
             last = Some(addr);

@@ -149,7 +149,7 @@ impl LeakagePredictor for AdaptiveModeControl {
                         // Dirty content is parked in the NVSRAM twin, as
                         // with EDBP.
                         let parked = &mut out.parked;
-                        match cache.gate_with(block, |addr, data| parked.push(addr, data)) {
+                        match cache.gate(block, |addr, data| parked.push(addr, data)) {
                             GateResult::GatedValid { addr, dirty } => {
                                 self.asleep.insert(addr, ());
                                 out.gated.push(GatedBlock { addr, dirty });
@@ -202,7 +202,7 @@ mod tests {
     #[test]
     fn idle_block_is_gated() {
         let (mut cache, mut amc) = setup();
-        cache.lookup(0x40, AccessKind::Read);
+        cache.lookup(0x40, AccessKind::Read, |_, _| {});
         let id = cache.fill(0x40, &[0u8; 16], false);
         amc.on_fill(&cache, id, 0x40);
         let mut gated = 0;

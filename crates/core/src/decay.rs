@@ -43,13 +43,13 @@ const COUNTER_DEAD: u8 = 3;
 ///
 /// ```
 /// use edbp_core::{CacheDecay, DecayConfig, LeakagePredictor};
-/// use ehs_cache::{AccessKind, Cache, CacheConfig, LookupOutcome};
+/// use ehs_cache::{AccessKind, Cache, CacheConfig};
 /// use ehs_units::Voltage;
 ///
 /// let mut cache = Cache::new(CacheConfig::paper_dcache());
 /// let config = DecayConfig { decay_interval_cycles: 4096 };
 /// let mut decay = CacheDecay::new(config, &cache);
-/// cache.lookup(0x40, AccessKind::Read);
+/// cache.lookup(0x40, AccessKind::Read, |_, _| {});
 /// let id = cache.fill(0x40, &[0u8; 16], false);
 /// decay.on_fill(&cache, id, 0x40);
 ///
@@ -142,7 +142,7 @@ impl LeakagePredictor for CacheDecay {
                         // its nonvolatile twin (the sink fires only for a
                         // dirty valid block).
                         let parked = &mut out.parked;
-                        match cache.gate_with(block, |addr, data| parked.push(addr, data)) {
+                        match cache.gate(block, |addr, data| parked.push(addr, data)) {
                             GateResult::GatedValid { addr, dirty } => {
                                 out.gated.push(GatedBlock { addr, dirty });
                             }
@@ -198,7 +198,7 @@ mod tests {
         } else {
             AccessKind::Read
         };
-        cache.lookup(addr, kind);
+        cache.lookup(addr, kind, |_, _| {});
         let id = cache.fill(addr, &[0u8; 16], dirty);
         decay.on_fill(cache, id, addr);
     }
@@ -224,8 +224,10 @@ mod tests {
         for cycle in 0..=8192u64 {
             // Touch the block every 512 cycles: it must never decay.
             if cycle % 512 == 0 {
-                if let ehs_cache::LookupOutcome::Hit(h) = cache.lookup(0x40, AccessKind::Read) {
-                    decay.on_hit(&cache, h.block, 0x40);
+                if let ehs_cache::LookupResult::Hit(block) =
+                    cache.lookup(0x40, AccessKind::Read, |_, _| {})
+                {
+                    decay.on_hit(&cache, block, 0x40);
                 } else {
                     panic!("block disappeared at cycle {cycle}");
                 }

@@ -25,9 +25,12 @@
 //!   paper's redefined coverage and accuracy (Section IV, Eqs. 1–2).
 //!
 //! Predictors are *policies over a mechanism*: they observe cache events and
-//! decide which frames to power-gate via [`ehs_cache::Cache::gate`]. The
-//! full-system simulator (`ehs-sim`) owns the event loop and charges the
-//! energy costs of whatever a predictor asks for.
+//! decide which frames to power-gate via [`ehs_cache::Cache::gate`]. A
+//! gated dirty block leaves through `gate`'s write-back sink into the tick's
+//! [`TickOutcome::parked`] arena, to be saved in its NVSRAM twin; every
+//! predictor uses that one outlet. The full-system simulator (`ehs-sim`)
+//! owns the event loop and charges the energy costs of whatever a predictor
+//! asks for.
 //!
 //! # Example
 //!
@@ -42,7 +45,7 @@
 //! // Fill all four ways of one set (the paper cache has 64 sets of 16 B
 //! // blocks, so addresses 0x400 apart collide).
 //! for addr in [0x100u64, 0x500, 0x900, 0xD00] {
-//!     cache.lookup(addr, AccessKind::Read);
+//!     cache.lookup(addr, AccessKind::Read, |_, _| {});
 //!     cache.fill(addr, &[0u8; 16], false);
 //! }
 //!

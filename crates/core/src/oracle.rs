@@ -263,7 +263,7 @@ impl LeakagePredictor for OraclePredictor {
             // The ideal predictor enjoys the NVSRAM parking path (the sink
             // fires only for a dirty valid block).
             let parked = &mut out.parked;
-            match cache.gate_with(block, |a, data| parked.push(a, data)) {
+            match cache.gate(block, |a, data| parked.push(a, data)) {
                 GateResult::GatedValid { addr, dirty } => {
                     out.gated.push(GatedBlock { addr, dirty });
                 }
@@ -312,10 +312,10 @@ mod tests {
         let mut cache = Cache::new(CacheConfig::paper_dcache());
         let mut rec = OracleRecorder::new();
         for &addr in seq {
-            match cache.lookup(addr, AccessKind::Read) {
-                ehs_cache::LookupOutcome::Hit(_) => rec.on_hit(addr),
-                ehs_cache::LookupOutcome::Miss(miss) => {
-                    if let Some(ev) = miss.evicted {
+            match cache.lookup(addr, AccessKind::Read, |_, _| {}) {
+                ehs_cache::LookupResult::Hit(_) => rec.on_hit(addr),
+                ehs_cache::LookupResult::Miss { evicted } => {
+                    if let Some(ev) = evicted {
                         rec.on_evict(ev);
                     }
                     cache.fill(addr, &[0u8; 16], false);
@@ -339,7 +339,7 @@ mod tests {
         let trace = record(&[0x40]);
         let mut oracle = OraclePredictor::new(trace);
         let mut cache = Cache::new(CacheConfig::paper_dcache());
-        cache.lookup(0x40, AccessKind::Read);
+        cache.lookup(0x40, AccessKind::Read, |_, _| {});
         let id = cache.fill(0x40, &[0u8; 16], false);
         oracle.on_fill(&cache, id, 0x40);
         // Healthy supply: the guarded kill must wait.
@@ -361,7 +361,7 @@ mod tests {
         let mut cache = Cache::new(CacheConfig::paper_dcache());
         // Replay only the first fill; its generation is eviction-ended with
         // a single access, so it dies immediately even at high voltage.
-        cache.lookup(0x000, AccessKind::Read);
+        cache.lookup(0x000, AccessKind::Read, |_, _| {});
         let id = cache.fill(0x000, &[0u8; 16], false);
         oracle.on_fill(&cache, id, 0x000);
         let out = oracle.tick(&mut cache, V_HIGH, 0);
@@ -377,11 +377,11 @@ mod tests {
         let mut extra_misses = 0;
         let mut seen = std::collections::HashSet::new();
         for &addr in &seq {
-            match cache.lookup(addr, AccessKind::Read) {
-                ehs_cache::LookupOutcome::Hit(h) => {
-                    oracle.on_hit(&cache, h.block, addr);
+            match cache.lookup(addr, AccessKind::Read, |_, _| {}) {
+                ehs_cache::LookupResult::Hit(block) => {
+                    oracle.on_hit(&cache, block, addr);
                 }
-                ehs_cache::LookupOutcome::Miss(_) => {
+                ehs_cache::LookupResult::Miss { .. } => {
                     if seen.contains(&addr) {
                         extra_misses += 1;
                     }
@@ -400,7 +400,7 @@ mod tests {
         let trace = record(&[0x40]);
         let mut oracle = OraclePredictor::new(trace);
         let mut cache = Cache::new(CacheConfig::paper_dcache());
-        cache.lookup(0xF00, AccessKind::Read);
+        cache.lookup(0xF00, AccessKind::Read, |_, _| {});
         let id = cache.fill(0xF00, &[0u8; 16], false);
         oracle.on_fill(&cache, id, 0xF00);
         assert!(oracle.tick(&mut cache, V_LOW, 0).gated.is_empty());
@@ -412,7 +412,7 @@ mod tests {
         let trace = record(&[0x40]);
         let mut oracle = OraclePredictor::new(trace);
         let mut cache = Cache::new(CacheConfig::paper_dcache());
-        cache.lookup(0x40, AccessKind::Read);
+        cache.lookup(0x40, AccessKind::Read, |_, _| {});
         let id = cache.fill(0x40, &[0u8; 16], false);
         oracle.on_fill(&cache, id, 0x40);
         cache.power_fail();

@@ -17,8 +17,10 @@ pub struct GatedBlock {
 /// A flat, reusable list of dirty-block images: entry addresses in one
 /// `Vec`, their bytes packed end-to-end in a single contiguous pool.
 ///
-/// Replaces the old `Vec<Writeback>` (one heap allocation per entry for the
-/// `data` vector). [`WritebackArena::clear`] keeps capacity, so a
+/// A predictor fills it from the write-back sink of
+/// [`ehs_cache::Cache::gate`] (`|addr, data| arena.push(addr, data)`), so a
+/// gated dirty block is copied once, into the pool, and never into a
+/// per-block allocation. [`WritebackArena::clear`] keeps capacity, so a
 /// simulation-owned scratch [`TickOutcome`] reaches its high-water size once
 /// and every later tick appends without touching the allocator.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -67,14 +69,12 @@ impl WritebackArena {
 pub struct TickOutcome {
     /// Valid blocks that were deactivated.
     pub gated: Vec<GatedBlock>,
-    /// Dirty content to be written back to main memory (the conventional
-    /// predictors' discipline; the simulator charges an NVM write for each).
-    pub writebacks: WritebackArena,
-    /// Dirty content *parked* in its nonvolatile NVSRAM twin instead of
-    /// written to memory (EDBP's discipline on an NVSRAM platform): the
-    /// simulator charges an in-place save, recalls the block cheaply if it
-    /// is re-referenced, and restores it at reboot like any checkpointed
-    /// block. See `DESIGN.md` §5.
+    /// The content of every gated dirty block, *parked* in its nonvolatile
+    /// NVSRAM twin instead of written to main memory: the simulator charges
+    /// an in-place save, recalls the block cheaply if it is re-referenced,
+    /// and restores it at reboot like any checkpointed block. This is the
+    /// one outlet for dirty data a tick gates, for every predictor. See
+    /// `DESIGN.md` §5.
     pub parked: WritebackArena,
 }
 
@@ -82,13 +82,12 @@ impl TickOutcome {
     /// Removes everything, keeping capacity (the reusable-scratch contract).
     pub fn clear(&mut self) {
         self.gated.clear();
-        self.writebacks.clear();
         self.parked.clear();
     }
 
     /// Whether this tick changed any state the simulator must account for.
     pub fn is_empty(&self) -> bool {
-        self.gated.is_empty() && self.writebacks.is_empty() && self.parked.is_empty()
+        self.gated.is_empty() && self.parked.is_empty()
     }
 }
 
@@ -345,8 +344,7 @@ mod tests {
         let mut cache = Cache::new(CacheConfig::paper_dcache());
         let mut p = NullPredictor::new();
         let out = p.tick(&mut cache, Voltage::from_volts(2.9), 123);
-        assert!(out.gated.is_empty());
-        assert!(out.writebacks.is_empty());
+        assert!(out.is_empty());
         assert_eq!(cache.gated_blocks(), 0);
     }
 

@@ -100,7 +100,7 @@ proptest! {
         let mut last_in_set0 = None;
         for slot in fills {
             let addr = slot * 0x400; // all map to set 0
-            if !cache.lookup(addr, AccessKind::Read).is_hit() {
+            if !cache.lookup(addr, AccessKind::Read, |_, _| {}).is_hit() {
                 cache.fill(addr, &[0u8; 16], false);
             }
             last_in_set0 = Some(addr);
@@ -126,7 +126,7 @@ proptest! {
             // Fill set 0 and cross all thresholds.
             for i in 0..4u64 {
                 let addr = i * 0x400;
-                if !cache.lookup(addr, AccessKind::Read).is_hit() {
+                if !cache.lookup(addr, AccessKind::Read, |_, _| {}).is_hit() {
                     cache.fill(addr, &[0u8; 16], false);
                 }
             }
@@ -168,9 +168,9 @@ proptest! {
         let mut touched_addrs = Vec::new();
         for slot in touched {
             let addr = slot * 16;
-            match cache.lookup(addr, AccessKind::Read) {
-                ehs_cache::LookupOutcome::Hit(h) => decay.on_hit(&cache, h.block, addr),
-                ehs_cache::LookupOutcome::Miss(_) => {
+            match cache.lookup(addr, AccessKind::Read, |_, _| {}) {
+                ehs_cache::LookupResult::Hit(block) => decay.on_hit(&cache, block, addr),
+                ehs_cache::LookupResult::Miss { .. } => {
                     let id = cache.fill(addr, &[0u8; 16], false);
                     decay.on_fill(&cache, id, addr);
                 }

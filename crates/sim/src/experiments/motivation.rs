@@ -12,8 +12,10 @@ use std::sync::Arc;
 /// Cache sizes swept by Table I, Fig. 1 and Fig. 11.
 pub(crate) const CACHE_SIZES: [u32; 7] = [256, 512, 1024, 2048, 4096, 8192, 16384];
 
-fn config_with_dcache_size(base: &SystemConfig, bytes: u32) -> SystemConfig {
-    let mut config = base.clone();
+/// The paper-default system with a `bytes`-sized D-cache of 16 B blocks,
+/// its associativity clamped to the block count (Table I, Figs. 1 and 11).
+pub(crate) fn dcache_size_config(bytes: u32) -> SystemConfig {
+    let mut config = SystemConfig::paper_default();
     let assoc = config.dcache.geometry.associativity.min(bytes / 16);
     config.dcache.geometry = CacheGeometry::new(bytes, assoc, 16).expect("swept geometry is valid");
     config
@@ -26,12 +28,11 @@ fn config_with_dcache_size(base: &SystemConfig, bytes: u32) -> SystemConfig {
 /// published points); the static-energy ratio is measured on baseline runs
 /// averaged across all 20 applications.
 pub(crate) fn table1_plan(scale: Scale) -> Vec<Job> {
-    let base = SystemConfig::paper_default();
     CACHE_SIZES
         .iter()
         .flat_map(|&bytes| {
             matrix_jobs(
-                &config_with_dcache_size(&base, bytes),
+                &dcache_size_config(bytes),
                 &[Scheme::Baseline],
                 &AppId::ALL,
                 scale,
@@ -41,11 +42,10 @@ pub(crate) fn table1_plan(scale: Scale) -> Vec<Job> {
 }
 
 pub(crate) fn table1_report(outputs: &[JobOutput]) -> Table {
-    let base = SystemConfig::paper_default();
     let per_size = regroup(outputs, AppId::ALL.len());
     let mut table = Table::new(["cache size", "leakage (mW)", "static ratio"]);
     for (i, bytes) in CACHE_SIZES.into_iter().enumerate() {
-        let config = config_with_dcache_size(&base, bytes);
+        let config = dcache_size_config(bytes);
         let model = CacheArrayModel::new(MemoryTechnology::Sram, config.dcache.geometry);
         let leak = model.characteristics().leakage.as_milli_watts();
         let ratio = per_size[i]
@@ -62,18 +62,17 @@ pub(crate) fn table1_report(outputs: &[JobOutput]) -> Table {
 /// "80% Leakage Off" stress test. All speedups are normalized to the 4 kB
 /// 4-way baseline with real leakage (geomean over the 20 applications).
 pub(crate) fn fig1_plan(scale: Scale) -> Vec<Job> {
-    let base = SystemConfig::paper_default();
     // Reference matrix first, then one [Baseline, LeakageOff80] matrix per
     // swept size; the report consumes the sections in the same order.
     let mut jobs = matrix_jobs(
-        &config_with_dcache_size(&base, 4096),
+        &dcache_size_config(4096),
         &[Scheme::Baseline],
         &AppId::ALL,
         scale,
     );
     for bytes in CACHE_SIZES {
         jobs.extend(matrix_jobs(
-            &config_with_dcache_size(&base, bytes),
+            &dcache_size_config(bytes),
             &[Scheme::Baseline, Scheme::LeakageOff80],
             &AppId::ALL,
             scale,
@@ -152,21 +151,19 @@ mod tests {
 
     #[test]
     fn dcache_size_sweep_preserves_block_and_clamps_assoc() {
-        let base = SystemConfig::paper_default();
-        let small = config_with_dcache_size(&base, 256);
+        let small = dcache_size_config(256);
         assert_eq!(small.dcache.geometry.block_bytes, 16);
         assert_eq!(small.dcache.geometry.associativity, 4);
-        let tiny = config_with_dcache_size(&base, 32);
+        let tiny = dcache_size_config(32);
         assert_eq!(tiny.dcache.geometry.associativity, 2, "assoc clamps");
     }
 
     #[test]
     fn table1_leakage_is_monotonic() {
         // Check the model side only (no simulation) for speed.
-        let base = SystemConfig::paper_default();
         let mut prev = 0.0;
         for bytes in CACHE_SIZES {
-            let config = config_with_dcache_size(&base, bytes);
+            let config = dcache_size_config(bytes);
             let leak = CacheArrayModel::new(MemoryTechnology::Sram, config.dcache.geometry)
                 .characteristics()
                 .leakage

@@ -2,7 +2,7 @@
 //! (Section VI-B) and the design-choice ablations.
 
 use super::headline::speedups;
-use super::motivation::CACHE_SIZES;
+use super::motivation::{dcache_size_config, CACHE_SIZES};
 use super::regroup;
 use crate::report::{factor, pct, Table};
 use crate::runner::{geomean, matrix_jobs, Job, JobOutput};
@@ -82,13 +82,6 @@ pub(crate) fn fig10_report(outputs: &[JobOutput]) -> Table {
         sweep_rows(&mut table, policy.name(), &results, None);
     }
     table
-}
-
-fn dcache_size_config(bytes: u32) -> SystemConfig {
-    let mut config = SystemConfig::paper_default();
-    let assoc = config.dcache.geometry.associativity.min(bytes / 16);
-    config.dcache.geometry = CacheGeometry::new(bytes, assoc, 16).expect("swept geometry is valid");
-    config
 }
 
 /// **Fig. 11** — cache-size sensitivity, 256 B–16 kB, all schemes normalized

@@ -3,7 +3,7 @@
 
 use crate::SystemConfig;
 use edbp_core::{FxHashMap, PagedTable};
-use ehs_cache::{AccessKind, BlockId, Cache, LookupOutcome, LookupResult};
+use ehs_cache::{AccessKind, BlockId, Cache, LookupResult};
 use ehs_nvm::{ArrayCharacteristics, CacheArrayModel, MainMemoryModel, MemoryCharacteristics};
 use ehs_units::{Energy, Power, Time};
 
@@ -193,9 +193,9 @@ impl MemorySystem {
         let mut hit = false;
 
         // The victim write-back (if any) lands straight in the backing
-        // store via the sink — no `Writeback` allocation — and its cost is
-        // captured here so it can be charged at the exact point the
-        // accounting order demands (after the probe, before the fill).
+        // store via the sink, and its cost is captured here so it can be
+        // charged at the exact point the accounting order demands (after
+        // the probe, before the fill).
         let mut wb_cost: Option<(Time, Energy)> = None;
         let outcome = {
             let Self {
@@ -206,7 +206,7 @@ impl MemorySystem {
                 ..
             } = self;
             let len = *d_block as usize;
-            dcache.lookup_with(addr, kind, |wb_addr, data| {
+            dcache.lookup(addr, kind, |wb_addr, data| {
                 backing
                     .entry(wb_addr)
                     .or_insert_with(|| vec![0u8; len])
@@ -215,15 +215,15 @@ impl MemorySystem {
             })
         };
         let frame = match outcome {
-            LookupResult::Hit(h) => {
+            LookupResult::Hit(block) => {
                 hit = true;
                 dcache_energy += self.d_chars.read_energy;
-                h.block
+                block
             }
-            LookupResult::Miss(miss) => {
+            LookupResult::Miss { evicted: victim } => {
                 dcache_energy += self.d_chars.probe_energy;
                 stall += self.d_chars.probe_latency;
-                evicted = miss.evicted;
+                evicted = victim;
                 if let Some((t, e)) = wb_cost {
                     stall += t;
                     memory_energy += e;
@@ -307,27 +307,30 @@ impl MemorySystem {
         }
         self.fetch_buffer = Some(block_addr);
 
-        match self.icache.lookup(addr, AccessKind::Read) {
-            LookupOutcome::Hit(h) => Fetch {
+        // Instructions are read-only: the I-cache never holds a dirty
+        // block, so its write-back sink is never called.
+        let outcome = self.icache.lookup(addr, AccessKind::Read, |wb_addr, _| {
+            unreachable!("I-cache blocks are clean; {wb_addr:#x} was dirty")
+        });
+        match outcome {
+            LookupResult::Hit(frame) => Fetch {
                 hit: true,
                 buffered: false,
                 block_addr,
-                frame: h.block,
+                frame,
                 evicted: None,
                 stall: Time::ZERO,
                 icache_energy: self.i_chars.read_energy,
                 memory_energy: Energy::ZERO,
             },
-            LookupOutcome::Miss(miss) => {
-                // Instructions are read-only: no dirty victims possible.
-                debug_assert!(miss.writeback.is_none(), "I-cache blocks are clean");
+            LookupResult::Miss { evicted } => {
                 let frame = self.icache.fill(block_addr, &self.i_zero, false);
                 Fetch {
                     hit: false,
                     buffered: false,
                     block_addr,
                     frame,
-                    evicted: miss.evicted,
+                    evicted,
                     stall: self.i_chars.probe_latency
                         + self.mem_chars.read_latency
                         + self.i_chars.write_latency,

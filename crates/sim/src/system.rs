@@ -417,17 +417,9 @@ impl<P: LeakagePredictor> Simulation<P> {
                 }
             }
         }
-        for (addr, data) in tick.writebacks.iter() {
-            // Conventional predictors spill gated dirty blocks to main
-            // memory (an NVM write).
-            let (t, e) = self.mem.write_back_from(addr, data);
-            self.breakdown.memory += e;
-            self.energy.consume(e);
-            self.energy.elapse_operation(t);
-        }
         for (addr, data) in tick.parked.iter() {
-            // EDBP parks gated dirty blocks in their NVSRAM twins: an
-            // in-place save at checkpoint cost, restored at reboot.
+            // Every predictor parks gated dirty blocks in their NVSRAM
+            // twins: an in-place save at checkpoint cost, restored at reboot.
             let e = self.config.ckpt.save_energy_per_byte * data.len() as f64;
             self.breakdown.checkpoint += e;
             self.energy.consume(e);

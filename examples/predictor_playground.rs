@@ -21,13 +21,15 @@ fn main() {
 
     // Fill one set completely: addresses 0x400 apart collide (64 sets, 16 B).
     for (i, addr) in [0x000u64, 0x400, 0x800, 0xC00].iter().enumerate() {
-        cache.lookup(*addr, AccessKind::Read);
+        cache.lookup(*addr, AccessKind::Read, |_, _| {});
         let frame = cache.fill(*addr, &[i as u8; 16], false);
         edbp.on_fill(&cache, frame, *addr);
     }
     // Touch 0x000 so it becomes MRU.
-    if let edbp_repro::cache::LookupOutcome::Hit(h) = cache.lookup(0x000, AccessKind::Read) {
-        edbp.on_hit(&cache, h.block, 0x000);
+    if let edbp_repro::cache::LookupResult::Hit(block) =
+        cache.lookup(0x000, AccessKind::Read, |_, _| {})
+    {
+        edbp.on_hit(&cache, block, 0x000);
     }
 
     println!("\nvoltage decays toward the outage:");
