@@ -132,6 +132,7 @@ impl WakeHint {
     /// the earlier cycle, the higher voltage threshold, and every-cycle if
     /// either demands it.
     #[must_use]
+    #[inline]
     pub fn merge(self, other: WakeHint) -> WakeHint {
         let at_cycle = match (self.at_cycle, other.at_cycle) {
             (Some(a), Some(b)) => Some(a.min(b)),

@@ -80,16 +80,19 @@ impl Core {
     }
 
     /// The current program counter.
+    #[inline]
     pub fn pc(&self) -> u32 {
         self.pc
     }
 
     /// Whether the program has halted.
+    #[inline]
     pub fn halted(&self) -> bool {
         self.halted
     }
 
     /// Committed instruction count.
+    #[inline]
     pub fn committed(&self) -> u64 {
         self.committed
     }
@@ -115,6 +118,9 @@ impl Core {
     /// Loads leave the destination register *unchanged* until the simulator
     /// calls [`Core::finish_load`]; in-order single-issue means nothing else
     /// can observe it in between.
+    // `#[inline(always)]`: as `#[inline]`, solo_fig8 measured ~5 % fewer
+    // sim-MIPS (2-vCPU x86-64 host).
+    #[inline(always)]
     pub fn step(&mut self, program: &Program) -> Effect {
         if self.halted {
             return Effect::Halted;
@@ -209,6 +215,7 @@ impl Core {
     }
 
     /// Completes an in-flight load.
+    #[inline]
     pub fn finish_load(&mut self, dst: Reg, value: u32) {
         self.regs[dst.index()] = value;
     }

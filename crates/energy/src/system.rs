@@ -258,6 +258,7 @@ impl EnergySystem {
     }
 
     /// Absolute simulation time.
+    #[inline]
     pub fn now(&self) -> Time {
         self.now
     }
@@ -272,6 +273,7 @@ impl EnergySystem {
     /// distinct `w` (see `max_energy_where`). Bit-exactly equivalent to
     /// `self.voltage() < w` with no square root — callers polling a
     /// threshold every cycle should prefer this.
+    #[inline]
     pub fn voltage_strictly_below(&mut self, w: Voltage) -> bool {
         self.capacitor.stored() <= self.wake_threshold(w)
     }
@@ -287,6 +289,7 @@ impl EnergySystem {
     }
 
     /// Accumulated statistics.
+    #[inline]
     pub fn stats(&self) -> &PowerCycleStats {
         &self.stats
     }
@@ -302,6 +305,9 @@ impl EnergySystem {
     /// `load` must already include every on-chip draw over `dt` (MCU dynamic
     /// power, cache access energy, cache leakage); this method adds the
     /// capacitor's own self-discharge.
+    // `#[inline(always)]`: with `step`, `sampled_power`, `step_cycle` and
+    // `step_burst` as `#[inline]`, solo_fig8 measured ~9 % fewer sim-MIPS.
+    #[inline(always)]
     pub fn step(&mut self, dt: Time, load: Energy) -> StepEvent {
         debug_assert!(dt.as_seconds() > 0.0, "step needs positive dt");
         let power = self.sampled_power();
@@ -314,6 +320,8 @@ impl EnergySystem {
     /// [`EnergySource::segment_end`] bounds the span it holds for) while
     /// skipping both the per-instant synthesis and the per-instant segment
     /// lookup: the fast path is a single time comparison.
+    // `#[inline(always)]`: see `step`'s (~9 % of solo_fig8's sim-MIPS).
+    #[inline(always)]
     fn sampled_power(&mut self) -> Power {
         if let Some((until, p)) = self.power_memo {
             if self.now < until {
@@ -328,7 +336,8 @@ impl EnergySystem {
     /// One execution cycle: the exact arithmetic shared by [`Self::step`]
     /// and [`Self::step_burst`]. `power` must be the source power at
     /// `self.now`.
-    #[inline]
+    // `#[inline(always)]`: see `step`'s (~9 % of solo_fig8's sim-MIPS).
+    #[inline(always)]
     fn step_cycle(&mut self, dt: Time, load: Energy, power: Power) -> StepEvent {
         let harvested = power * dt;
         let absorbed = self.capacitor.charge(harvested);
@@ -383,6 +392,8 @@ impl EnergySystem {
     ///
     /// Returns the number of cycles actually executed (always ≥ 1) and the
     /// event observed on the last of them.
+    // `#[inline(always)]`: see `step`'s (~9 % of solo_fig8's sim-MIPS).
+    #[inline(always)]
     pub fn step_burst(&mut self, plan: &BurstPlan, overdraw: &mut Energy) -> (u64, StepEvent) {
         debug_assert!(plan.max_cycles >= 1, "burst needs at least one cycle");
         debug_assert!(plan.dt.as_seconds() > 0.0, "step needs positive dt");
@@ -470,6 +481,7 @@ impl EnergySystem {
     /// predictor gate thresholds, which rarely change between bursts, so a
     /// one-entry memo keyed by the voltage's bits makes the per-cycle check
     /// a plain comparison.
+    #[inline]
     fn wake_threshold(&mut self, w: Voltage) -> Energy {
         let bits = w.base().to_bits();
         if let Some((b, e)) = self.wake_memo {

@@ -8,8 +8,168 @@ use ehs_energy::{
 use ehs_units::{Energy, Frequency, Power, Time, Voltage};
 use proptest::prelude::*;
 
+/// Reference capacitor: saturate at capacity and clamp at zero through
+/// `min`/`max` on every call. The branchy `Capacitor::charge`/`discharge`
+/// must reproduce it bit for bit; the burst-vs-steps properties cannot
+/// check that, because both of their sides call the same capacitor.
+#[derive(Debug)]
+struct MinMaxCapacitor {
+    stored: f64,
+    capacity: f64,
+}
+
+impl MinMaxCapacitor {
+    fn charge(&mut self, e: f64) -> f64 {
+        let absorbed = e.min((self.capacity - self.stored).max(0.0));
+        self.stored += absorbed;
+        absorbed
+    }
+
+    fn discharge(&mut self, e: f64) -> f64 {
+        let delivered = e.min(self.stored);
+        self.stored -= delivered;
+        delivered
+    }
+}
+
+/// One capacitor operation aimed at an edge of the saturating arithmetic,
+/// sized from the capacitor's current state.
+#[derive(Debug, Clone, Copy)]
+enum CapOp {
+    /// Charge exactly the headroom (`e == headroom`): fills the buffer.
+    ChargeHeadroom,
+    /// Charge past the headroom (`e > headroom`), by `f` (at least 1e-12)
+    /// of a full buffer's worth.
+    ChargeOver(f64),
+    /// Charge a fraction `f` of the headroom.
+    ChargeUnder(f64),
+    /// Charge a full buffer's worth times `1 + f`: fills the buffer from any
+    /// state, and overflows the headroom from any state when `f > 0`.
+    ChargeLarge(f64),
+    /// Discharge exactly the store (`e == stored`): empties it.
+    DischargeStored,
+    /// Discharge past the store (`e > stored`), by `f` (at least 1e-12) of a
+    /// full buffer's worth.
+    DischargeOver(f64),
+    /// Discharge a fraction `f` of the store.
+    DischargeUnder(f64),
+    /// Charge or discharge nothing.
+    Zero(bool),
+}
+
+/// Applies `op` to both capacitors and checks the returned energy and the
+/// new store agree to the bit.
+fn apply_both(cap: &mut Capacitor, model: &mut MinMaxCapacitor, op: CapOp) -> Result<(), String> {
+    let headroom = (cap.capacity() - cap.stored()).as_joules();
+    let stored = cap.stored().as_joules();
+    let (charge, e) = match op {
+        CapOp::ChargeHeadroom => (true, headroom),
+        CapOp::ChargeOver(f) => (true, headroom + cap.capacity().as_joules() * f.max(1e-12)),
+        CapOp::ChargeUnder(f) => (true, headroom * f),
+        CapOp::ChargeLarge(f) => (true, cap.capacity().as_joules() * (1.0 + f)),
+        CapOp::DischargeStored => (false, stored),
+        CapOp::DischargeOver(f) => (false, stored + cap.capacity().as_joules() * f.max(1e-12)),
+        CapOp::DischargeUnder(f) => (false, stored * f),
+        CapOp::Zero(charge) => (charge, 0.0),
+    };
+    let e = e.max(0.0);
+    let (got, want) = if charge {
+        (cap.charge(Energy::from_joules(e)), model.charge(e))
+    } else {
+        (cap.discharge(Energy::from_joules(e)), model.discharge(e))
+    };
+    if got.as_joules().to_bits() != want.to_bits() {
+        return Err(format!(
+            "{op:?} with e = {e:e}: returned {got:?}, min/max gives {want:e}"
+        ));
+    }
+    if cap.stored().as_joules().to_bits() != model.stored.to_bits() {
+        return Err(format!(
+            "{op:?} with e = {e:e}: stored {:?}, min/max gives {:e}",
+            cap.stored(),
+            model.stored
+        ));
+    }
+    Ok(())
+}
+
+fn cap_op() -> impl Strategy<Value = CapOp> {
+    (0u8..8, 0.0..1.0f64).prop_map(|(kind, f)| match kind {
+        0 => CapOp::ChargeHeadroom,
+        1 => CapOp::ChargeOver(f),
+        2 => CapOp::ChargeUnder(f),
+        3 => CapOp::ChargeLarge(f),
+        4 => CapOp::DischargeStored,
+        5 => CapOp::DischargeOver(f),
+        6 => CapOp::DischargeUnder(f),
+        _ => CapOp::Zero(f < 0.5),
+    })
+}
+
+#[test]
+fn branchy_capacitor_matches_min_max_on_each_edge() {
+    use CapOp::*;
+    let mut cap = Capacitor::charged_to(CapacitorConfig::paper_default(), Voltage::from_volts(3.1));
+    let mut model = MinMaxCapacitor {
+        stored: cap.stored().as_joules(),
+        capacity: cap.capacity().as_joules(),
+    };
+    // Each step names the edge it reaches or crosses, and the store it
+    // must leave: full (`Some(true)`), empty (`Some(false)`) or between.
+    let walk = [
+        (ChargeHeadroom, "e == headroom", Some(true)),
+        (ChargeUnder(0.5), "charging a full capacitor", Some(true)),
+        (
+            ChargeOver(0.25),
+            "e > headroom on a full capacitor",
+            Some(true),
+        ),
+        (Zero(true), "charging nothing when full", Some(true)),
+        (DischargeUnder(0.3), "a partial draw", None),
+        (ChargeOver(0.1), "e > headroom below capacity", Some(true)),
+        (DischargeStored, "e == stored", Some(false)),
+        (
+            DischargeUnder(0.5),
+            "discharging at stored == 0",
+            Some(false),
+        ),
+        (DischargeOver(0.2), "e > stored at stored == 0", Some(false)),
+        (Zero(false), "discharging nothing when empty", Some(false)),
+        (ChargeUnder(0.4), "charging from stored == 0", None),
+        (DischargeOver(0.01), "e > stored", Some(false)),
+        (ChargeLarge(0.5), "e > headroom from empty", Some(true)),
+    ];
+    for (op, edge, full) in walk {
+        if let Err(msg) = apply_both(&mut cap, &mut model, op) {
+            panic!("{edge}: {msg}");
+        }
+        match full {
+            Some(true) => assert_eq!(cap.stored(), cap.capacity(), "{edge} leaves it full"),
+            Some(false) => assert_eq!(cap.stored(), Energy::ZERO, "{edge} leaves it empty"),
+            None => assert!(cap.stored() > Energy::ZERO && cap.stored() < cap.capacity()),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn branchy_capacitor_matches_min_max_bitwise(
+        start_v in 0.0..3.6f64,
+        ops in proptest::collection::vec(cap_op(), 1..200),
+    ) {
+        let mut cap =
+            Capacitor::charged_to(CapacitorConfig::paper_default(), Voltage::from_volts(start_v));
+        let mut model = MinMaxCapacitor {
+            stored: cap.stored().as_joules(),
+            capacity: cap.capacity().as_joules(),
+        };
+        for op in ops {
+            let checked = apply_both(&mut cap, &mut model, op);
+            prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+        }
+    }
 
     #[test]
     fn capacitor_charge_is_always_within_bounds(
