@@ -65,7 +65,8 @@ pub enum ReplacementPolicy {
 impl ReplacementPolicy {
     /// Every policy, in declaration order. The scheme × policy lane matrix
     /// (`burst_exactness`) pins a lane under each one to the cycle-accurate
-    /// reference, and `lockstep` pins its lockstep groups to solo runs.
+    /// reference, and `lockstep` pins a `run_lockstep` group under each one
+    /// to solo runs.
     pub const ALL: [ReplacementPolicy; 5] = [
         ReplacementPolicy::Lru,
         ReplacementPolicy::TreePlru,

@@ -236,28 +236,6 @@ impl Core {
         self.pc = state.pc;
         self.halted = state.halted;
     }
-
-    /// Adopts an architectural snapshot taken from *another* core together
-    /// with this lane's own statistics counters.
-    ///
-    /// This is the stream-replay catch-up primitive (see `ehs-sim`'s
-    /// transposed lockstep): when a program passes
-    /// [`crate::stream_is_data_independent`], every register that feeds an
-    /// address or branch is identical across cores at the same
-    /// architectural position, so adopting the recorder's snapshot is
-    /// exact for pc/halted and for all address-forming state; registers
-    /// holding load-derived data may differ, but by the same analysis they
-    /// can never influence the access stream. Counters are simulator
-    /// instrumentation and lane-specific (re-execution after outages
-    /// differs per lane), so the caller supplies its own tallies.
-    pub fn adopt(&mut self, state: &CoreState, committed: u64, loads: u64, stores: u64) {
-        self.regs = state.regs;
-        self.pc = state.pc;
-        self.halted = state.halted;
-        self.committed = committed;
-        self.loads = loads;
-        self.stores = stores;
-    }
 }
 
 #[cfg(test)]

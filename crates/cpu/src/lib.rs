@@ -39,9 +39,7 @@
 mod builder;
 mod core;
 mod isa;
-mod taint;
 
 pub use builder::{Label, ProgramBuilder};
 pub use core::{Core, CoreState, Effect};
 pub use isa::{Instruction, Program, Reg, INSTRUCTION_BYTES};
-pub use taint::stream_is_data_independent;

@@ -112,11 +112,6 @@ pub struct SystemConfig {
     pub frequency: Frequency,
     /// MCU dynamic power per MHz (160 µW/MHz).
     pub mcu_power_per_mhz: Power,
-    /// Scales the data-cache leakage (1.0 = real; 0.2 = the paper's
-    /// "80% Leakage Off" stress test).
-    pub dcache_leakage_scale: f64,
-    /// Scales the instruction-cache leakage.
-    pub icache_leakage_scale: f64,
     /// Calibration factor on the instruction cache's *dynamic* energies.
     ///
     /// Table II's per-access costs combined with a 25 MHz fetch stream would
@@ -168,8 +163,6 @@ impl SystemConfig {
             source: SourceKind::paper_default(),
             frequency: Frequency::from_mega_hertz(25.0),
             mcu_power_per_mhz: Power::from_micro_watts(160.0),
-            dcache_leakage_scale: 1.0,
-            icache_leakage_scale: 1.0,
             icache_energy_scale: 0.5,
             gated_leak_fraction: 0.03,
             ckpt: CheckpointCosts::paper_default(),

@@ -214,8 +214,6 @@ pub fn config_fingerprint(config: &SystemConfig) -> u64 {
         source,
         frequency,
         mcu_power_per_mhz,
-        dcache_leakage_scale,
-        icache_leakage_scale,
         icache_energy_scale,
         gated_leak_fraction,
         ckpt,
@@ -237,8 +235,6 @@ pub fn config_fingerprint(config: &SystemConfig) -> u64 {
     source.feed(&mut h);
     frequency.feed(&mut h);
     mcu_power_per_mhz.feed(&mut h);
-    dcache_leakage_scale.feed(&mut h);
-    icache_leakage_scale.feed(&mut h);
     icache_energy_scale.feed(&mut h);
     gated_leak_fraction.feed(&mut h);
     ckpt.feed(&mut h);
@@ -314,8 +310,6 @@ mod tests {
         push("mcu_power_per_mhz", &|c| {
             c.mcu_power_per_mhz = Power::from_micro_watts(100.0);
         });
-        push("dcache_leakage_scale", &|c| c.dcache_leakage_scale = 0.2);
-        push("icache_leakage_scale", &|c| c.icache_leakage_scale = 0.2);
         push("icache_energy_scale", &|c| c.icache_energy_scale = 1.0);
         push("gated_leak_fraction", &|c| c.gated_leak_fraction = 0.05);
         push("ckpt", &|c| {

@@ -43,7 +43,6 @@ pub mod fault;
 mod fingerprint;
 mod memory_system;
 pub mod planner;
-mod replay;
 pub mod report;
 pub mod runcache;
 pub mod runner;
@@ -55,7 +54,6 @@ mod zombie;
 pub use config::{CheckpointCosts, SourceKind, SystemConfig};
 pub use fingerprint::config_fingerprint;
 pub use memory_system::MemorySystem;
-pub use replay::StreamWindow;
 pub use scheme::Scheme;
 pub use stats::{EnergyBreakdown, RunResult};
 pub use system::{

@@ -10,8 +10,9 @@
 //! experiment's plan, runs the union once through the runner's one producer
 //! — which collapses all cross-experiment duplicates (see
 //! [`crate::runner::effective_fingerprint`]), carries each Ideal job with
-//! the baseline it replays, runs lockstep groups, and kills the straggler
-//! tail with a longest-first queue — and then hands each experiment its
+//! the baseline whose trace it replays, runs the schemes of one
+//! configuration and app as one work item, and kills the straggler tail
+//! with a longest-first queue — and then hands each experiment its
 //! slice of the outputs in registry order. Both end in one report step: an
 //! experiment with a failed job yields its failed keys, each once, and
 //! otherwise its table. Several `exp_all`s sharing one cache directory

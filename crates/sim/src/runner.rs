@@ -37,13 +37,11 @@
 //! A call deduplicates its jobs to one unit per memo key ([`unique_jobs`])
 //! and groups the units into work items. Units that share a raw
 //! configuration fingerprint, app and scale — the common shape of every
-//! figure's scheme matrix — are one workload replay observed under
-//! different predictors, and run as one **lockstep group**: one fully
-//! monomorphized lane per scheme (see [`crate::build_lane`]), all driven
-//! over the shared workload by the one lockstep drive that
-//! [`crate::run_lockstep`] also uses. Every
-//! lane's result is bit-identical to an independent run (the `lockstep`
-//! differential suite asserts it).
+//! figure's scheme matrix — form one item: one fully monomorphized lane per
+//! scheme (see [`crate::build_lane`]), run one after another as
+//! [`crate::run_lockstep`] runs them. Every lane's result is bit-identical
+//! to an independent run (the `lockstep` differential suite asserts it). An item is one entry of the shared queue below, so the
+//! grouping sets the schedule.
 //!
 //! The `Ideal` scheme's oracle pass *is* a baseline run, so an `Ideal` unit
 //! joins the item that holds its baseline's memo key. The Baseline lane
@@ -639,7 +637,7 @@ impl Producer<'_> {
         let Some(cache) = self.cache else {
             return Some(Claim { unit, guard: None });
         };
-        if self.adopt(cache, key) {
+        if self.load_into_memo(cache, key) {
             self.settle(unit, Status::Found);
             return None;
         }
@@ -647,7 +645,7 @@ impl Producer<'_> {
             runcache::ClaimOutcome::Held(guard) => {
                 // Re-check under the claim: a rival may have stored this
                 // key between the load and the claim.
-                if self.adopt(cache, key) {
+                if self.load_into_memo(cache, key) {
                     self.settle(unit, Status::Found);
                     return None;
                 }
@@ -663,7 +661,7 @@ impl Producer<'_> {
     }
 
     /// Loads `key` from disk into the memo; whether it was there.
-    fn adopt(&self, cache: &runcache::RunCache, key: &MemoKey) -> bool {
+    fn load_into_memo(&self, cache: &runcache::RunCache, key: &MemoKey) -> bool {
         let Some(hit) = cache.load(key.config_fp, key.scheme, key.app, key.scale) else {
             return false;
         };
@@ -734,7 +732,7 @@ fn start(
     .map_err(panic_message)
 }
 
-/// Drives `lanes` to completion as one lockstep group
+/// Runs `lanes` to completion, one after another
 /// ([`crate::system::run_group`]). Returns, per lane, its outcome or its
 /// panic message; a panicking lane never disturbs its siblings.
 fn simulate(lanes: Vec<Box<dyn LaneRun>>) -> Vec<Result<RunOutcome, String>> {

@@ -31,7 +31,8 @@ pub enum Scheme {
 impl Scheme {
     /// Every scheme, in declaration order. The `burst_exactness` lane
     /// matrix pins that each entry resolves to a monomorphized lane, and the
-    /// lockstep throughput row replays all of them over one workload.
+    /// benchmark's `lockstep_sweep` runs all of them as one `run_lockstep`
+    /// group per app.
     pub const ALL: [Scheme; 9] = [
         Scheme::Baseline,
         Scheme::Sdbp,

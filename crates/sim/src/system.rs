@@ -1,6 +1,5 @@
 //! The full-system simulation loop.
 
-use crate::replay::{StreamSink, StreamWindow, REC_COMPUTE, REC_HALT, REC_LOAD, REC_STORE};
 use crate::{EnergyBreakdown, MemorySystem, RunResult, Scheme, SystemConfig};
 use edbp_core::{
     AdaptiveModeControl, AmcConfig, CacheDecay, Edbp, EdbpConfig, GenerationTrace,
@@ -8,7 +7,7 @@ use edbp_core::{
     PredictionLedger, ReusePredictor, ReusePredictorConfig, TickOutcome, WakeHint,
 };
 use ehs_cache::{AccessKind, Cache};
-use ehs_cpu::{stream_is_data_independent, Core, CoreState, Effect, Program, INSTRUCTION_BYTES};
+use ehs_cpu::{Core, CoreState, Effect, Program, INSTRUCTION_BYTES};
 use ehs_energy::{BurstPlan, EnergyConfigError, EnergySystem, StepEvent};
 use ehs_units::{Energy, Frequency, Power, Time};
 use ehs_workloads::{build, AppId, Scale, Workload};
@@ -79,13 +78,20 @@ struct CycleParams {
 }
 
 impl CycleParams {
-    fn new(config: &SystemConfig, mem: &MemorySystem) -> Self {
+    fn new(config: &SystemConfig, scheme: Scheme, mem: &MemorySystem) -> Self {
         let cycle_time = config.cycle_time();
         let mcu_power = config.mcu_power();
         let standby = mem.memory_standby();
+        let d_leak = mem.dcache_characteristics().leakage;
         Self {
-            d_leak_full: mem.dcache_characteristics().leakage * config.dcache_leakage_scale,
-            i_leak_full: mem.icache_characteristics().leakage * config.icache_leakage_scale,
+            // The "80% Leakage Off" stress test keeps a fifth of the
+            // D-cache leakage.
+            d_leak_full: if scheme == Scheme::LeakageOff80 {
+                d_leak * 0.2
+            } else {
+                d_leak
+            },
+            i_leak_full: mem.icache_characteristics().leakage,
             gated_frac: config.gated_leak_fraction,
             d_blocks: f64::from(mem.dcache.blocks()),
             i_blocks: f64::from(mem.icache.blocks()),
@@ -256,46 +262,26 @@ pub(crate) struct Simulation<P: LeakagePredictor> {
     completed: bool,
     /// The energy source never recovered from an outage; the run is over.
     aborted: bool,
-    /// The workload's `(pc, kind, addr)` stream is provably independent of
-    /// loaded data (see [`stream_is_data_independent`]), making this lane
-    /// eligible for transposed stream replay.
-    stream_invariant: bool,
-    /// `committed + arch_offset` = architectural position on the canonical
-    /// rewind-free instruction stream. Committed counts re-executed
-    /// instructions after a restore; the offset subtracts them back out.
-    arch_offset: i64,
-    /// Architectural position of `last_ckpt` (meaningful only while
-    /// `last_ckpt` is `Some`).
-    ckpt_arch: u64,
-    /// Pooled buffer of this lane's own load values observed while
-    /// replaying a [`StreamWindow`] (feeds the re-decode fallback).
-    replay_loads: Vec<u32>,
 }
 
 impl<P: LeakagePredictor> Simulation<P> {
     /// Creates a simulation of `workload` under `scheme`. `predictor`
     /// builds the scheme's predictor over a cache — the D-cache, and the
-    /// I-cache too when I-cache prediction applies — from the effective
-    /// configuration (after scheme-specific adjustments such as
-    /// [`Scheme::LeakageOff80`]'s leakage scale).
+    /// I-cache too when I-cache prediction applies.
     fn with_predictor(
         config: &SystemConfig,
         scheme: Scheme,
         workload: Workload,
         with_recorder: bool,
-        mut predictor: impl FnMut(&SystemConfig, &Cache) -> P,
+        mut predictor: impl FnMut(&Cache) -> P,
     ) -> Result<Self, EnergyConfigError> {
-        let mut config = config.clone();
-        if scheme == Scheme::LeakageOff80 {
-            config.dcache_leakage_scale = 0.2;
-        }
-        let mem = MemorySystem::new(&config);
-        let d_pred = predictor(&config, &mem.dcache);
+        let mem = MemorySystem::new(config);
+        let d_pred = predictor(&mem.dcache);
         // The Ideal scheme is only defined for the data cache.
         let i_pred = (config.predict_icache
             && !config.icache_tech.is_nonvolatile()
             && scheme != Scheme::Ideal)
-            .then(|| predictor(&config, &mem.icache));
+            .then(|| predictor(&mem.icache));
         let core = Core::new(&workload.program);
         let energy = EnergySystem::new(config.energy.clone(), SourceBox(config.source.build()))?;
         let reuse =
@@ -304,8 +290,7 @@ impl<P: LeakagePredictor> Simulation<P> {
             .zombie_sample_interval
             .map(crate::ZombieAnalysis::new);
         let block_bytes = config.dcache.geometry.block_bytes as usize;
-        let stream_invariant = stream_is_data_independent(&workload.program);
-        let params = CycleParams::new(&config, &mem);
+        let params = CycleParams::new(config, scheme, &mem);
         Ok(Self {
             scheme,
             mem,
@@ -327,12 +312,8 @@ impl<P: LeakagePredictor> Simulation<P> {
             params,
             completed: false,
             aborted: false,
-            stream_invariant,
-            arch_offset: 0,
-            ckpt_arch: 0,
-            replay_loads: Vec::new(),
             workload,
-            config,
+            config: config.clone(),
         })
     }
 
@@ -431,6 +412,11 @@ impl<P: LeakagePredictor> Simulation<P> {
     /// brown-out skips it and is counted), loses volatile state, recharges
     /// and restores. Returns false, marking the run aborted, if the source
     /// never recovered.
+    // `#[inline(never)]`: outages are rare (one per ~9 000 instructions on
+    // `solo_fig8` at seed 42), and inlined into the loop body this cold
+    // path cost `solo_fig8` 1.2 % of its sim-MIPS (10 of 10 pairs, 2-vCPU
+    // x86-64 host).
+    #[inline(never)]
     fn ride_out_outage(&mut self, event: StepEvent) -> bool {
         let jit = event == StepEvent::CheckpointRequested;
         if !jit {
@@ -502,7 +488,6 @@ impl<P: LeakagePredictor> Simulation<P> {
                 mem.drain_parked(|addr, data| shadow.push(addr, data, false));
             }
             self.last_ckpt = Some(self.core.checkpoint());
-            self.ckpt_arch = self.arch_pos();
         }
 
         // --- Lose volatile state ---
@@ -555,10 +540,6 @@ impl<P: LeakagePredictor> Simulation<P> {
             self.energy
                 .elapse_operation(self.config.ckpt.restore_latency);
             self.core.restore(&state);
-            // The restore rewinds the architectural position to the
-            // checkpoint's while `committed` keeps counting re-executed
-            // instructions; the offset reconciles the two.
-            self.arch_offset = self.ckpt_arch as i64 - self.core.committed() as i64;
             // Temporarily move the arena out so the loop body can borrow
             // `self` mutably; put it back after (same allocation).
             let shadow = std::mem::take(&mut self.shadow);
@@ -597,10 +578,7 @@ impl<P: LeakagePredictor> Simulation<P> {
             self.last_ckpt = Some(state);
         } else {
             // Brown-out before any checkpoint: restart from program entry.
-            // `Core::new` zeroes `committed`, so the position offset resets
-            // with it.
             self.core = Core::new(&self.workload.program);
-            self.arch_offset = 0;
         }
         true
     }
@@ -614,11 +592,11 @@ impl<P: LeakagePredictor> Simulation<P> {
         hint
     }
 
-    // The per-cycle steps below are shared by the live loop (`live_loop`)
-    // and the transposed replay (`replay_loop`).
-    // They are `#[inline(always)]` so both loops compile to straight-line
-    // code: left to the optimizer's inlining heuristics, solo runs
-    // measured ~7 % fewer sim-MIPS (2-vCPU x86-64 Xeon host).
+    // The per-cycle steps below are the parts of the loop in
+    // `LaneRun::advance_until`. They are `#[inline(always)]` so the loop
+    // compiles to straight-line code: left to the optimizer's inlining
+    // heuristics, solo runs measured ~7 % fewer sim-MIPS (2-vCPU x86-64
+    // Xeon host).
 
     /// Recomputes the merged wake hint if a hook may have moved it.
     #[inline(always)]
@@ -631,19 +609,12 @@ impl<P: LeakagePredictor> Simulation<P> {
 
     /// Length of the burst the loop may take at `pc`: the run of compute
     /// instructions from `pc` whose fetches all hit the fetch buffer, capped
-    /// at `cap` and at the instruction budget left after `committed`. Zero
-    /// when bursting is off (cycle-accurate mode; zombie sampling, whose
-    /// samples are keyed to exact committed counts), when the merged hint
-    /// wants every cycle, or when the fetch misses the buffer.
+    /// at the instruction budget left after `committed`. Zero when bursting
+    /// is off (cycle-accurate mode; zombie sampling, whose samples are keyed
+    /// to exact committed counts), when the merged hint wants every cycle,
+    /// or when the fetch misses the buffer.
     #[inline(always)]
-    fn burst_len(
-        &self,
-        pace: &mut Pace,
-        program: &Program,
-        pc: u32,
-        committed: u64,
-        cap: u64,
-    ) -> u32 {
+    fn burst_len(&self, pace: &mut Pace, program: &Program, pc: u32, committed: u64) -> u32 {
         if self.config.force_cycle_accurate || self.zombie.is_some() {
             return 0;
         }
@@ -655,7 +626,7 @@ impl<P: LeakagePredictor> Simulation<P> {
         }
         // Fetch slots left in the buffered block, from pc on.
         let slots = (i_block - (fa & (i_block - 1))) / u64::from(INSTRUCTION_BYTES);
-        let cap = slots.min(self.config.max_instructions - committed).min(cap) as u32;
+        let cap = slots.min(self.config.max_instructions - committed) as u32;
         program.compute_run_len(pc, cap)
     }
 
@@ -798,9 +769,50 @@ impl<P: LeakagePredictor> Simulation<P> {
         pace.leak.dirty = true;
         pace.hint_dirty = true;
     }
+}
 
-    /// [`LaneRun::advance_until`], recording into the stream sink `S`
-    /// (`()` records nothing).
+/// An incrementally drivable simulation lane: the one interface through
+/// which every run is driven.
+///
+/// [`build_lane`] resolves a scheme to a simulation monomorphized over its
+/// predictor type, behind this object-safe interface: dynamic dispatch
+/// happens once per [`LaneRun::advance_until`] call, while the predictor
+/// hooks and wake hints inside it are statically dispatched. The D-cache's
+/// replacement policy is a value its rank updates `match` on.
+pub trait LaneRun {
+    /// Advances the simulation until `target` instructions have committed,
+    /// the workload halts, the instruction budget is exhausted, or the
+    /// energy source never recovers from an outage.
+    ///
+    /// The burst fast path is *not* truncated at `target` — a burst may
+    /// overshoot it by at most one buffered instruction run. This keeps the
+    /// burst boundaries (and therefore every f64 accumulation) of an
+    /// incrementally driven run bit-identical to one uninterrupted
+    /// `advance_until(u64::MAX)`.
+    fn advance_until(&mut self, target: u64);
+    /// Instructions committed so far (live progress, for incremental
+    /// driving).
+    fn committed(&self) -> u64;
+    /// True once [`LaneRun::advance_until`] can make no further progress:
+    /// the workload halted, the instruction budget is exhausted, or the
+    /// energy source never recovered from an outage. Incremental callers
+    /// poll this between chunks.
+    fn done(&self) -> bool;
+    /// Assembles the [`RunOutcome`] of a lane that has been driven to
+    /// completion. `sim_mips` is left at zero — the caller that owns the
+    /// wall clock ([`run_lane`]) fills it in.
+    fn finish_collecting(self: Box<Self>) -> RunOutcome;
+    /// The architectural value of the word at `addr` (a dirty cached copy
+    /// wins over the backing store), for crash-consistency verification.
+    fn word_at(&mut self, addr: u64) -> u32;
+    /// Pre-sizes the zombie-analysis sample pools so a bounded measured
+    /// window performs no further growth (testing/benchmarking aid; no-op
+    /// unless [`SystemConfig::zombie_sample_interval`] is set).
+    fn reserve_zombie_capacity(&mut self, samples: usize);
+}
+
+impl<P: LeakagePredictor> LaneRun for Simulation<P> {
+    /// The simulation loop, compiled once per predictor type `P`.
     ///
     /// Two regimes produce bit-identical [`RunResult`]s (the
     /// `burst_exactness` differential suite asserts it for every scheme):
@@ -822,7 +834,7 @@ impl<P: LeakagePredictor> Simulation<P> {
     /// condition (energy event, hint voltage, hint cycle, run length)
     /// holds, so the next tick runs on exactly the cycle the reference
     /// loop would run it on.
-    fn live_loop<S: StreamSink>(&mut self, target: u64, sink: &mut S) {
+    fn advance_until(&mut self, target: u64) {
         let sim = self;
         let program = Arc::clone(&sim.workload.program);
         let mut pace = Pace::new();
@@ -837,7 +849,7 @@ impl<P: LeakagePredictor> Simulation<P> {
             }
 
             let pc = sim.core.pc();
-            let run = sim.burst_len(&mut pace, &program, pc, committed, u64::MAX);
+            let run = sim.burst_len(&mut pace, &program, pc, committed);
             let event = if run >= 1 {
                 let (taken, event) = sim.step_burst(&mut pace, run);
                 for _ in 0..taken {
@@ -848,45 +860,22 @@ impl<P: LeakagePredictor> Simulation<P> {
                         "burst lookahead admitted a non-compute step"
                     );
                 }
-                if S::ACTIVE {
-                    sink.record_burst(pc, taken);
-                }
                 event
             } else {
                 let mut cost = sim.fetch(&mut pace, program.fetch_addr(pc));
                 match sim.core.step(&program) {
-                    Effect::Compute => {
-                        if S::ACTIVE {
-                            sink.record_compute(pc);
-                        }
-                    }
-                    Effect::Halted => {
-                        if S::ACTIVE {
-                            sink.record_halt(pc);
-                        }
-                    }
+                    Effect::Compute | Effect::Halted => {}
                     Effect::Load { addr, dst } => {
                         let value =
                             sim.data_access(&mut pace, addr, AccessKind::Read, 0, &mut cost);
                         sim.core.finish_load(dst, value);
-                        if S::ACTIVE {
-                            sink.record_load(pc, addr);
-                        }
                     }
                     Effect::Store { addr, value } => {
                         sim.data_access(&mut pace, addr, AccessKind::Write, value, &mut cost);
-                        if S::ACTIVE {
-                            sink.record_store(pc, addr, value);
-                        }
                     }
                 }
                 sim.end_cycle(&mut pace, cost)
             };
-            // Record boundary with the core fully stepped (including
-            // `finish_load`): the only point a mid-window snapshot is valid.
-            if S::ACTIVE && sink.snapshot_due() {
-                sink.snapshot(sim.core.checkpoint());
-            }
             sim.tick_if_due(&mut pace);
 
             if let Some(z) = &mut sim.zombie {
@@ -903,307 +892,12 @@ impl<P: LeakagePredictor> Simulation<P> {
             }
 
             if event != StepEvent::Running {
-                sink.seal();
                 if !sim.ride_out_outage(event) {
                     break;
                 }
                 pace = Pace::new();
             }
         }
-    }
-
-    /// [`LaneRun::advance_replay`]: the per-cycle steps of
-    /// [`Simulation::live_loop`], with `core.step` replaced by window
-    /// records and virtual counters.
-    fn replay_loop(&mut self, window: &StreamWindow) {
-        let sim = self;
-        let program = Arc::clone(&sim.workload.program);
-        let max_instructions = sim.config.max_instructions;
-        let start = window.start();
-        let len = window.len();
-
-        // Each `'window` iteration enters with the core fully synchronized
-        // (entry by protocol; re-entry after an outage by the re-decode
-        // below) and locates the cursor from the architectural position.
-        'window: loop {
-            if sim.core.halted() {
-                sim.completed = true;
-                return;
-            }
-            if sim.aborted || sim.core.committed() >= max_instructions {
-                return;
-            }
-            let pos = sim.arch_pos();
-            if pos < start || pos >= start + len as u64 {
-                // Rewound before the window (brown-out to an older
-                // checkpoint) or consumed it entirely: back to the caller.
-                return;
-            }
-            let synced_at = (pos - start) as usize;
-            let mut cursor = synced_at;
-            // Virtual architectural state: the core is not stepped during
-            // replay, so these shadow what it *would* hold. Loads buffer
-            // this lane's own observed values for the re-decode fallback.
-            let mut virt_committed = sim.core.committed();
-            let mut virt_loads = sim.core.loads();
-            let mut virt_stores = sim.core.stores();
-            let mut virt_halted = false;
-            sim.replay_loads.clear();
-            let mut pace = Pace::new();
-
-            loop {
-                if virt_halted || virt_committed >= max_instructions || cursor >= len {
-                    if virt_halted {
-                        sim.completed = true;
-                    }
-                    if cursor > synced_at {
-                        match window.end_state() {
-                            // Clean window end: adopt the recorder's
-                            // snapshot (exact for pc/halted and every
-                            // untainted register; tainted registers cannot
-                            // influence the stream or any statistic).
-                            Some(end) if cursor >= len => {
-                                sim.core.adopt(end, virt_committed, virt_loads, virt_stores);
-                            }
-                            // Sealed window or mid-window exit: walk the
-                            // core through the replayed records, feeding
-                            // this lane's own load values.
-                            _ => {
-                                resync_core(
-                                    &mut sim.core,
-                                    &program,
-                                    window,
-                                    synced_at,
-                                    cursor,
-                                    &sim.replay_loads,
-                                );
-                                debug_assert_eq!(sim.core.committed(), virt_committed);
-                            }
-                        }
-                    }
-                    return;
-                }
-
-                let pc = window.pcs[cursor];
-                // Capped additionally at the window end: a split burst
-                // performs the identical per-cycle f64 sequence as the
-                // unsplit one (DESIGN.md §8), and the remainder resumes in
-                // the next advance.
-                let window_left = (len - cursor) as u64;
-                let run = sim.burst_len(&mut pace, &program, pc, virt_committed, window_left);
-                let event = if run >= 1 {
-                    let (taken, event) = sim.step_burst(&mut pace, run);
-                    debug_assert!(
-                        window.kinds[cursor..cursor + taken as usize]
-                            .iter()
-                            .all(|&k| k == REC_COMPUTE),
-                        "replayed burst covered a non-compute record"
-                    );
-                    cursor += taken as usize;
-                    virt_committed += taken;
-                    event
-                } else {
-                    let mut cost = sim.fetch(&mut pace, program.fetch_addr(pc));
-                    match window.kinds[cursor] {
-                        REC_COMPUTE => {
-                            virt_committed += 1;
-                        }
-                        REC_LOAD => {
-                            let addr = window.addrs[cursor];
-                            let value =
-                                sim.data_access(&mut pace, addr, AccessKind::Read, 0, &mut cost);
-                            sim.replay_loads.push(value);
-                            virt_committed += 1;
-                            virt_loads += 1;
-                        }
-                        REC_STORE => {
-                            let (addr, value) = (window.addrs[cursor], window.values[cursor]);
-                            sim.data_access(&mut pace, addr, AccessKind::Write, value, &mut cost);
-                            virt_committed += 1;
-                            virt_stores += 1;
-                        }
-                        kind => {
-                            debug_assert_eq!(kind, REC_HALT, "corrupt stream record");
-                            // Halt nets its commit back out and is always
-                            // the window's final record.
-                            virt_halted = true;
-                        }
-                    }
-                    cursor += 1;
-                    sim.end_cycle(&mut pace, cost)
-                };
-                sim.tick_if_due(&mut pace);
-
-                if event != StepEvent::Running {
-                    // The outage machinery needs the real core (checkpoint
-                    // snapshot, committed counters): re-synchronize before
-                    // riding it out.
-                    if cursor > synced_at {
-                        resync_core(
-                            &mut sim.core,
-                            &program,
-                            window,
-                            synced_at,
-                            cursor,
-                            &sim.replay_loads,
-                        );
-                    }
-                    if !sim.ride_out_outage(event) {
-                        return;
-                    }
-                    continue 'window;
-                }
-            }
-        }
-    }
-}
-
-/// Re-synchronizes `core` with replayed records `[from, to)`: adopts the
-/// recorder's closest in-range snapshot (sound for the same taint reason
-/// as end-of-window adoption — tainted registers cannot influence the
-/// stream or any statistic) and walks only the remaining tail through
-/// [`redecode_records`]. This bounds the per-event resync cost by the
-/// snapshot interval; without it, outage-heavy runs re-decode nearly every
-/// record and transposed replay degenerates to live stepping. Counter
-/// deltas for the skipped span come from the record kinds themselves
-/// (`REC_HALT` commits nothing, exactly as live execution nets it out).
-fn resync_core(
-    core: &mut Core,
-    program: &Program,
-    window: &StreamWindow,
-    from: usize,
-    to: usize,
-    loads: &[u32],
-) {
-    let Some((snap, state)) = window.best_snapshot(from, to) else {
-        redecode_records(core, program, window, from, to, loads);
-        return;
-    };
-    let mut committed = 0u64;
-    let mut nloads = 0usize;
-    let mut stores = 0u64;
-    for &k in &window.kinds[from..snap] {
-        committed += u64::from(k != REC_HALT);
-        nloads += usize::from(k == REC_LOAD);
-        stores += u64::from(k == REC_STORE);
-    }
-    core.adopt(
-        state,
-        core.committed() + committed,
-        core.loads() + nloads as u64,
-        core.stores() + stores,
-    );
-    redecode_records(core, program, window, snap, to, &loads[nloads..]);
-}
-
-/// Steps `core` through window records `[from, to)`, feeding this lane's
-/// own buffered load values (`loads`, one per `REC_LOAD` record in the
-/// range, in order). Store effects are dropped — the replay already
-/// performed the data accesses — and the committed/load/store counters
-/// advance exactly as live execution would have advanced them.
-fn redecode_records(
-    core: &mut Core,
-    program: &Program,
-    window: &StreamWindow,
-    from: usize,
-    to: usize,
-    loads: &[u32],
-) {
-    let mut next_load = 0;
-    for i in from..to {
-        debug_assert_eq!(
-            core.pc(),
-            window.pcs[i],
-            "re-decode diverged from the recorded stream"
-        );
-        match core.step(program) {
-            Effect::Compute | Effect::Halted => {}
-            Effect::Load { dst, .. } => {
-                core.finish_load(dst, loads[next_load]);
-                next_load += 1;
-            }
-            Effect::Store { .. } => {}
-        }
-    }
-    debug_assert_eq!(next_load, loads.len(), "buffered load values left over");
-}
-
-/// An incrementally drivable simulation lane: the one interface through
-/// which every run is driven.
-///
-/// [`build_lane`] resolves a scheme to a simulation monomorphized over its
-/// predictor type, behind this object-safe interface: dynamic dispatch
-/// happens once per driving chunk (tens of thousands of instructions),
-/// while the predictor hooks and wake hints inside
-/// [`LaneRun::advance_until`] are statically dispatched. The D-cache's
-/// replacement policy is a value its rank updates `match` on.
-pub trait LaneRun {
-    /// Advances the simulation until `target` instructions have committed,
-    /// the workload halts, the instruction budget is exhausted, or the
-    /// energy source never recovers from an outage.
-    ///
-    /// The burst fast path is *not* truncated at `target` — a burst may
-    /// overshoot it by at most one buffered instruction run. This keeps the
-    /// burst boundaries (and therefore every f64 accumulation) of an
-    /// incrementally driven run bit-identical to one uninterrupted
-    /// `advance_until(u64::MAX)`.
-    fn advance_until(&mut self, target: u64);
-    /// Instructions committed so far (live progress, for incremental
-    /// driving).
-    fn committed(&self) -> u64;
-    /// True once [`LaneRun::advance_until`] can make no further progress:
-    /// the workload halted, the instruction budget is exhausted, or the
-    /// energy source never recovered from an outage. Incremental drivers
-    /// (the lockstep runner) poll this between chunks.
-    fn done(&self) -> bool;
-    /// Assembles the [`RunOutcome`] of a lane that has been driven to
-    /// completion. `sim_mips` is left at zero — the driver that owns the
-    /// wall clock ([`run_lane`], [`run_lockstep`]) fills it in.
-    fn finish_collecting(self: Box<Self>) -> RunOutcome;
-    /// This lane's position on the canonical rewind-free instruction
-    /// stream. `committed` counts instructions re-executed after a restore;
-    /// an offset kept across restores subtracts them back out, so two lanes
-    /// at equal `arch_pos` are about to execute the same instruction (for
-    /// stream-invariant workloads).
-    fn arch_pos(&self) -> u64;
-    /// True when this lane may participate in transposed stream replay:
-    /// the workload's access stream is provably data-independent and
-    /// nothing demands per-instruction observation of this specific lane
-    /// (cycle-accurate mode and zombie sampling both key off exact per-lane
-    /// instruction positions, so those lanes stay on the live stepper).
-    fn wide_eligible(&self) -> bool;
-    /// Advances like [`LaneRun::advance_until`] while recording every
-    /// committed instruction into `window` for sibling lanes to replay
-    /// (the transposed lockstep recorder role). The window's start is this
-    /// lane's current architectural position; an outage seals it; a clean
-    /// exit stores the end-of-window core snapshot for replayers to adopt.
-    fn advance_recording(&mut self, target: u64, window: &mut StreamWindow);
-    /// Advances this lane by replaying a sibling's recorded [`StreamWindow`]
-    /// instead of decoding instructions: the recorded `(pc, kind, addr)`
-    /// stream drives this lane's own fetches, data accesses, predictor
-    /// hooks, ticks and energy stepping — bit-identical to live execution
-    /// by stream invariance — while the core sits untouched. Architectural
-    /// state is re-synchronized at the window end by adopting the
-    /// recorder's snapshot (or, for sealed windows and mid-window exits, by
-    /// re-decoding the replayed records against this lane's own buffered
-    /// load values). An outage is ridden out on the re-synchronized core,
-    /// and the lane rejoins the window where the restored position lands
-    /// in it.
-    fn advance_replay(&mut self, window: &StreamWindow);
-    /// The architectural value of the word at `addr` (a dirty cached copy
-    /// wins over the backing store), for crash-consistency verification.
-    fn word_at(&mut self, addr: u64) -> u32;
-    /// Pre-sizes the zombie-analysis sample pools so a bounded measured
-    /// window performs no further growth (testing/benchmarking aid; no-op
-    /// unless [`SystemConfig::zombie_sample_interval`] is set).
-    fn reserve_zombie_capacity(&mut self, samples: usize);
-}
-
-impl<P: LeakagePredictor> LaneRun for Simulation<P> {
-    fn advance_until(&mut self, target: u64) {
-        // The `()` sink compiles every recording call to nothing, so the
-        // solo loop stays allocation-free.
-        self.live_loop(target, &mut ());
     }
 
     fn committed(&self) -> u64 {
@@ -1241,24 +935,6 @@ impl<P: LeakagePredictor> LaneRun for Simulation<P> {
                 .map(crate::ZombieAnalysis::finish)
                 .unwrap_or_default(),
         }
-    }
-
-    fn arch_pos(&self) -> u64 {
-        (self.core.committed() as i64 + self.arch_offset) as u64
-    }
-
-    fn wide_eligible(&self) -> bool {
-        self.stream_invariant && !self.config.force_cycle_accurate && self.zombie.is_none()
-    }
-
-    fn advance_recording(&mut self, target: u64, window: &mut StreamWindow) {
-        window.begin(self.arch_pos());
-        self.live_loop(target, window);
-        window.finish(self.core.checkpoint());
-    }
-
-    fn advance_replay(&mut self, window: &StreamWindow) {
-        self.replay_loop(window);
     }
 
     fn word_at(&mut self, addr: u64) -> u32 {
@@ -1300,32 +976,32 @@ pub fn build_lane(
 ) -> Result<Box<dyn LaneRun>, EnergyConfigError> {
     fn lane<P: LeakagePredictor + 'static>(
         (config, scheme, workload, with_recorder): (&SystemConfig, Scheme, Workload, bool),
-        predictor: impl FnMut(&SystemConfig, &Cache) -> P,
+        predictor: impl FnMut(&Cache) -> P,
     ) -> Result<Box<dyn LaneRun>, EnergyConfigError> {
         let sim = Simulation::with_predictor(config, scheme, workload, with_recorder, predictor)?;
         Ok(Box::new(sim))
     }
-    let edbp = |cfg: &SystemConfig, cache: &Cache| {
+    let edbp = |cache: &Cache| {
         Edbp::new(
-            cfg.edbp
+            config
+                .edbp
                 .clone()
                 .unwrap_or_else(|| EdbpConfig::for_cache(cache)),
         )
     };
+    let decay = |cache: &Cache| CacheDecay::new(config.decay, cache);
     let amc = |cache: &Cache| AdaptiveModeControl::new(AmcConfig::default(), cache);
     let args = (config, scheme, workload, with_recorder);
     match scheme {
         Scheme::Baseline | Scheme::Sdbp | Scheme::LeakageOff80 => {
-            lane(args, |_, _| NullPredictor::new())
+            lane(args, |_| NullPredictor::new())
         }
-        Scheme::Decay => lane(args, |cfg, cache| CacheDecay::new(cfg.decay, cache)),
+        Scheme::Decay => lane(args, decay),
         Scheme::Edbp => lane(args, edbp),
-        Scheme::DecayEdbp => lane(args, |cfg, cache| {
-            Pair::new(CacheDecay::new(cfg.decay, cache), edbp(cfg, cache))
-        }),
-        Scheme::Amc => lane(args, |_, cache| amc(cache)),
-        Scheme::AmcEdbp => lane(args, |cfg, cache| Pair::new(amc(cache), edbp(cfg, cache))),
-        Scheme::Ideal => lane(args, |_, _| {
+        Scheme::DecayEdbp => lane(args, |cache| Pair::new(decay(cache), edbp(cache))),
+        Scheme::Amc => lane(args, amc),
+        Scheme::AmcEdbp => lane(args, |cache| Pair::new(amc(cache), edbp(cache))),
+        Scheme::Ideal => lane(args, |_| {
             OraclePredictor::new(
                 oracle_trace
                     .take()
@@ -1334,12 +1010,6 @@ pub fn build_lane(
         }),
     }
 }
-
-/// Round size of the lockstep drive: a replayed round touches four parallel
-/// record columns plus every lane's caches, so short rounds keep the window
-/// columns L1/L2-resident across the recorder pass and all replayer passes.
-/// Measured on the 9-lane bench, 4k rounds beat both 8k and 32k.
-const TRANSPOSED_CHUNK: u64 = 4_096;
 
 /// `outcome` with `sim_mips` set to its committed count over `wall`
 /// seconds of host time.
@@ -1362,118 +1032,32 @@ pub fn run_lane(mut lane: Box<dyn LaneRun>) -> RunOutcome {
     timed(lane.finish_collecting(), wall)
 }
 
-/// The payload of a panic caught inside one lockstep lane.
+/// The payload of a panic caught inside one lane of a group.
 pub(crate) type LanePanic = Box<dyn std::any::Any + Send>;
 
 /// Runs `f` for one lane, catching a panic as that lane's failure.
 ///
-/// Unwind safety: a lane that panics is never advanced again, and the
-/// shared [`StreamWindow`] is re-begun before its next read.
+/// Unwind safety: a lane that panics is dropped and never advanced again.
 fn contain<T>(f: impl FnOnce() -> T) -> Result<T, LanePanic> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
 }
 
-/// Drives `lanes`, all over the same workload, until every lane is
-/// [`LaneRun::done`] or has panicked. Returns, per lane, the payload of the
-/// panic that stopped it (`None` for lanes that ran to completion); a lane
-/// that panicked is left unfinished and must not be advanced again.
-///
-/// Each round:
-///
-/// 1. The *recorder* — the eligible live lane with the lowest
-///    architectural position — advances [`TRANSPOSED_CHUNK`] instructions,
-///    recording its stream into a [`StreamWindow`] (when it has at least
-///    one eligible sibling; alone it advances unrecorded).
-/// 2. Every other eligible lane whose position falls inside the window
-///    replays it without decoding; eligible lanes ahead of the window skip
-///    the round until the rest catch up.
-/// 3. Ineligible lanes (zombie sampling, cycle-accurate, data-dependent
-///    streams) advance one chunk on the live per-lane stepper.
-///
-/// A recorder panic discards the round's half-recorded window, costing the
-/// siblings one replay opportunity and nothing else.
-fn drive_lockstep(lanes: &mut [Box<dyn LaneRun>]) -> Vec<Option<LanePanic>> {
-    let mut panics: Vec<Option<LanePanic>> = lanes.iter().map(|_| None).collect();
-    let mut window = StreamWindow::default();
-    loop {
-        let mut recorder: Option<usize> = None;
-        let mut eligible = 0usize;
-        for (i, lane) in lanes.iter().enumerate() {
-            if panics[i].is_some() || lane.done() || !lane.wide_eligible() {
-                continue;
-            }
-            eligible += 1;
-            if recorder.is_none_or(|r| lane.arch_pos() < lanes[r].arch_pos()) {
-                recorder = Some(i);
-            }
-        }
-        let mut progressed = false;
-        if let Some(r) = recorder {
-            progressed = true;
-            let target = lanes[r].committed().saturating_add(TRANSPOSED_CHUNK);
-            if eligible < 2 {
-                // A lone eligible lane records for nobody.
-                panics[r] = contain(|| lanes[r].advance_until(target)).err();
-            } else if let Err(payload) = contain(|| lanes[r].advance_recording(target, &mut window))
-            {
-                panics[r] = Some(payload);
-            } else {
-                let (start, len) = (window.start(), window.len() as u64);
-                for (i, lane) in lanes.iter_mut().enumerate() {
-                    if i == r || panics[i].is_some() || lane.done() || !lane.wide_eligible() {
-                        continue;
-                    }
-                    let pos = lane.arch_pos();
-                    if pos >= start && pos < start + len {
-                        panics[i] = contain(|| lane.advance_replay(&window)).err();
-                    }
-                }
-            }
-        }
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            if Some(i) == recorder || panics[i].is_some() || lane.done() || lane.wide_eligible() {
-                continue;
-            }
-            let target = lane.committed().saturating_add(TRANSPOSED_CHUNK);
-            panics[i] = contain(|| lane.advance_until(target)).err();
-            progressed = true;
-        }
-        if !progressed {
-            return panics;
-        }
-    }
-}
-
-/// Drives `lanes` as one lockstep group under one wall clock and finishes
-/// them: per lane, its outcome (`sim_mips` is its own committed count over
-/// the group's wall time) or the payload of the panic that stopped it while
-/// driving or finishing. A panicking lane never disturbs its siblings.
-pub(crate) fn run_group(mut lanes: Vec<Box<dyn LaneRun>>) -> Vec<Result<RunOutcome, LanePanic>> {
-    let wall_start = std::time::Instant::now();
-    let panics = drive_lockstep(&mut lanes);
-    let wall = wall_start.elapsed().as_secs_f64();
+/// Runs `lanes` one after another, each through [`run_lane`] under its own
+/// wall clock, and drops each lane once it finishes. Returns, per lane, its
+/// outcome or the payload of the panic that stopped it; a panicking lane
+/// never disturbs its siblings.
+pub(crate) fn run_group(lanes: Vec<Box<dyn LaneRun>>) -> Vec<Result<RunOutcome, LanePanic>> {
     lanes
         .into_iter()
-        .zip(panics)
-        .map(|(lane, panic)| match panic {
-            Some(payload) => Err(payload),
-            None => contain(|| timed(lane.finish_collecting(), wall)),
-        })
+        .map(|lane| contain(|| run_lane(lane)))
         .collect()
 }
 
-/// Drives a group of lanes over the same workload in lockstep until every
-/// lane is [`LaneRun::done`]: each round, the eligible lane furthest behind
-/// records its instruction stream and its siblings replay it without
-/// decoding. One wall-clock measurement covers the whole group; each
-/// lane's `sim_mips` is its own committed count over that shared wall time.
-///
-/// Bit-exactness: [`LaneRun::advance_until`] never truncates a burst at its
-/// target, and a replaying lane performs its own fetches, accesses,
-/// predictor hooks and energy steps in the live order, so every
-/// [`RunOutcome`] equals the outcome of an independent [`run_lane`]
-/// (modulo `sim_mips`, which is wall-clock-derived in both regimes; the
-/// `lockstep` suite asserts this for every scheme).
+/// Runs a group of lanes over the same workload to completion, one lane
+/// after another. Each lane runs as an independent [`run_lane`], so every
+/// [`RunOutcome`] equals that lane's solo outcome (the `lockstep` suite
+/// asserts it for every scheme), and each `sim_mips` is the lane's own
+/// committed count over its own wall time.
 ///
 /// # Panics
 ///
@@ -1546,66 +1130,37 @@ mod tests {
 
     const FAULT: &str = "injected lane fault";
 
-    /// A real lane that panics on its third advance of any kind.
-    struct Faulty {
-        inner: Box<dyn LaneRun>,
-        advances_left: u32,
-    }
-
-    impl Faulty {
-        fn count_advance(&mut self) {
-            self.advances_left -= 1;
-            assert!(self.advances_left > 0, "{FAULT}");
-        }
-    }
+    /// A real lane that panics on its first advance.
+    struct Faulty(Box<dyn LaneRun>);
 
     impl LaneRun for Faulty {
-        fn advance_until(&mut self, target: u64) {
-            self.count_advance();
-            self.inner.advance_until(target);
+        fn advance_until(&mut self, _target: u64) {
+            panic!("{FAULT}");
         }
 
         fn committed(&self) -> u64 {
-            self.inner.committed()
+            self.0.committed()
         }
 
         fn done(&self) -> bool {
-            self.inner.done()
+            self.0.done()
         }
 
         fn finish_collecting(self: Box<Self>) -> RunOutcome {
-            self.inner.finish_collecting()
-        }
-
-        fn arch_pos(&self) -> u64 {
-            self.inner.arch_pos()
-        }
-
-        fn wide_eligible(&self) -> bool {
-            self.inner.wide_eligible()
-        }
-
-        fn advance_recording(&mut self, target: u64, window: &mut StreamWindow) {
-            self.count_advance();
-            self.inner.advance_recording(target, window);
-        }
-
-        fn advance_replay(&mut self, window: &StreamWindow) {
-            self.count_advance();
-            self.inner.advance_replay(window);
+            self.0.finish_collecting()
         }
 
         fn word_at(&mut self, addr: u64) -> u32 {
-            self.inner.word_at(addr)
+            self.0.word_at(addr)
         }
 
         fn reserve_zombie_capacity(&mut self, samples: usize) {
-            self.inner.reserve_zombie_capacity(samples);
+            self.0.reserve_zombie_capacity(samples);
         }
     }
 
     /// Three lanes over one bounded workload; lane `faulty` (if any) panics
-    /// a few rounds in.
+    /// when it is first advanced.
     fn group(faulty: Option<usize>) -> Vec<Box<dyn LaneRun>> {
         let mut config = SystemConfig::paper_default();
         config.max_instructions = 60_000;
@@ -1617,10 +1172,7 @@ mod tests {
                 let lane = build_lane(&config, scheme, workload.clone(), None, false)
                     .expect("paper-default energy configuration is valid");
                 if faulty == Some(i) {
-                    Box::new(Faulty {
-                        inner: lane,
-                        advances_left: 3,
-                    })
+                    Box::new(Faulty(lane))
                 } else {
                     lane
                 }
@@ -1638,9 +1190,7 @@ mod tests {
 
     #[test]
     fn a_panicking_lane_fails_alone() {
-        // Lane 0 records every round and its siblings replay, so this
-        // covers a recorder panic (half-recorded window) and replayer
-        // panics.
+        // The faulty lane runs first, between its siblings, and last.
         for faulty in 0..3 {
             for (i, outcome) in run_group(group(Some(faulty))).into_iter().enumerate() {
                 let outcome = match outcome {

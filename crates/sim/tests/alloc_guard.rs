@@ -14,15 +14,14 @@
 //! built through `build_lane` as every figure builds it: NVSRAMCache/EDBP
 //! (voltage-threshold gating + NV parking), EDBP under DRRIP (Fig. 10:
 //! victim aging, rank re-sort, set dueling), Decay+EDBP (per-epoch sweeps
-//! through `Pair`), a zombie-instrumented run (per-instruction sampling on
-//! the cycle-by-cycle reference path), and recorder/replayer lane pairs
-//! (transposed lockstep replay of one shared `StreamWindow`).
+//! through `Pair`), and a zombie-instrumented run (per-instruction sampling
+//! on the cycle-by-cycle reference path).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ehs_cache::ReplacementPolicy;
-use ehs_sim::{build_lane, run_lane, LaneRun, Scheme, StreamWindow, SystemConfig};
+use ehs_sim::{build_lane, run_lane, LaneRun, Scheme, SystemConfig};
 use ehs_workloads::{build, AppId, Scale};
 
 /// Wraps the system allocator, counting every allocation (alloc, realloc
@@ -56,9 +55,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Instructions per recorded lockstep round (the lockstep driver's chunk).
-const CHUNK: u64 = 4_096;
-
 fn lane(config: &SystemConfig, scheme: Scheme, app: AppId) -> Box<dyn LaneRun> {
     build_lane(config, scheme, build(app, Scale::Small), None, false)
         .expect("paper-default energy configuration is valid")
@@ -72,29 +68,9 @@ fn window_marks(config: &SystemConfig, scheme: Scheme, app: AppId) -> (u64, u64)
     (total * 55 / 100, total * 85 / 100)
 }
 
-/// Heap allocations performed by `f`.
-fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
-}
-
-/// Asserts a measured window from instruction `from` to `to` performed no
-/// allocations and was long enough to mean something.
-fn assert_alloc_free(label: &str, allocated: u64, from: u64, to: u64) {
-    assert_eq!(
-        allocated, 0,
-        "{label}: {allocated} heap allocations while committing instructions \
-         {from}..{to} (the hot loop must be allocation-free once warm)"
-    );
-    assert!(
-        to > from + 1000,
-        "{label}: measured window too short ({from}..{to}) to be meaningful"
-    );
-}
-
 /// Warms one lane up to its 55 % mark and asserts the window that follows
-/// (up to 85 %) performs zero allocations.
+/// (up to 85 %) performs zero allocations and is long enough to mean
+/// something.
 fn assert_alloc_free_window(config: &SystemConfig, scheme: Scheme, app: AppId, label: &str) {
     let (warmup, until) = window_marks(config, scheme, app);
     let mut sim = lane(config, scheme, app);
@@ -105,44 +81,19 @@ fn assert_alloc_free_window(config: &SystemConfig, scheme: Scheme, app: AppId, l
         sim.committed()
     );
     sim.reserve_zombie_capacity(4096);
-    let allocated = allocations(|| sim.advance_until(until));
-    assert_alloc_free(label, allocated, warmup, sim.committed());
-}
-
-/// Advances both lanes to `target` in lockstep rounds, as the lockstep
-/// driver does: the lane behind records one chunk into `window`, and the
-/// other replays it when its position falls inside.
-fn drive_pair(lanes: &mut [Box<dyn LaneRun>; 2], window: &mut StreamWindow, target: u64) {
-    while lanes.iter().any(|lane| lane.committed() < target) {
-        let r = usize::from(lanes[1].arch_pos() < lanes[0].arch_pos());
-        assert!(!lanes[r].done(), "lane {r} finished before {target}");
-        let chunk_end = lanes[r].committed() + CHUNK;
-        lanes[r].advance_recording(chunk_end, window);
-        let replayer = &mut lanes[1 - r];
-        let pos = replayer.arch_pos();
-        if pos >= window.start() && pos < window.start() + window.len() as u64 {
-            replayer.advance_replay(window);
-        }
-    }
-}
-
-/// The lockstep flavour of [`assert_alloc_free_window`]: two lanes over one
-/// workload share one stream window, taking turns to record and replay.
-fn assert_replay_alloc_free(config: &SystemConfig, schemes: [Scheme; 2], app: AppId) {
-    let label = format!("{} + {} lockstep", schemes[0], schemes[1]);
-    let (warmup, until) = window_marks(config, schemes[0], app);
-    let mut lanes = schemes.map(|scheme| lane(config, scheme, app));
-    assert!(
-        lanes.iter().all(|lane| lane.wide_eligible()),
-        "{label}: both lanes must be eligible for stream replay"
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    sim.advance_until(until);
+    let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let (from, to) = (warmup, sim.committed());
+    assert_eq!(
+        allocated, 0,
+        "{label}: {allocated} heap allocations while committing instructions \
+         {from}..{to} (the hot loop must be allocation-free once warm)"
     );
-    let mut window = StreamWindow::default();
-    drive_pair(&mut lanes, &mut window, warmup);
-    let from = lanes.each_ref().map(|lane| lane.committed());
-    let allocated = allocations(|| drive_pair(&mut lanes, &mut window, until));
-    for (lane, from) in lanes.iter().zip(from) {
-        assert_alloc_free(&label, allocated, from, lane.committed());
-    }
+    assert!(
+        to > from + 1000,
+        "{label}: measured window too short ({from}..{to}) to be meaningful"
+    );
 }
 
 #[test]
@@ -180,11 +131,4 @@ fn hot_loop_is_allocation_free_once_warm() {
         AppId::Sha,
         "zombie-instrumented",
     );
-
-    // Transposed lockstep: the replayer performs its own fetches, data
-    // accesses, predictor hooks and energy steps off the recorder's window
-    // (pooled record columns, snapshots and replayed load values).
-    let config = SystemConfig::paper_default();
-    assert_replay_alloc_free(&config, [Scheme::Baseline, Scheme::DecayEdbp], AppId::Crc32);
-    assert_replay_alloc_free(&config, [Scheme::Edbp, Scheme::DecayEdbp], AppId::AdpcmEnc);
 }

@@ -1,7 +1,8 @@
 //! Lockstep-vs-independent differential suite.
 //!
-//! [`run_lockstep`] drives N scheme lanes over one shared workload replay,
-//! advancing them in bounded rounds. The group driving must be
+//! [`run_lockstep`] runs a group of N scheme lanes over one workload, one
+//! lane after another; the runner's work items and the benchmark's
+//! `lockstep_sweep` both drive lanes that way. Running in a group must be
 //! **invisible**: every lane's [`RunResult`] (minus the wall-clock
 //! `sim_mips`, which `PartialEq` excludes) must be bit-identical to running
 //! that lane alone. These tests assert it across the full scheme roster,
