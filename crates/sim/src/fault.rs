@@ -291,11 +291,12 @@ pub(crate) fn on_execute(zombie_instrumented: bool) {
     }
 }
 
-/// Instrumentation hook for persistent-cache stores. No-op unless armed.
-/// `Panic` detonates in place; the other kinds are returned for the store
-/// path to act out at their most damaging spot (`IoError`: skip the write;
-/// `ShortWrite`: tear it; `Kill`: die after the temp write, before the
-/// rename).
+/// Instrumentation hook for persistent-cache stores, hit once per entry of
+/// a group commit, in queue order. No-op unless armed. `Panic` detonates in
+/// place; the other kinds are returned for the store path to act out at
+/// their most damaging spot (`IoError`: skip the entry's write;
+/// `ShortWrite`: tear it; `Kill`: die once the group's temp files are
+/// durable, before any of its renames).
 pub(crate) fn on_store() -> Option<FaultKind> {
     if !armed() {
         return None;

@@ -52,10 +52,19 @@
 //! a process may die (SIGKILL, power cut) at **any** instruction and the
 //! directory must still only ever contain absent or complete entries.
 //!
-//! * [`RunCache::store`] writes to a process-private temp file, fsyncs,
-//!   then atomically renames over the final path (plus a best-effort
-//!   directory fsync) — a reader never observes a torn entry, and the
-//!   trailing checksum rejects anything a weaker writer left behind.
+//! * Entries land in group commits ([`RunCache::store`] is a group of
+//!   one): each entry is written to a process-private temp file and
+//!   fsynced, then every temp file is atomically renamed over its final
+//!   path, and the directory is fsynced once (best-effort). A reader never
+//!   observes a torn entry, and the trailing checksum rejects anything a
+//!   weaker writer left behind. A kill mid-commit loses at most the
+//!   commit's entries, each of which a re-run simulates again to the same
+//!   bytes.
+//! * The runner makes the thread that waits for a call's simulation
+//!   threads the cache's only writer: finished entries queue up while it
+//!   commits, and its next commit takes all of them, so simulation threads
+//!   never wait on the disk and one directory fsync covers many entries.
+//!   A claim is released only by the commit that put its entry in place.
 //! * Concurrent processes share a directory safely: renames are atomic and
 //!   idempotent (identical bytes for identical keys), and per-entry claims
 //!   ([`RunCache::claim`], an exclusive kernel lock on `<stem>.claim`) let
@@ -542,6 +551,15 @@ impl Drop for ClaimGuard {
     }
 }
 
+/// One encoded entry waiting for [`RunCache::commit`].
+#[derive(Debug)]
+pub(crate) struct Staged {
+    path: PathBuf,
+    bytes: Vec<u8>,
+    /// The claim to release once the commit has put the entry in place.
+    pub(crate) claim: Option<ClaimGuard>,
+}
+
 /// Result of [`RunCache::claim`].
 #[derive(Debug)]
 pub enum ClaimOutcome {
@@ -641,14 +659,15 @@ impl RunCache {
         )
     }
 
-    /// Stores one entry crash-atomically: the bytes are written to a
-    /// process-private temp file, fsynced, and renamed over the final path
-    /// (with a best-effort directory fsync), so a reader — concurrent or
-    /// after a mid-write kill — observes either no entry or a complete one,
-    /// never a torn file. Best-effort on I/O error: a failed store costs
-    /// future cache hits, never correctness, so it warns once and degrades
-    /// to cacheless instead of aborting. Returns whether the entry is
-    /// durably in place.
+    /// Stores one entry crash-atomically, as a group commit of one (see
+    /// the module docs): the bytes go to a process-private temp file and
+    /// are fsynced, the temp file is renamed over the final path, and the
+    /// directory is fsynced, so a reader — concurrent, or after a kill at
+    /// any instant — observes either no entry or a complete one, never a
+    /// torn file. Best-effort on I/O error: a failed store costs future
+    /// cache hits, never correctness, so it warns once and degrades to
+    /// cacheless instead of aborting. Returns whether the entry is durably
+    /// in place.
     pub fn store(
         &self,
         config_fp: u64,
@@ -658,65 +677,110 @@ impl RunCache {
         result: &RunResult,
         zombies: Option<&[ZombieSample]>,
     ) -> bool {
-        let bytes = encode(
-            config_fp,
-            workload_fingerprint(app, scale),
-            scheme,
-            app,
-            scale,
-            result,
-            zombies,
-        );
-        let path = self.entry_path(config_fp, scheme, app, scale);
-        let injected = fault::on_store();
-        match injected {
-            Some(FaultKind::IoError) => {
-                // Simulated EIO: the entry is simply not persisted.
-                warn_store_failure(&path, &std::io::Error::other("injected I/O error"));
-                return false;
-            }
-            Some(FaultKind::ShortWrite) => {
-                // Simulated torn write: a truncated entry lands at the
-                // *final* path, bypassing the temp-file dance — the file a
-                // pre-atomic writer (or a filesystem losing tail bytes on
-                // power cut) would leave. Loaders must reject it.
-                let torn = &bytes[..bytes.len() - bytes.len() / 3];
-                let _ = std::fs::write(&path, torn);
-                return false;
-            }
-            _ => {}
+        let entry = self.stage(config_fp, scheme, app, scale, result, zombies);
+        self.commit(vec![entry]) == 1
+    }
+
+    /// Encodes one entry for a later [`commit`](Self::commit). The caller
+    /// may set its [`Staged::claim`], which the commit releases.
+    pub(crate) fn stage(
+        &self,
+        config_fp: u64,
+        scheme: Scheme,
+        app: AppId,
+        scale: Scale,
+        result: &RunResult,
+        zombies: Option<&[ZombieSample]>,
+    ) -> Staged {
+        Staged {
+            path: self.entry_path(config_fp, scheme, app, scale),
+            bytes: encode(
+                config_fp,
+                workload_fingerprint(app, scale),
+                scheme,
+                app,
+                scale,
+                result,
+                zombies,
+            ),
+            claim: None,
         }
-        let tmp = self.dir.join(unique_tmp_suffix());
-        let written = std::fs::File::create(&tmp)
-            .and_then(|mut f| f.write_all(&bytes).and_then(|()| f.sync_all()));
-        if let Err(e) = written {
-            warn_store_failure(&tmp, &e);
-            let _ = std::fs::remove_file(&tmp);
-            return false;
+    }
+
+    /// Stores a batch of entries as one group commit, with
+    /// [`store`](Self::store)'s guarantees: each entry's bytes go to a
+    /// process-private temp file and are fsynced, then every temp file is
+    /// renamed over its final path, the directory is fsynced once, and
+    /// only then are the batch's claims released, so a rival that waited
+    /// on a claim finds the entry in place.
+    ///
+    /// Each entry meets one [`fault::on_store`] hit, in batch order, before
+    /// any file of the batch is touched. An injected `kill` fires once the
+    /// batch's temp files are durable and before any of its renames.
+    /// Returns how many entries are durably in place.
+    pub(crate) fn commit(&self, batch: Vec<Staged>) -> usize {
+        let faults: Vec<Option<FaultKind>> = batch.iter().map(|_| fault::on_store()).collect();
+        let mut durable = Vec::with_capacity(batch.len());
+        for (entry, &injected) in batch.iter().zip(&faults) {
+            match injected {
+                Some(FaultKind::IoError) => {
+                    // Simulated EIO: the entry is simply not persisted.
+                    let e = std::io::Error::other("injected I/O error");
+                    warn_store_failure(&entry.path, &e);
+                    continue;
+                }
+                Some(FaultKind::ShortWrite) => {
+                    // Simulated torn write: a truncated entry lands at the
+                    // *final* path, bypassing the temp-file dance — the
+                    // file a pre-atomic writer (or a filesystem losing tail
+                    // bytes on power cut) would leave. Loaders must reject
+                    // it.
+                    let torn = &entry.bytes[..entry.bytes.len() - entry.bytes.len() / 3];
+                    let _ = std::fs::write(&entry.path, torn);
+                    continue;
+                }
+                _ => {}
+            }
+            let tmp = self.dir.join(unique_tmp_suffix());
+            let written = std::fs::File::create(&tmp)
+                .and_then(|mut f| f.write_all(&entry.bytes).and_then(|()| f.sync_all()));
+            match written {
+                Ok(()) => durable.push((tmp, &entry.path)),
+                Err(e) => {
+                    warn_store_failure(&tmp, &e);
+                    let _ = std::fs::remove_file(&tmp);
+                }
+            }
         }
-        if injected == Some(FaultKind::Kill) {
-            // The worst crash point: the temp file is durable but the
-            // rename never happens — the entry must simply be missing on
-            // the next run, and the orphan temp file must be inert.
+        if faults.contains(&Some(FaultKind::Kill)) {
+            // The worst crash point: the temp files are durable but no
+            // rename happens — the entries must simply be missing on the
+            // next run, and the orphan temp files must be inert.
             eprintln!("fault injection: kill between cache write and rename");
             std::process::exit(137);
         }
-        match std::fs::rename(&tmp, &path) {
-            Ok(()) => {
-                // Make the rename itself durable (POSIX: fsync the parent
-                // directory). Failure here only weakens durability of this
-                // one entry, so it is best-effort.
-                if let Ok(d) = std::fs::File::open(&self.dir) {
-                    let _ = d.sync_all();
+        let mut stored = 0;
+        for (tmp, path) in durable {
+            match std::fs::rename(&tmp, path) {
+                Ok(()) => stored += 1,
+                Err(e) => {
+                    warn_store_failure(path, &e);
+                    let _ = std::fs::remove_file(&tmp);
                 }
-                true
-            }
-            Err(e) => {
-                warn_store_failure(&path, &e);
-                let _ = std::fs::remove_file(&tmp);
-                false
             }
         }
+        if stored > 0 {
+            // Make the renames themselves durable (POSIX: fsync the parent
+            // directory). Failure here only weakens durability of these
+            // entries, so it is best-effort.
+            if let Ok(d) = std::fs::File::open(&self.dir) {
+                let _ = d.sync_all();
+            }
+        }
+        // Only now, with every entry that could be stored in place, do the
+        // batch's claims go.
+        drop(batch);
+        stored
     }
 
     /// Tries to claim an entry before simulating it, so concurrent harness
@@ -832,6 +896,56 @@ mod tests {
         );
         assert_ne!(a, workload_fingerprint(AppId::Sha, Scale::Tiny));
         assert_ne!(a, workload_fingerprint(AppId::Crc32, Scale::Small));
+    }
+
+    #[test]
+    fn a_group_commit_stores_its_whole_batch() {
+        let dir = std::env::temp_dir().join(format!("ehs-group-commit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = RunCache::new(&dir).expect("create temp cache");
+        let config = crate::SystemConfig::paper_default();
+        let samples = [ZombieSample {
+            voltage: 3.25,
+            zombie: true,
+        }];
+        // The last entry repeats the first key: its rename replaces the
+        // first one's identical bytes.
+        let keys = [
+            (Scheme::Baseline, AppId::Crc32, None),
+            (Scheme::Edbp, AppId::Crc32, None),
+            (Scheme::Baseline, AppId::Sha, Some(&samples[..])),
+            (Scheme::Baseline, AppId::Crc32, None),
+        ];
+        let runs: Vec<_> = keys
+            .iter()
+            .map(|&(scheme, app, zombies)| {
+                let fp = crate::runner::effective_fingerprint(&config, scheme);
+                let result = crate::run_app(&config, scheme, app, Scale::Tiny);
+                (fp, scheme, app, result, zombies)
+            })
+            .collect();
+        let batch = runs
+            .iter()
+            .map(|&(fp, scheme, app, ref result, zombies)| {
+                cache.stage(fp, scheme, app, Scale::Tiny, result, zombies)
+            })
+            .collect();
+        assert_eq!(cache.commit(batch), keys.len(), "every entry stored");
+
+        for &(fp, scheme, app, ref result, zombies) in &runs {
+            let wfp = workload_fingerprint(app, Scale::Tiny);
+            let expected = encode(fp, wfp, scheme, app, Scale::Tiny, result, zombies);
+            let path = cache.entry_path(fp, scheme, app, Scale::Tiny);
+            assert_eq!(std::fs::read(path).expect("entry file"), expected);
+            let loaded = cache.load(fp, scheme, app, Scale::Tiny).expect("loads");
+            assert_eq!(loaded.result, *result);
+            assert_eq!(loaded.zombie_samples.as_deref(), zombies);
+        }
+        for entry in std::fs::read_dir(&dir).expect("read cache dir").flatten() {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            assert!(!name.starts_with(".tmp-"), "leftover temp file: {name}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

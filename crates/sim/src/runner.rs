@@ -58,13 +58,22 @@
 //! Per key: a memo hit is done, and a disk hit is adopted into the memo.
 //! Otherwise the key is claimed ([`runcache::RunCache::claim`], a kernel
 //! file lock) and the disk checked again under the claim. The claimed keys
-//! simulate, and each finished key is stored before its claim is released.
+//! simulate, and each finished key is memoized and stored before its claim
+//! is released. The simulation threads do not store: each sends its
+//! finished key's encoded entry, with the claim, down a channel to the
+//! thread that called [`try_run_jobs_outputs`]. That thread is the cache's
+//! only writer. While its simulation threads run, it commits whatever has
+//! queued as one group (every entry fsynced and renamed, one directory
+//! fsync, then the group's claims released; see
+//! [`runcache::RunCache::store`]), and it returns only once every entry is
+//! in place.
+//!
 //! A key that another process holds is revisited on a later sweep (a sweep
 //! that settled nothing backs off with jitter, at most 320 ms) until its
 //! entry lands on disk or its holder dies, which releases the claim at
-//! once. An `Ideal` key is opened only once its baseline is
-//! settled or claimed by the same visit, so it never re-records a baseline
-//! that a rival is still simulating.
+//! once. An `Ideal` key is opened only once its baseline is settled or
+//! claimed by the same visit, so it never re-records a baseline that a
+//! rival is still simulating.
 //!
 //! Items run longest-estimated-first (see [`Job::estimated_cost`]) from
 //! one queue shared by every thread, so a `Full`-scale straggler cannot
@@ -76,20 +85,23 @@
 //! Claims are the only exclusion between processes. Inside one process, the
 //! items of a call are disjoint, so no key has two producers, and
 //! concurrent calls take turns on one process-wide lock held for the
-//! whole call.
+//! whole call. A call's one writer holds each claim until the entry is on
+//! disk, so a rival that waited on the claim finds the entry.
 //!
 //! A panicking lane is a *result*, not a process event: it fails exactly
 //! its own key's jobs ([`JobError`]) while every other key completes, and
 //! the key stays out of the memo, so the next call retries it. Nothing
 //! else fails a key: a claim that cannot be taken is simulated unclaimed
 //! (duplicate work is safe, stalling is not), and a store that fails keeps
-//! the result in memory only, after one warning. No table in this module
-//! can stay poisoned (see `lock_unpoisoned`). The deterministic
-//! fault-injection harness ([`crate::fault`]) exercises these paths.
+//! the result in memory only, after one warning. A panic in a store is not
+//! a job's: it unwinds the writer, and so the call, once the simulation
+//! threads finish. No table in this module can stay poisoned (see
+//! `lock_unpoisoned`). The deterministic fault-injection harness
+//! ([`crate::fault`]) exercises these paths.
 
+use crate::runcache::{self, Staged};
 use crate::{
-    config_fingerprint, fault, runcache, LaneRun, RunOutcome, RunResult, Scheme, SystemConfig,
-    ZombieSample,
+    config_fingerprint, fault, LaneRun, RunOutcome, RunResult, Scheme, SystemConfig, ZombieSample,
 };
 use edbp_core::{EdbpConfig, GenerationTrace};
 use ehs_cache::Cache;
@@ -98,6 +110,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
@@ -501,18 +514,32 @@ fn produce(units: &[Unit], threads: usize) -> Vec<Status> {
         let progressed = AtomicBool::new(false);
         let still_open = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::channel();
             for _ in 0..threads.min(pending.len()) {
-                scope.spawn(|| {
+                let tx = tx.clone();
+                let (producer, items, pending) = (&producer, &items, &pending);
+                let (next, progressed, still_open) = (&next, &progressed, &still_open);
+                scope.spawn(move || {
                     while let Some(&i) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
-                        let (moved, open) = producer.visit(&items[i]);
+                        let (moved, open) = producer.visit(&items[i], &tx);
                         if moved {
                             progressed.store(true, Ordering::Relaxed);
                         }
                         if open {
-                            lock_unpoisoned(&still_open).push(i);
+                            lock_unpoisoned(still_open).push(i);
                         }
                     }
                 });
+            }
+            drop(tx);
+            // This thread is the cache's only writer: it commits whatever
+            // the workers finished since its last commit as one group, and
+            // returns once the last worker is done and its entries are in.
+            while let Ok(first) = rx.recv() {
+                let batch = std::iter::once(first).chain(rx.try_iter()).collect();
+                if let Some(cache) = producer.cache {
+                    cache.commit(batch);
+                }
             }
         });
         pending = still_open
@@ -556,7 +583,7 @@ impl Producer<'_> {
     /// `Ideal` waits for a later sweep rather than re-record the baseline
     /// as its oracle. The baseline precedes its `Ideal`s in the item (see
     /// [`units_of`]).
-    fn visit(&self, item: &[usize]) -> (bool, bool) {
+    fn visit(&self, item: &[usize], tx: &Sender<Staged>) -> (bool, bool) {
         let open_before = self.open_units(item);
         let mut group = Vec::new();
         let mut oracles = Vec::new();
@@ -604,7 +631,7 @@ impl Producer<'_> {
             if let Ok(run) = &mut outcome {
                 trace = trace.or(run.trace.take());
             }
-            self.finish(claim, outcome);
+            self.finish(claim, outcome, tx);
         }
 
         for claim in oracles {
@@ -618,7 +645,7 @@ impl Producer<'_> {
             let outcome = oracle
                 .and_then(|oracle| start(job, job.scheme, Some(oracle), false))
                 .and_then(|lane| simulate(vec![lane]).pop().expect("one lane"));
-            self.finish(claim, outcome);
+            self.finish(claim, outcome, tx);
         }
 
         let open_after = self.open_units(item);
@@ -673,10 +700,12 @@ impl Producer<'_> {
         true
     }
 
-    /// Finishes one simulated key: store it, memoize it, then release its
-    /// claim. A failed store keeps the result in memory only (the cache
-    /// warns once), so a later process simulates the key again.
-    fn finish(&self, claim: Claim, outcome: Result<RunOutcome, String>) {
+    /// Finishes one simulated key: memoize it, then hand its encoded entry
+    /// and its claim to the calling thread, which commits the entry and
+    /// only then releases the claim. A failed store keeps the result in
+    /// memory only (the cache warns once), so a later process simulates
+    /// the key again.
+    fn finish(&self, claim: Claim, outcome: Result<RunOutcome, String>, tx: &Sender<Staged>) {
         let Claim { unit, guard } = claim;
         let mut run = match outcome {
             Ok(run) => run,
@@ -693,9 +722,9 @@ impl Producer<'_> {
                 .is_some()
                 .then(|| Arc::new(run.zombie_samples)),
         };
-        if let Some(cache) = self.cache {
+        let staged = self.cache.map(|cache| {
             let zombies = entry.zombies.as_deref().map(Vec::as_slice);
-            cache.store(
+            let mut staged = cache.stage(
                 key.config_fp,
                 key.scheme,
                 key.app,
@@ -703,10 +732,16 @@ impl Producer<'_> {
                 &entry.result,
                 zombies,
             );
-        }
+            staged.claim = guard;
+            staged
+        });
         memo().insert(key.clone(), entry);
         self.settle(unit, Status::Produced { sim_mips });
-        drop(guard);
+        if let Some(staged) = staged {
+            // The receiver outlives every worker unless the writer
+            // panicked; then the entry and its claim just drop.
+            let _ = tx.send(staged);
+        }
     }
 }
 

@@ -55,6 +55,16 @@ fn suite_dedup_accounting_is_exact() {
     // A fault-free pass has an empty structured failure summary.
     assert!(cold.failures().is_empty(), "no failures without faults");
 
+    // Every group commit finished before the pass returned: no temp file
+    // awaits its rename, and every claim is released.
+    for entry in std::fs::read_dir(&dir).expect("read cache dir").flatten() {
+        let name = entry.file_name().to_string_lossy().into_owned();
+        assert!(
+            !name.starts_with(".tmp-") && !name.ends_with(".claim"),
+            "cold pass left {name} in the cache directory"
+        );
+    }
+
     // Every unique job's entry is on disk (the resume contract's write
     // half): a fresh handle loads each one. With `cold.executed == unique`
     // above, each was simulated exactly once.
