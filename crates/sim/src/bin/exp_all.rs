@@ -10,12 +10,10 @@
 //! `--expect-cached` fails the run if any simulation actually executed.
 //!
 //! The cache directory is the only record of finished work: a re-run after
-//! a kill adopts every valid entry and simulates only what was lost. Any
-//! number of `exp_all`s sharing one cache directory (`EHS_RUNCACHE_DIR`)
-//! are a fleet: each adopts the entries already on disk, claims (kernel
-//! file locks) and simulates the rest, waits out the keys a live rival
-//! holds, and renders every figure. See the multi-machine runbook in
-//! `EXPERIMENTS.md`.
+//! a kill adopts every valid entry and simulates only what was lost. Two
+//! `exp_all`s may share one cache directory (`EHS_RUNCACHE_DIR`): each
+//! simulates what it does not find there, and their stores write identical
+//! bytes, so both stay correct. Nothing splits the work between them.
 
 fn main() {
     ehs_sim::planner::suite_main();

@@ -41,10 +41,6 @@
 //! | `zombie` | one zombie-instrumented execution (only Fig. 4 runs these,  |
 //! |          | so `panic@zombie=1` poisons exactly one figure of a suite)  |
 //! | `store`  | one persistent-cache entry store                            |
-//! | `claim`  | one claim attempt (`RunCache::claim`); `io` makes the       |
-//! |          | attempt report `Unavailable`, so the key simulates          |
-//! |          | unclaimed; `kill` dies holding the claims the process has   |
-//! |          | already taken                                               |
 //!
 //! Counters are process-global and monotonic, so a plan is deterministic
 //! for a deterministic workload ordering (e.g. `--threads 1`), and
@@ -90,8 +86,6 @@ pub enum Site {
     ZombieExec,
     /// A persistent-cache entry store.
     Store,
-    /// A claim attempt (`RunCache::claim`).
-    Claim,
 }
 
 impl Site {
@@ -100,7 +94,6 @@ impl Site {
             Self::Exec => "exec",
             Self::ZombieExec => "zombie",
             Self::Store => "store",
-            Self::Claim => "claim",
         }
     }
 }
@@ -147,11 +140,9 @@ impl FailPlan {
                 "exec" => Site::Exec,
                 "zombie" => Site::ZombieExec,
                 "store" => Site::Store,
-                "claim" => Site::Claim,
                 other => {
                     return Err(format!(
-                        "fault spec {clause:?}: unknown site {other:?} \
-                         (exec|zombie|store|claim)"
+                        "fault spec {clause:?}: unknown site {other:?} (exec|zombie|store)"
                     ))
                 }
             };
@@ -203,7 +194,6 @@ static ARMED: AtomicBool = AtomicBool::new(false);
 static EXEC_HITS: AtomicU64 = AtomicU64::new(0);
 static ZOMBIE_HITS: AtomicU64 = AtomicU64::new(0);
 static STORE_HITS: AtomicU64 = AtomicU64::new(0);
-static CLAIM_HITS: AtomicU64 = AtomicU64::new(0);
 
 /// Installs `plan` for the whole process. The first installation wins
 /// (mirroring [`crate::runcache::install`]); returns `true` when this call
@@ -252,7 +242,6 @@ fn hit(site: Site) -> Option<FaultKind> {
         Site::Exec => &EXEC_HITS,
         Site::ZombieExec => &ZOMBIE_HITS,
         Site::Store => &STORE_HITS,
-        Site::Claim => &CLAIM_HITS,
     };
     let occurrence = counter.fetch_add(1, Ordering::Relaxed) + 1;
     let plan = PLAN.get()?;
@@ -307,19 +296,6 @@ pub(crate) fn on_store() -> Option<FaultKind> {
     }
 }
 
-/// Instrumentation hook for claim attempts. `Panic`/`Kill` detonate in
-/// place; `IoError` flows back so the claim path reports `Unavailable`
-/// (the shape of an unwritable directory or a filesystem without locks).
-pub(crate) fn on_claim() -> Option<FaultKind> {
-    if !armed() {
-        return None;
-    }
-    match hit(Site::Claim)? {
-        kind @ (FaultKind::Panic | FaultKind::Kill) => detonate(kind, "claim attempt"),
-        kind => Some(kind),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,15 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_the_claim_site() {
-        let plan = FailPlan::parse("io@claim=1,kill@claim=2").unwrap();
-        assert_eq!(plan.specs.len(), 2);
-        assert_eq!(plan.to_string(), "io@claim=1,kill@claim=2");
-        // Short writes stay a store-only concept.
-        assert!(FailPlan::parse("short@claim=1").is_err());
-    }
-
-    #[test]
     fn rejects_malformed_specs() {
         for bad in [
             "panic",
@@ -352,12 +319,15 @@ mod tests {
             "explode@exec=1",
             "panic@nowhere=1",
             "short@exec=1", // short writes are a store-only concept
-            // Sites of the removed heartbeat-lease protocol, and the claim
-            // site's old name: an old plan naming them must fail loudly,
-            // not run fault-free.
+            // Sites of the removed heartbeat-lease protocol and of the
+            // removed per-entry claims (`lease` was the claim site's old
+            // name): an old plan naming them must fail loudly, not run
+            // fault-free.
             "io@steal=1",
             "kill@heartbeat=1",
             "io@lease=1",
+            "io@claim=1",
+            "kill@claim=2",
         ] {
             assert!(FailPlan::parse(bad).is_err(), "{bad:?} must be rejected");
         }

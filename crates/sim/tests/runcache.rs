@@ -7,14 +7,12 @@
 //! (a rejected entry triggering re-simulation inside the planner) is
 //! covered by `tests/planner.rs`.
 
-use ehs_sim::runcache::{checksum, entry_stem, ClaimOutcome, RunCache, SCHEMA_VERSION};
+use ehs_sim::runcache::{checksum, RunCache, SCHEMA_VERSION};
 use ehs_sim::runner::effective_fingerprint;
 use ehs_sim::{run_app, Scheme, SystemConfig, ZombieSample};
 use ehs_workloads::{AppId, Scale};
-use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, SystemTime};
 
 const ALL_SCHEMES: [Scheme; 9] = [
     Scheme::Baseline,
@@ -186,131 +184,25 @@ fn garbage_file_is_rejected() {
         .is_none());
 }
 
-/// Claims exclude a second claimant for as long as they are held — a slow
-/// job never loses its claim, there is no timeout to outlast — and release
-/// on drop without leaving a claim file: the cross-process dedup protocol,
-/// exercised through two handles on one directory (exactly what two
-/// concurrent `exp_all`s look like).
+/// Opening a cache sweeps a temp file only once it is an hour old: a
+/// crashed writer's leftover goes, while a fresh one, which may belong to a
+/// live writer between its write and its rename, stays.
 #[test]
-fn claims_exclude_second_claimant_until_dropped() {
-    let cache = tmp_cache("claims");
-    let other = RunCache::new(cache.dir()).expect("second handle");
-    let config = SystemConfig::paper_default();
-    let fp = effective_fingerprint(&config, Scheme::Baseline);
-    let claim = |c: &RunCache| c.claim(fp, Scheme::Baseline, AppId::Crc32, Scale::Tiny);
-
-    let ClaimOutcome::Held(guard) = claim(&cache) else {
-        panic!("first claim on a fresh entry must be held");
-    };
-    let held_since = Instant::now();
-    while held_since.elapsed() < Duration::from_millis(1200) {
-        assert!(
-            matches!(claim(&other), ClaimOutcome::Busy),
-            "a held claim must read as busy to a second claimant ({:?} in)",
-            held_since.elapsed()
-        );
-        std::thread::sleep(Duration::from_millis(50));
+fn sweep_removes_only_stale_temp_files() {
+    let cache = tmp_cache("tmp-sweep");
+    let stale = cache.dir().join(".tmp-1-0");
+    let fresh = cache.dir().join(".tmp-1-1");
+    for path in [&stale, &fresh] {
+        std::fs::write(path, b"partial entry").expect("plant a temp file");
     }
-    drop(guard);
-    let ClaimOutcome::Held(guard) = claim(&other) else {
-        panic!("a released claim must be claimable again");
-    };
-    drop(guard);
-    let leftovers: Vec<_> = std::fs::read_dir(cache.dir())
-        .expect("list cache dir")
-        .filter_map(|e| e.ok()?.file_name().into_string().ok())
-        .filter(|name| name.ends_with(".claim"))
-        .collect();
-    assert!(
-        leftovers.is_empty(),
-        "claim files left behind: {leftovers:?}"
-    );
-}
-
-/// Set in the child process of [`a_killed_holders_claim_is_free_at_once`]:
-/// the cache directory in which it takes and holds the claim.
-const HOLDER_DIR_ENV: &str = "EHS_TEST_CLAIM_HOLDER_DIR";
-
-/// A holder killed with SIGKILL takes its claim with it: the kernel drops
-/// the lock with the process, so the very next claim succeeds — no wait,
-/// no expiry. The holder is this test binary re-run as a child process.
-#[test]
-fn a_killed_holders_claim_is_free_at_once() {
-    let fp = effective_fingerprint(&SystemConfig::paper_default(), Scheme::Baseline);
-    let claim = |c: &RunCache| c.claim(fp, Scheme::Baseline, AppId::Crc32, Scale::Tiny);
-
-    if let Some(dir) = std::env::var_os(HOLDER_DIR_ENV) {
-        // The child: hold the claim until killed.
-        let cache = RunCache::new(PathBuf::from(dir)).expect("open holder cache");
-        let ClaimOutcome::Held(_guard) = claim(&cache) else {
-            panic!("the holder must take the claim");
-        };
-        println!("claim held");
-        std::thread::sleep(Duration::from_secs(60));
-        return;
-    }
-
-    let cache = tmp_cache("claim-kill");
-    let mut holder = Command::new(std::env::current_exe().expect("test binary path"))
-        .args([
-            "--exact",
-            "a_killed_holders_claim_is_free_at_once",
-            "--nocapture",
-        ])
-        .env(HOLDER_DIR_ENV, cache.dir())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn the holder");
-    let stdout = BufReader::new(holder.stdout.take().expect("piped stdout"));
-    let held = stdout
-        .lines()
-        .map_while(Result::ok)
-        .any(|line| line == "claim held");
-    assert!(held, "the holder exited without taking the claim");
-    assert!(
-        matches!(claim(&cache), ClaimOutcome::Busy),
-        "the live holder's claim must read as busy"
-    );
-
-    holder.kill().expect("SIGKILL the holder");
-    holder.wait().expect("reap the holder");
-    match claim(&cache) {
-        ClaimOutcome::Held(guard) => drop(guard),
-        other => panic!("a killed holder's claim must be free at once, got {other:?}"),
-    }
-}
-
-/// Opening a cache sweeps an hour-old claim file only when no live process
-/// holds it: the claim of a job that has run for hours survives, while a
-/// dead holder's leftover goes.
-#[test]
-fn sweep_removes_only_unheld_claims() {
-    let cache = tmp_cache("claim-sweep");
-    let fp = effective_fingerprint(&SystemConfig::paper_default(), Scheme::Baseline);
-    let claim = |c: &RunCache| c.claim(fp, Scheme::Baseline, AppId::Crc32, Scale::Tiny);
-    let ClaimOutcome::Held(guard) = claim(&cache) else {
-        panic!("first claim on a fresh entry must be held");
-    };
-    let stem = entry_stem(fp, Scheme::Baseline, AppId::Crc32, Scale::Tiny);
-    let held = cache.dir().join(format!("{stem}.claim"));
-    let leftover = cache.dir().join("dead-holder.claim");
-    std::fs::write(&leftover, b"").expect("plant a leftover claim");
     let two_hours_ago = SystemTime::now() - Duration::from_secs(7200);
-    for path in [&held, &leftover] {
-        std::fs::File::options()
-            .write(true)
-            .open(path)
-            .and_then(|f| f.set_modified(two_hours_ago))
-            .expect("backdate claim file");
-    }
+    std::fs::File::options()
+        .write(true)
+        .open(&stale)
+        .and_then(|f| f.set_modified(two_hours_ago))
+        .expect("backdate the stale temp file");
 
-    let reopened = RunCache::new(cache.dir()).expect("reopen cache");
-    assert!(held.exists(), "a held claim must survive the sweep");
-    assert!(
-        matches!(claim(&reopened), ClaimOutcome::Busy),
-        "the swept-past claim must still exclude rivals"
-    );
-    assert!(!leftover.exists(), "an old claim nobody holds is debris");
-    drop(guard);
+    RunCache::new(cache.dir()).expect("reopen cache");
+    assert!(!stale.exists(), "an hour-old temp file is debris");
+    assert!(fresh.exists(), "a fresh temp file must survive the sweep");
 }
