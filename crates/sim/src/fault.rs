@@ -29,11 +29,12 @@
 //! |---------|-------------------------------------------------------------|
 //! | `panic` | `panic!` — unwinds into the job's `catch_unwind`             |
 //! | `io`    | the operation reports an I/O error (store: entry not written)|
-//! | `short` | store only: a torn entry is written straight to the final    |
-//! |         | path, bypassing the atomic temp-file dance (simulates a      |
-//! |         | pre-atomic writer or a filesystem losing tail bytes)         |
+//! | `short` | store only: a truncated copy of the entry is appended, and   |
+//! |         | the writer abandons its segment (a torn write, or a          |
+//! |         | filesystem losing tail bytes)                                |
 //! | `kill`  | `std::process::exit(137)` — the process dies on the spot,    |
-//! |         | as if SIGKILLed (137 = 128 + SIGKILL, the shell convention)  |
+//! |         | as if SIGKILLed (137 = 128 + SIGKILL, the shell convention); |
+//! |         | at a store, once half of the group's bytes are appended      |
 //!
 //! | site     | counted occurrence                                          |
 //! |----------|-------------------------------------------------------------|
@@ -60,7 +61,7 @@ pub enum FaultKind {
     Panic,
     /// Report an I/O error at the site (exercises degraded-mode paths).
     IoError,
-    /// Write a torn (truncated, non-atomic) cache entry (store site only).
+    /// Append a torn (truncated) cache entry (store site only).
     ShortWrite,
     /// Exit the process immediately with status 137, like a SIGKILL.
     Kill,
@@ -281,11 +282,12 @@ pub(crate) fn on_execute(zombie_instrumented: bool) {
 }
 
 /// Instrumentation hook for persistent-cache stores, hit once per entry of
-/// a group commit, in queue order. No-op unless armed. `Panic` detonates in
-/// place; the other kinds are returned for the store path to act out at
-/// their most damaging spot (`IoError`: skip the entry's write;
-/// `ShortWrite`: tear it; `Kill`: die once the group's temp files are
-/// durable, before any of its renames).
+/// a group commit, in queue order, before the group writes a byte. No-op
+/// unless armed. `Panic` detonates in place; the other kinds are returned
+/// for the store path to act out at their most damaging spot (`IoError`:
+/// skip the entry; `ShortWrite`: append a truncated copy of it, then
+/// abandon the segment; `Kill`: append the first half of the group's bytes
+/// and die before the `fdatasync`).
 pub(crate) fn on_store() -> Option<FaultKind> {
     if !armed() {
         return None;

@@ -37,6 +37,7 @@ use ehs_workloads::Scale;
 use std::collections::HashSet;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Exit code: one or more jobs failed (a figure was not written), the
 /// results directory is unwritable, or `--expect-cached` tripped.
@@ -336,8 +337,13 @@ fn arm_fault_plan_or_exit() {
 /// private to this call (`<figure>.tmp-<pid>-<n>`), so two `exp_all`s
 /// writing one results directory never rename each other's bytes.
 fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(runcache::unique_tmp_suffix());
+    tmp.push(format!(
+        ".tmp-{}-{}",
+        std::process::id(),
+        TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
+    ));
     let tmp = PathBuf::from(tmp);
     std::fs::write(&tmp, bytes)?;
     std::fs::rename(&tmp, path).inspect_err(|_| {

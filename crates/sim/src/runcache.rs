@@ -10,8 +10,10 @@
 //!
 //! # Format
 //!
-//! One little-endian binary file per entry under the cache directory
-//! (default `results/.runcache/` at the repository root):
+//! Entries live in append-only segment files under the cache directory
+//! (default `results/.runcache/`), one segment per writing handle:
+//! `<pid>-<n>.seg`. A segment is a plain concatenation of little-endian
+//! binary entries:
 //!
 //! ```text
 //! magic (8) | schema version u32 | config_fp u64 | workload_fp u64 |
@@ -24,10 +26,18 @@
 //! memo hit), in fixed field order, `f64`s as raw bits via
 //! [`f64::to_bits`]; dimensioned quantities round-trip through their SI
 //! base value. The checksum is the seedless Fx hash of every preceding
-//! byte. **Any** mismatch — magic, schema version, fingerprints, tags,
-//! length, checksum, or a short file — makes [`RunCache::load`] return
+//! byte of the entry.
+//!
+//! [`RunCache::new`] streams every `*.seg` file of the directory, one entry
+//! at a time, into an index from `(config_fp, workload_fp, scheme, app,
+//! scale)` to the entry's segment, offset and length. It skips entries of
+//! another [`SCHEMA_VERSION`], and stops reading a segment at the first
+//! entry whose length overruns the file, whose magic is wrong or whose
+//! checksum fails: a torn tail, or garbage. The handle indexes its own
+//! commits as well, so [`RunCache::load`] is one positioned read plus a
+//! decode that checks every field again. **Any** mismatch makes it return
 //! `None` and the caller falls back to re-simulation; a corrupt cache can
-//! cost time, never correctness.
+//! cost time, never correctness. The index holds offsets, never entry bytes.
 //!
 //! Keys hash with the vendored seedless [`FxHasher`](edbp_core::FxHasher),
 //! so fingerprints are stable across processes (there is no per-process
@@ -44,30 +54,36 @@
 //! Delete the cache directory (`rm -rf results/.runcache`), or bump
 //! [`SCHEMA_VERSION`] when the serialized layout or the meaning of any
 //! simulated quantity changes. Configuration and workload changes
-//! invalidate naturally through the fingerprints.
+//! invalidate naturally through the fingerprints. Superseded entries stay
+//! in their segments, unread; deleting the directory is the compaction.
+//! `*.run` files (one file per entry, written by older builds) are inert:
+//! nothing reads them, so a cache of them re-simulates once.
 //!
 //! # Crash atomicity and sharing
 //!
 //! The cache is held to the same fault model as the simulated hardware:
-//! a process may die (SIGKILL, power cut) at **any** instruction and the
-//! directory must still only ever contain absent or complete entries.
+//! a process may die (SIGKILL, power cut) at **any** instruction, and every
+//! entry a later handle indexes must still be complete.
 //!
 //! * Entries land in group commits ([`RunCache::store`] is a group of
-//!   one): each entry is written to a process-private temp file and
-//!   fsynced, then every temp file is atomically renamed over its final
-//!   path, and the directory is fsynced once (best-effort). A reader never
-//!   observes a torn entry, and the trailing checksum rejects anything a
-//!   weaker writer left behind. A kill mid-commit loses at most the
-//!   commit's entries, each of which a re-run simulates again to the same
-//!   bytes.
+//!   one): the group's entries are appended to the handle's segment with
+//!   one write and made durable with one `fdatasync`. A handle's first
+//!   commit creates its segment (`create_new`, then one directory fsync).
+//!   A kill mid-append leaves a torn tail, which the next scan stops at;
+//!   every entry before it loads, and each entry lost re-simulates to the
+//!   same bytes. A handle whose append fails abandons its segment, so its
+//!   next commit starts a new segment instead of appending after a torn
+//!   tail.
 //! * The runner makes the thread that waits for a call's simulation
 //!   threads the cache's only writer: finished entries queue up while it
 //!   commits, and its next commit takes all of them, so simulation threads
-//!   never wait on the disk and one directory fsync covers many entries.
-//! * Two processes may share a directory with no exclusion between them:
-//!   each simulates what it does not find on disk, and renames are atomic
-//!   and idempotent (identical bytes for identical keys), so a key both
-//!   simulate costs time, never a result. Nothing splits the work.
+//!   never wait on the disk and one `fdatasync` covers many entries.
+//! * A handle sees what was on disk when it opened, plus its own commits.
+//!   Two processes may share a directory with no exclusion between them:
+//!   each appends only to segments it created, and simulates what it does
+//!   not find, so two concurrent runs may both simulate a key and both
+//!   store identical bytes. That costs time, never a result. Nothing
+//!   splits the work.
 //! * The directory is the only record of finished work; no log sits
 //!   beside it. A re-run after a kill loads every valid entry
 //!   ([`RunCache::load`]) and simulates only what is missing.
@@ -78,16 +94,16 @@
 use crate::fault::{self, FaultKind};
 use crate::runner::lock_unpoisoned;
 use crate::{EnergyBreakdown, RunResult, Scheme, ZombieSample};
-use edbp_core::{FxBuildHasher, PredictionSummary};
+use edbp_core::{FxBuildHasher, FxHashMap, PredictionSummary};
 use ehs_cache::CacheStats;
 use ehs_units::{Energy, Time};
 use ehs_workloads::{AppId, Scale};
+use std::fs::File;
 use std::hash::{BuildHasher, Hash, Hasher};
-use std::io::Write as _;
+use std::io::{self, BufReader, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::Duration;
+use std::sync::{Mutex, OnceLock, PoisonError, RwLock};
 
 /// Bump when the on-disk layout or the semantics of any stored field
 /// change; old entries are then rejected (and fall back to re-simulation)
@@ -473,8 +489,7 @@ fn decode(
     })
 }
 
-/// The file-name stem of one cache entry, also the job identifier in
-/// failure summaries:
+/// The identifier of one job in failure summaries:
 /// `<config_fp hex>-<scheme>-<app>-<scale>`.
 pub fn entry_stem(config_fp: u64, scheme: Scheme, app: AppId, scale: Scale) -> String {
     format!(
@@ -485,32 +500,181 @@ pub fn entry_stem(config_fp: u64, scheme: Scheme, app: AppId, scale: Scale) -> S
     )
 }
 
-/// A directory of cached run results.
+/// Bytes before an entry's payload: magic, schema version, the two
+/// fingerprints, the four tags and the payload length.
+const HEADER_LEN: usize = 40;
+
+/// Bytes after it: the checksum.
+const CHECKSUM_LEN: usize = 8;
+
+/// The buffer that streams a segment through [`RunCache::new`]'s scan.
+const SCAN_BUFFER: usize = 64 * 1024;
+
+/// What names a cached result: the header fields an entry is indexed by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Key {
+    config_fp: u64,
+    workload_fp: u64,
+    scheme: u8,
+    app: u8,
+    scale: u8,
+}
+
+impl Key {
+    fn of(config_fp: u64, scheme: Scheme, app: AppId, scale: Scale) -> Self {
+        Self {
+            config_fp,
+            workload_fp: workload_fingerprint(app, scale),
+            scheme: scheme_tag(scheme),
+            app: app_tag(app),
+            scale: scale_tag(scale),
+        }
+    }
+}
+
+/// Where an indexed entry sits.
+#[derive(Debug, Clone, Copy)]
+struct Loc {
+    /// Position in [`Index::segments`].
+    segment: usize,
+    offset: u64,
+    len: u64,
+}
+
+/// Parses an entry header: its key, schema version and whole length, or
+/// `None` for a wrong magic or a length past `u64`.
+fn parse_header(header: &[u8; HEADER_LEN]) -> Option<(Key, u32, u64)> {
+    let mut r = Reader::new(header);
+    if r.bytes(MAGIC.len())? != MAGIC {
+        return None;
+    }
+    let version = r.u32()?;
+    let key = Key {
+        config_fp: r.u64()?,
+        workload_fp: r.u64()?,
+        scheme: r.u8()?,
+        app: r.u8()?,
+        scale: r.u8()?,
+    };
+    let _flags = r.u8()?;
+    let len = r.u64()?.checked_add((HEADER_LEN + CHECKSUM_LEN) as u64)?;
+    Some((key, version, len))
+}
+
+/// Indexes the entries of one segment, file number `segment`, in order up
+/// to the first one that overruns the file, has a wrong magic or fails its
+/// checksum; skips entries of another [`SCHEMA_VERSION`]. Reads one entry
+/// at a time into `entry`. Returns whether it indexed any.
+fn scan_segment(
+    file: &File,
+    segment: usize,
+    entries: &mut FxHashMap<Key, Loc>,
+    entry: &mut Vec<u8>,
+) -> bool {
+    let Ok(file_len) = file.metadata().map(|m| m.len()) else {
+        return false;
+    };
+    let mut reader = BufReader::with_capacity(SCAN_BUFFER, file);
+    let mut header = [0; HEADER_LEN];
+    let mut offset = 0;
+    let mut indexed = false;
+    while reader.read_exact(&mut header).is_ok() {
+        let Some((key, version, len)) = parse_header(&header) else {
+            break;
+        };
+        let Some(buf_len) = (len <= file_len - offset)
+            .then(|| usize::try_from(len).ok())
+            .flatten()
+        else {
+            break;
+        };
+        entry.clear();
+        entry.extend_from_slice(&header);
+        entry.resize(buf_len, 0);
+        if reader.read_exact(&mut entry[HEADER_LEN..]).is_err() {
+            break;
+        }
+        let (body, sum) = entry.split_at(buf_len - CHECKSUM_LEN);
+        if checksum(body).to_le_bytes() != sum {
+            break;
+        }
+        if version == SCHEMA_VERSION {
+            entries.insert(
+                key,
+                Loc {
+                    segment,
+                    offset,
+                    len,
+                },
+            );
+            indexed = true;
+        }
+        offset += len;
+    }
+    indexed
+}
+
+/// Reads exactly `buf.len()` bytes of `file` at `offset`, without moving
+/// any file cursor.
+#[cfg(unix)]
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+/// Reads exactly `buf.len()` bytes of `file` at `offset`.
+#[cfg(windows)]
+fn read_exact_at(file: &File, mut buf: &mut [u8], mut offset: u64) -> io::Result<()> {
+    use std::os::windows::fs::FileExt;
+    while !buf.is_empty() {
+        match file.seek_read(buf, offset)? {
+            0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+            n => {
+                buf = &mut buf[n..];
+                offset += n as u64;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// What a handle can load. Every update is one push or one insert, so a
+/// lock poisoned by a panic elsewhere still guards a valid index.
+#[derive(Debug, Default)]
+struct Index {
+    /// One read handle per segment that holds an indexed entry.
+    segments: Vec<File>,
+    entries: FxHashMap<Key, Loc>,
+}
+
+/// The segment a handle appends to.
+#[derive(Debug)]
+struct Writer {
+    file: File,
+    path: PathBuf,
+    /// Its position in [`Index::segments`].
+    segment: usize,
+    /// Its length: where the next append lands.
+    end: u64,
+}
+
+/// A directory of cached run results, opened: the index of its segments
+/// as they were at [`RunCache::new`], plus this handle's own commits.
 #[derive(Debug)]
 pub struct RunCache {
     dir: PathBuf,
-}
-
-/// A temp-file suffix no other call, thread or process uses at the same
-/// time: `.tmp-<pid>-<n>`. Staging files under it lets concurrent writers
-/// of one final path each rename whole bytes of their own.
-pub(crate) fn unique_tmp_suffix() -> String {
-    static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-    format!(
-        ".tmp-{}-{}",
-        std::process::id(),
-        TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-    )
+    index: RwLock<Index>,
+    /// This handle's segment, created by its first commit.
+    writer: Mutex<Option<Writer>>,
 }
 
 /// One warning per process when cache writes start failing (read-only
 /// directory, disk full, …): the run degrades to cacheless, it never aborts.
 static STORE_WARNED: AtomicBool = AtomicBool::new(false);
 
-fn warn_store_failure(path: &Path, err: &std::io::Error) {
+fn warn_store_failure(path: &Path, err: &io::Error) {
     if !STORE_WARNED.swap(true, Ordering::Relaxed) {
         eprintln!(
-            "warning: cannot write run cache entry {} ({err}); \
+            "warning: cannot write run cache {} ({err}); \
              continuing without persisting results (re-runs will re-simulate)",
             path.display()
         );
@@ -520,52 +684,41 @@ fn warn_store_failure(path: &Path, err: &std::io::Error) {
 /// One encoded entry waiting for [`RunCache::commit`].
 #[derive(Debug)]
 pub(crate) struct Staged {
-    path: PathBuf,
+    key: Key,
     bytes: Vec<u8>,
 }
 
 impl RunCache {
-    /// Opens (creating if needed) a cache rooted at `dir`.
-    ///
-    /// Temp files that crashed processes left behind are swept once they
-    /// are an hour old (a fresh one may belong to a live concurrent
-    /// process; it is harmless either way).
-    pub fn new(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
+    /// Opens (creating if needed) a cache rooted at `dir`, and indexes every
+    /// entry its segments hold (see the module docs). Other files, such as
+    /// older builds' `*.run` entries, are ignored.
+    pub fn new(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let cache = Self { dir };
-        cache.sweep_debris();
-        Ok(cache)
-    }
-
-    fn sweep_debris(&self) {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        for entry in entries.flatten() {
-            if !entry.file_name().to_string_lossy().starts_with(".tmp-") {
+        let mut index = Index::default();
+        let mut entry = Vec::new();
+        for path in std::fs::read_dir(&dir)?.flatten().map(|e| e.path()) {
+            if path.extension().is_none_or(|ext| ext != "seg") {
                 continue;
             }
-            let stale = entry
-                .metadata()
-                .and_then(|m| m.modified())
-                .ok()
-                .and_then(|t| t.elapsed().ok())
-                .is_some_and(|age| age > Duration::from_secs(3600));
-            if stale {
-                let _ = std::fs::remove_file(entry.path());
+            let Ok(file) = File::open(&path) else {
+                continue;
+            };
+            let segment = index.segments.len();
+            if scan_segment(&file, segment, &mut index.entries, &mut entry) {
+                index.segments.push(file);
             }
         }
+        Ok(Self {
+            dir,
+            index: RwLock::new(index),
+            writer: Mutex::new(None),
+        })
     }
 
     /// The cache directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    fn entry_path(&self, config_fp: u64, scheme: Scheme, app: AppId, scale: Scale) -> PathBuf {
-        self.dir
-            .join(format!("{}.run", entry_stem(config_fp, scheme, app, scale)))
     }
 
     /// Loads one entry; `None` on any miss, mismatch or corruption (the
@@ -577,26 +730,25 @@ impl RunCache {
         app: AppId,
         scale: Scale,
     ) -> Option<CachedRun> {
-        let bytes = std::fs::read(self.entry_path(config_fp, scheme, app, scale)).ok()?;
-        decode(
-            &bytes,
-            config_fp,
-            workload_fingerprint(app, scale),
-            scheme,
-            app,
-            scale,
-        )
+        let key = Key::of(config_fp, scheme, app, scale);
+        let bytes = {
+            let index = self.index.read().unwrap_or_else(PoisonError::into_inner);
+            let loc = index.entries.get(&key)?;
+            let mut bytes = vec![0; usize::try_from(loc.len).ok()?];
+            read_exact_at(&index.segments[loc.segment], &mut bytes, loc.offset).ok()?;
+            bytes
+        };
+        decode(&bytes, config_fp, key.workload_fp, scheme, app, scale)
     }
 
-    /// Stores one entry crash-atomically, as a group commit of one (see
-    /// the module docs): the bytes go to a process-private temp file and
-    /// are fsynced, the temp file is renamed over the final path, and the
-    /// directory is fsynced, so a reader — concurrent, or after a kill at
-    /// any instant — observes either no entry or a complete one, never a
-    /// torn file. Best-effort on I/O error: a failed store costs future
-    /// cache hits, never correctness, so it warns once and degrades to
-    /// cacheless instead of aborting. Returns whether the entry is durably
-    /// in place.
+    /// Stores one entry durably, as a group commit of one (see the module
+    /// docs): the entry is appended to this handle's segment and
+    /// `fdatasync`ed, so a reader — concurrent, or after a kill at any
+    /// instant — indexes either no entry or a complete one. Best-effort on
+    /// I/O error: a failed store costs future cache hits, never
+    /// correctness, so it warns once and degrades to cacheless instead of
+    /// aborting. Returns whether the entry is durably in place; this handle
+    /// loads it from then on.
     pub fn store(
         &self,
         config_fp: u64,
@@ -620,11 +772,12 @@ impl RunCache {
         result: &RunResult,
         zombies: Option<&[ZombieSample]>,
     ) -> Staged {
+        let key = Key::of(config_fp, scheme, app, scale);
         Staged {
-            path: self.entry_path(config_fp, scheme, app, scale),
+            key,
             bytes: encode(
                 config_fp,
-                workload_fingerprint(app, scale),
+                key.workload_fp,
                 scheme,
                 app,
                 scale,
@@ -635,74 +788,142 @@ impl RunCache {
     }
 
     /// Stores a batch of entries as one group commit, with
-    /// [`store`](Self::store)'s guarantees: each entry's bytes go to a
-    /// process-private temp file and are fsynced, then every temp file is
-    /// renamed over its final path, and the directory is fsynced once.
+    /// [`store`](Self::store)'s guarantees: one append of the batch to this
+    /// handle's segment, then one `fdatasync`.
     ///
     /// Each entry meets one [`fault::on_store`] hit, in batch order, before
-    /// any file of the batch is touched. An injected `kill` fires once the
-    /// batch's temp files are durable and before any of its renames.
-    /// Returns how many entries are durably in place.
+    /// any byte of the batch is written. Returns how many entries are
+    /// durably in place.
     pub(crate) fn commit(&self, batch: &[Staged]) -> usize {
         let faults: Vec<Option<FaultKind>> = batch.iter().map(|_| fault::on_store()).collect();
-        let mut durable = Vec::with_capacity(batch.len());
-        for (entry, &injected) in batch.iter().zip(&faults) {
-            match injected {
-                Some(FaultKind::IoError) => {
-                    // Simulated EIO: the entry is simply not persisted.
-                    let e = std::io::Error::other("injected I/O error");
-                    warn_store_failure(&entry.path, &e);
-                    continue;
-                }
-                Some(FaultKind::ShortWrite) => {
-                    // Simulated torn write: a truncated entry lands at the
-                    // *final* path, bypassing the temp-file dance — the
-                    // file a pre-atomic writer (or a filesystem losing tail
-                    // bytes on power cut) would leave. Loaders must reject
-                    // it.
-                    let torn = &entry.bytes[..entry.bytes.len() - entry.bytes.len() / 3];
-                    let _ = std::fs::write(&entry.path, torn);
-                    continue;
-                }
-                _ => {}
-            }
-            let tmp = self.dir.join(unique_tmp_suffix());
-            let written = std::fs::File::create(&tmp)
-                .and_then(|mut f| f.write_all(&entry.bytes).and_then(|()| f.sync_all()));
-            match written {
-                Ok(()) => durable.push((tmp, &entry.path)),
-                Err(e) => {
-                    warn_store_failure(&tmp, &e);
-                    let _ = std::fs::remove_file(&tmp);
-                }
-            }
-        }
+        self.append_group(batch, &faults)
+    }
+
+    /// [`commit`](Self::commit), given each entry's injected fault: `io`
+    /// skips its entry; `short` appends a truncated copy of its entry after
+    /// the group's earlier ones, then abandons the segment, so the rest of
+    /// the group lands in a new one; `kill` appends the first half of the
+    /// group's bytes and exits before the `fdatasync`, the torn tail a
+    /// crash mid-append leaves.
+    fn append_group(&self, batch: &[Staged], faults: &[Option<FaultKind>]) -> usize {
+        let mut writer = lock_unpoisoned(&self.writer);
         if faults.contains(&Some(FaultKind::Kill)) {
-            // The worst crash point: the temp files are durable but no
-            // rename happens — the entries must simply be missing on the
-            // next run, and the orphan temp files must be inert.
-            eprintln!("fault injection: kill between cache write and rename");
+            let bytes: Vec<u8> = batch
+                .iter()
+                .zip(faults)
+                .filter(|&(_, &fault)| fault != Some(FaultKind::IoError))
+                .flat_map(|(entry, _)| entry.bytes.iter().copied())
+                .collect();
+            if let Some(w) = self.writer_or_new(&mut writer) {
+                let _ = (&w.file).write_all(&bytes[..bytes.len() / 2]);
+            }
+            eprintln!("fault injection: kill mid-append, before the group's fdatasync");
             std::process::exit(137);
         }
         let mut stored = 0;
-        for (tmp, path) in durable {
-            match std::fs::rename(&tmp, path) {
-                Ok(()) => stored += 1,
-                Err(e) => {
-                    warn_store_failure(path, &e);
-                    let _ = std::fs::remove_file(&tmp);
+        let mut run: Vec<&Staged> = Vec::with_capacity(batch.len());
+        for (entry, &fault) in batch.iter().zip(faults) {
+            match fault {
+                Some(FaultKind::IoError) => {
+                    // Simulated EIO: the entry is simply not persisted.
+                    let e = io::Error::other("injected I/O error");
+                    warn_store_failure(&self.dir, &e);
                 }
+                Some(FaultKind::ShortWrite) => {
+                    let torn = &entry.bytes[..entry.bytes.len() - entry.bytes.len() / 3];
+                    stored += self.append(&mut writer, &run, torn);
+                    *writer = None;
+                    run.clear();
+                }
+                _ => run.push(entry),
             }
         }
-        if stored > 0 {
-            // Make the renames themselves durable (POSIX: fsync the parent
-            // directory). Failure here only weakens durability of these
-            // entries, so it is best-effort.
-            if let Ok(d) = std::fs::File::open(&self.dir) {
-                let _ = d.sync_all();
+        stored + self.append(&mut writer, &run, &[])
+    }
+
+    /// Appends `entries`, then `tail` (a torn write's bytes, never indexed),
+    /// to this handle's segment with one write and one `fdatasync`, and
+    /// indexes the entries. Returns how many entries are durably in place.
+    /// A failed append abandons the segment, whose tail may now be torn.
+    fn append(&self, writer: &mut Option<Writer>, entries: &[&Staged], tail: &[u8]) -> usize {
+        if entries.is_empty() && tail.is_empty() {
+            return 0;
+        }
+        let Some(w) = self.writer_or_new(writer) else {
+            return 0;
+        };
+        let mut bytes =
+            Vec::with_capacity(entries.iter().map(|e| e.bytes.len()).sum::<usize>() + tail.len());
+        for entry in entries {
+            bytes.extend_from_slice(&entry.bytes);
+        }
+        bytes.extend_from_slice(tail);
+        if let Err(e) = (&w.file)
+            .write_all(&bytes)
+            .and_then(|()| w.file.sync_data())
+        {
+            warn_store_failure(&w.path, &e);
+            *writer = None;
+            return 0;
+        }
+        let mut offset = w.end;
+        w.end += bytes.len() as u64;
+        let mut index = self.index.write().unwrap_or_else(PoisonError::into_inner);
+        for entry in entries {
+            let len = entry.bytes.len() as u64;
+            let loc = Loc {
+                segment: w.segment,
+                offset,
+                len,
+            };
+            index.entries.insert(entry.key, loc);
+            offset += len;
+        }
+        entries.len()
+    }
+
+    /// This handle's segment, created on first use; `None`, after one
+    /// warning, when it cannot be created.
+    fn writer_or_new<'w>(&self, writer: &'w mut Option<Writer>) -> Option<&'w mut Writer> {
+        if writer.is_none() {
+            match self.create_segment() {
+                Ok(created) => *writer = Some(created),
+                Err(e) => warn_store_failure(&self.dir, &e),
             }
         }
-        stored
+        writer.as_mut()
+    }
+
+    /// Creates a segment under a name no other handle uses,
+    /// `<pid>-<n>.seg` (`create_new` skips names an earlier process with
+    /// this pid left), makes the name durable with one directory fsync, and
+    /// opens it for this handle's loads.
+    fn create_segment(&self) -> io::Result<Writer> {
+        static SEGMENTS: AtomicU64 = AtomicU64::new(0);
+        let (file, path) = loop {
+            let n = SEGMENTS.fetch_add(1, Ordering::Relaxed);
+            let path = self.dir.join(format!("{}-{n}.seg", std::process::id()));
+            match File::options().write(true).create_new(true).open(&path) {
+                Ok(file) => break (file, path),
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {}
+                Err(e) => return Err(e),
+            }
+        };
+        // POSIX: a new name is durable once its directory is fsynced.
+        // Best-effort: failure only weakens durability, and some platforms
+        // cannot open a directory at all.
+        if let Ok(dir) = File::open(&self.dir) {
+            let _ = dir.sync_all();
+        }
+        let reader = File::open(&path)?;
+        let mut index = self.index.write().unwrap_or_else(PoisonError::into_inner);
+        index.segments.push(reader);
+        Ok(Writer {
+            file,
+            path,
+            segment: index.segments.len() - 1,
+            end: 0,
+        })
     }
 }
 
@@ -787,52 +1008,128 @@ mod tests {
         assert_ne!(a, workload_fingerprint(AppId::Crc32, Scale::Small));
     }
 
-    #[test]
-    fn a_group_commit_stores_its_whole_batch() {
-        let dir = std::env::temp_dir().join(format!("ehs-group-commit-{}", std::process::id()));
+    fn fresh_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ehs-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = RunCache::new(&dir).expect("create temp cache");
+        dir
+    }
+
+    /// The `*.seg` files of `dir`.
+    fn segments(dir: &Path) -> Vec<PathBuf> {
+        let mut segs: Vec<PathBuf> = std::fs::read_dir(dir)
+            .expect("read cache dir")
+            .flatten()
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|e| e == "seg"))
+            .collect();
+        segs.sort();
+        segs
+    }
+
+    /// Simulated Tiny runs of `keys` under the paper default, with their
+    /// effective fingerprints.
+    fn runs(keys: &[(Scheme, AppId)]) -> Vec<(u64, Scheme, AppId, RunResult)> {
         let config = crate::SystemConfig::paper_default();
+        keys.iter()
+            .map(|&(scheme, app)| {
+                let fp = crate::runner::effective_fingerprint(&config, scheme);
+                (
+                    fp,
+                    scheme,
+                    app,
+                    crate::run_app(&config, scheme, app, Scale::Tiny),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_group_commit_appends_its_whole_batch_to_one_segment() {
+        let dir = fresh_dir("group-commit");
+        let cache = RunCache::new(&dir).expect("create temp cache");
         let samples = [ZombieSample {
             voltage: 3.25,
             zombie: true,
         }];
-        // The last entry repeats the first key: its rename replaces the
-        // first one's identical bytes.
-        let keys = [
-            (Scheme::Baseline, AppId::Crc32, None),
-            (Scheme::Edbp, AppId::Crc32, None),
-            (Scheme::Baseline, AppId::Sha, Some(&samples[..])),
-            (Scheme::Baseline, AppId::Crc32, None),
-        ];
-        let runs: Vec<_> = keys
-            .iter()
-            .map(|&(scheme, app, zombies)| {
-                let fp = crate::runner::effective_fingerprint(&config, scheme);
-                let result = crate::run_app(&config, scheme, app, Scale::Tiny);
-                (fp, scheme, app, result, zombies)
-            })
-            .collect();
+        // The last entry repeats the first key with identical bytes.
+        let runs = runs(&[
+            (Scheme::Baseline, AppId::Crc32),
+            (Scheme::Edbp, AppId::Crc32),
+            (Scheme::Baseline, AppId::Sha),
+            (Scheme::Baseline, AppId::Crc32),
+        ]);
+        let zombies = |app| (app == AppId::Sha).then_some(&samples[..]);
         let batch: Vec<Staged> = runs
             .iter()
-            .map(|&(fp, scheme, app, ref result, zombies)| {
-                cache.stage(fp, scheme, app, Scale::Tiny, result, zombies)
+            .map(|(fp, scheme, app, result)| {
+                cache.stage(*fp, *scheme, *app, Scale::Tiny, result, zombies(*app))
             })
             .collect();
-        assert_eq!(cache.commit(&batch), keys.len(), "every entry stored");
+        assert!(segments(&dir).is_empty(), "staging writes nothing");
+        assert_eq!(cache.commit(&batch), runs.len(), "every entry stored");
 
-        for &(fp, scheme, app, ref result, zombies) in &runs {
-            let wfp = workload_fingerprint(app, Scale::Tiny);
-            let expected = encode(fp, wfp, scheme, app, Scale::Tiny, result, zombies);
-            let path = cache.entry_path(fp, scheme, app, Scale::Tiny);
-            assert_eq!(std::fs::read(path).expect("entry file"), expected);
-            let loaded = cache.load(fp, scheme, app, Scale::Tiny).expect("loads");
-            assert_eq!(loaded.result, *result);
-            assert_eq!(loaded.zombie_samples.as_deref(), zombies);
+        let expected: Vec<u8> = batch.iter().flat_map(|e| e.bytes.clone()).collect();
+        let segs = segments(&dir);
+        assert_eq!(segs.len(), 1, "one segment per handle");
+        assert_eq!(std::fs::read(&segs[0]).expect("segment"), expected);
+        for handle in [&cache, &RunCache::new(&dir).expect("reopen")] {
+            for (fp, scheme, app, result) in &runs {
+                let loaded = handle.load(*fp, *scheme, *app, Scale::Tiny).expect("loads");
+                assert_eq!(loaded.result, *result);
+                assert_eq!(loaded.zombie_samples.as_deref(), zombies(*app));
+            }
         }
-        for entry in std::fs::read_dir(&dir).expect("read cache dir").flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            assert!(!name.starts_with(".tmp-"), "leftover temp file: {name}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A torn write abandons the segment: the group's entries before it
+    /// load, the torn one misses, and the rest of the group, and every
+    /// later commit, land in a new segment and load.
+    #[test]
+    fn a_short_write_abandons_its_segment() {
+        let dir = fresh_dir("short-write");
+        let cache = RunCache::new(&dir).expect("create temp cache");
+        let runs = runs(&[
+            (Scheme::Baseline, AppId::Crc32),
+            (Scheme::Edbp, AppId::Crc32),
+            (Scheme::Baseline, AppId::Sha),
+            (Scheme::Edbp, AppId::Sha),
+        ]);
+        let stage = |(fp, scheme, app, result): &(u64, Scheme, AppId, RunResult)| {
+            cache.stage(*fp, *scheme, *app, Scale::Tiny, result, None)
+        };
+        let group: Vec<Staged> = runs[..3].iter().map(stage).collect();
+        let faults = [None, Some(FaultKind::ShortWrite), None];
+        assert_eq!(cache.append_group(&group, &faults), 2);
+        assert!(cache.store(
+            runs[3].0,
+            runs[3].1,
+            runs[3].2,
+            Scale::Tiny,
+            &runs[3].3,
+            None
+        ));
+
+        let segs = segments(&dir);
+        assert_eq!(segs.len(), 2, "the torn write closed the first segment");
+        let torn = &group[1].bytes[..group[1].bytes.len() - group[1].bytes.len() / 3];
+        let first: Vec<u8> = [&group[0].bytes[..], torn].concat();
+        let second: Vec<u8> = [&group[2].bytes[..], &stage(&runs[3]).bytes[..]].concat();
+        let mut contents: Vec<Vec<u8>> = segs
+            .iter()
+            .map(|p| std::fs::read(p).expect("segment"))
+            .collect();
+        contents.sort_by_key(|c| c != &first);
+        assert_eq!(contents, [first, second]);
+        for handle in [&cache, &RunCache::new(&dir).expect("reopen")] {
+            for (i, (fp, scheme, app, result)) in runs.iter().enumerate() {
+                let loaded = handle.load(*fp, *scheme, *app, Scale::Tiny);
+                if i == 1 {
+                    assert!(loaded.is_none(), "the torn entry must miss");
+                } else {
+                    assert_eq!(loaded.expect("entry loads").result, *result);
+                }
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -56,10 +56,10 @@
 //! key is memoized, and its encoded entry goes down a channel to the thread
 //! that called [`try_run_jobs_outputs`]; the simulation threads do not
 //! store. That thread is the cache's only writer. While its simulation
-//! threads run, it commits whatever has queued as one group (every entry
-//! fsynced and renamed, then one directory fsync; see
-//! [`runcache::RunCache::store`]), and it returns only once every entry is
-//! in place.
+//! threads run, it commits whatever has queued as one group: one append to
+//! the cache handle's segment and one `fdatasync` (see
+//! [`runcache::RunCache::store`]). It returns only once every group is
+//! durable.
 //!
 //! Items run longest-estimated-first (see [`Job::estimated_cost`]) from
 //! one queue shared by every thread, so a `Full`-scale straggler cannot
@@ -71,8 +71,8 @@
 //! Inside one process, the items of a call are disjoint, so no key has two
 //! producers, and concurrent calls take turns on one process-wide lock held
 //! for the whole call. Nothing excludes other processes: two runs on one
-//! cache directory may both simulate a key, and both store the same bytes
-//! by atomic rename, so the duplicate costs time, never a result.
+//! cache directory may both simulate a key, and each appends the same bytes
+//! to a segment of its own, so the duplicate costs time, never a result.
 //!
 //! A panicking lane is a *result*, not a process event: it fails exactly
 //! its own key's jobs ([`JobError`]) while every other key completes, and
@@ -87,7 +87,7 @@ use crate::runcache::{self, Staged};
 use crate::{
     config_fingerprint, fault, LaneRun, RunOutcome, RunResult, Scheme, SystemConfig, ZombieSample,
 };
-use edbp_core::{EdbpConfig, GenerationTrace};
+use edbp_core::{EdbpConfig, FxBuildHasher, FxHashMap, GenerationTrace};
 use ehs_cache::Cache;
 use ehs_workloads::{build, AppId, Scale, Workload};
 use std::collections::hash_map::Entry;
@@ -240,11 +240,33 @@ struct MemoKey {
     scale: Scale,
 }
 
-impl MemoKey {
-    fn of(job: &Job) -> Self {
-        Self {
-            config_fp: effective_fingerprint(&job.config, job.scheme),
-            scheme: job.scheme,
+/// Fingerprints computed once per configuration allocation within one
+/// call: the call borrows its jobs, so every `Arc` they hold outlives it,
+/// and an address names one configuration for the whole call. A suite's
+/// jobs share a few dozen allocations.
+#[derive(Default)]
+struct Fingerprints {
+    /// The effective fingerprint under `Some(scheme)`, the raw one under
+    /// `None`.
+    memo: FxHashMap<(*const SystemConfig, Option<Scheme>), u64>,
+}
+
+impl Fingerprints {
+    fn of(&mut self, config: &Arc<SystemConfig>, scheme: Option<Scheme>) -> u64 {
+        *self
+            .memo
+            .entry((Arc::as_ptr(config), scheme))
+            .or_insert_with(|| match scheme {
+                Some(scheme) => effective_fingerprint(config, scheme),
+                None => config_fingerprint(config),
+            })
+    }
+
+    /// The memo key of `job`'s configuration, app and scale under `scheme`.
+    fn key(&mut self, job: &Job, scheme: Scheme) -> MemoKey {
+        MemoKey {
+            config_fp: self.of(&job.config, Some(scheme)),
+            scheme,
             app: job.app,
             scale: job.scale,
         }
@@ -296,15 +318,6 @@ pub(crate) fn cached_workload(app: AppId, scale: Scale) -> Workload {
         .entry((app, scale))
         .or_insert_with(|| build(app, scale))
         .clone()
-}
-
-fn baseline_key(config: &SystemConfig, app: AppId, scale: Scale) -> MemoKey {
-    MemoKey {
-        config_fp: effective_fingerprint(config, Scheme::Baseline),
-        scheme: Scheme::Baseline,
-        app,
-        scale,
-    }
 }
 
 /// Everything one job's run produced.
@@ -369,7 +382,9 @@ struct Unit {
 /// requested (each baseline comes before the `Ideal` units that consume
 /// it). Also returns each job's unit.
 fn units_of(jobs: &[Job]) -> (Vec<Unit>, Vec<usize>) {
-    let mut index: HashMap<MemoKey, usize> = HashMap::with_capacity(jobs.len());
+    let mut fingerprints = Fingerprints::default();
+    let mut index: FxHashMap<MemoKey, usize> =
+        FxHashMap::with_capacity_and_hasher(jobs.len(), FxBuildHasher::default());
     let mut units: Vec<Unit> = Vec::new();
     let mut intern = |key: MemoKey, job: &Job| match index.entry(key) {
         Entry::Occupied(e) => *e.get(),
@@ -388,9 +403,9 @@ fn units_of(jobs: &[Job]) -> (Vec<Unit>, Vec<usize>) {
         .iter()
         .map(|job| {
             if job.scheme.needs_oracle_trace() {
-                intern(baseline_key(&job.config, job.app, job.scale), job);
+                intern(fingerprints.key(job, Scheme::Baseline), job);
             }
-            intern(MemoKey::of(job), job)
+            intern(fingerprints.key(job, job.scheme), job)
         })
         .collect();
     (units, unit_of)
@@ -401,15 +416,16 @@ fn units_of(jobs: &[Job]) -> (Vec<Unit>, Vec<usize>) {
 /// fingerprint, app and scale form one item; each `Ideal` unit joins the
 /// item that holds its baseline's memo key.
 fn work_items(units: &[Unit]) -> Vec<Vec<usize>> {
+    let mut fingerprints = Fingerprints::default();
     let mut items: Vec<Vec<usize>> = Vec::new();
-    let mut parts: HashMap<(u64, AppId, Scale), usize> = HashMap::new();
-    let mut baselines: HashMap<&MemoKey, usize> = HashMap::new();
+    let mut parts: FxHashMap<(u64, AppId, Scale), usize> = FxHashMap::default();
+    let mut baselines: FxHashMap<&MemoKey, usize> = FxHashMap::default();
     for (u, unit) in units.iter().enumerate() {
         let job = &unit.job;
         let item = if job.scheme.needs_oracle_trace() {
-            baselines[&baseline_key(&job.config, job.app, job.scale)]
+            baselines[&fingerprints.key(job, Scheme::Baseline)]
         } else {
-            let part = (config_fingerprint(&job.config), job.app, job.scale);
+            let part = (fingerprints.of(&job.config, None), job.app, job.scale);
             *parts.entry(part).or_insert_with(|| {
                 items.push(Vec::new());
                 items.len() - 1
@@ -788,6 +804,86 @@ mod tests {
         POOL.get_or_init(|| crate::planner::plan_suite(Scale::Tiny).jobs)
     }
 
+    /// `job`'s memo key under `scheme`, computed afresh.
+    fn key_of(job: &Job, scheme: Scheme) -> MemoKey {
+        MemoKey {
+            config_fp: effective_fingerprint(&job.config, scheme),
+            scheme,
+            app: job.app,
+            scale: job.scale,
+        }
+    }
+
+    /// [`units_of`] without the fingerprint memo: each unit's key and each
+    /// job's unit, from one `effective_fingerprint` call per key.
+    fn units_by_reference(jobs: &[Job]) -> (Vec<MemoKey>, Vec<usize>) {
+        let mut keys: Vec<MemoKey> = Vec::new();
+        let mut intern = |key: MemoKey| match keys.iter().position(|k| *k == key) {
+            Some(u) => u,
+            None => {
+                keys.push(key);
+                keys.len() - 1
+            }
+        };
+        let unit_of = jobs
+            .iter()
+            .map(|job| {
+                if job.scheme.needs_oracle_trace() {
+                    intern(key_of(job, Scheme::Baseline));
+                }
+                intern(key_of(job, job.scheme))
+            })
+            .collect();
+        (keys, unit_of)
+    }
+
+    fn assert_units_match_reference(jobs: &[Job]) {
+        let (units, unit_of) = units_of(jobs);
+        let keys: Vec<MemoKey> = units.iter().map(|u| u.key.clone()).collect();
+        let (reference, reference_unit_of) = units_by_reference(jobs);
+        assert!(
+            keys == reference,
+            "units_of's keys differ from the reference"
+        );
+        assert_eq!(unit_of, reference_unit_of);
+    }
+
+    /// The per-allocation fingerprint memo changes no key and no order: on
+    /// every suite plan, on equal configs in distinct `Arc`s, and on one
+    /// explicit-default-EDBP `Arc` seen by schemes with and without EDBP.
+    #[test]
+    fn memoized_units_match_per_job_fingerprints() {
+        for scale in [Scale::Tiny, Scale::Small, Scale::Full] {
+            assert_units_match_reference(&crate::planner::plan_suite(scale).jobs);
+        }
+        let plain = SystemConfig::paper_default();
+        let mut explicit = plain.clone();
+        explicit.edbp = Some(EdbpConfig::for_cache(&Cache::new(plain.dcache)));
+        let (a, b, explicit) = (Arc::new(plain.clone()), Arc::new(plain), Arc::new(explicit));
+        let job = |config: &Arc<SystemConfig>, scheme, app| Job {
+            config: Arc::clone(config),
+            scheme,
+            app,
+            scale: Scale::Tiny,
+        };
+        let jobs = [
+            job(&a, Scheme::Baseline, AppId::Crc32),
+            job(&b, Scheme::Baseline, AppId::Crc32),
+            job(&b, Scheme::Ideal, AppId::Sha),
+            job(&explicit, Scheme::Edbp, AppId::Crc32),
+            job(&explicit, Scheme::Baseline, AppId::Crc32),
+            job(&explicit, Scheme::Decay, AppId::Crc32),
+            job(&a, Scheme::Edbp, AppId::Crc32),
+            job(&explicit, Scheme::Ideal, AppId::Sha),
+        ];
+        assert_units_match_reference(&jobs);
+        // Equal configs share keys across allocations, and the explicit
+        // default EDBP block folds into the derived one under every scheme.
+        let (units, unit_of) = units_of(&jobs);
+        assert_eq!(unit_of, [0, 0, 2, 3, 0, 4, 3, 2]);
+        assert_eq!(units.len(), 5, "Sha's oracle baseline is unit 1");
+    }
+
     /// Samples a non-empty subset of `pool` from the seeds.
     fn subset(pool: &[Job], seeds: &[u64]) -> Vec<Job> {
         let mut jobs: Vec<Job> = seeds
@@ -819,7 +915,7 @@ mod tests {
             let tiled: HashSet<&MemoKey> = tiled.into_iter().collect();
             prop_assert_eq!(tiled.len(), unique.len(), "a memo key sits in two items");
             for job in &unique {
-                prop_assert!(tiled.contains(&MemoKey::of(job)), "a unique job is in no item");
+                prop_assert!(tiled.contains(&key_of(job, job.scheme)), "a unique job is in no item");
             }
         }
 
@@ -841,7 +937,7 @@ mod tests {
                 for &u in &item {
                     let job = &units[u].job;
                     if job.scheme.needs_oracle_trace() {
-                        let baseline = baseline_key(&job.config, job.app, job.scale);
+                        let baseline = key_of(job, Scheme::Baseline);
                         prop_assert!(keys.contains(&baseline), "an Ideal left its baseline");
                     }
                 }

@@ -159,7 +159,7 @@ fn lost_work(cache: &Path) -> u64 {
 /// store I/O error, must both succeed with the reference figures. Nothing
 /// splits the work, so between them they simulate every unique job at
 /// least once; A stores every key whose store failed in B, so the pair
-/// leaves a complete cache with no orphan temp files, which a third run
+/// leaves a complete cache of segments and nothing else, which a third run
 /// must replay without a single simulation.
 #[test]
 #[ignore = "spawns full exp_all suites; CI fault-injection job runs with --release --ignored"]
@@ -219,10 +219,10 @@ fn concurrent_suites_share_one_cache_without_corruption() {
     // Every unique entry loads from the shared directory.
     assert_eq!(lost_work(&cache), 0, "the pair left work undone");
 
-    // No debris: a finished pair leaves only entries.
+    // No debris: a finished pair leaves only segments.
     for entry in std::fs::read_dir(&cache).expect("read cache dir").flatten() {
         let name = entry.file_name().to_string_lossy().into_owned();
-        assert!(name.ends_with(".run"), "leftover cache debris: {name}");
+        assert!(name.ends_with(".seg"), "leftover cache debris: {name}");
     }
 
     // The shared cache replays cleanly: zero simulations, same figures.

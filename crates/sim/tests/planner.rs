@@ -9,28 +9,43 @@
 use ehs_sim::planner::{plan_suite, run_suite};
 use ehs_sim::runcache::{self, entry_stem, workload_fingerprint};
 use ehs_sim::runner::{count_unique, effective_fingerprint, simulations_executed, unique_jobs};
-use ehs_sim::{Scheme, SystemConfig};
+use ehs_sim::{run_app, Scheme, SystemConfig};
 use ehs_workloads::{AppId, Scale};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 #[test]
 fn suite_dedup_accounting_is_exact() {
     let (scale, threads) = (Scale::Tiny, 2);
 
-    // Install a private persistent cache seeded with corrupt entries: one
-    // file of plain garbage at a real entry's path, plus junk that matches
-    // no key at all. The planner must reject both and fall back to
-    // re-simulation — the dedup arithmetic below only holds if it does.
+    // Install a private persistent cache seeded with corrupt segments: one
+    // of plain garbage, and one holding a real entry with a flipped payload
+    // byte, plus an older build's one-file entry at that key's old path.
+    // The planner must reject all three and fall back to re-simulation —
+    // the dedup arithmetic below only holds if it does.
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("planner-cache");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create cache dir");
-    let fp = effective_fingerprint(&SystemConfig::paper_default(), Scheme::Baseline);
+    let config = SystemConfig::paper_default();
+    let fp = effective_fingerprint(&config, Scheme::Baseline);
+    std::fs::write(
+        dir.join("garbage.seg"),
+        b"garbage where a cache segment should be",
+    )
+    .expect("seed garbage segment");
+    let seed_dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("planner-seed");
+    let _ = std::fs::remove_dir_all(&seed_dir);
+    let result = run_app(&config, Scheme::Baseline, AppId::Crc32, Scale::Tiny);
+    let seeder = runcache::RunCache::new(&seed_dir).expect("create seed cache");
+    assert!(seeder.store(fp, Scheme::Baseline, AppId::Crc32, scale, &result, None));
+    let mut entry =
+        std::fs::read(segments(&seed_dir).pop().expect("seed segment")).expect("read seed segment");
+    entry[48] ^= 0xff; // a payload byte: the checksum no longer holds
+    std::fs::write(dir.join("corrupt.seg"), &entry).expect("seed corrupt segment");
     std::fs::write(
         dir.join(format!("{fp:016x}-nvsramcache-crc32-tiny.run")),
-        b"garbage where a cache entry should be",
+        b"junk in an older build's entry file",
     )
-    .expect("seed corrupt entry");
-    std::fs::write(dir.join("unrelated.run"), b"junk").expect("seed junk file");
+    .expect("seed legacy entry");
     assert!(
         runcache::install(&dir),
         "first install wins in this process"
@@ -55,15 +70,13 @@ fn suite_dedup_accounting_is_exact() {
     // A fault-free pass has an empty structured failure summary.
     assert!(cold.failures().is_empty(), "no failures without faults");
 
-    // Every group commit finished before the pass returned: no temp file
-    // awaits its rename.
-    for entry in std::fs::read_dir(&dir).expect("read cache dir").flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        assert!(
-            !name.starts_with(".tmp-"),
-            "cold pass left {name} in the cache directory"
-        );
-    }
+    // Every group commit of the pass went to the one segment the installed
+    // handle created, beside the two seeded ones.
+    assert_eq!(
+        segments(&dir).len(),
+        3,
+        "the cold pass must append to exactly one new segment"
+    );
 
     // Every unique job's entry is on disk (the resume contract's write
     // half): a fresh handle loads each one. With `cold.executed == unique`
@@ -87,11 +100,21 @@ fn suite_dedup_accounting_is_exact() {
         assert_eq!(c.render(), w.render(), "replayed table diverged");
     }
 
-    // The persistent cache was repopulated over the corrupt seed entry:
-    // it loads cleanly now and carries the workload fingerprint guard.
+    // The key the corrupt segment held was simulated and stored again: a
+    // fresh handle loads it, with the workload fingerprint guard in place.
     let _ = workload_fingerprint(AppId::Crc32, Scale::Tiny);
     let entry = runcache::RunCache::new(&dir)
         .expect("reopen cache dir")
         .load(fp, Scheme::Baseline, AppId::Crc32, Scale::Tiny);
-    assert!(entry.is_some(), "cold pass overwrote the corrupt entry");
+    assert_eq!(entry.expect("the cold pass stored the key").result, result);
+}
+
+/// The `*.seg` files of `dir`.
+fn segments(dir: &Path) -> Vec<PathBuf> {
+    std::fs::read_dir(dir)
+        .expect("read cache dir")
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|e| e == "seg"))
+        .collect()
 }

@@ -36,11 +36,10 @@ fn a_store_panic_propagates_out_of_the_producer() {
         "the store panic must reach the caller, not become a job result"
     );
 
-    // The panic fired before the batch touched any file.
-    for entry in std::fs::read_dir(&dir).expect("read cache dir").flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        assert!(!name.starts_with(".tmp-"), "leftover temp file: {name}");
-    }
+    // The panic fired before the batch wrote a byte: the handle's first
+    // commit never created its segment.
+    let files: Vec<_> = std::fs::read_dir(&dir).expect("read cache dir").collect();
+    assert!(files.is_empty(), "the panicked commit left {files:?}");
 
     // Nothing is wedged: with the one-shot plan spent, the same jobs run.
     for (i, output) in try_run_jobs_outputs(&jobs, 2).iter().enumerate() {

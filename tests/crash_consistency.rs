@@ -162,7 +162,7 @@ fn failure_free_run_matches_golden_too() {
 fn torn_runcache_write_never_corrupts_a_result() {
     use edbp_repro::sim::fault::{self, FailPlan};
     use edbp_repro::sim::run_app;
-    use edbp_repro::sim::runcache::{self, entry_stem, RunCache};
+    use edbp_repro::sim::runcache::{self, RunCache};
     use edbp_repro::sim::runner::{effective_fingerprint, try_run_jobs_outputs, Job};
     use edbp_repro::workloads::{AppId, Scale};
     use std::sync::Arc;
@@ -191,15 +191,22 @@ fn torn_runcache_write_never_corrupts_a_result() {
     let fresh = run_app(&config, Scheme::Edbp, AppId::Crc32, Scale::Tiny);
     assert_eq!(output.result, fresh, "torn store leaked into the result");
 
-    // The torn bytes landed at the final path (the injected fault bypasses
-    // the atomic rename on purpose), yet a fresh handle rejects them.
+    // The torn bytes are the tail of the installed handle's segment, which
+    // it then abandoned; a fresh handle stops its scan there.
     let fp = effective_fingerprint(&config, Scheme::Edbp);
-    let stem = entry_stem(fp, Scheme::Edbp, AppId::Crc32, Scale::Tiny);
+    let segments = || -> Vec<std::path::PathBuf> {
+        std::fs::read_dir(&dir)
+            .expect("read cache dir")
+            .flatten()
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|e| e == "seg"))
+            .collect()
+    };
+    let torn_segment = segments()
+        .pop()
+        .expect("the fault must leave a torn segment");
+    assert_eq!(segments().len(), 1);
     let cache = RunCache::new(&dir).expect("reopen cache dir");
-    assert!(
-        dir.join(format!("{stem}.run")).exists(),
-        "the fault must leave a torn file to reject"
-    );
     assert!(
         cache
             .load(fp, Scheme::Edbp, AppId::Crc32, Scale::Tiny)
@@ -207,11 +214,19 @@ fn torn_runcache_write_never_corrupts_a_result() {
         "torn entry must be rejected on load"
     );
 
-    // Recovery: a healthy store (the one-shot fault is spent) overwrites
-    // the torn file and round-trips exactly.
+    // Recovery: a healthy store (the one-shot fault is spent) lands in a
+    // new segment and round-trips exactly. The torn segment held exactly
+    // the first two thirds of that entry's bytes.
     assert!(cache.store(fp, Scheme::Edbp, AppId::Crc32, Scale::Tiny, &fresh, None));
     let replayed = cache
         .load(fp, Scheme::Edbp, AppId::Crc32, Scale::Tiny)
         .expect("repaired entry loads");
     assert_eq!(replayed.result, fresh);
+    let whole = segments()
+        .into_iter()
+        .find(|p| *p != torn_segment)
+        .expect("the healthy store's segment");
+    let whole = std::fs::read(whole).expect("read segment");
+    let torn = std::fs::read(&torn_segment).expect("read torn segment");
+    assert_eq!(torn, whole[..whole.len() - whole.len() / 3]);
 }
